@@ -60,20 +60,36 @@ class HashingEmbedder:
         return normalize(vec)
 
 
+class DegenerateEmbedding(ValueError):
+    """The vector to normalize is zero, e.g. because signed hashes cancelled."""
+
+
 def normalize(vec: np.ndarray) -> np.ndarray:
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
-        raise ValueError("zero vector cannot be normalized (degenerate embedding)")
+        raise DegenerateEmbedding("zero vector cannot be normalized (degenerate embedding)")
     out = vec / norm
     out.setflags(write=False)
     return out
 
 
+def embed_or_zero(provider: EmbeddingProvider, token_ids: Sequence[int]) -> np.ndarray:
+    """Embed tokens; a sequence whose contributions cancel gives the zero vector."""
+    try:
+        return provider.embed_tokens(token_ids)
+    except DegenerateEmbedding:
+        zero = np.zeros(provider.dim, dtype=np.float64)
+        zero.setflags(write=False)
+        return zero
+
+
 def embed_chunk(chunk: Chunk, provider: EmbeddingProvider) -> np.ndarray:
-    """Embed one chunk. Empty chunks are rejected (unusable for cosine)."""
+    """Embed one chunk. Empty chunks are rejected (unusable for cosine); a
+    chunk whose signed hashes cancel embeds to the zero vector, which scoring
+    treats as degenerate (score 0.0, ranked last)."""
     if chunk.size == 0:
         raise ValueError(f"chunk {chunk.chunk_index} is empty")
-    return provider.embed_tokens(chunk.token_ids)
+    return embed_or_zero(provider, chunk.token_ids)
 
 
 def embed_query_text(

@@ -7,7 +7,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .embed import EmbeddingProvider
+from .embed import EmbeddingProvider, embed_or_zero
 from .select import cosine
 
 _SCORING_PIECE_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
@@ -70,8 +70,11 @@ def embedding_cosine_proxy(
     """Cosine between hashed bag embeddings of candidate and reference.
 
     A cheap relatedness proxy only. It is not BERTScore and must never be
-    reported as such: there is no contextual model behind it.
+    reported as such: there is no contextual model behind it. Empty inputs
+    and inputs that embed to the zero vector score 0.0.
     """
     if not candidate_tokens or not reference_tokens:
         return 0.0
-    return cosine(provider.embed_tokens(candidate_tokens), provider.embed_tokens(reference_tokens))
+    a = embed_or_zero(provider, candidate_tokens)
+    b = embed_or_zero(provider, reference_tokens)
+    return cosine(a, b) if a.any() and b.any() else 0.0

@@ -9,19 +9,26 @@ load-bearing for the rest of the engine:
   full original document. Rotary phases therefore never depend on which
   chunks happen to be resident.
 
-- Chunk-token attention always scores against the key matrix of *every*
-  resident chunk, with future positions masked afterwards. That makes the
-  score-element counters measure exactly (resident tokens)^2 for a prefill,
-  like a conventional full-matrix attention implementation, and it keeps
-  operand shapes identical between an initial prefill and a later rebuild of
-  the same resident set. With identical shapes and identical unmasked
-  inputs, float32 results are reproduced bit for bit, which is what the
-  rebuild-equals-fresh-prefill checks rely on.
+- K/V live in one contiguous arena per layer: the resident chunks in
+  document order, then the generated tokens. Every attention reads a
+  prefix view of it, so chunk tokens score against the keys of *every*
+  resident chunk (future positions masked afterwards) and a decode step
+  scores against all of them plus the generated tokens. The score-element
+  counters therefore measure exactly (resident tokens)^2 for a prefill,
+  like a conventional full-matrix implementation (decode and rebuild read
+  theirs off the width of the view), and operand shapes stay identical
+  between an initial prefill and a later rebuild of the same resident set.
+  With identical shapes and identical unmasked inputs, float32 results are
+  reproduced bit for bit, which is what the rebuild-equals-fresh-prefill
+  checks rely on.
 
-- Generated-token K/V live in a separate always-resident block and are
-  never attended by chunk tokens (they are strictly in the future of every
-  chunk position), so rebuilding chunks mid-generation stays byte-equal to
-  a document-only prefill.
+- The arena changes layout only when residency does. Eviction and
+  admission edit a chunk -> slot index; the arrays are re-laid out once,
+  before attention next reads them, with the generated tokens moved along.
+  Decode steps write their token's K/V in place. Chunk tokens never attend
+  the generated tail (it is strictly in the future of every chunk
+  position), so rebuilding chunks mid-generation stays byte-equal to a
+  document-only prefill.
 
 Everything runs in float32 with a fixed reduction order.
 """
@@ -105,85 +112,117 @@ class CostCounters:
 
 
 class KVCache:
-    """Per-layer K/V blocks keyed by chunk index, plus a generation block."""
+    """Per-layer K/V arenas: resident chunks in document order, then generated tokens.
+
+    Each layer owns one keys and one values array shaped (n_kv_heads,
+    capacity, d_head). Slots [0, chunk_tokens) hold the resident chunks in
+    document order and the next gen_len slots the generated tokens, so every
+    attention reads a prefix view of the arena. A chunk -> slot index sits
+    beside it. Evicting a chunk or reserving a placeholder only edits the
+    index; ``settle`` re-lays the arrays out once, before attention next reads
+    them, and the generated tail moves with that re-layout. Capacity grows by
+    doubling.
+    """
 
     def __init__(self, config: ModelConfig):
         self.config = config
-        self._blocks: list[dict[int, KVBlock]] = [{} for _ in range(config.n_layers)]
-        self._gen_k: list[list[np.ndarray]] = [[] for _ in range(config.n_layers)]
-        self._gen_v: list[list[np.ndarray]] = [[] for _ in range(config.n_layers)]
+        empty = np.zeros((config.n_kv_heads, 0, config.d_head), dtype=np.float32)
+        self.keys: list[np.ndarray] = [empty] * config.n_layers
+        self.values: list[np.ndarray] = [empty] * config.n_layers
+        # chunk -> (pos_start, pos_end, arena slot); slot is None until settled
+        self._index: dict[int, tuple[int, int, int | None]] = {}
+        self._unsettled = False
+        self.chunk_tokens = 0  # arena slots laid out for chunks
+        self.positions = np.zeros(0, dtype=np.int64)  # document position of each chunk slot
         self.gen_positions: list[int] = []
         self.counters = CostCounters()
 
     # --- chunk blocks ---
 
     def has(self, chunk_index: int) -> bool:
-        return chunk_index in self._blocks[0]
+        return chunk_index in self._index
 
     def resident_indices(self) -> list[int]:
-        return sorted(self._blocks[0], key=lambda i: self._blocks[0][i].pos_start)
+        return sorted(self._index, key=lambda i: self._index[i][0])
 
     @property
     def resident_tokens(self) -> int:
-        return sum(b.size for b in self._blocks[0].values())
+        return sum(end - start for start, end, _ in self._index.values())
 
     def block(self, layer: int, chunk_index: int) -> KVBlock:
-        return self._blocks[layer][chunk_index]
+        """Read-only views of one chunk's K/V in the arena."""
+        self.settle()
+        start, end, slot = self._index[chunk_index]
+        keys = self.keys[layer][:, slot:slot + end - start]
+        values = self.values[layer][:, slot:slot + end - start]
+        keys.flags.writeable = False
+        values.flags.writeable = False
+        return KVBlock(keys, values, start, end)
 
-    def store_block(self, layer: int, chunk_index: int, keys: np.ndarray, values: np.ndarray,
-                    pos_start: int, pos_end: int) -> None:
-        self._blocks[layer][chunk_index] = KVBlock(keys, values, pos_start, pos_end)
+    def slot(self, chunk_index: int) -> int:
+        self.settle()
+        return self._index[chunk_index][2]
 
-    def register_placeholder(self, chunk: Chunk) -> None:
-        """Reserve zeroed blocks for a chunk about to be computed.
+    def reserve(self, chunk: Chunk) -> None:
+        """Give a chunk about to be computed a zeroed slot at the next settle.
 
-        Placeholders give every resident chunk a slot in the assembled key
-        matrix before rebuilds run, so operand widths already match the
-        final resident set; placeholder contents are always masked out.
+        Placeholders make operand widths match the final resident set before
+        rebuilds run; their contents are always masked out.
         """
-        cfg = self.config
-        for layer in range(cfg.n_layers):
-            zeros = np.zeros((cfg.n_kv_heads, chunk.size, cfg.d_head), dtype=np.float32)
-            self.store_block(layer, chunk.chunk_index, zeros, zeros.copy(),
-                             chunk.doc_token_offset, chunk.doc_token_offset + chunk.size)
+        self._index[chunk.chunk_index] = (chunk.doc_token_offset,
+                                          chunk.doc_token_offset + chunk.size, None)
+        self._unsettled = True
 
     def evict(self, chunk_index: int) -> None:
         if not self.has(chunk_index):
             raise KeyError(f"chunk {chunk_index} is not resident")
-        for layer_blocks in self._blocks:
-            del layer_blocks[chunk_index]
+        del self._index[chunk_index]
+        self._unsettled = True
 
-    def assemble_chunks(self, layer: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Concatenate resident chunk K/V (document order) and their positions."""
-        order = self.resident_indices()
-        if not order:
-            raise ValueError("no resident chunks")
-        blocks = [self._blocks[layer][i] for i in order]
-        k_all = np.concatenate([b.keys for b in blocks], axis=1)
-        v_all = np.concatenate([b.values for b in blocks], axis=1)
-        pos = np.concatenate([np.arange(b.pos_start, b.pos_end, dtype=np.int64) for b in blocks])
-        return k_all, v_all, pos
+    @property
+    def capacity(self) -> int:
+        return self.keys[0].shape[1]
 
-    # --- generation block ---
+    def settle(self, capacity: int = 0) -> None:
+        """Re-lay the arenas out for the current index: one copy of each array.
+
+        Also runs when the arenas must grow to hold ``capacity`` slots.
+        """
+        if not self._unsettled and capacity <= self.capacity:
+            return
+        moves = []  # (old slot or None for a placeholder, new slot, tokens)
+        spans = [np.zeros(0, dtype=np.int64)]
+        slot = 0
+        for idx in self.resident_indices():
+            start, end, old = self._index[idx]
+            moves.append((old, slot, end - start))
+            spans.append(np.arange(start, end, dtype=np.int64))
+            self._index[idx] = (start, end, slot)
+            slot += end - start
+        gen_old = slice(self.chunk_tokens, self.chunk_tokens + self.gen_len)
+        gen_new = slice(slot, slot + self.gen_len)
+        needed = max(gen_new.stop, capacity)
+        grown = self.capacity if needed <= self.capacity else max(needed, 2 * self.capacity)
+        shape = (self.config.n_kv_heads, grown, self.config.d_head)
+        for arenas in (self.keys, self.values):
+            for layer, old_arena in enumerate(arenas):
+                arena = np.empty(shape, dtype=np.float32)
+                for old, new, size in moves:
+                    arena[:, new:new + size] = 0.0 if old is None else old_arena[:, old:old + size]
+                arena[:, gen_new] = old_arena[:, gen_old]
+                arenas[layer] = arena
+        self.chunk_tokens = slot
+        self.positions = np.concatenate(spans)
+        self._unsettled = False
+
+    # --- generated tokens ---
 
     @property
     def gen_len(self) -> int:
         return len(self.gen_positions)
 
-    def gen_append(self, layer: int, keys: np.ndarray, values: np.ndarray) -> None:
-        self._gen_k[layer].append(keys)
-        self._gen_v[layer].append(values)
-
-    def gen_stack(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
-        return (
-            np.concatenate(self._gen_k[layer], axis=1),
-            np.concatenate(self._gen_v[layer], axis=1),
-        )
-
     def max_resident_position(self) -> int:
-        top = -1
-        for b in self._blocks[0].values():
-            top = max(top, b.pos_end - 1)
+        top = max((end - 1 for _, end, _ in self._index.values()), default=-1)
         if self.gen_positions:
             top = max(top, self.gen_positions[-1])
         return top
@@ -233,10 +272,10 @@ class DecoderModel:
     def prefill(self, chunks: Sequence[Chunk], cache: KVCache) -> PrefillResult:
         """Process chunks (ascending document order) into an empty cache.
 
-        Attention is causal over the chunks being prefilled; K/V blocks are
-        stored per chunk with document-absolute positions. Returns final
-        hidden states for every processed token plus the last position's
-        logits (the seed of greedy generation).
+        Attention is causal over the chunks being prefilled; their K/V fill
+        the cache's arena in document order, with document-absolute
+        positions. Returns final hidden states for every processed token
+        plus the last position's logits (the seed of greedy generation).
         """
         cfg = self.config
         if cache.resident_tokens or cache.gen_len:
@@ -254,26 +293,24 @@ class DecoderModel:
         hidden = [emb[np.asarray(c.token_ids, dtype=np.int64)].copy() for c in ordered]
         positions = [np.arange(c.doc_token_offset, c.doc_token_offset + c.size, dtype=np.int64)
                      for c in ordered]
-        pos_all = np.concatenate(positions)
-        total = int(pos_all.shape[0])
+        for c in ordered:
+            cache.reserve(c)
+        cache.settle()
+        total = cache.chunk_tokens
+        slots = [cache.slot(c.chunk_index) for c in ordered]
         # Future-key masks are position-only, so one per block covers all layers.
-        masks = [pos_all[None, :] <= p[:, None] for p in positions]
+        masks = [cache.positions[None, :] <= p[:, None] for p in positions]
 
         for layer in range(cfg.n_layers):
+            keys, values = cache.keys[layer], cache.values[layer]
             qs: list[np.ndarray] = []
-            ks: list[np.ndarray] = []
-            vs: list[np.ndarray] = []
             for b, c in enumerate(ordered):
                 q, k, v = self._project_qkv(hidden[b], layer, positions[b])
                 qs.append(q)
-                ks.append(k)
-                vs.append(v)
-                cache.store_block(layer, c.chunk_index, k, v,
-                                  c.doc_token_offset, c.doc_token_offset + c.size)
-            k_all = np.concatenate(ks, axis=1)
-            v_all = np.concatenate(vs, axis=1)
+                keys[:, slots[b]:slots[b] + c.size] = k
+                values[:, slots[b]:slots[b] + c.size] = v
             for b in range(len(ordered)):
-                attn = self._attend(qs[b], k_all, v_all, masks[b])
+                attn = self._attend(qs[b], keys[:, :total], values[:, :total], masks[b])
                 hidden[b] = hidden[b] + attn @ self.params[f"layers.{layer}.wo"]
                 hidden[b] = hidden[b] + self._mlp(hidden[b], layer)
 
@@ -287,7 +324,7 @@ class DecoderModel:
         """One greedy decode step at a document-absolute position.
 
         Attends over every resident chunk block plus all generated-token K/V
-        (including this token's own, appended first). No mask is needed:
+        (including this token's own, written first). No mask is needed:
         everything resident lies at or before the query position.
         """
         cfg = self.config
@@ -298,23 +335,17 @@ class DecoderModel:
         if position <= cache.max_resident_position():
             raise ValueError("decode position must follow all cached positions")
 
+        width = cache.resident_tokens + cache.gen_len + 1  # chunks, generated tokens, this token
+        cache.settle(capacity=width)
         pos = np.asarray([position], dtype=np.int64)
         hidden = self.params["embedding"][np.asarray([last_token], dtype=np.int64)].copy()
         for layer in range(cfg.n_layers):
             q, k, v = self._project_qkv(hidden, layer, pos)
-            cache.gen_append(layer, k, v)
-            parts_k: list[np.ndarray] = []
-            parts_v: list[np.ndarray] = []
-            if cache.resident_tokens:
-                ck, cv, _ = cache.assemble_chunks(layer)
-                parts_k.append(ck)
-                parts_v.append(cv)
-            gk, gv = cache.gen_stack(layer)
-            parts_k.append(gk)
-            parts_v.append(gv)
-            k_all = np.concatenate(parts_k, axis=1) if len(parts_k) > 1 else parts_k[0]
-            v_all = np.concatenate(parts_v, axis=1) if len(parts_v) > 1 else parts_v[0]
-            attn = self._attend(q, k_all, v_all, None)
+            keys, values = cache.keys[layer], cache.values[layer]
+            keys[:, width - 1:width] = k
+            values[:, width - 1:width] = v
+            k_all = keys[:, :width]
+            attn = self._attend(q, k_all, values[:, :width], None)
             hidden = hidden + attn @ self.params[f"layers.{layer}.wo"]
             hidden = hidden + self._mlp(hidden, layer)
         cache.gen_positions.append(position)
@@ -322,7 +353,7 @@ class DecoderModel:
         final = _rms_norm(hidden, self.params["final_norm"])
         logits = (final @ self.params["head"])[0]
         token = int(np.argmax(logits))
-        elements = cache.resident_tokens + cache.gen_len
+        elements = k_all.shape[1]
         cache.counters.decode_elements += elements
         return StepOutput(logits, token, elements)
 
@@ -343,26 +374,28 @@ class DecoderModel:
             raise RuntimeError(f"internal consistency: no tokens available for chunks {missing}")
         for idx in targets:
             if not cache.has(idx):
-                cache.register_placeholder(chunks_by_index[idx])
+                cache.reserve(chunks_by_index[idx])
+        cache.settle()
 
-        total_tokens = cache.resident_tokens
+        width = cache.chunk_tokens
         elements = 0
         cfg = self.config
         for idx in sorted(targets, key=lambda i: chunks_by_index[i].doc_token_offset):
             c = chunks_by_index[idx]
+            slot = cache.slot(idx)
             hidden = self.params["embedding"][np.asarray(c.token_ids, dtype=np.int64)].copy()
             pos = np.arange(c.doc_token_offset, c.doc_token_offset + c.size, dtype=np.int64)
-            mask = None
+            mask = cache.positions[None, :] <= pos[:, None]
             for layer in range(cfg.n_layers):
                 q, k, v = self._project_qkv(hidden, layer, pos)
-                cache.store_block(layer, idx, k, v, c.doc_token_offset, c.doc_token_offset + c.size)
-                k_all, v_all, pos_all = cache.assemble_chunks(layer)
-                if mask is None:
-                    mask = pos_all[None, :] <= pos[:, None]
-                attn = self._attend(q, k_all, v_all, mask)
+                keys, values = cache.keys[layer], cache.values[layer]
+                keys[:, slot:slot + c.size] = k
+                values[:, slot:slot + c.size] = v
+                k_all = keys[:, :width]
+                attn = self._attend(q, k_all, values[:, :width], mask)
                 hidden = hidden + attn @ self.params[f"layers.{layer}.wo"]
                 hidden = hidden + self._mlp(hidden, layer)
-            elements += c.size * total_tokens
+            elements += c.size * k_all.shape[1]
         cache.counters.rebuild_elements += elements
         return elements
 

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .embed import EmbeddingProvider, EmbeddingStore, embed_query_text, normalize
+from .embed import EmbeddingProvider, EmbeddingStore, embed_or_zero, embed_query_text, normalize
 from .select import score_chunks, select_top_k
 from .textpipe import Chunk, DEFAULT_VOCAB_SIZE
 
@@ -126,7 +126,8 @@ class EnhancedQueryState:
     ``current`` holds the active unit-norm embedding. It starts as the
     embedding of the instruction tail and, once tokens have been generated,
     becomes the normalized blend
-    alpha * embed(tail) + (1 - alpha) * embed(recent tokens).
+    alpha * embed(tail) + (1 - alpha) * embed(recent tokens),
+    or the tail embedding again when that blend is the zero vector.
     Callers refresh it only at reprioritization boundaries.
     """
 
@@ -157,10 +158,11 @@ def update_enhanced_query(state: EnhancedQueryState, generated_tokens: Sequence[
         state.current = state._tail_embedding
         return state.current
     recent = list(generated_tokens[-state.recent_token_window:])
-    recent_embedding = state.provider.embed_tokens(recent)
+    recent_embedding = embed_or_zero(state.provider, recent)
     alpha = state.blend_alpha
     blended = alpha * state._tail_embedding + (1.0 - alpha) * recent_embedding
-    state.current = normalize(blended)
+    # a blend that cancels to zero has no direction: keep the instruction tail
+    state.current = normalize(blended) if blended.any() else state._tail_embedding
     return state.current
 
 

@@ -3,7 +3,9 @@
 Chunk counts are small (tens), so selection just scores everything and
 sorts; no approximate nearest-neighbor machinery. Ties break toward the
 smaller chunk index, and the selected set is returned in document order so
-downstream cache loading stays as in-order as possible.
+downstream cache loading stays as in-order as possible. A chunk with a
+zero-norm embedding has no direction to compare: it scores 0.0 and ranks
+after every other chunk.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .embed import EmbeddingStore
 class ChunkScore(NamedTuple):
     chunk_index: int
     score: float
+    degenerate: bool = False  # zero-norm chunk embedding
 
 
 @dataclass(frozen=True)
@@ -49,20 +52,21 @@ def score_chunks(
 ) -> list[ChunkScore]:
     """Score candidate chunks (default: all in the store) against the query."""
     indices = sorted(candidate_indices) if candidate_indices is not None else store.indices()
-    return [ChunkScore(i, cosine(query, store[i])) for i in indices]
+    return [ChunkScore(i, cosine(query, store[i])) if store[i].any() else ChunkScore(i, 0.0, True)
+            for i in indices]
 
 
 def select_top_k(scores: Sequence[ChunkScore], k: int) -> SelectionResult:
     """Pick the k highest-scoring chunks.
 
-    Ties go to the smaller chunk index. k larger than the candidate count
-    degenerates to selecting everything.
+    Ties go to the smaller chunk index; degenerate chunks rank after all
+    others. k larger than the candidate count selects everything.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not scores:
         raise ValueError("scores must be non-empty")
     k_effective = min(k, len(scores))
-    ranked = sorted(scores, key=lambda s: (-s.score, s.chunk_index))
+    ranked = sorted(scores, key=lambda s: (s.degenerate, -s.score, s.chunk_index))
     selected = tuple(sorted(s.chunk_index for s in ranked[:k_effective]))
     return SelectionResult(selected=selected, scores=tuple(scores), k_effective=k_effective)

@@ -223,3 +223,13 @@ def test_memtable_custom_row(capsys):
 
 def test_memtable_bad_row():
     assert run_cli("memtable", "--row", "badrow") == 2
+
+
+def test_zero_norm_chunk_document_runs(tmp_path):
+    doc = tmp_path / "doc.txt"
+    doc.write_text(" ".join([f"w{i}" for i in range(800)] + ["z6", "z54"]))
+    out = tmp_path / "out"
+    assert run_cli("run", "--input", str(doc), "--query", "summarize the text",
+                   "--max-new-tokens", "4", "--out-dir", str(out)) == 0
+    report = json.loads((out / "doc-apce-s0.json").read_text())
+    assert report["selection"]["scores"][1] == [1, 0.0]

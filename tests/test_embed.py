@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apce.embed import (
+    DegenerateEmbedding,
     EmbeddingStore,
     HashingEmbedder,
     embed_chunk,
@@ -172,3 +173,12 @@ def test_external_embeddings_duplicate_index(tmp_path):
 )
 def test_embedding_store_bytes(n, d, bpe, expected):
     assert embedding_store_bytes(n, d, bpe) == expected
+
+
+def test_cancelling_chunk_embeds_to_zero():
+    provider = HashingEmbedder(384)
+    ids = tokenize("z6 z54").tokens  # both pieces hash to one coordinate, opposite signs
+    with pytest.raises(DegenerateEmbedding):
+        provider.embed_tokens(ids)
+    vec = embed_chunk(make_chunk(ids), provider)
+    assert vec.shape == (384,) and not vec.any()

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apce.embed import HashingEmbedder
+from apce.textpipe import tokenize
 from apce.metrics import (
     embedding_cosine_proxy,
     lcs_length,
@@ -108,3 +109,8 @@ def test_embedding_cosine_proxy_basics():
     same = embedding_cosine_proxy([1, 2, 3], [1, 2, 3], provider)
     assert same == 1.0
     assert embedding_cosine_proxy([], [1], provider) == 0.0
+
+
+def test_embedding_cosine_proxy_degenerate_input_scores_zero():
+    cancelling = list(tokenize("z6 z54").tokens)
+    assert embedding_cosine_proxy(cancelling, [1, 2, 3], HashingEmbedder(384)) == 0.0

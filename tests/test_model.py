@@ -7,6 +7,7 @@ from apce.model import (
     DecoderModel,
     KVCache,
     ModelConfig,
+    _rms_norm,
     attention_cost,
 )
 from apce.textpipe import TokenSequence, chunk
@@ -264,6 +265,102 @@ def test_cache_handle_recompute_disabled_skips_stale(model, chunks, toy_model_co
     assert np.array_equal(before, after)  # stale block untouched
     assert cache.has(1)  # admission still happened
     assert np.all(np.isfinite(cache.block(0, 1).keys))
+
+
+# --- arena ---
+
+def concat_decode(model, blocks, gen_kv, last_token, position):
+    """decode_step as a per-chunk cache computes it: every layer concatenates
+    the resident chunk blocks and each generated token's K/V. ``blocks[layer]``
+    lists (keys, values) in document order; ``gen_kv[layer]`` gains this token's."""
+    hidden = model.params["embedding"][[last_token]].copy()
+    for layer in range(model.config.n_layers):
+        q, k, v = model._project_qkv(hidden, layer, np.asarray([position]))
+        gen_kv[layer].append((k, v))
+        parts = blocks[layer] + gen_kv[layer]
+        k_all = np.concatenate([pk for pk, _ in parts], axis=1)
+        v_all = np.concatenate([pv for _, pv in parts], axis=1)
+        attn = model._attend(q, k_all, v_all, None)
+        hidden = hidden + attn @ model.params[f"layers.{layer}.wo"]
+        hidden = hidden + model._mlp(hidden, layer)
+    return (_rms_norm(hidden, model.params["final_norm"]) @ model.params["head"])[0]
+
+
+def block_copies(cache, layers):
+    return [[(cache.block(l, i).keys.copy(), cache.block(l, i).values.copy())
+             for i in cache.resident_indices()] for l in range(layers)]
+
+
+def generated_kv(cache, layer):
+    tail = slice(cache.chunk_tokens, cache.chunk_tokens + cache.gen_len)
+    return cache.keys[layer][:, tail].copy(), cache.values[layer][:, tail].copy()
+
+
+def test_decode_logits_match_concatenating_oracle(model, chunks, toy_model_config):
+    layers = toy_model_config.n_layers
+    cache = KVCache(toy_model_config)
+    token = int(np.argmax(model.prefill([chunks[0], chunks[2], chunks[3]], cache).last_logits))
+    blocks = block_copies(cache, layers)
+    gen_kv = [[] for _ in range(layers)]
+    for step in range(6):
+        want = concat_decode(model, blocks, gen_kv, token, 96 + step)
+        out = model.decode_step(cache, token, 96 + step)
+        assert np.array_equal(out.logits, want), step
+        token = out.token
+
+
+def test_decode_past_initial_capacity(model, chunks, toy_model_config):
+    layers = toy_model_config.n_layers
+    cache = KVCache(toy_model_config)
+    token = int(np.argmax(model.prefill(chunks[:2], cache).last_logits))
+    capacity = cache.capacity
+    blocks = block_copies(cache, layers)
+    gen_kv = [[] for _ in range(layers)]
+    steps = 2 * capacity + 3  # past two doublings
+    for step in range(steps):
+        want = concat_decode(model, blocks, gen_kv, token, 96 + step)
+        out = model.decode_step(cache, token, 96 + step)
+        assert np.array_equal(out.logits, want), step
+        assert out.score_elements == 24 + step + 1
+        token = out.token
+    assert cache.capacity > 2 * capacity
+    assert cache.gen_positions == list(range(96, 96 + steps))
+    for layer in range(layers):
+        keys, values = generated_kv(cache, layer)
+        assert np.array_equal(keys, np.concatenate([k for k, _ in gen_kv[layer]], axis=1))
+        assert np.array_equal(values, np.concatenate([v for _, v in gen_kv[layer]], axis=1))
+    assert all(np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+               for got, ref in zip(block_copies(cache, layers), blocks) for a, b in zip(got, ref))
+
+
+def test_swap_mid_generation_matches_fresh_prefill_and_keeps_generated_kv(
+        model, chunks, toy_model_config):
+    layers = toy_model_config.n_layers
+    cache = KVCache(toy_model_config)
+    token = int(np.argmax(model.prefill([chunks[1], chunks[3], chunks[5]], cache).last_logits))
+    for step in range(4):
+        token = model.decode_step(cache, token, 96 + step).token
+    generated = [generated_kv(cache, layer) for layer in range(layers)]
+
+    handle = CacheHandle(model, cache, chunks, recompute_enabled=True)
+    arena = cache.keys[0]
+    handle.evict([3])
+    assert cache.keys[0] is arena  # eviction only edits the slot index
+    # chunk 0 now precedes every resident, so 1 and 5 are stale as well
+    handle.rebuild(admit=[0, 6], recompute=[1, 5])
+
+    oracle = KVCache(toy_model_config)
+    model.prefill([chunks[i] for i in (0, 1, 5, 6)], oracle)
+    assert caches_equal(cache, oracle, layers)
+    assert cache.gen_positions == [96, 97, 98, 99]
+    for layer in range(layers):
+        keys, values = generated_kv(cache, layer)
+        assert np.array_equal(keys, generated[layer][0])
+        assert np.array_equal(values, generated[layer][1])
+
+    gen_kv = [[(k[:, t:t + 1], v[:, t:t + 1]) for t in range(4)] for k, v in generated]
+    want = concat_decode(model, block_copies(oracle, layers), gen_kv, token, 100)
+    assert np.array_equal(model.decode_step(cache, token, 100).logits, want)
 
 
 # --- attention cost ---

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from apce.embed import EmbeddingStore, HashingEmbedder, embed_query_text, normalize
+from apce.embed import (
+    DegenerateEmbedding,
+    EmbeddingStore,
+    HashingEmbedder,
+    embed_query_text,
+    normalize,
+)
 from apce.reprior import (
     BufferEntry,
     ChunkBuffer,
@@ -271,3 +277,32 @@ def test_buffer_capacity_enforced():
         buf.add(BufferEntry(chunk_index=1, score=0.4))
     with pytest.raises(ValueError):
         ChunkBuffer(capacity=0)
+
+
+class FixedProvider:
+    """Embeds the generated tokens [7, 7] to ``recent`` (None: they cancel to
+    zero) and anything else, such as the instruction tail, to e0."""
+
+    dim = 4
+
+    def __init__(self, recent):
+        self.recent = recent
+
+    def embed_tokens(self, token_ids):
+        if list(token_ids) != [7, 7]:
+            return np.eye(self.dim)[0]
+        if self.recent is None:
+            raise DegenerateEmbedding("signed hashes cancel")
+        return self.recent
+
+
+@pytest.mark.parametrize("alpha,recent", [
+    (0.5, -np.eye(4)[0]),  # the blend cancels exactly
+    (0.0, None),  # the recent tokens alone count, and they embed to zero
+])
+def test_zero_blend_falls_back_to_tail(alpha, recent):
+    state = EnhancedQueryState(instruction_text="find it", provider=FixedProvider(recent),
+                               blend_alpha=alpha)
+    got = update_enhanced_query(state, [7, 7])
+    assert np.array_equal(got, np.eye(4)[0])
+    assert got is state.current

@@ -207,3 +207,21 @@ def test_bad_mode_rejected():
 def test_empty_document_rejected():
     with pytest.raises(ValueError):
         simulate_generation("   ", QUERY, "dense", LoadModel(), TOY)
+
+
+# The tail chunk "z6 z54" embeds to the zero vector under the default
+# embedding: the two tokens' signed hashes land on one coordinate and cancel.
+ZERO_TAIL_DOC = " ".join([f"w{i}" for i in range(800)] + ["z6", "z54"])
+
+
+@pytest.mark.parametrize("reprioritizing", [False, True])
+def test_zero_norm_chunk_scores_zero_and_ranks_last(reprioritizing):
+    config = RunConfig(max_new_tokens=6, interval=2, reprioritization_enabled=reprioritizing)
+    trace = simulate_generation(ZERO_TAIL_DOC, "summarize the text", "apce",
+                                LoadModel(async_start_chunks=2), config)
+    scores = dict(trace.initial_scores)
+    assert trace.n_chunks == 2 and trace.k_effective == 1
+    assert scores[1] == 0.0
+    assert trace.initial_selection == [0]
+    assert len(trace.tokens) == 6
+    assert all(1 not in e.admit for e in trace.replacement_stats.events)

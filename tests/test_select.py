@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apce.select import ChunkScore, cosine, select_top_k
+from apce.embed import EmbeddingStore
+from apce.select import ChunkScore, cosine, score_chunks, select_top_k
 
 
 def brute_force_top_k(scores, k):
@@ -102,3 +103,14 @@ def test_monotonicity_raising_a_loser_admits_it():
     bumped = [ChunkScore(0, 0.9), ChunkScore(1, 0.8), ChunkScore(2, 0.85)]
     after = select_top_k(bumped, 2)
     assert 2 in after.selected
+
+
+def test_degenerate_chunk_ranks_after_every_other():
+    store = EmbeddingStore({0: np.asarray([1.0, 0.0]), 1: np.asarray([-1.0, 0.0]),
+                            2: np.asarray([0.0, 1.0]), 3: np.zeros(2)}, dim=2)
+    scores = score_chunks(store, np.asarray([1.0, 0.0]))
+    assert scores[3] == ChunkScore(3, 0.0, degenerate=True)
+    assert not any(s.degenerate for s in scores[:3])
+    # chunk 1 scores -1.0 and chunk 2 exactly 0.0, yet both outrank chunk 3
+    assert select_top_k(scores, 3).selected == (0, 1, 2)
+    assert select_top_k([scores[3], scores[2]], 1).selected == (2,)
