@@ -14,9 +14,9 @@ load-bearing for the rest of the engine:
   prefix view of it, so chunk tokens score against the keys of *every*
   resident chunk (future positions masked afterwards) and a decode step
   scores against all of them plus the generated tokens. The score-element
-  counters therefore measure exactly (resident tokens)^2 for a prefill,
-  like a conventional full-matrix implementation (decode and rebuild read
-  theirs off the width of the view), and operand shapes stay identical
+  counters are read off the query rows and the width of the views attended,
+  so a prefill measures exactly (resident tokens)^2, like a conventional
+  full-matrix implementation, and operand shapes stay identical
   between an initial prefill and a later rebuild of the same resident set.
   With identical shapes and identical unmasked inputs, float32 results are
   reproduced bit for bit, which is what the rebuild-equals-fresh-prefill
@@ -30,14 +30,18 @@ load-bearing for the rest of the engine:
   position), so rebuilding chunks mid-generation stays byte-equal to a
   document-only prefill.
 
+- Weights are drawn once per process and config. They follow from the
+  frozen ``ModelConfig`` alone, so every ``DecoderModel`` of one config
+  shares one read-only set of arrays behind a read-only mapping.
+
 Everything runs in float32 with a fixed reduction order.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
-from pathlib import Path
+import functools
+from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -256,13 +260,15 @@ def attention_cost(n_dense_tokens: int, k: int, m: int) -> AttentionCost:
 
 
 class DecoderModel:
-    """Weights are fully determined by the config seed and frozen after init."""
+    """Weights are fully determined by the config seed and are read-only.
 
-    def __init__(self, config: ModelConfig, _params: dict[str, np.ndarray] | None = None):
+    Models of one config share the same weight arrays: they are drawn once
+    per process (the most recent config is kept) and never copied.
+    """
+
+    def __init__(self, config: ModelConfig):
         self.config = config
-        self.params = _params if _params is not None else _init_params(config)
-        for arr in self.params.values():
-            arr.setflags(write=False)
+        self.params = _init_params(config)
         half = config.d_head // 2
         self._inv_freq = config.rope_theta ** (-np.arange(0, half, dtype=np.float64) * 2.0 / config.d_head)
         self._inv_sqrt_dh = np.float32(1.0 / np.sqrt(config.d_head))
@@ -298,25 +304,28 @@ class DecoderModel:
         cache.settle()
         total = cache.chunk_tokens
         slots = [cache.slot(c.chunk_index) for c in ordered]
-        # Future-key masks are position-only, so one per block covers all layers.
-        masks = [cache.positions[None, :] <= p[:, None] for p in positions]
+        # Future-key masks and rope tables are position-only, so one per block
+        # covers all layers.
+        futures = [cache.positions[None, :] > p[:, None] for p in positions]
+        ropes = [self._rope_tables(p) for p in positions]
 
         for layer in range(cfg.n_layers):
             keys, values = cache.keys[layer], cache.values[layer]
             qs: list[np.ndarray] = []
             for b, c in enumerate(ordered):
-                q, k, v = self._project_qkv(hidden[b], layer, positions[b])
+                q, k, v = self._project_qkv(hidden[b], layer, *ropes[b])
                 qs.append(q)
                 keys[:, slots[b]:slots[b] + c.size] = k
                 values[:, slots[b]:slots[b] + c.size] = v
             for b in range(len(ordered)):
-                attn = self._attend(qs[b], keys[:, :total], values[:, :total], masks[b])
+                k_all = keys[:, :total]
+                attn = self._attend(qs[b], k_all, values[:, :total], futures[b])
                 hidden[b] = hidden[b] + attn @ self.params[f"layers.{layer}.wo"]
                 hidden[b] = hidden[b] + self._mlp(hidden[b], layer)
 
         final = _rms_norm(np.concatenate(hidden, axis=0), self.params["final_norm"])
         last_logits = final[-1] @ self.params["head"]
-        elements = total * total
+        elements = sum(q.shape[1] for q in qs) * k_all.shape[1]
         cache.counters.prefill_elements += elements
         return PrefillResult(final, last_logits, elements)
 
@@ -337,10 +346,10 @@ class DecoderModel:
 
         width = cache.resident_tokens + cache.gen_len + 1  # chunks, generated tokens, this token
         cache.settle(capacity=width)
-        pos = np.asarray([position], dtype=np.int64)
+        cos, sin = self._rope_tables(np.asarray([position], dtype=np.int64))
         hidden = self.params["embedding"][np.asarray([last_token], dtype=np.int64)].copy()
         for layer in range(cfg.n_layers):
-            q, k, v = self._project_qkv(hidden, layer, pos)
+            q, k, v = self._project_qkv(hidden, layer, cos, sin)
             keys, values = cache.keys[layer], cache.values[layer]
             keys[:, width - 1:width] = k
             values[:, width - 1:width] = v
@@ -385,14 +394,15 @@ class DecoderModel:
             slot = cache.slot(idx)
             hidden = self.params["embedding"][np.asarray(c.token_ids, dtype=np.int64)].copy()
             pos = np.arange(c.doc_token_offset, c.doc_token_offset + c.size, dtype=np.int64)
-            mask = cache.positions[None, :] <= pos[:, None]
+            future = cache.positions[None, :] > pos[:, None]
+            cos, sin = self._rope_tables(pos)
             for layer in range(cfg.n_layers):
-                q, k, v = self._project_qkv(hidden, layer, pos)
+                q, k, v = self._project_qkv(hidden, layer, cos, sin)
                 keys, values = cache.keys[layer], cache.values[layer]
                 keys[:, slot:slot + c.size] = k
                 values[:, slot:slot + c.size] = v
                 k_all = keys[:, :width]
-                attn = self._attend(q, k_all, values[:, :width], mask)
+                attn = self._attend(q, k_all, values[:, :width], future)
                 hidden = hidden + attn @ self.params[f"layers.{layer}.wo"]
                 hidden = hidden + self._mlp(hidden, layer)
             elements += c.size * k_all.shape[1]
@@ -412,45 +422,13 @@ class DecoderModel:
         """Project (already final-normed) hidden rows to vocabulary logits."""
         return hidden @ self.params["head"]
 
-    # --- weight snapshots (test fixtures) ---
-
-    def save_weights(self, path: str | Path) -> None:
-        names = sorted(self.params)
-        manifest = []
-        offset = 0
-        for name in names:
-            arr = self.params[name]
-            manifest.append({"name": name, "shape": list(arr.shape), "dtype": str(arr.dtype),
-                             "offset": offset, "nbytes": int(arr.nbytes)})
-            offset += arr.nbytes
-        header = json.dumps({"format": 1, "config": asdict(self.config), "arrays": manifest})
-        with open(path, "wb") as fh:
-            fh.write(header.encode("utf-8") + b"\n")
-            for name in names:
-                fh.write(np.ascontiguousarray(self.params[name]).tobytes())
-
-    @classmethod
-    def load_weights(cls, path: str | Path) -> "DecoderModel":
-        with open(path, "rb") as fh:
-            header = json.loads(fh.readline().decode("utf-8"))
-            if header.get("format") != 1:
-                raise ValueError("unknown weight snapshot format")
-            data = fh.read()
-        config = ModelConfig(**header["config"])
-        params: dict[str, np.ndarray] = {}
-        for entry in header["arrays"]:
-            start = entry["offset"]
-            arr = np.frombuffer(data[start:start + entry["nbytes"]], dtype=entry["dtype"])
-            params[entry["name"]] = arr.reshape(entry["shape"]).copy()
-        return cls(config, _params=params)
-
     # --- internals ---
 
-    def _project_qkv(self, hidden: np.ndarray, layer: int, positions: np.ndarray
+    def _project_qkv(self, hidden: np.ndarray, layer: int, cos: np.ndarray, sin: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """cos/sin: rope tables of the rows' positions (``_rope_tables``)."""
         cfg = self.config
         x = _rms_norm(hidden, self.params[f"layers.{layer}.attn_norm"])
-        cos, sin = self._rope_tables(positions)
         q = x @ self.params[f"layers.{layer}.wq"]
         k = x @ self.params[f"layers.{layer}.wk"]
         v = x @ self.params[f"layers.{layer}.wv"]
@@ -460,17 +438,23 @@ class DecoderModel:
         return _apply_rope(q, cos, sin), _apply_rope(k, cos, sin), v
 
     def _attend(self, q: np.ndarray, k_all: np.ndarray, v_all: np.ndarray,
-                mask: np.ndarray | None) -> np.ndarray:
-        """q: (H, tq, dh); k_all/v_all: (Hk, tk, dh); mask: (tq, tk) or None."""
+                future: np.ndarray | None) -> np.ndarray:
+        """q: (H, tq, dh); k_all/v_all: (Hk, tk, dh).
+
+        ``future``: (tq, tk) bool, True where a key lies after its query and
+        is masked out; None when nothing is.
+        """
         cfg = self.config
         group = cfg.n_heads // cfg.n_kv_heads
         tq = q.shape[1]
         out = np.empty((tq, cfg.n_heads * cfg.d_head), dtype=np.float32)
+        scores = np.empty((tq, k_all.shape[1]), dtype=np.float32)  # reused by every head
         for h in range(cfg.n_heads):
             kv = h // group
-            scores = (q[h] @ k_all[kv].T) * self._inv_sqrt_dh
-            if mask is not None:
-                scores = np.where(mask, scores, _NEG_INF)
+            np.matmul(q[h], k_all[kv].T, out=scores)
+            scores *= self._inv_sqrt_dh
+            if future is not None:
+                np.copyto(scores, _NEG_INF, where=future)
             scores -= np.max(scores, axis=1, keepdims=True)
             np.exp(scores, out=scores)
             scores /= np.sum(scores, axis=1, keepdims=True)
@@ -513,7 +497,9 @@ class CacheHandle:
         return self.model.rebuild_blocks(self.cache, targets, self.chunks_by_index)
 
 
-def _init_params(cfg: ModelConfig) -> dict[str, np.ndarray]:
+@functools.lru_cache(maxsize=1)
+def _init_params(cfg: ModelConfig) -> Mapping[str, np.ndarray]:
+    """The seeded weights of ``cfg``, read-only and shared by every caller."""
     rng = np.random.default_rng(cfg.init_seed)
     scale = np.float32(0.02)
 
@@ -532,11 +518,15 @@ def _init_params(cfg: ModelConfig) -> dict[str, np.ndarray]:
         params[f"layers.{layer}.w2"] = draw(cfg.d_ff, cfg.d_model)
     params["final_norm"] = np.ones(cfg.d_model, dtype=np.float32)
     params["head"] = draw(cfg.d_model, cfg.vocab_size)
-    return params
+    for arr in params.values():
+        arr.setflags(write=False)
+    return MappingProxyType(params)
 
 
 def _rms_norm(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    ms = np.mean(np.square(x), axis=-1, keepdims=True)
+    # np.mean's own float32 arithmetic, without its Python-level wrappers
+    ms = np.add.reduce(np.square(x), axis=-1, keepdims=True)
+    np.true_divide(ms, np.intp(x.shape[-1]), out=ms, casting="unsafe")
     return x / np.sqrt(ms + _NORM_EPS) * weight
 
 

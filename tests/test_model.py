@@ -7,6 +7,7 @@ from apce.model import (
     DecoderModel,
     KVCache,
     ModelConfig,
+    _init_params,
     _rms_norm,
     attention_cost,
 )
@@ -275,7 +276,7 @@ def concat_decode(model, blocks, gen_kv, last_token, position):
     lists (keys, values) in document order; ``gen_kv[layer]`` gains this token's."""
     hidden = model.params["embedding"][[last_token]].copy()
     for layer in range(model.config.n_layers):
-        q, k, v = model._project_qkv(hidden, layer, np.asarray([position]))
+        q, k, v = model._project_qkv(hidden, layer, *model._rope_tables(np.asarray([position])))
         gen_kv[layer].append((k, v))
         parts = blocks[layer] + gen_kv[layer]
         k_all = np.concatenate([pk for pk, _ in parts], axis=1)
@@ -389,7 +390,7 @@ def test_attention_cost_rejects_km_above_n():
         attention_cost(100, 2, 100)
 
 
-# --- config and snapshots ---
+# --- config and weights ---
 
 def test_config_validation():
     with pytest.raises(ValueError):
@@ -411,20 +412,18 @@ def test_same_seed_same_weights_different_seed_differs():
 def test_weights_are_frozen(model):
     with pytest.raises(ValueError):
         model.params["embedding"][0, 0] = 1.0
+    with pytest.raises(TypeError):
+        model.params["embedding"] = np.zeros(1, dtype=np.float32)
 
 
-def test_snapshot_roundtrip(tmp_path, toy_model_config, chunks):
-    model = DecoderModel(toy_model_config)
-    path = tmp_path / "weights.bin"
-    model.save_weights(path)
-    loaded = DecoderModel.load_weights(path)
-    assert loaded.config == toy_model_config
-    for name, arr in model.params.items():
-        assert np.array_equal(arr, loaded.params[name]), name
-    c1, c2 = KVCache(toy_model_config), KVCache(toy_model_config)
-    r1 = model.prefill(chunks[:3], c1)
-    r2 = loaded.prefill(chunks[:3], c2)
-    assert np.array_equal(r1.last_logits, r2.last_logits)
+def test_models_of_one_config_share_the_cached_weights(toy_model_config):
+    a, b = DecoderModel(toy_model_config), DecoderModel(toy_model_config)
+    fresh = _init_params.__wrapped__(toy_model_config)
+    assert sorted(a.params) == sorted(fresh)
+    for name, arr in a.params.items():
+        assert b.params[name] is arr, name
+        assert not arr.flags.writeable, name
+        assert arr.dtype == fresh[name].dtype and np.array_equal(arr, fresh[name]), name
 
 
 def test_grouped_kv_heads_path():

@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from apce.config import RunConfig
+from apce.model import _init_params
 from apce.sched import (
     GenerationTrace,
     LoadModel,
@@ -102,9 +103,12 @@ def test_dense_equivalence_token_for_token():
 
 
 def test_trace_deterministic_replay():
+    # the first run draws the weights, the second reuses the process's cached draw
+    _init_params.cache_clear()
     load = LoadModel(per_chunk_load_latency=0.2, async_start_chunks=3, decode_latency=0.01)
     a, b = run("apce", load), run("apce", load)
     assert a.tokens == b.tokens
+    assert a.counters == b.counters
     assert [(e.time, e.kind, e.data) for e in a.events] == \
            [(e.time, e.kind, e.data) for e in b.events]
 
