@@ -30,9 +30,9 @@ print(f"chunks of 12 tokens: {len(chunks)} (last has {chunks[-1].size})")
 
 provider = HashingEmbedder(dim=384)
 store = EmbeddingStore.from_chunks(chunks, provider)
-query_embedding = embed_query_text(QUERY, provider)
+query_vec = embed_query_text(QUERY, provider)
 
-scores = score_chunks(store, query_embedding)
+scores = score_chunks(store, query_vec)
 result = select_top_k(scores, k=3)
 
 print("\nchunk scores against the query:")

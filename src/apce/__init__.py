@@ -35,7 +35,6 @@ from .model import (
     attention_cost,
 )
 from .reprior import (
-    ChunkBuffer,
     EnhancedQueryState,
     ReplacementPlan,
     ReplacementStats,

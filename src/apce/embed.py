@@ -107,15 +107,13 @@ def embed_query_text(
 
 
 class EmbeddingStore:
-    """Chunk embeddings computed once at prefill, plus the current query.
+    """Chunk embeddings computed once at prefill.
 
     The chunk map is write-once: arrays are stored non-writeable and the
-    mapping cannot be replaced after construction. Only ``query_embedding``
-    may be swapped as the query evolves.
+    mapping cannot be replaced after construction.
     """
 
-    def __init__(self, chunk_embeddings: Mapping[int, np.ndarray], dim: int,
-                 query_embedding: np.ndarray | None = None):
+    def __init__(self, chunk_embeddings: Mapping[int, np.ndarray], dim: int):
         frozen: dict[int, np.ndarray] = {}
         for idx, vec in chunk_embeddings.items():
             arr = np.asarray(vec, dtype=np.float64)
@@ -126,7 +124,6 @@ class EmbeddingStore:
             frozen[int(idx)] = arr
         self._chunk_embeddings = frozen
         self.dim = dim
-        self.query_embedding = query_embedding
 
     @classmethod
     def from_chunks(cls, chunks: Iterable[Chunk], provider: EmbeddingProvider) -> "EmbeddingStore":

@@ -1,7 +1,7 @@
 """A small deterministic decoder-only transformer with a chunk-keyed KV cache.
 
 The network is conventional (pre-norm blocks, rotary attention with grouped
-KV heads, SiLU MLP, greedy decoding) but three implementation choices are
+KV heads, SiLU MLP, greedy decoding) but these implementation choices are
 load-bearing for the rest of the engine:
 
 - Positions are document-absolute. A chunk keeps its original token offsets
@@ -21,6 +21,12 @@ load-bearing for the rest of the engine:
   With identical shapes and identical unmasked inputs, float32 results are
   reproduced bit for bit, which is what the rebuild-equals-fresh-prefill
   checks rely on.
+
+- Prefill and rebuild share one forward path. Both reserve their chunks'
+  slots, settle the arena, and then run the chunks one block at a time in
+  document order through every layer, so each block attends to final K/V
+  before it and masked placeholders or stale K/V after it. Only one
+  block's future mask and rope tables are alive at a time.
 
 - The arena changes layout only when residency does. Eviction and
   admission edit a chunk -> slot index; the arrays are re-laid out once,
@@ -42,7 +48,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -295,37 +301,13 @@ class DecoderModel:
         if any(c.doc_token_offset + c.size > cfg.max_position for c in ordered):
             raise ValueError("chunk positions overflow max_position")
 
-        emb = self.params["embedding"]
-        hidden = [emb[np.asarray(c.token_ids, dtype=np.int64)].copy() for c in ordered]
-        positions = [np.arange(c.doc_token_offset, c.doc_token_offset + c.size, dtype=np.int64)
-                     for c in ordered]
         for c in ordered:
             cache.reserve(c)
         cache.settle()
-        total = cache.chunk_tokens
-        slots = [cache.slot(c.chunk_index) for c in ordered]
-        # Future-key masks and rope tables are position-only, so one per block
-        # covers all layers.
-        futures = [cache.positions[None, :] > p[:, None] for p in positions]
-        ropes = [self._rope_tables(p) for p in positions]
-
-        for layer in range(cfg.n_layers):
-            keys, values = cache.keys[layer], cache.values[layer]
-            qs: list[np.ndarray] = []
-            for b, c in enumerate(ordered):
-                q, k, v = self._project_qkv(hidden[b], layer, *ropes[b])
-                qs.append(q)
-                keys[:, slots[b]:slots[b] + c.size] = k
-                values[:, slots[b]:slots[b] + c.size] = v
-            for b in range(len(ordered)):
-                k_all = keys[:, :total]
-                attn = self._attend(qs[b], k_all, values[:, :total], futures[b])
-                hidden[b] = hidden[b] + attn @ self.params[f"layers.{layer}.wo"]
-                hidden[b] = hidden[b] + self._mlp(hidden[b], layer)
-
+        hidden, block_elements = zip(*self._forward_blocks(cache, ordered))
+        elements = sum(block_elements)
         final = _rms_norm(np.concatenate(hidden, axis=0), self.params["final_norm"])
         last_logits = final[-1] @ self.params["head"]
-        elements = sum(q.shape[1] for q in qs) * k_all.shape[1]
         cache.counters.prefill_elements += elements
         return PrefillResult(final, last_logits, elements)
 
@@ -386,17 +368,34 @@ class DecoderModel:
                 cache.reserve(chunks_by_index[idx])
         cache.settle()
 
+        ordered = sorted((chunks_by_index[i] for i in targets), key=lambda c: c.doc_token_offset)
+        elements = sum(n for _, n in self._forward_blocks(cache, ordered))
+        cache.counters.rebuild_elements += elements
+        return elements
+
+    # --- internals ---
+
+    def _forward_blocks(self, cache: KVCache, ordered: Sequence[Chunk]
+                        ) -> Iterator[tuple[np.ndarray, int]]:
+        """Run settled resident chunks through every layer, one block at a time.
+
+        ``ordered`` must be in document order: each block writes its K/V into
+        its arena slot layer by layer and attends over the whole resident
+        chunk set with future positions masked, so the blocks before it must
+        already hold their final K/V. Yields, per block, its final-layer
+        hidden states (before the final norm) and the score elements
+        computed. Work happens as the caller iterates, so callers exhaust it;
+        one that drops the hidden states keeps a single block's alive.
+        """
         width = cache.chunk_tokens
-        elements = 0
-        cfg = self.config
-        for idx in sorted(targets, key=lambda i: chunks_by_index[i].doc_token_offset):
-            c = chunks_by_index[idx]
-            slot = cache.slot(idx)
+        for c in ordered:
+            slot = cache.slot(c.chunk_index)
             hidden = self.params["embedding"][np.asarray(c.token_ids, dtype=np.int64)].copy()
             pos = np.arange(c.doc_token_offset, c.doc_token_offset + c.size, dtype=np.int64)
+            # position-only, so one of each serves every layer of this block
             future = cache.positions[None, :] > pos[:, None]
             cos, sin = self._rope_tables(pos)
-            for layer in range(cfg.n_layers):
+            for layer in range(self.config.n_layers):
                 q, k, v = self._project_qkv(hidden, layer, cos, sin)
                 keys, values = cache.keys[layer], cache.values[layer]
                 keys[:, slot:slot + c.size] = k
@@ -405,24 +404,7 @@ class DecoderModel:
                 attn = self._attend(q, k_all, values[:, :width], future)
                 hidden = hidden + attn @ self.params[f"layers.{layer}.wo"]
                 hidden = hidden + self._mlp(hidden, layer)
-            elements += c.size * k_all.shape[1]
-        cache.counters.rebuild_elements += elements
-        return elements
-
-    def recompute_kv(self, cache: KVCache, chunk_indices: Iterable[int],
-                     chunks_by_index: Mapping[int, Chunk]) -> int:
-        """Rebuild blocks for chunks that must already be resident."""
-        targets = list(chunk_indices)
-        for idx in targets:
-            if not cache.has(idx):
-                raise ValueError(f"chunk {idx} is not resident")
-        return self.rebuild_blocks(cache, targets, chunks_by_index)
-
-    def logits_for_hidden(self, hidden: np.ndarray) -> np.ndarray:
-        """Project (already final-normed) hidden rows to vocabulary logits."""
-        return hidden @ self.params["head"]
-
-    # --- internals ---
+            yield hidden, c.size * k_all.shape[1]
 
     def _project_qkv(self, hidden: np.ndarray, layer: int, cos: np.ndarray, sin: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -487,13 +469,7 @@ class CacheHandle:
             self.cache.evict(idx)
 
     def rebuild(self, admit: Iterable[int], recompute: Iterable[int]) -> int:
-        admit = list(admit)
-        missing = [i for i in admit if i not in self.chunks_by_index]
-        if missing:
-            raise RuntimeError(f"internal consistency: admitted chunks without tokens: {missing}")
-        targets = admit + (list(recompute) if self.recompute_enabled else [])
-        if not targets:
-            return 0
+        targets = list(admit) + (list(recompute) if self.recompute_enabled else [])
         return self.model.rebuild_blocks(self.cache, targets, self.chunks_by_index)
 
 

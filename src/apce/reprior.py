@@ -1,10 +1,13 @@
 """Chunk buffer maintenance during decoding.
 
-At every reprioritization boundary the enhanced query embedding is refreshed
-(a normalized blend of the instruction tail and the most recent generated
-tokens), all candidate chunks are re-scored, and the buffer is transformed
-into the fresh top-k: lowest scorers leave, better chunks come in, and any
-retained chunk whose causal context changed gets marked for K/V rebuild.
+The buffer is the KV cache's resident set: the arena's chunk -> slot index
+is its only record. At every reprioritization boundary the enhanced query
+embedding is refreshed (a normalized blend of the instruction tail and the
+most recent generated tokens), all candidate chunks are re-scored, and the
+resident set is planned into the fresh top-k: lowest scorers leave, better
+chunks come in, and any retained chunk whose causal context changed gets
+marked for K/V rebuild. Applying a plan evicts and rebuilds through the
+cache, which updates the resident set.
 
 Staleness rule: under causal masking a block's K/V depend exactly on the
 resident chunks at earlier document positions, so a retained chunk is stale
@@ -21,7 +24,7 @@ evicts; the buffer then grows toward capacity and never beyond it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -35,50 +38,11 @@ DEFAULT_RECENT_TOKENS = 50
 DEFAULT_BLEND_ALPHA = 0.5
 
 
-@dataclass
-class BufferEntry:
-    chunk_index: int
-    score: float
-    kv_resident: bool = False
-    admitted_at: int = 0
-
-
-class ChunkBuffer:
-    """The capacity-k set of currently selected chunks."""
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self.entries: dict[int, BufferEntry] = {}
-        self.generation_step = 0
-
-    def indices(self) -> list[int]:
-        return sorted(self.entries)
-
-    def add(self, entry: BufferEntry) -> None:
-        if entry.chunk_index in self.entries:
-            raise ValueError(f"chunk {entry.chunk_index} already buffered")
-        if len(self.entries) >= self.capacity:
-            raise ValueError("buffer at capacity")
-        self.entries[entry.chunk_index] = entry
-
-    def remove(self, chunk_index: int) -> BufferEntry:
-        return self.entries.pop(chunk_index)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, chunk_index: int) -> bool:
-        return chunk_index in self.entries
-
-
 @dataclass(frozen=True)
 class ReplacementPlan:
     evict: tuple[int, ...]
     admit: tuple[int, ...]
     recompute: tuple[int, ...]
-    target_scores: Mapping[int, float] = field(default_factory=dict)
 
     def is_empty(self) -> bool:
         return not self.evict and not self.admit
@@ -97,7 +61,6 @@ class ReplacementEvent:
     evict: tuple[int, ...]
     admit: tuple[int, ...]
     recompute: tuple[int, ...]
-    applied: bool
 
     def as_dict(self) -> dict:
         return {
@@ -105,7 +68,7 @@ class ReplacementEvent:
             "evict": list(self.evict),
             "admit": list(self.admit),
             "recompute": list(self.recompute),
-            "applied": self.applied,
+            "applied": True,  # every recorded plan is carried out
         }
 
 
@@ -174,79 +137,54 @@ def reprioritization_due(generation_step: int, interval: int) -> bool:
 
 
 def reprioritize(
-    buffer: ChunkBuffer,
+    resident: Iterable[int],
+    capacity: int,
     store: EmbeddingStore,
     query: np.ndarray,
     chunks: Sequence[Chunk],
     candidate_indices: Iterable[int] | None = None,
 ) -> ReplacementPlan:
-    """Re-score candidates and plan the buffer transform into the fresh top-k.
+    """Re-score candidates and plan the transform of ``resident`` into the
+    fresh top-``capacity``.
 
     ``candidate_indices`` restricts the pool (asynchronous loading exposes
-    only arrived chunks); it must cover everything currently buffered. A
-    boundary whose top-k equals the buffer yields an empty plan.
+    only arrived chunks); it must cover everything resident. A boundary
+    whose top-k equals the resident set yields an empty plan.
     """
+    if capacity < 1:
+        raise ValueError("capacity must be >= 1")
     offsets = {c.chunk_index: c.doc_token_offset for c in chunks}
     pool = set(candidate_indices) if candidate_indices is not None else set(store.indices())
-    buffered = set(buffer.entries)
+    buffered = set(resident)
     if not buffered <= pool:
-        raise ValueError("candidate pool must include all buffered chunks")
+        raise ValueError("candidate pool must include all resident chunks")
 
     scores = score_chunks(store, query, candidate_indices=pool)
-    target = set(select_top_k(scores, buffer.capacity).selected)
-    score_by_index = {s.chunk_index: s.score for s in scores}
+    target = set(select_top_k(scores, capacity).selected)
 
     admit = tuple(sorted(target - buffered))
     evict = tuple(sorted(buffered - target))
     if not admit:
-        return ReplacementPlan((), (), (), {})
+        return ReplacementPlan((), (), ())
 
     changed_offsets = [offsets[i] for i in admit + evict]
     earliest_changed = min(changed_offsets)
     retained = sorted(buffered & target)
     recompute = tuple(i for i in retained if offsets[i] > earliest_changed)
-    return ReplacementPlan(
-        evict=evict,
-        admit=admit,
-        recompute=recompute,
-        target_scores={i: score_by_index[i] for i in sorted(target)},
-    )
+    return ReplacementPlan(evict=evict, admit=admit, recompute=recompute)
 
 
-def apply_plan(buffer: ChunkBuffer, plan: ReplacementPlan, handle, stats: ReplacementStats,
-               apply: bool = True) -> ChunkBuffer:
-    """Carry a plan out against the KV cache and update the buffer.
+def apply_plan(step: int, plan: ReplacementPlan, handle, stats: ReplacementStats) -> None:
+    """Carry a plan out against the KV cache at generation step ``step``.
 
-    ``handle`` is the model-side cache binding (evict + rebuild); ``apply``
-    exists so a policy could observe an available replacement without taking
-    it. Empty plans change nothing, not even the availability count.
+    ``handle`` is the model-side cache binding (evict + rebuild); its cache
+    holds the resident set, so evicting and admitting there is the whole
+    update. Empty plans change nothing, not even the availability count.
     """
     if plan.is_empty():
-        return buffer
+        return
     stats.available += 1
-    if not apply:
-        stats.events.append(ReplacementEvent(
-            buffer.generation_step, plan.evict, plan.admit, plan.recompute, applied=False))
-        return buffer
-
     handle.evict(plan.evict)
-    for idx in plan.evict:
-        buffer.remove(idx)
     handle.rebuild(plan.admit, plan.recompute)
-    for idx in plan.admit:
-        buffer.add(BufferEntry(
-            chunk_index=idx,
-            score=plan.target_scores.get(idx, 0.0),
-            kv_resident=True,
-            admitted_at=buffer.generation_step,
-        ))
-    for idx, entry in buffer.entries.items():
-        entry.kv_resident = True
-        if idx in plan.target_scores:
-            entry.score = plan.target_scores[idx]
-    if len(buffer) > buffer.capacity:
-        raise RuntimeError("plan application exceeded buffer capacity")
     stats.taken += 1
-    stats.events.append(ReplacementEvent(
-        buffer.generation_step, plan.evict, plan.admit, plan.recompute, applied=True))
-    return buffer
+    stats.events.append(ReplacementEvent(step, plan.evict, plan.admit, plan.recompute))

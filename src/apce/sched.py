@@ -26,8 +26,6 @@ from .embed import EmbeddingStore, HashingEmbedder, load_external_embeddings
 from .metrics import mean_std
 from .model import CacheHandle, DecoderModel, KVCache
 from .reprior import (
-    ChunkBuffer,
-    BufferEntry,
     EnhancedQueryState,
     ReplacementStats,
     apply_plan,
@@ -38,9 +36,6 @@ from .reprior import (
 from .select import score_chunks, select_top_k
 from .textpipe import chunk as chunk_tokens
 from .textpipe import tokenize
-
-EVENT_KINDS = ("chunk_loaded", "token_emitted", "reprioritization", "recompute", "warning")
-
 
 @dataclass(frozen=True)
 class LoadModel:
@@ -132,7 +127,6 @@ def simulate_generation(
         recent_token_window=config.recent_tokens,
         blend_alpha=config.alpha,
     )
-    store.query_embedding = query_state.current
 
     events: list[TraceEvent] = []
     latency = load.per_chunk_load_latency
@@ -162,15 +156,8 @@ def simulate_generation(
 
     model = DecoderModel(config.model_config())
     cache = KVCache(model.config)
-    buffer = ChunkBuffer(capacity=k_effective)
-    score_by_index = {s.chunk_index: s.score for s in initial.scores}
-    for idx in selected:
-        buffer.add(BufferEntry(chunk_index=idx, score=score_by_index[idx]))
-
     prefill = model.prefill([chunks[i] for i in selected], cache)
     now += prefill.score_elements * load.compute_seconds_per_element
-    for entry in buffer.entries.values():
-        entry.kv_resident = True
 
     handle = CacheHandle(model, cache, chunks, recompute_enabled=config.recompute)
     stats = ReplacementStats()
@@ -195,17 +182,16 @@ def simulate_generation(
         events.append(TraceEvent(now, "token_emitted", {"step": step, "token": last_token}))
 
         # one reprioritization opportunity per emitted token
-        buffer.generation_step = step
         if reprioritizing and reprioritization_due(step, config.interval):
             pool = [i for i in range(n) if arrival(i) <= now]
             query = update_enhanced_query(query_state, tokens)
-            store.query_embedding = query
-            plan = reprioritize(buffer, store, query, chunks, candidate_indices=pool)
+            plan = reprioritize(cache.resident_indices(), k_effective, store, query, chunks,
+                                candidate_indices=pool)
             events.append(TraceEvent(now, "reprioritization",
                                      {"step": step, "pool_size": len(pool), **plan.as_dict()}))
             if not plan.is_empty():
                 before = cache.counters.rebuild_elements
-                apply_plan(buffer, plan, handle, stats)
+                apply_plan(step, plan, handle, stats)
                 rebuilt = cache.counters.rebuild_elements - before
                 now += rebuilt * load.compute_seconds_per_element
                 events.append(TraceEvent(now, "recompute",
@@ -260,7 +246,3 @@ def timing_summary(traces: Sequence[GenerationTrace]) -> TimingSummary:
 
 def trace_events_json(trace: GenerationTrace) -> list[dict]:
     return [{"time": e.time, "kind": e.kind, "data": e.data} for e in trace.events]
-
-
-def trace_csv_row(run_id: str, trace: GenerationTrace) -> str:
-    return f"{run_id},{trace.mode},{trace.ttft},{trace.total_time},{len(trace.tokens)}"

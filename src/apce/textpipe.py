@@ -15,7 +15,6 @@ import re
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 DEFAULT_VOCAB_SIZE = 32768
 
@@ -34,13 +33,11 @@ class TokenSequence:
 
     Pieces exist so that ``detokenize`` can emit text whose re-tokenization
     reproduces the ids exactly (the hash mapping is not invertible on its
-    own). ``source_span`` holds character offsets into the original text when
-    the sequence came straight from ``tokenize``.
+    own).
     """
 
     tokens: tuple[int, ...]
     pieces: tuple[str, ...] | None = None
-    source_span: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
         if self.pieces is not None and len(self.pieces) != len(self.tokens):
@@ -62,7 +59,7 @@ def tokenize(text: str, vocab_size: int = DEFAULT_VOCAB_SIZE) -> TokenSequence:
         raise ValueError("vocab_size must be >= 1")
     pieces = tuple(_PIECE_RE.findall(text))
     ids = tuple(piece_to_id(p, vocab_size) for p in pieces)
-    return TokenSequence(tokens=ids, pieces=pieces, source_span=(0, len(text)) if text else None)
+    return TokenSequence(tokens=ids, pieces=pieces)
 
 
 def detokenize(seq: TokenSequence) -> str:
@@ -104,19 +101,6 @@ def chunk(seq: TokenSequence, chunk_size: int) -> list[Chunk]:
         stop = min(start + chunk_size, n)
         chunks.append(Chunk(chunk_index=i, tokens=seq.slice(start, stop), doc_token_offset=start))
     return chunks
-
-
-def flatten(chunks: Sequence[Chunk]) -> TokenSequence:
-    """Concatenate chunks (in chunk_index order) back into one sequence."""
-    ordered = sorted(chunks, key=lambda c: c.chunk_index)
-    tokens: list[int] = []
-    pieces: list[str] = []
-    have_pieces = all(c.tokens.pieces is not None for c in ordered)
-    for c in ordered:
-        tokens.extend(c.tokens.tokens)
-        if have_pieces:
-            pieces.extend(c.tokens.pieces)  # type: ignore[arg-type]
-    return TokenSequence(tokens=tuple(tokens), pieces=tuple(pieces) if have_pieces else None)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from apce.config import RunConfig
 from apce.embed import EmbeddingStore
 from apce.metrics import lcs_length, rouge_l_f1
 from apce.model import DecoderModel, KVCache, ModelConfig, attention_cost
-from apce.reprior import BufferEntry, ChunkBuffer, ReplacementStats, apply_plan, reprioritize
+from apce.reprior import ReplacementStats, apply_plan, reprioritize
 from apce.model import CacheHandle
 from apce.sched import LoadModel, simulate_generation
 from apce.select import ChunkScore, select_top_k
@@ -155,21 +155,20 @@ def test_criterion_4_recompute_soundness():
 
         cache = KVCache(cfg)
         model.prefill([by_idx[i] for i in initial], cache)
-        buffer = ChunkBuffer(capacity=k)
-        for i in initial:
-            buffer.add(BufferEntry(chunk_index=i, score=0.0, kv_resident=True))
 
-        plan = reprioritize(buffer, store, rng.normal(size=dim), chunks)
+        plan = reprioritize(initial, k, store, rng.normal(size=dim), chunks)
         if plan.is_empty():
             continue
         handle = CacheHandle(model, cache, chunks, recompute_enabled=True)
-        apply_plan(buffer, plan, handle, ReplacementStats())
+        apply_plan(1, plan, handle, ReplacementStats())
 
+        # the set the plan must produce, derived from the plan itself
+        final = sorted((set(initial) - set(plan.evict)) | set(plan.admit))
         oracle = KVCache(cfg)
-        model.prefill([by_idx[i] for i in buffer.indices()], oracle)
+        model.prefill([by_idx[i] for i in final], oracle)
         assert cache.resident_indices() == oracle.resident_indices()
         for layer in range(cfg.n_layers):
-            for idx in buffer.indices():
+            for idx in final:
                 live, ref = cache.block(layer, idx), oracle.block(layer, idx)
                 assert np.array_equal(live.keys, ref.keys), (applied, layer, idx)
                 assert np.array_equal(live.values, ref.values), (applied, layer, idx)

@@ -50,6 +50,21 @@ def test_prefill_deterministic_and_equal_to_itself(model, chunks, toy_model_conf
     assert np.array_equal(r1.last_logits, r2.last_logits)
     assert caches_equal(c1, c2, toy_model_config.n_layers)
 
+    # prefill is the rebuild path run over an empty cache with every chunk reserved
+    c3 = KVCache(toy_model_config)
+    for c in chunks:
+        c3.reserve(c)
+    elements = model.rebuild_blocks(c3, [c.chunk_index for c in chunks],
+                                    {c.chunk_index: c for c in chunks})
+    assert caches_equal(c1, c3, toy_model_config.n_layers)
+    assert elements == r1.score_elements
+    assert c3.counters.rebuild_elements == c1.counters.prefill_elements
+    hidden = [h for h, _ in model._forward_blocks(c3, chunks)]  # once more, over the rebuilt cache
+    final = _rms_norm(np.concatenate(hidden, axis=0), model.params["final_norm"])
+    assert np.array_equal(final, r1.hidden)
+    assert np.array_equal(final[-1] @ model.params["head"], r1.last_logits)
+    assert caches_equal(c1, c3, toy_model_config.n_layers)
+
 
 def test_prefill_empty(model, toy_model_config):
     cache = KVCache(toy_model_config)
@@ -105,7 +120,7 @@ def test_out_of_order_admission_is_stale_until_recomputed(model, chunks, toy_mod
     fresh = oracle.block(layers - 1, 2)
     assert not np.array_equal(stale.keys, fresh.keys)  # chunk 2 never saw chunk 1
 
-    model.recompute_kv(live, [2], by_idx)
+    model.rebuild_blocks(live, [2], by_idx)
     assert caches_equal(live, oracle, layers)
 
 
@@ -182,8 +197,8 @@ def test_causality_future_token_cannot_affect_past_logits(model, toy_model_confi
     hidden_b = model.prefill(mutated, cache_b).hidden
 
     p = 25  # strictly before the mutation
-    logits_a = model.logits_for_hidden(hidden_a[p])
-    logits_b = model.logits_for_hidden(hidden_b[p])
+    logits_a = hidden_a[p] @ model.params["head"]
+    logits_b = hidden_b[p] @ model.params["head"]
     assert np.array_equal(logits_a, logits_b)
     # and the mutation does matter at the end
     assert not np.array_equal(hidden_a[-1], hidden_b[-1])
@@ -197,7 +212,7 @@ def test_recompute_idempotent(model, chunks, toy_model_config):
     model.prefill(chunks[:3], cache)
     snapshot = {(l, i): (cache.block(l, i).keys.copy(), cache.block(l, i).values.copy())
                 for l in range(toy_model_config.n_layers) for i in (0, 1, 2)}
-    model.recompute_kv(cache, [0, 1, 2], by_idx)
+    model.rebuild_blocks(cache, [0, 1, 2], by_idx)
     for (l, i), (k, v) in snapshot.items():
         assert np.array_equal(cache.block(l, i).keys, k)
         assert np.array_equal(cache.block(l, i).values, v)
@@ -208,16 +223,8 @@ def test_recompute_first_chunk_is_noop(model, chunks, toy_model_config):
     cache = KVCache(toy_model_config)
     model.prefill(chunks[:3], cache)
     before = cache.block(toy_model_config.n_layers - 1, 0).keys.copy()
-    model.recompute_kv(cache, [0], by_idx)
+    model.rebuild_blocks(cache, [0], by_idx)
     assert np.array_equal(cache.block(toy_model_config.n_layers - 1, 0).keys, before)
-
-
-def test_recompute_rejects_non_resident(model, chunks, toy_model_config):
-    by_idx = {c.chunk_index: c for c in chunks}
-    cache = KVCache(toy_model_config)
-    model.prefill(chunks[:2], cache)
-    with pytest.raises(ValueError, match="not resident"):
-        model.recompute_kv(cache, [5], by_idx)
 
 
 def test_rebuild_matches_fresh_prefill_after_swaps(model, chunks, toy_model_config):

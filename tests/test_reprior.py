@@ -9,8 +9,6 @@ from apce.embed import (
     normalize,
 )
 from apce.reprior import (
-    BufferEntry,
-    ChunkBuffer,
     EnhancedQueryState,
     ReplacementStats,
     apply_plan,
@@ -18,22 +16,29 @@ from apce.reprior import (
     reprioritize,
     update_enhanced_query,
 )
+from apce.select import score_chunks
 from apce.textpipe import TokenSequence, chunk
 
 
 class FakeHandle:
-    """Records cache operations without owning a model."""
+    """Records cache operations and keeps the resident set without owning a model."""
 
-    def __init__(self):
+    def __init__(self, resident=()):
+        self.resident = set(resident)
         self.evicted = []
         self.rebuilt = []
 
     def evict(self, indices):
         self.evicted.extend(indices)
+        self.resident -= set(indices)
 
     def rebuild(self, admit, recompute):
         self.rebuilt.append((tuple(admit), tuple(recompute)))
+        self.resident |= set(admit)
         return 0
+
+    def indices(self):
+        return sorted(self.resident)
 
 
 def basis_store(n, dim=8):
@@ -51,13 +56,6 @@ def query_favoring(weights, dim=8):
 def make_chunks(n, m=10):
     seq = TokenSequence(tokens=tuple(range(n * m)))
     return chunk(seq, m)
-
-
-def filled_buffer(indices, capacity, scores=None):
-    buf = ChunkBuffer(capacity=capacity)
-    for i in indices:
-        buf.add(BufferEntry(chunk_index=i, score=(scores or {}).get(i, 0.0), kv_resident=True))
-    return buf
 
 
 # --- enhanced query ---
@@ -137,8 +135,7 @@ def test_events_fired_equals_floor_tokens_over_interval():
 def test_unchanged_scores_give_empty_plan():
     chunks = make_chunks(4)
     store = basis_store(4)
-    buf = filled_buffer([0, 1], capacity=2)
-    plan = reprioritize(buf, store, query_favoring({0: 0.9, 1: 0.8, 2: 0.1}), chunks)
+    plan = reprioritize([0, 1], 2, store, query_favoring({0: 0.9, 1: 0.8, 2: 0.1}), chunks)
     assert plan.is_empty()
 
 
@@ -146,8 +143,7 @@ def test_tail_admission_needs_no_recompute():
     # buffer {0,1} -> target {0,2}: admitted chunk is last in document order
     chunks = make_chunks(3)
     store = basis_store(3)
-    buf = filled_buffer([0, 1], capacity=2)
-    plan = reprioritize(buf, store, query_favoring({0: 0.9, 1: 0.1, 2: 0.5}), chunks)
+    plan = reprioritize([0, 1], 2, store, query_favoring({0: 0.9, 1: 0.1, 2: 0.5}), chunks)
     assert plan.evict == (1,)
     assert plan.admit == (2,)
     assert plan.recompute == ()
@@ -157,8 +153,7 @@ def test_earlier_admission_marks_later_retained_stale():
     # buffer {2,3} -> admit 0 (evicting 3): chunk 2 follows chunk 0, so it is stale
     chunks = make_chunks(4)
     store = basis_store(4)
-    buf = filled_buffer([2, 3], capacity=2)
-    plan = reprioritize(buf, store, query_favoring({0: 0.9, 2: 0.8, 3: 0.1, 1: 0.0}), chunks)
+    plan = reprioritize([2, 3], 2, store, query_favoring({0: 0.9, 2: 0.8, 3: 0.1, 1: 0.0}), chunks)
     assert plan.evict == (3,)
     assert plan.admit == (0,)
     assert plan.recompute == (2,)
@@ -169,8 +164,7 @@ def test_earlier_eviction_also_marks_later_retained_stale():
     # context even though the admitted chunk comes after it
     chunks = make_chunks(6)
     store = basis_store(6)
-    buf = filled_buffer([0, 3], capacity=2)
-    plan = reprioritize(buf, store, query_favoring({3: 0.9, 5: 0.8, 0: 0.1}), chunks)
+    plan = reprioritize([0, 3], 2, store, query_favoring({3: 0.9, 5: 0.8, 0: 0.1}), chunks)
     assert plan.evict == (0,)
     assert plan.admit == (5,)
     assert plan.recompute == (3,)
@@ -179,13 +173,14 @@ def test_earlier_eviction_also_marks_later_retained_stale():
 def test_pool_restriction_and_growth():
     chunks = make_chunks(6)
     store = basis_store(6)
-    buf = filled_buffer([0], capacity=3)
     q = query_favoring({0: 0.9, 1: 0.8, 2: 0.7, 4: 0.95})
-    plan = reprioritize(buf, store, q, chunks, candidate_indices=[0, 1, 2])
+    plan = reprioritize([0], 3, store, q, chunks, candidate_indices=[0, 1, 2])
     assert plan.evict == ()
     assert plan.admit == (1, 2)  # grows toward capacity from the arrived pool only
     with pytest.raises(ValueError):
-        reprioritize(buf, store, q, chunks, candidate_indices=[1, 2])  # excludes buffered 0
+        reprioritize([0], 3, store, q, chunks, candidate_indices=[1, 2])  # excludes resident 0
+    with pytest.raises(ValueError):
+        reprioritize([0], 0, store, q, chunks)  # capacity below one
 
 
 # --- apply_plan ---
@@ -193,37 +188,36 @@ def test_pool_restriction_and_growth():
 def test_empty_plan_is_a_noop():
     chunks = make_chunks(3)
     store = basis_store(3)
-    buf = filled_buffer([0, 1], capacity=2)
+    handle = FakeHandle([0, 1])
     stats = ReplacementStats()
-    plan = reprioritize(buf, store, query_favoring({0: 0.9, 1: 0.8}), chunks)
-    apply_plan(buf, plan, FakeHandle(), stats)
+    plan = reprioritize(handle.indices(), 2, store, query_favoring({0: 0.9, 1: 0.8}), chunks)
+    apply_plan(1, plan, handle, stats)
     assert stats.available == 0 and stats.taken == 0
-    assert buf.indices() == [0, 1]
+    assert handle.indices() == [0, 1]
 
 
 def test_applied_plan_updates_buffer_and_cache_calls():
     chunks = make_chunks(4)
     store = basis_store(4)
-    buf = filled_buffer([2, 3], capacity=2, scores={2: 0.8, 3: 0.1})
     stats = ReplacementStats()
-    handle = FakeHandle()
-    plan = reprioritize(buf, store, query_favoring({0: 0.9, 2: 0.8, 3: 0.1}), chunks)
-    apply_plan(buf, plan, handle, stats)
-    assert buf.indices() == [0, 2]
+    handle = FakeHandle([2, 3])
+    q = query_favoring({0: 0.9, 2: 0.8, 3: 0.1})
+    plan = reprioritize(handle.indices(), 2, store, q, chunks)
+    apply_plan(1, plan, handle, stats)
+    assert handle.indices() == [0, 2]
     assert handle.evicted == [3]
     assert handle.rebuilt == [((0,), (2,))]
     assert stats.taken == stats.available == 1
-    evicted_score = 0.1
-    assert min(e.score for e in buf.entries.values()) >= evicted_score
+    score = {s.chunk_index: s.score for s in score_chunks(store, q)}
+    assert min(score[i] for i in handle.indices()) >= score[3]
 
 
 def test_scripted_replay_taken_and_available():
     """Four boundaries, two of which have non-trivial plans."""
     chunks = make_chunks(4)
     store = basis_store(4)
-    buf = filled_buffer([0, 1], capacity=2)
     stats = ReplacementStats()
-    handle = FakeHandle()
+    handle = FakeHandle([0, 1])
     queries = [
         query_favoring({0: 0.9, 1: 0.8}),          # no change
         query_favoring({0: 0.9, 2: 0.8, 1: 0.1}),  # swap 1 -> 2
@@ -231,52 +225,33 @@ def test_scripted_replay_taken_and_available():
         query_favoring({3: 0.9, 2: 0.8, 0: 0.1}),  # swap 0 -> 3
     ]
     for step, q in enumerate(queries, start=1):
-        buf.generation_step = step
-        plan = reprioritize(buf, store, q, chunks)
-        apply_plan(buf, plan, handle, stats)
+        plan = reprioritize(handle.indices(), 2, store, q, chunks)
+        apply_plan(step, plan, handle, stats)
     assert stats.taken == 2
     assert stats.available >= 2
     assert stats.taken <= stats.available
-    assert len(buf) <= buf.capacity
-    assert [e.applied for e in stats.events] == [True, True]
+    assert len(handle.indices()) <= 2
+    assert [e.as_dict()["applied"] for e in stats.events] == [True, True]
+    assert [e.step for e in stats.events] == [2, 4]
 
 
 def test_recovery_evicted_chunk_returns_when_score_recovers():
     chunks = make_chunks(3)
     store = basis_store(3)
-    buf = filled_buffer([0, 1], capacity=2)
     stats = ReplacementStats()
-    handle = FakeHandle()
+    handle = FakeHandle([0, 1])
     # chunk 1 loses its slot ...
-    plan = reprioritize(buf, store, query_favoring({0: 0.9, 2: 0.8, 1: 0.05}), chunks)
-    apply_plan(buf, plan, handle, stats)
-    assert 1 not in buf
+    plan = reprioritize(handle.indices(), 2, store, query_favoring({0: 0.9, 2: 0.8, 1: 0.05}),
+                        chunks)
+    apply_plan(1, plan, handle, stats)
+    assert 1 not in handle.resident
     # ... and is re-admitted once its score re-enters the top-k
-    plan = reprioritize(buf, store, query_favoring({0: 0.9, 1: 0.8, 2: 0.05}), chunks)
-    apply_plan(buf, plan, handle, stats)
-    assert 1 in buf
+    plan = reprioritize(handle.indices(), 2, store, query_favoring({0: 0.9, 1: 0.8, 2: 0.05}),
+                        chunks)
+    apply_plan(2, plan, handle, stats)
+    assert 1 in handle.resident
     admitted = [e for e in stats.events if 1 in e.admit]
     assert admitted, "re-admission must appear in the event log"
-
-
-def test_observe_only_policy_counts_available_not_taken():
-    chunks = make_chunks(3)
-    store = basis_store(3)
-    buf = filled_buffer([0, 1], capacity=2)
-    stats = ReplacementStats()
-    plan = reprioritize(buf, store, query_favoring({0: 0.9, 2: 0.8, 1: 0.1}), chunks)
-    apply_plan(buf, plan, FakeHandle(), stats, apply=False)
-    assert stats.available == 1 and stats.taken == 0
-    assert buf.indices() == [0, 1]
-
-
-def test_buffer_capacity_enforced():
-    buf = ChunkBuffer(capacity=1)
-    buf.add(BufferEntry(chunk_index=0, score=0.5))
-    with pytest.raises(ValueError):
-        buf.add(BufferEntry(chunk_index=1, score=0.4))
-    with pytest.raises(ValueError):
-        ChunkBuffer(capacity=0)
 
 
 class FixedProvider:

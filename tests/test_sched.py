@@ -1,6 +1,8 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apce.config import RunConfig
 from apce.model import _init_params
@@ -9,7 +11,6 @@ from apce.sched import (
     LoadModel,
     simulate_generation,
     timing_summary,
-    trace_csv_row,
     trace_events_json,
 )
 
@@ -169,9 +170,6 @@ def test_trace_exports():
     trace = run("apce", load)
     events = trace_events_json(trace)
     assert all(set(e) == {"time", "kind", "data"} for e in events)
-    row = trace_csv_row("run-1", trace)
-    assert row.startswith("run-1,apce,")
-    assert row.endswith(f",{TOY.max_new_tokens}")
 
 
 def test_file_embedding_provider(tmp_path):
@@ -229,3 +227,39 @@ def test_zero_norm_chunk_scores_zero_and_ranks_last(reprioritizing):
     assert trace.initial_selection == [0]
     assert len(trace.tokens) == 6
     assert all(1 not in e.admit for e in trace.replacement_stats.events)
+
+
+@given(
+    k=st.integers(min_value=1, max_value=10),
+    interval=st.integers(min_value=1, max_value=6),
+    async_start=st.integers(min_value=1, max_value=12),
+    latency=st.sampled_from([0.0, 0.01, 0.05, 0.3]),
+    recompute=st.booleans(),
+    seed=st.integers(min_value=0, max_value=3),
+)
+@settings(max_examples=30, deadline=None)
+def test_replayed_residency_obeys_the_buffer_laws(k, interval, async_start, latency, recompute,
+                                                   seed):
+    config = dataclasses.replace(TOY, fraction=None, max_chunks=k, interval=interval,
+                                 recompute=recompute, max_new_tokens=16, seed=seed)
+    load = LoadModel(per_chunk_load_latency=latency, async_start_chunks=async_start,
+                     decode_latency=0.01, compute_seconds_per_element=1e-7)
+    trace = simulate_generation(DOC, QUERY, "apce", load, config)
+
+    resident = set(trace.initial_selection)
+    assert len(resident) <= trace.k_effective
+    for event in trace.events:
+        if event.kind != "reprioritization":
+            continue
+        evict, admit = set(event.data["evict"]), set(event.data["admit"])
+        assert evict <= resident
+        assert not admit & resident
+        resident = (resident - evict) | admit
+        assert len(resident) <= trace.k_effective
+    stats = trace.replacement_stats
+    assert stats.taken <= stats.available
+    times = [e.time for e in trace.events]
+    assert times == sorted(times)
+    resident_tokens = sum(min(TOY.chunk_size, trace.doc_tokens - i * TOY.chunk_size)
+                          for i in trace.initial_selection)
+    assert trace.counters["prefill_elements"] == resident_tokens ** 2

@@ -11,7 +11,6 @@ from apce.textpipe import (
     TokenSequence,
     chunk,
     detokenize,
-    flatten,
     load_jsonl_records,
     tokenize,
 )
@@ -94,7 +93,7 @@ def test_partition_completeness_and_count_law(n, m):
     seq = TokenSequence(tokens=tuple(i % 32768 for i in range(n)))
     parts = chunk(seq, m)
     assert len(parts) == math.ceil(n / m)
-    assert flatten(parts).tokens == seq.tokens
+    assert tuple(t for c in parts for t in c.tokens.tokens) == seq.tokens
     running_offset = 0
     for i, c in enumerate(parts):
         assert c.chunk_index == i
