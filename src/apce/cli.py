@@ -1,9 +1,11 @@
 """Command-line entry point: run, sweep, ablate, memtable.
 
 Exit codes are stable: 0 all runs completed, 2 bad configuration or
-arguments, 3 missing input (file or record). Set APCE_LOG to control log
-verbosity. Reports are schema-versioned JSON; everything in them except the
-"timestamps" field is a pure function of (config, corpus, seed).
+arguments, 3 missing input (file or record), 4 internal error (a broken
+invariant of the engine; APCE_LOG=DEBUG logs its traceback). Set APCE_LOG
+to control log verbosity. Reports are schema-versioned JSON; everything in
+them except the "timestamps" field is a pure function of (config, corpus,
+seed).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ log = logging.getLogger("apce")
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 2
 EXIT_MISSING_INPUT = 3
+EXIT_INTERNAL = 4
 
 SCHEMA_VERSION = 1
 
@@ -142,7 +145,11 @@ def load_records(args: argparse.Namespace) -> list[Record]:
 
 
 def run_record(record: Record, config: RunConfig) -> dict:
-    """Execute one session and assemble its report (timestamps not included)."""
+    """Execute one session and assemble its report.
+
+    Its ``timestamps`` hold the session's wall time; ``write_report`` adds
+    the time of writing.
+    """
     load = LoadModel.from_config(config)
     trace = simulate_generation(record.text, record.query, config.mode, load, config)
 
@@ -183,12 +190,14 @@ def run_record(record: Record, config: RunConfig) -> dict:
         "tokens": trace.tokens,
         "counters": trace.counters,
         "metrics": metrics,
+        "timestamps": {"wall_seconds": trace.wall_seconds},
     }
 
 
 def write_report(report: dict, out_dir: Path) -> Path:
     report = dict(report)
     report["timestamps"] = {
+        **report.get("timestamps", {}),
         "written_utc": datetime.now(timezone.utc).isoformat(),
     }
     jsonschema.validate(report, REPORT_SCHEMA)
@@ -452,6 +461,10 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
+    except RuntimeError as exc:
+        log.debug("internal error", exc_info=exc)
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

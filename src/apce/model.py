@@ -12,21 +12,31 @@ load-bearing for the rest of the engine:
 - K/V live in one contiguous arena per layer: the resident chunks in
   document order, then the generated tokens. Every attention reads a
   prefix view of it, so chunk tokens score against the keys of *every*
-  resident chunk (future positions masked afterwards) and a decode step
-  scores against all of them plus the generated tokens. The score-element
-  counters are read off the query rows and the width of the views attended,
-  so a prefill measures exactly (resident tokens)^2, like a conventional
-  full-matrix implementation, and operand shapes stay identical
-  between an initial prefill and a later rebuild of the same resident set.
-  With identical shapes and identical unmasked inputs, float32 results are
-  reproduced bit for bit, which is what the rebuild-equals-fresh-prefill
-  checks rely on.
+  resident chunk and a decode step scores against all of them plus the
+  generated tokens. The score-element counters are read off the query rows
+  and the width of the views attended, so a prefill measures exactly
+  (resident tokens)^2, like a conventional full-matrix implementation, and
+  operand shapes stay identical between an initial prefill and a later
+  rebuild of the same resident set. With identical shapes and identical
+  unmasked inputs, float32 results are reproduced bit for bit, which is
+  what the rebuild-equals-fresh-prefill checks rely on.
+
+- Document order makes a chunk block's mask positional: the keys before
+  its slot are all past, those inside it form a strictly upper triangle
+  (the block's own tokens x tokens mask), and all keys after it are
+  future. The softmax therefore scales, masks, exponentiates and divides
+  only the live prefix (a strided view, run with a small ufunc buffer; see
+  ``_LIVE_BUFSIZE``) and writes the exact 0.0 into the future tail. The
+  q·kᵀ product, the row sums and the product with V stay full width,
+  because narrowing them can change the BLAS path or the summation order
+  and with it the last bits; so the counters, which count that full-width
+  work, are unchanged, and the results equal a full-mask kernel's.
 
 - Prefill and rebuild share one forward path. Both reserve their chunks'
   slots, settle the arena, and then run the chunks one block at a time in
   document order through every layer, so each block attends to final K/V
   before it and masked placeholders or stale K/V after it. Only one
-  block's future mask and rope tables are alive at a time.
+  block's triangle and rope tables are alive at a time.
 
 - The arena changes layout only when residency does. Eviction and
   admission edit a chunk -> slot index; the arrays are re-laid out once,
@@ -56,6 +66,13 @@ from .textpipe import Chunk
 
 _NORM_EPS = np.float32(1e-5)
 _NEG_INF = np.float32(-np.inf)
+# numpy 2.4 copies the rows of a strided operand through its ufunc buffer
+# when they are shorter than about a third of it. With the default 8192
+# elements that made every pass over a block's live prefix (a strided view)
+# 2-3 times slower per element than a pass over whole rows. Rows longer than
+# a third of this size run in place. Buffering moves data and never changes
+# the arithmetic, so results are the same bits at any size.
+_LIVE_BUFSIZE = 256
 
 
 @dataclass(frozen=True)
@@ -143,7 +160,6 @@ class KVCache:
         self._index: dict[int, tuple[int, int, int | None]] = {}
         self._unsettled = False
         self.chunk_tokens = 0  # arena slots laid out for chunks
-        self.positions = np.zeros(0, dtype=np.int64)  # document position of each chunk slot
         self.gen_positions: list[int] = []
         self.counters = CostCounters()
 
@@ -201,12 +217,10 @@ class KVCache:
         if not self._unsettled and capacity <= self.capacity:
             return
         moves = []  # (old slot or None for a placeholder, new slot, tokens)
-        spans = [np.zeros(0, dtype=np.int64)]
         slot = 0
         for idx in self.resident_indices():
             start, end, old = self._index[idx]
             moves.append((old, slot, end - start))
-            spans.append(np.arange(start, end, dtype=np.int64))
             self._index[idx] = (start, end, slot)
             slot += end - start
         gen_old = slice(self.chunk_tokens, self.chunk_tokens + self.gen_len)
@@ -222,7 +236,6 @@ class KVCache:
                 arena[:, gen_new] = old_arena[:, gen_old]
                 arenas[layer] = arena
         self.chunk_tokens = slot
-        self.positions = np.concatenate(spans)
         self._unsettled = False
 
     # --- generated tokens ---
@@ -393,7 +406,7 @@ class DecoderModel:
             hidden = self.params["embedding"][np.asarray(c.token_ids, dtype=np.int64)].copy()
             pos = np.arange(c.doc_token_offset, c.doc_token_offset + c.size, dtype=np.int64)
             # position-only, so one of each serves every layer of this block
-            future = cache.positions[None, :] > pos[:, None]
+            causal = (slot, pos[None, :] > pos[:, None])
             cos, sin = self._rope_tables(pos)
             for layer in range(self.config.n_layers):
                 q, k, v = self._project_qkv(hidden, layer, cos, sin)
@@ -401,7 +414,7 @@ class DecoderModel:
                 keys[:, slot:slot + c.size] = k
                 values[:, slot:slot + c.size] = v
                 k_all = keys[:, :width]
-                attn = self._attend(q, k_all, values[:, :width], future)
+                attn = self._attend(q, k_all, values[:, :width], causal)
                 hidden = hidden + attn @ self.params[f"layers.{layer}.wo"]
                 hidden = hidden + self._mlp(hidden, layer)
             yield hidden, c.size * k_all.shape[1]
@@ -420,27 +433,48 @@ class DecoderModel:
         return _apply_rope(q, cos, sin), _apply_rope(k, cos, sin), v
 
     def _attend(self, q: np.ndarray, k_all: np.ndarray, v_all: np.ndarray,
-                future: np.ndarray | None) -> np.ndarray:
+                causal: tuple[int, np.ndarray] | None) -> np.ndarray:
         """q: (H, tq, dh); k_all/v_all: (Hk, tk, dh).
 
-        ``future``: (tq, tk) bool, True where a key lies after its query and
-        is masked out; None when nothing is.
+        ``causal`` is None when every key is visible (decode). For a chunk
+        block it is ``(slot, triangle)``: the block's queries sit at arena
+        slots [slot, slot + tq) of a document-ordered arena, so keys before
+        ``slot`` are all past, ``triangle`` (tq, tq) marks the future keys
+        within the block, and every key from slot + tq on is future.
+
+        Scaling, masking and the softmax's max, exp and divide run on the
+        live prefix [0, slot + tq) only; the future tail is set to the 0.0
+        that exp(-inf - max) would give. The q·kᵀ product, the row sums and
+        the product with V stay full width: a narrower matmul can take
+        another BLAS path and a shorter sum another pairwise order, so
+        either would change the last bits. The result is therefore the
+        full-mask softmax bit for bit, and the score work done per block is
+        still tq x tk.
         """
         cfg = self.config
         group = cfg.n_heads // cfg.n_kv_heads
         tq = q.shape[1]
         out = np.empty((tq, cfg.n_heads * cfg.d_head), dtype=np.float32)
         scores = np.empty((tq, k_all.shape[1]), dtype=np.float32)  # reused by every head
-        for h in range(cfg.n_heads):
-            kv = h // group
-            np.matmul(q[h], k_all[kv].T, out=scores)
-            scores *= self._inv_sqrt_dh
-            if future is not None:
-                np.copyto(scores, _NEG_INF, where=future)
-            scores -= np.max(scores, axis=1, keepdims=True)
-            np.exp(scores, out=scores)
-            scores /= np.sum(scores, axis=1, keepdims=True)
-            out[:, h * cfg.d_head:(h + 1) * cfg.d_head] = scores @ v_all[kv]
+        live = scores
+        if causal is not None:
+            slot, triangle = causal
+            live = scores[:, :slot + tq]
+            diagonal, tail = scores[:, slot:slot + tq], scores[:, slot + tq:]
+        with np.errstate():  # restores the ufunc buffer size on exit
+            if causal is not None:
+                np.setbufsize(_LIVE_BUFSIZE)
+            for h in range(cfg.n_heads):
+                kv = h // group
+                np.matmul(q[h], k_all[kv].T, out=scores)
+                live *= self._inv_sqrt_dh
+                if causal is not None:
+                    np.copyto(diagonal, _NEG_INF, where=triangle)
+                    tail[...] = 0.0
+                live -= np.max(live, axis=1, keepdims=True)
+                np.exp(live, out=live)
+                live /= np.sum(scores, axis=1, keepdims=True)
+                out[:, h * cfg.d_head:(h + 1) * cfg.d_head] = scores @ v_all[kv]
         return out
 
     def _mlp(self, hidden: np.ndarray, layer: int) -> np.ndarray:

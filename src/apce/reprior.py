@@ -74,8 +74,13 @@ class ReplacementEvent:
 
 @dataclass
 class ReplacementStats:
-    """Replacement accounting: available counts boundaries whose fresh top-k
-    differed from the buffer, taken counts plans actually applied."""
+    """Replacement accounting: taken counts plans applied, one per boundary
+    whose fresh top-k differed from the resident set.
+
+    Every non-empty plan is applied, so ``available`` always equals
+    ``taken``. It stays because reports, sweep aggregates and the
+    benchmark's ``taken <= available`` law read it.
+    """
 
     taken: int = 0
     available: int = 0

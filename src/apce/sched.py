@@ -104,9 +104,14 @@ def simulate_generation(
     seq = tokenize(doc_text, vocab_size=config.vocab_size)
     if len(seq) == 0:
         raise ValueError("document produced no tokens")
+    doc_tokens = len(seq)
+    # the first new token comes from the prefill, so the last decode step
+    # runs at doc_tokens + max_new_tokens - 2, which must stay below max_position
+    if doc_tokens + config.max_new_tokens - 1 > config.max_position:
+        raise ValueError(f"{doc_tokens} document tokens and {config.max_new_tokens} new tokens "
+                         f"overflow max_position {config.max_position}")
     chunks = chunk_tokens(seq, config.chunk_size)
     n = len(chunks)
-    doc_tokens = len(seq)
 
     if config.embedding_provider == "file":
         fragments = load_external_embeddings(config.embedding_file, expected_dim=config.embedding_dim)

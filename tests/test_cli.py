@@ -4,7 +4,10 @@ import json
 import jsonschema
 import pytest
 
+import apce.cli
 from apce.cli import REPORT_SCHEMA, main
+from apce.model import DecoderModel
+from apce.textpipe import tokenize
 
 TOY_CONF = """
 chunk.size = 10
@@ -102,6 +105,52 @@ def test_replay_determinism_outside_timestamps(corpus, tmp_path):
         payload.pop("timestamps")
         reports.append(json.dumps(payload, sort_keys=True))
     assert reports[0] == reports[1]
+
+
+def test_report_timestamps_hold_the_session_wall_time(corpus, tmp_path):
+    corpus_path, conf = corpus
+    out = tmp_path / "out"
+    assert run_cli("run", "--input", str(corpus_path), "--config", str(conf),
+                   "--out-dir", str(out), "--seed", "7") == 0
+    report = json.loads((out / "r1-apce-s7.json").read_text())
+    stamps = report.pop("timestamps")
+    assert sorted(stamps) == ["wall_seconds", "written_utc"]
+    assert stamps["wall_seconds"] > 0
+    assert "wall_seconds" not in json.dumps(report)
+
+
+@pytest.mark.parametrize("past_bound,code", [(0, 0), (1, 2)])
+def test_position_bound_is_checked_before_prefill(corpus, tmp_path, monkeypatch, past_bound, code):
+    """The first new token comes from the prefill, so the last decode step
+    runs at doc_tokens + max_new_tokens - 2 and needs max_position one above."""
+    corpus_path, _ = corpus
+    text = json.loads(corpus_path.read_text().splitlines()[0])["text"]
+    doc_tokens = len(tokenize(text, vocab_size=512))
+    conf = tmp_path / "bounded.conf"
+    conf.write_text(TOY_CONF + f"model.max_position = {doc_tokens + 10 - 1 - past_bound}\n")
+    prefills = []
+    prefill = DecoderModel.prefill
+
+    def counted(self, *args):
+        prefills.append(args)
+        return prefill(self, *args)
+
+    monkeypatch.setattr(DecoderModel, "prefill", counted)
+    assert run_cli("run", "--input", str(corpus_path), "--config", str(conf),
+                   "--out-dir", str(tmp_path / "o")) == code
+    assert len(prefills) == (1 if code == 0 else 0)
+
+
+def test_internal_error_exit_code(corpus, tmp_path, monkeypatch, capsys):
+    corpus_path, conf = corpus
+
+    def broken(*args):
+        raise RuntimeError("internal consistency: no tokens available for chunks [7]")
+
+    monkeypatch.setattr(apce.cli, "simulate_generation", broken)
+    assert run_cli("run", "--input", str(corpus_path), "--config", str(conf),
+                   "--out-dir", str(tmp_path / "o")) == 4
+    assert capsys.readouterr().err == "error: internal consistency: no tokens available for chunks [7]\n"
 
 
 def test_missing_input_exit_code(tmp_path):

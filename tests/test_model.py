@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -369,6 +371,126 @@ def test_swap_mid_generation_matches_fresh_prefill_and_keeps_generated_kv(
     gen_kv = [[(k[:, t:t + 1], v[:, t:t + 1]) for t in range(4)] for k, v in generated]
     want = concat_decode(model, block_copies(oracle, layers), gen_kv, token, 100)
     assert np.array_equal(model.decode_step(cache, token, 100).logits, want)
+
+
+# --- block attention against the full-mask kernel ---
+
+def full_mask_attend(model, q, k_all, v_all, future):
+    """Chunk-block attention with a (block x resident) bool mask: every
+    softmax step runs over the full width with future keys set to -inf."""
+    cfg = model.config
+    group = cfg.n_heads // cfg.n_kv_heads
+    out = np.empty((q.shape[1], cfg.n_heads * cfg.d_head), dtype=np.float32)
+    scores = np.empty((q.shape[1], k_all.shape[1]), dtype=np.float32)
+    for h in range(cfg.n_heads):
+        kv = h // group
+        np.matmul(q[h], k_all[kv].T, out=scores)
+        scores *= model._inv_sqrt_dh
+        np.copyto(scores, np.float32(-np.inf), where=future)
+        scores -= np.max(scores, axis=1, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= np.sum(scores, axis=1, keepdims=True)
+        out[:, h * cfg.d_head:(h + 1) * cfg.d_head] = scores @ v_all[kv]
+    return out
+
+
+def full_mask_forward_blocks(self, cache, ordered):
+    """``_forward_blocks`` with each block's future mask built from the
+    document position of every arena slot."""
+    width = cache.chunk_tokens
+    spans = [cache.block(0, i) for i in cache.resident_indices()]
+    positions = np.concatenate([np.arange(b.pos_start, b.pos_end) for b in spans])
+    for c in ordered:
+        slot = cache.slot(c.chunk_index)
+        hidden = self.params["embedding"][np.asarray(c.token_ids, dtype=np.int64)].copy()
+        pos = np.arange(c.doc_token_offset, c.doc_token_offset + c.size, dtype=np.int64)
+        future = positions[None, :] > pos[:, None]
+        cos, sin = self._rope_tables(pos)
+        for layer in range(self.config.n_layers):
+            q, k, v = self._project_qkv(hidden, layer, cos, sin)
+            keys, values = cache.keys[layer], cache.values[layer]
+            keys[:, slot:slot + c.size] = k
+            values[:, slot:slot + c.size] = v
+            attn = full_mask_attend(self, q, keys[:, :width], values[:, :width], future)
+            hidden = hidden + attn @ self.params[f"layers.{layer}.wo"]
+            hidden = hidden + self._mlp(hidden, layer)
+        yield hidden, c.size * width
+
+
+def arena_session(model, parts):
+    """Prefill, stale and mid-generation rebuilds; every observable output."""
+    cfg = model.config
+    by_idx = {c.chunk_index: c for c in parts}
+    last = parts[-1].chunk_index
+    seen = []
+
+    def snapshot(cache, *outputs):
+        used = cache.chunk_tokens + cache.gen_len
+        seen.append((outputs, cache.counters.as_dict(),
+                     [cache.keys[l][:, :used].copy() for l in range(cfg.n_layers)],
+                     [cache.values[l][:, :used].copy() for l in range(cfg.n_layers)]))
+
+    cache = KVCache(cfg)
+    result = model.prefill(parts, cache)
+    snapshot(cache, result.hidden, result.last_logits)
+
+    # mid-arena admission with recompute off: the tail holds stale K/V
+    cache = KVCache(cfg)
+    result = model.prefill([by_idx[i] for i in (0, 2, 4, last)], cache)
+    snapshot(cache, result.hidden, result.last_logits)
+    CacheHandle(model, cache, parts, recompute_enabled=False).rebuild(admit=[1], recompute=[2, 4, last])
+    snapshot(cache)
+    model.rebuild_blocks(cache, [2], by_idx)  # 4 and the last chunk still stale after it
+    snapshot(cache)
+
+    # rebuild mid-generation
+    cache = KVCache(cfg)
+    token = int(np.argmax(model.prefill([by_idx[i] for i in (1, 3, 5)], cache).last_logits))
+    position = parts[-1].doc_token_offset + parts[-1].size
+    logits = []
+    for _ in range(3):
+        out = model.decode_step(cache, token, position)
+        logits.append(out.logits)
+        token, position = out.token, position + 1
+    handle = CacheHandle(model, cache, parts)
+    handle.evict([3])
+    handle.rebuild(admit=[0, 4], recompute=[1, 5])
+    snapshot(cache, *logits)
+    for _ in range(2):
+        out = model.decode_step(cache, token, position)
+        logits.append(out.logits)
+        token, position = out.token, position + 1
+    snapshot(cache, *logits)
+    return seen
+
+
+D_HEAD_32 = ModelConfig(n_layers=2, n_heads=2, d_model=64, d_head=32, d_kv_total=32,
+                        vocab_size=512, init_seed=5)
+D_HEAD_8 = ModelConfig(n_layers=2, n_heads=4, d_model=32, d_head=8, d_kv_total=16,
+                       vocab_size=512, init_seed=6)
+
+
+@pytest.mark.parametrize("cfg,chunk_size", [
+    (D_HEAD_32, 1), (D_HEAD_32, 2), (D_HEAD_32, 7), (D_HEAD_32, 33),
+    (D_HEAD_8, 3), (D_HEAD_8, 12),
+])
+def test_block_attention_matches_the_full_mask_kernel(cfg, chunk_size):
+    """Masking only the block's diagonal triangle and zeroing the future tail
+    gives the full-mask kernel's bits: hidden states, logits, K/V, counters."""
+    parts = make_chunks(max(40, 6 * chunk_size + chunk_size // 2), chunk_size)
+    oracle = DecoderModel(cfg)
+    oracle._forward_blocks = types.MethodType(full_mask_forward_blocks, oracle)
+    bufsize = np.getbufsize()
+    got, want = arena_session(DecoderModel(cfg), parts), arena_session(oracle, parts)
+    assert np.getbufsize() == bufsize  # the kernel's ufunc buffer size does not leak
+    assert len(got) == len(want) == 6
+    for n, ((outputs, counters, keys, values), (w_outputs, w_counters, w_keys, w_values)) in enumerate(
+            zip(got, want)):
+        assert counters == w_counters, n
+        assert len(outputs) == len(w_outputs), n
+        assert all(np.array_equal(a, b) for a, b in zip(outputs, w_outputs)), n
+        assert all(np.array_equal(a, b) for a, b in zip(keys, w_keys)), n
+        assert all(np.array_equal(a, b) for a, b in zip(values, w_values)), n
 
 
 # --- attention cost ---
