@@ -8,13 +8,12 @@ changed. A discrete-event scheduler simulates asynchronous loading, and an
 analytical model accounts for the memory this saves.
 """
 
-from .config import RunConfig, apply_overrides, load_config_file
+from .config import LoadModel, RunConfig, apply_overrides, load_config_file
 from .embed import (
     EmbeddingStore,
     HashingEmbedder,
     embed_chunk,
     embed_query_text,
-    embedding_store_bytes,
     load_external_embeddings,
 )
 from .memmodel import (
@@ -43,8 +42,8 @@ from .reprior import (
     reprioritize,
     update_enhanced_query,
 )
-from .sched import GenerationTrace, LoadModel, simulate_generation, timing_summary
+from .sched import GenerationTrace, simulate_generation, timing_summary
 from .select import ChunkScore, SelectionResult, cosine, select_top_k
-from .textpipe import Chunk, Record, TokenSequence, chunk, detokenize, tokenize
+from .textpipe import Chunk, Record, TokenSequence, chunk, tokenize
 
 __version__ = "0.1.0"

@@ -1,4 +1,9 @@
-"""Command-line entry point: run, sweep, ablate, memtable.
+"""Command-line entry point: run, sweep, memtable.
+
+``run`` executes one session on one record and writes its report and a CSV
+row. ``sweep`` runs every record at each value of one axis and writes
+aggregate CSV and JSON; ``--axis reprioritization_interval`` is the interval
+ablation. ``memtable`` prints the analytical memory table.
 
 Exit codes are stable: 0 all runs completed, 2 bad configuration or
 arguments, 3 missing input (file or record), 4 internal error (a broken
@@ -20,13 +25,11 @@ from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-import jsonschema
-
 from . import memmodel
 from .config import RunConfig, apply_overrides, load_config_file
 from .embed import HashingEmbedder
 from .metrics import embedding_cosine_proxy, mean_std, rouge_l_f1
-from .sched import LoadModel, simulate_generation, trace_events_json
+from .sched import simulate_generation, trace_events_json
 from .textpipe import Record, load_jsonl_records, load_text_file, tokenize
 
 log = logging.getLogger("apce")
@@ -37,47 +40,6 @@ EXIT_MISSING_INPUT = 3
 EXIT_INTERNAL = 4
 
 SCHEMA_VERSION = 1
-
-REPORT_SCHEMA = {
-    "type": "object",
-    "required": [
-        "schema_version", "run_id", "mode", "config", "document", "selection",
-        "replacement_log", "replacement_stats", "trace", "tokens", "counters",
-        "metrics", "timestamps",
-    ],
-    "properties": {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "run_id": {"type": "string"},
-        "mode": {"enum": ["dense", "apce"]},
-        "config": {"type": "object"},
-        "document": {
-            "type": "object",
-            "required": ["id", "tokens", "chunks"],
-            "properties": {
-                "id": {"type": "string"},
-                "tokens": {"type": "integer", "minimum": 0},
-                "chunks": {"type": "integer", "minimum": 0},
-            },
-        },
-        "selection": {
-            "type": "object",
-            "required": ["initial", "scores", "k_effective"],
-        },
-        "replacement_log": {"type": "array"},
-        "replacement_stats": {
-            "type": "object",
-            "required": ["taken", "available"],
-        },
-        "trace": {
-            "type": "object",
-            "required": ["ttft", "total_time", "events"],
-        },
-        "tokens": {"type": "array", "items": {"type": "integer"}},
-        "counters": {"type": "object"},
-        "metrics": {"type": "object"},
-        "timestamps": {"type": "object"},
-    },
-}
 
 
 class MissingInput(Exception):
@@ -123,8 +85,6 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     if args.decode_latency is not None:
         overrides["load.decode_latency"] = str(args.decode_latency)
     config = apply_overrides(config, overrides)
-    if config.max_chunks is not None and config.fraction is not None:
-        raise ValueError("set at most one of max_chunks and fraction")
     config.validate()
     return config
 
@@ -150,8 +110,7 @@ def run_record(record: Record, config: RunConfig) -> dict:
     Its ``timestamps`` hold the session's wall time; ``write_report`` adds
     the time of writing.
     """
-    load = LoadModel.from_config(config)
-    trace = simulate_generation(record.text, record.query, config.mode, load, config)
+    trace = simulate_generation(record.text, record.query, config.mode, config.load_model(), config)
 
     metrics: dict[str, object] = {}
     if record.reference:
@@ -200,7 +159,6 @@ def write_report(report: dict, out_dir: Path) -> Path:
         **report.get("timestamps", {}),
         "written_utc": datetime.now(timezone.utc).isoformat(),
     }
-    jsonschema.validate(report, REPORT_SCHEMA)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{report['run_id']}.json"
     path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
@@ -331,44 +289,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_ablate(args: argparse.Namespace) -> int:
-    config = build_run_config(args)
-    values = _parse_values(args.intervals)
-    if not values:
-        raise ValueError("ablate needs at least one interval")
-    records = load_records(args)
-    csv_path, json_path = run_sweep("reprioritization_interval", values, config, records,
-                                    Path(args.out_dir), "ablation_interval")
-    print(csv_path)
-    print(json_path)
-    return EXIT_OK
-
-
-def _parse_memtable_row(raw: str) -> tuple[str, memmodel.MemConfig]:
+def _parse_memtable_row(raw: str, widths: dict[str, int]) -> tuple[str, memmodel.MemConfig]:
     parts = raw.split(",")
     if len(parts) not in (3, 4):
         raise ValueError(f"--row expects 'L,k,m[,label]', got {raw!r}")
     seq_len, k, m = (int(p) for p in parts[:3])
     label = parts[3] if len(parts) == 4 else f"L{seq_len}"
-    return label, memmodel.MemConfig(seq_len=seq_len, n_chunks_selected=k, chunk_size=m)
+    return label, memmodel.MemConfig(seq_len=seq_len, n_chunks_selected=k, chunk_size=m, **widths)
 
 
 def cmd_memtable(args: argparse.Namespace) -> int:
-    configs = None
-    if args.row:
-        configs = {}
-        for raw in args.row:
-            label, cfg = _parse_memtable_row(raw)
-            if args.d_q or args.d_kv or args.bytes_per_element:
-                cfg = memmodel.MemConfig(
-                    seq_len=cfg.seq_len,
-                    n_chunks_selected=cfg.n_chunks_selected,
-                    chunk_size=cfg.chunk_size,
-                    d_q=args.d_q or memmodel.LLAMA_3B_D_Q,
-                    d_kv=args.d_kv or memmodel.LLAMA_3B_D_KV,
-                    bytes_per_element=args.bytes_per_element or memmodel.FP16_BYTES,
-                )
-            configs[label] = cfg
+    widths = {name: getattr(args, name) for name in ("d_q", "d_kv", "bytes_per_element")
+              if getattr(args, name) is not None}
+    if widths and not args.row:
+        raise ValueError("--d-q, --d-kv and --bytes-per-element apply only to --row rows")
+    configs = dict(_parse_memtable_row(raw, widths) for raw in args.row) if args.row else None
     report = memmodel.memory_report(configs=configs, layer_count=args.layers)
     if args.format == "text":
         output = memmodel.report_text(report, flag_inconsistent=args.flag_inconsistent)
@@ -420,11 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--axis", choices=sorted(SWEEP_AXES), required=True)
     p_sweep.add_argument("--values", required=True, help="comma-separated integers")
     p_sweep.set_defaults(func=cmd_sweep)
-
-    p_ablate = sub.add_parser("ablate", help="reprioritization interval ablation")
-    _add_run_options(p_ablate)
-    p_ablate.add_argument("--intervals", default="1,5,10,25,50,100,200")
-    p_ablate.set_defaults(func=cmd_ablate)
 
     p_mem = sub.add_parser("memtable", help="analytical memory table")
     p_mem.add_argument("--format", choices=["text", "csv", "json"], default="text")

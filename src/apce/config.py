@@ -1,4 +1,5 @@
-"""Run configuration: defaults, config-file parsing, and CLI override keys.
+"""Run configuration: defaults, config-file parsing, CLI override keys, and
+the simulated latencies a session runs under (``LoadModel``).
 
 The config format is a flat key-value file (``key = value`` per line, ``#``
 comments). Keys are namespaced per subsystem; the full set lives in
@@ -14,6 +15,22 @@ from pathlib import Path
 from typing import Any
 
 from .model import ModelConfig
+
+
+@dataclass(frozen=True)
+class LoadModel:
+    """Simulated latencies. Zero means instantaneous."""
+
+    per_chunk_load_latency: float = 0.0
+    async_start_chunks: int = 4
+    decode_latency: float = 0.0
+    compute_seconds_per_element: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.per_chunk_load_latency < 0 or self.decode_latency < 0 or self.compute_seconds_per_element < 0:
+            raise ValueError("latencies must be >= 0")
+        if self.async_start_chunks < 1:
+            raise ValueError("async_start_chunks must be >= 1")
 
 
 @dataclass
@@ -61,10 +78,9 @@ class RunConfig:
             raise ValueError("interval must be >= 1")
         if self.max_new_tokens < 1:
             raise ValueError("max_new_tokens must be >= 1")
-        if self.async_start_chunks < 1:
-            raise ValueError("async_start_chunks must be >= 1")
-        if self.per_chunk_load_latency < 0 or self.decode_latency < 0 or self.compute_seconds_per_element < 0:
-            raise ValueError("latencies must be >= 0")
+        # tokens[-0:] is every token, so a window below 1 would silently mean "all"
+        if self.tail_chars < 1 or self.recent_tokens < 1:
+            raise ValueError("query.tail_chars and query.recent_tokens must be >= 1")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
         if self.embedding_provider not in ("hash", "file"):
@@ -72,6 +88,7 @@ class RunConfig:
         if self.embedding_provider == "file" and not self.embedding_file:
             raise ValueError("embedding.provider 'file' needs embedding.file")
         self.model_config()  # dimension checks
+        self.load_model()  # latency and async_start_chunks checks
 
     def effective_k(self, n_chunks: int) -> int:
         """Buffer capacity for a document with n_chunks chunks.
@@ -97,6 +114,14 @@ class RunConfig:
             rope_theta=self.rope_theta,
             init_seed=self.seed,
             max_position=self.max_position,
+        )
+
+    def load_model(self) -> LoadModel:
+        return LoadModel(
+            per_chunk_load_latency=self.per_chunk_load_latency,
+            async_start_chunks=self.async_start_chunks,
+            decode_latency=self.decode_latency,
+            compute_seconds_per_element=self.compute_seconds_per_element,
         )
 
     def as_flat_dict(self) -> dict[str, Any]:

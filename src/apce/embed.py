@@ -22,7 +22,6 @@ import numpy as np
 from .textpipe import Chunk, DEFAULT_VOCAB_SIZE, tokenize
 
 DEFAULT_DIM = 384
-FP16_BYTES = 2
 
 
 class EmbeddingProvider(Protocol):
@@ -132,18 +131,8 @@ class EmbeddingStore:
             dim=provider.dim,
         )
 
-    @property
-    def chunk_embeddings(self) -> Mapping[int, np.ndarray]:
-        return self._chunk_embeddings
-
-    def __contains__(self, chunk_index: int) -> bool:
-        return chunk_index in self._chunk_embeddings
-
     def __getitem__(self, chunk_index: int) -> np.ndarray:
         return self._chunk_embeddings[chunk_index]
-
-    def __len__(self) -> int:
-        return len(self._chunk_embeddings)
 
     def indices(self) -> list[int]:
         return sorted(self._chunk_embeddings)
@@ -183,14 +172,8 @@ def load_external_embeddings(path: str | Path, expected_dim: int | None = None) 
                 )
             if not np.all(np.isfinite(vec)):
                 raise ValueError(f"{path}: line {lineno}: non-finite entry in vector")
+            if not vec.any():
+                raise ValueError(f"{path}: line {lineno}: zero vector cannot be normalized")
             out[idx] = normalize(vec)
     return out
 
-
-def embedding_store_bytes(n_chunks: int, dim: int, bytes_per_element: int = FP16_BYTES) -> int:
-    """Bytes needed to hold all chunk embeddings once, shared across layers."""
-    if n_chunks < 0:
-        raise ValueError("n_chunks must be >= 0")
-    if dim < 1 or bytes_per_element < 1:
-        raise ValueError("dim and bytes_per_element must be >= 1")
-    return n_chunks * dim * bytes_per_element

@@ -82,11 +82,6 @@ def to_mib(n_bytes: int) -> float:
     return round(n_bytes / MIB, 2)
 
 
-def invert_kv_cache_bytes(n_bytes: float, cfg: MemConfig) -> float:
-    """Sequence length implied by a KV cache byte count (exact inverse)."""
-    return n_bytes / (2 * cfg.d_kv * cfg.bytes_per_element)
-
-
 COLUMNS = ("kv_cache_mb", "prefill_attn_mb", "decode_attn_mb")
 
 # Dense sequence lengths for the builtin groups, recovered by inverting the
@@ -206,14 +201,13 @@ def builtin_configs() -> dict[str, MemConfig]:
 
 def memory_report(
     configs: dict[str, MemConfig] | None = None,
-    with_reference: bool = True,
     layer_count: int = 1,
 ) -> MemoryReport:
     """Build the per-layer memory table.
 
-    With the builtin configs and with_reference=True, every formula cell is
-    paired with its reported reference figure; disagreeing cells show up in
-    ``flagged_cells()``. Custom configs carry no reference column.
+    With the builtin configs every formula cell is paired with its reported
+    reference figure; disagreeing cells show up in ``flagged_cells()``.
+    Custom configs carry no reference column.
     """
     if layer_count < 1:
         raise ValueError("layer_count must be >= 1")
@@ -223,9 +217,7 @@ def memory_report(
     rows: list[MemoryRow] = []
     for label, cfg in configs.items():
         for method in ("dense", "selected"):
-            ref = None
-            if with_reference and not custom:
-                ref = REFERENCE_MB.get((label, method))
+            ref = None if custom else REFERENCE_MB.get((label, method))
             rows.append(make_row(label, method, cfg, reference_mb=ref, layer_count=layer_count))
     return MemoryReport(rows=tuple(rows), layer_count=layer_count)
 

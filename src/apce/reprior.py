@@ -32,7 +32,6 @@ from .embed import EmbeddingProvider, EmbeddingStore, embed_or_zero, embed_query
 from .select import score_chunks, select_top_k
 from .textpipe import Chunk, DEFAULT_VOCAB_SIZE
 
-DEFAULT_INTERVAL = 50
 DEFAULT_TAIL_CHARS = 100
 DEFAULT_RECENT_TOKENS = 50
 DEFAULT_BLEND_ALPHA = 0.5

@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .config import RunConfig
+from .config import LoadModel, RunConfig
 from .embed import EmbeddingStore, HashingEmbedder, load_external_embeddings
 from .metrics import mean_std
 from .model import CacheHandle, DecoderModel, KVCache
@@ -36,30 +36,6 @@ from .reprior import (
 from .select import score_chunks, select_top_k
 from .textpipe import chunk as chunk_tokens
 from .textpipe import tokenize
-
-@dataclass(frozen=True)
-class LoadModel:
-    """Simulated latencies. Zero means instantaneous."""
-
-    per_chunk_load_latency: float = 0.0
-    async_start_chunks: int = 4
-    decode_latency: float = 0.0
-    compute_seconds_per_element: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.per_chunk_load_latency < 0 or self.decode_latency < 0 or self.compute_seconds_per_element < 0:
-            raise ValueError("latencies must be >= 0")
-        if self.async_start_chunks < 1:
-            raise ValueError("async_start_chunks must be >= 1")
-
-    @classmethod
-    def from_config(cls, config: RunConfig) -> "LoadModel":
-        return cls(
-            per_chunk_load_latency=config.per_chunk_load_latency,
-            async_start_chunks=config.async_start_chunks,
-            decode_latency=config.decode_latency,
-            compute_seconds_per_element=config.compute_seconds_per_element,
-        )
 
 
 class TraceEvent(NamedTuple):

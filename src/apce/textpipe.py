@@ -31,9 +31,8 @@ def piece_to_id(piece: str, vocab_size: int = DEFAULT_VOCAB_SIZE) -> int:
 class TokenSequence:
     """An ordered run of token ids, with the surface pieces kept alongside.
 
-    Pieces exist so that ``detokenize`` can emit text whose re-tokenization
-    reproduces the ids exactly (the hash mapping is not invertible on its
-    own).
+    The hash mapping is not invertible, so the pieces are the only way back
+    from ids to the text they came from.
     """
 
     tokens: tuple[int, ...]
@@ -60,13 +59,6 @@ def tokenize(text: str, vocab_size: int = DEFAULT_VOCAB_SIZE) -> TokenSequence:
     pieces = tuple(_PIECE_RE.findall(text))
     ids = tuple(piece_to_id(p, vocab_size) for p in pieces)
     return TokenSequence(tokens=ids, pieces=pieces)
-
-
-def detokenize(seq: TokenSequence) -> str:
-    """Render a sequence back to text such that re-tokenizing it restores the ids."""
-    if seq.pieces is None:
-        raise ValueError("sequence has no surface pieces; cannot detokenize")
-    return " ".join(seq.pieces)
 
 
 @dataclass(frozen=True)
@@ -117,7 +109,8 @@ def load_jsonl_records(path: str | Path) -> list[Record]:
     """Read evaluation records from a JSON-lines file.
 
     Each line must be an object with "id", "text", and "query"; "reference"
-    is optional.
+    is optional. An id names the record's report file, so it may not be
+    empty, "." or "..", nor hold "/", "\\" or NUL.
     """
     records: list[Record] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -132,9 +125,12 @@ def load_jsonl_records(path: str | Path) -> list[Record]:
             missing = [key for key in ("id", "text", "query") if key not in obj]
             if missing:
                 raise ValueError(f"{path}: line {lineno}: missing fields {missing}")
+            record_id = str(obj["id"])
+            if record_id in ("", ".", "..") or any(c in record_id for c in "/\\\0"):
+                raise ValueError(f"{path}: line {lineno}: record id {record_id!r} is not a file name")
             records.append(
                 Record(
-                    id=str(obj["id"]),
+                    id=record_id,
                     text=obj["text"],
                     query=obj["query"],
                     reference=obj.get("reference"),

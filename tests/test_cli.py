@@ -1,13 +1,19 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 import apce.cli
-from apce.cli import REPORT_SCHEMA, main
+from apce.cli import main
 from apce.model import DecoderModel
 from apce.textpipe import tokenize
+
+from report_schema import REPORT_SCHEMA
 
 TOY_CONF = """
 chunk.size = 10
@@ -45,6 +51,13 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def read_report(path):
+    """Load a report the CLI wrote and check it against the report schema."""
+    report = json.loads(path.read_text())
+    jsonschema.validate(report, REPORT_SCHEMA)
+    return report
+
+
 def test_run_writes_valid_report_and_csv(corpus, tmp_path, capsys):
     corpus_path, conf = corpus
     out = tmp_path / "out"
@@ -53,8 +66,7 @@ def test_run_writes_valid_report_and_csv(corpus, tmp_path, capsys):
     assert code == 0
     report_path = out / "r1-apce-s5.json"
     assert report_path.exists()
-    report = json.loads(report_path.read_text())
-    jsonschema.validate(report, REPORT_SCHEMA)
+    report = read_report(report_path)
     assert report["document"]["chunks"] == 10
     assert len(report["tokens"]) == 10
     with open(out / "runs.csv") as fh:
@@ -69,7 +81,7 @@ def test_run_specific_record(corpus, tmp_path):
     code = run_cli("run", "--input", str(corpus_path), "--config", str(conf),
                    "--out-dir", str(out), "--record-id", "r2")
     assert code == 0
-    assert (out / "r2-apce-s0.json").exists()
+    assert read_report(out / "r2-apce-s0.json")["document"]["id"] == "r2"
 
 
 def test_dense_run_has_empty_replacement_log(corpus, tmp_path):
@@ -77,7 +89,7 @@ def test_dense_run_has_empty_replacement_log(corpus, tmp_path):
     out = tmp_path / "out"
     assert run_cli("run", "--input", str(corpus_path), "--config", str(conf),
                    "--out-dir", str(out), "--mode", "dense") == 0
-    report = json.loads((out / "r1-dense-s0.json").read_text())
+    report = read_report(out / "r1-dense-s0.json")
     assert report["replacement_log"] == []
     assert report["replacement_stats"] == {"taken": 0, "available": 0}
 
@@ -89,8 +101,8 @@ def test_apce_with_all_chunks_matches_dense_output(corpus, tmp_path):
               "--no-reprioritization", "--async-start", "100"]
     assert run_cli("run", *common, "--mode", "dense") == 0
     assert run_cli("run", *common, "--mode", "apce", "--max-chunks", "10") == 0
-    dense = json.loads((out / "r1-dense-s0.json").read_text())
-    apce = json.loads((out / "r1-apce-s0.json").read_text())
+    dense = read_report(out / "r1-dense-s0.json")
+    apce = read_report(out / "r1-apce-s0.json")
     assert apce["tokens"] == dense["tokens"]
 
 
@@ -101,7 +113,7 @@ def test_replay_determinism_outside_timestamps(corpus, tmp_path):
         out = tmp_path / name
         assert run_cli("run", "--input", str(corpus_path), "--config", str(conf),
                        "--out-dir", str(out), "--seed", "7") == 0
-        payload = json.loads((out / "r1-apce-s7.json").read_text())
+        payload = read_report(out / "r1-apce-s7.json")
         payload.pop("timestamps")
         reports.append(json.dumps(payload, sort_keys=True))
     assert reports[0] == reports[1]
@@ -112,7 +124,7 @@ def test_report_timestamps_hold_the_session_wall_time(corpus, tmp_path):
     out = tmp_path / "out"
     assert run_cli("run", "--input", str(corpus_path), "--config", str(conf),
                    "--out-dir", str(out), "--seed", "7") == 0
-    report = json.loads((out / "r1-apce-s7.json").read_text())
+    report = read_report(out / "r1-apce-s7.json")
     stamps = report.pop("timestamps")
     assert sorted(stamps) == ["wall_seconds", "written_utc"]
     assert stamps["wall_seconds"] > 0
@@ -166,8 +178,25 @@ def test_missing_record_exit_code(corpus, tmp_path):
 def test_bad_config_exit_code(corpus, tmp_path):
     corpus_path, _ = corpus
     bad = tmp_path / "bad.conf"
-    bad.write_text("reprioritization.interval = never\n")
-    assert run_cli("run", "--input", str(corpus_path), "--config", str(bad)) == 2
+    # a window below 1 would slice as tokens[-0:] (every token) or drop a head
+    for line in ("reprioritization.interval = never", "query.recent_tokens = 0",
+                 "query.recent_tokens = -3", "query.tail_chars = 0", "query.tail_chars = -3"):
+        bad.write_text(line + "\n")
+        assert run_cli("run", "--input", str(corpus_path), "--config", str(bad),
+                       "--out-dir", str(tmp_path / "o")) == 2, line
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("record_id", ["a/b", "../escape", "a\\b", "a\0b", "", ".", ".."])
+def test_record_id_must_be_a_file_name(tmp_path, capsys, record_id):
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_text(json.dumps({"id": "ok", "text": "one two", "query": "q"}) + "\n"
+                           + json.dumps({"id": record_id, "text": "three four", "query": "q"}) + "\n")
+    before = sorted(tmp_path.rglob("*"))
+    assert run_cli("run", "--input", str(corpus_path), "--record-id", record_id,
+                   "--out-dir", str(tmp_path / "nest" / "out")) == 2
+    assert sorted(tmp_path.rglob("*")) == before
+    assert f"{corpus_path}: line 2: record id" in capsys.readouterr().err
 
 
 def test_conflicting_selection_flags_exit_code(corpus, tmp_path):
@@ -223,23 +252,14 @@ def test_single_value_sweep_matches_run(corpus, tmp_path):
     run_out = tmp_path / "single"
     assert run_cli("run", "--input", str(corpus_path), "--config", str(conf),
                    "--out-dir", str(run_out), "--interval", "5") == 0
-    report = json.loads((run_out / "r1-apce-s0.json").read_text())
+    report = read_report(run_out / "r1-apce-s0.json")
     sweep_row = [r for r in payload["per_run"] if r["run_id"] == "r1-apce-s0"][0]
     assert sweep_row["ttft"] == report["trace"]["ttft"]
     assert sweep_row["total_time"] == report["trace"]["total_time"]
-
-
-def test_ablate_shape(corpus, tmp_path):
-    corpus_path, conf = corpus
-    out = tmp_path / "out"
-    code = run_cli("ablate", "--input", str(corpus_path), "--config", str(conf),
-                   "--out-dir", str(out), "--intervals", "1,5,10,25,50,100,200")
-    assert code == 0
-    with open(out / "ablation_interval.csv") as fh:
+    with open(out / "sweep_reprioritization_interval.csv") as fh:
         rows = list(csv.DictReader(fh))
-    assert [r["value"] for r in rows] == ["1", "5", "10", "25", "50", "100", "200"]
-    for row in rows:
-        assert "taken_mean" in row and "available_mean" in row
+    assert [r["value"] for r in rows] == ["5"]
+    assert "taken_mean" in rows[0] and "available_mean" in rows[0]
 
 
 def test_memtable_text(capsys):
@@ -274,11 +294,40 @@ def test_memtable_bad_row():
     assert run_cli("memtable", "--row", "badrow") == 2
 
 
+def test_memtable_custom_row_widths(capsys):
+    assert run_cli("memtable", "--row", "1000,1,500", "--d-q", "64", "--d-kv", "512",
+                   "--bytes-per-element", "1", "--format", "json") == 0
+    dense = json.loads(capsys.readouterr().out)["rows"][0]
+    assert dense["kv_cache_bytes"] == 1000 * 2 * 512
+    assert dense["decode_attn_bytes"] == 2 * 1000 * 512 + 1000 + 2 * 64
+
+
+@pytest.mark.parametrize("flag", ["--d-q", "--d-kv", "--bytes-per-element"])
+def test_memtable_width_flags_need_rows(capsys, flag):
+    assert run_cli("memtable", flag, "4") == 2
+    assert "apply only to --row rows" in capsys.readouterr().err
+
+
 def test_zero_norm_chunk_document_runs(tmp_path):
     doc = tmp_path / "doc.txt"
     doc.write_text(" ".join([f"w{i}" for i in range(800)] + ["z6", "z54"]))
     out = tmp_path / "out"
     assert run_cli("run", "--input", str(doc), "--query", "summarize the text",
                    "--max-new-tokens", "4", "--out-dir", str(out)) == 0
-    report = json.loads((out / "doc-apce-s0.json").read_text())
+    report = read_report(out / "doc-apce-s0.json")
     assert report["selection"]["scores"][1] == [1, 0.0]
+
+
+def test_run_needs_no_jsonschema(corpus, tmp_path):
+    corpus_path, conf = corpus
+    src = Path(apce.cli.__file__).resolve().parents[1]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    blocked = ("import sys; sys.modules['jsonschema'] = None; "
+               "from apce.cli import main; sys.exit(main(sys.argv[1:]))")
+    out = tmp_path / "out"
+    result = subprocess.run([sys.executable, "-c", blocked, "run", "--input", str(corpus_path),
+                             "--config", str(conf), "--out-dir", str(out)],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    read_report(out / "r1-apce-s0.json")

@@ -46,6 +46,10 @@ def test_both_k_and_fraction_rejected():
     {"decode_latency": -1.0},
     {"embedding_provider": "network"},
     {"embedding_provider": "file"},  # missing embedding_file
+    {"recent_tokens": 0},
+    {"recent_tokens": -3},
+    {"tail_chars": 0},
+    {"tail_chars": -3},
 ])
 def test_validation_rejects(bad):
     with pytest.raises(ValueError):

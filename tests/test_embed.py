@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from apce.embed import (
     HashingEmbedder,
     embed_chunk,
     embed_query_text,
-    embedding_store_bytes,
     load_external_embeddings,
 )
 from apce.textpipe import Chunk, TokenSequence, chunk, tokenize
@@ -153,6 +153,16 @@ def test_external_embeddings_nan(tmp_path):
         load_external_embeddings(path)
 
 
+def test_external_embeddings_zero_vector(tmp_path):
+    path = tmp_path / "emb.jsonl"
+    write_jsonl(path, [
+        {"chunk_index": 0, "vector": [1.0, 0.0]},
+        {"chunk_index": 1, "vector": [0.0, -0.0]},
+    ])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 2: zero vector"):
+        load_external_embeddings(path)
+
+
 def test_external_embeddings_duplicate_index(tmp_path):
     path = tmp_path / "emb.jsonl"
     write_jsonl(path, [
@@ -161,18 +171,6 @@ def test_external_embeddings_duplicate_index(tmp_path):
     ])
     with pytest.raises(ValueError, match="duplicate"):
         load_external_embeddings(path)
-
-
-@pytest.mark.parametrize(
-    "n,d,bpe,expected",
-    [
-        (1, 384, 2, 768),
-        (37, 384, 2, 28_416),  # about 27.75 KB for the 30k-group store
-        (0, 384, 2, 0),
-    ],
-)
-def test_embedding_store_bytes(n, d, bpe, expected):
-    assert embedding_store_bytes(n, d, bpe) == expected
 
 
 def test_cancelling_chunk_embeds_to_zero():

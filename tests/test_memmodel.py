@@ -6,7 +6,6 @@ from apce.memmodel import (
     MemConfig,
     builtin_configs,
     decode_attn_bytes,
-    invert_kv_cache_bytes,
     kv_cache_bytes,
     memory_report,
     prefill_attn_bytes,
@@ -52,9 +51,10 @@ def test_decode_attn_bytes_examples():
 
 def test_dense_lengths_recovered_by_inversion():
     # 32.40 MB and 78.56 MB KV cells imply the dense lengths used everywhere
-    assert round(invert_kv_cache_bytes(32.40 * 2**20, CFG)) == 8294
-    assert round(invert_kv_cache_bytes(78.56 * 2**20, CFG)) == 20111
-    assert round(invert_kv_cache_bytes(116.89 * 2**20, CFG)) == 29924
+    bytes_per_token = 2 * CFG.d_kv * CFG.bytes_per_element
+    assert round(32.40 * 2**20 / bytes_per_token) == 8294
+    assert round(78.56 * 2**20 / bytes_per_token) == 20111
+    assert round(116.89 * 2**20 / bytes_per_token) == 29924
 
 
 def test_builtin_report_cells():
@@ -113,11 +113,6 @@ def test_ratio_laws():
     r_prefill = prefill_attn_bytes(big.selected_len, big) / prefill_attn_bytes(big.seq_len, big)
     assert r_decode == pytest.approx(0.7, abs=1e-3)
     assert r_prefill == pytest.approx(0.49, abs=1e-3)
-
-
-def test_kv_inversion_roundtrip():
-    for L in (1, 17, 5600, 29924):
-        assert invert_kv_cache_bytes(kv_cache_bytes(L, CFG), CFG) == L
 
 
 def test_custom_rows_have_no_reference():

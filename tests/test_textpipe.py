@@ -10,7 +10,6 @@ from apce.textpipe import (
     Record,
     TokenSequence,
     chunk,
-    detokenize,
     load_jsonl_records,
     tokenize,
 )
@@ -38,13 +37,6 @@ def test_golden_tokens():
 def test_tokenize_deterministic():
     text = "Some text, with punctuation! And 2 numbers: 42."
     assert tokenize(text).tokens == tokenize(text).tokens
-
-
-def test_detokenize_roundtrip_preserves_ids():
-    text = "Don't split, me; badly... (ok?)"
-    seq = tokenize(text)
-    again = tokenize(detokenize(seq))
-    assert again.tokens == seq.tokens
 
 
 def test_token_ids_below_vocab():
