@@ -32,6 +32,18 @@ load-bearing for the rest of the engine:
   and with it the last bits; so the counters, which count that full-width
   work, are unchanged, and the results equal a full-mask kernel's.
 
+- A chunk block's heads run on up to one thread per core: the calling
+  thread plus process-wide helper threads, each taking the next head until
+  none is left. Every head makes the same calls on the same shapes as in a
+  serial loop and writes only its own output columns, so outputs and
+  counters are the serial kernel's bit for bit. Each thread uses one scores
+  buffer through a whole prefill or rebuild, so peak memory grows by one
+  (largest block's tokens x resident tokens) float32 buffer per extra
+  thread. Blocks whose per-head scores are small (``_PARALLEL_MIN_SCORES``)
+  and decode steps stay on the calling thread. The speedup assumes a
+  single-threaded BLAS; a multi-threaded one already spreads each product
+  over the cores.
+
 - Prefill and rebuild share one forward path. Both reserve their chunks'
   slots, settle the arena, and then run the chunks one block at a time in
   document order through every layer, so each block attends to final K/V
@@ -55,7 +67,11 @@ Everything runs in float32 with a fixed reduction order.
 
 from __future__ import annotations
 
+import collections
 import functools
+import os
+import threading
+from concurrent import futures
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -73,6 +89,16 @@ _NEG_INF = np.float32(-np.inf)
 # a third of this size run in place. Buffering moves data and never changes
 # the arithmetic, so results are the same bits at any size.
 _LIVE_BUFSIZE = 256
+# A block's heads go to more than one thread only when one head's score
+# matrix (query rows x key width) has at least this many elements; below
+# that, handing a head to another thread costs more than it saves. Measured
+# with 4-head blocks of the default model on a 2-core Xeon (numpy 2.4,
+# OpenBLAS, one BLAS thread), as two-thread time over one-thread time, the
+# two alternating in one process, at every block slot of the width:
+# 1.41-1.69 at 50x350, 1.05-1.13 at 50x700 and 50x1000, 0.99-1.10 at
+# 100x500 and 70x700, 0.84-1.17 at 100x700, 0.74-0.86 at 100x800,
+# 0.72-0.74 at 100x1000, 0.69-0.74 at 200x1800 and 0.58 at 512x3000.
+_PARALLEL_MIN_SCORES = 100_000
 
 
 @dataclass(frozen=True)
@@ -349,7 +375,7 @@ class DecoderModel:
             keys[:, width - 1:width] = k
             values[:, width - 1:width] = v
             k_all = keys[:, :width]
-            attn = self._attend(q, k_all, values[:, :width], None)
+            attn = self._attend_step(q, k_all, values[:, :width])
             hidden = hidden + attn @ self.params[f"layers.{layer}.wo"]
             hidden = hidden + self._mlp(hidden, layer)
         cache.gen_positions.append(position)
@@ -401,12 +427,22 @@ class DecoderModel:
         one that drops the hidden states keeps a single block's alive.
         """
         width = cache.chunk_tokens
+        rows = max((c.size for c in ordered), default=0)
+        # One scores buffer per thread, made here by the calling thread and
+        # reused by every block and layer. A buffer that a helper allocates
+        # lands in (and grows) that thread's own malloc arena. Fresh buffers
+        # for each block made malloc hand memory back and fault it in again:
+        # a 3k-token prefill on two threads took about 22k page faults in
+        # attention and 12k in the MLP after it, against about 1k each with
+        # the buffers reused.
+        scores = [np.empty((rows, width), dtype=np.float32)
+                  for _ in range(self._block_threads(rows, width))]
         for c in ordered:
             slot = cache.slot(c.chunk_index)
             hidden = self.params["embedding"][np.asarray(c.token_ids, dtype=np.int64)].copy()
             pos = np.arange(c.doc_token_offset, c.doc_token_offset + c.size, dtype=np.int64)
-            # position-only, so one of each serves every layer of this block
-            causal = (slot, pos[None, :] > pos[:, None])
+            # position-only, so one serves every layer of this block
+            triangle = pos[None, :] > pos[:, None]
             cos, sin = self._rope_tables(pos)
             for layer in range(self.config.n_layers):
                 q, k, v = self._project_qkv(hidden, layer, cos, sin)
@@ -414,7 +450,7 @@ class DecoderModel:
                 keys[:, slot:slot + c.size] = k
                 values[:, slot:slot + c.size] = v
                 k_all = keys[:, :width]
-                attn = self._attend(q, k_all, values[:, :width], causal)
+                attn = self._attend_block(q, k_all, values[:, :width], slot, triangle, scores)
                 hidden = hidden + attn @ self.params[f"layers.{layer}.wo"]
                 hidden = hidden + self._mlp(hidden, layer)
             yield hidden, c.size * k_all.shape[1]
@@ -432,15 +468,64 @@ class DecoderModel:
         v = _split_heads(v, cfg.n_kv_heads, cfg.d_head)
         return _apply_rope(q, cos, sin), _apply_rope(k, cos, sin), v
 
-    def _attend(self, q: np.ndarray, k_all: np.ndarray, v_all: np.ndarray,
-                causal: tuple[int, np.ndarray] | None) -> np.ndarray:
-        """q: (H, tq, dh); k_all/v_all: (Hk, tk, dh).
+    def _attend_step(self, q: np.ndarray, k_all: np.ndarray, v_all: np.ndarray) -> np.ndarray:
+        """Decode attention: q (H, 1, dh) over every key of k_all/v_all (Hk, tk, dh).
 
-        ``causal`` is None when every key is visible (decode). For a chunk
-        block it is ``(slot, triangle)``: the block's queries sit at arena
-        slots [slot, slot + tq) of a document-ordered arena, so keys before
-        ``slot`` are all past, ``triangle`` (tq, tq) marks the future keys
-        within the block, and every key from slot + tq on is future.
+        Each op runs once over all heads. numpy's batched matmul still makes
+        one single-row product per head, so the bits are those of a per-head
+        loop. The work per head (about 20 µs) is too small to hand to
+        another thread.
+        """
+        cfg = self.config
+        hk, dh = cfg.n_kv_heads, cfg.d_head
+        scores = np.matmul(q.reshape(hk, cfg.n_heads // hk, 1, dh), k_all.transpose(0, 2, 1)[:, None])
+        scores *= self._inv_sqrt_dh
+        scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= np.add.reduce(scores, axis=-1, keepdims=True)
+        return np.matmul(scores, v_all[:, None]).reshape(1, cfg.n_heads * dh)
+
+    def _block_threads(self, tq: int, width: int) -> int:
+        """Threads for a block's heads: one per core, if a head's scores are
+        large enough to be worth handing over (``_PARALLEL_MIN_SCORES``)."""
+        return min(_cores(), self.config.n_heads) if tq * width >= _PARALLEL_MIN_SCORES else 1
+
+    def _attend_block(self, q: np.ndarray, k_all: np.ndarray, v_all: np.ndarray, slot: int,
+                      triangle: np.ndarray, scores: Sequence[np.ndarray]) -> np.ndarray:
+        """Chunk-block attention: q (H, tq, dh); k_all/v_all (Hk, tk, dh).
+
+        The block's queries sit at arena slots [slot, slot + tq) of a
+        document-ordered arena, so keys before ``slot`` are all past,
+        ``triangle`` (tq, tq) marks the future keys within the block, and
+        every key from slot + tq on is future. ``scores`` holds one
+        (>= tq, tk) float32 buffer per thread the block may use.
+
+        The heads run in ``_block_heads`` on up to ``_block_threads``
+        threads: this one and process-wide helpers. Each head makes the same
+        calls on the same shapes whichever thread runs it and writes only
+        its own columns of the output, so the result is the serial kernel's
+        bit for bit. This thread waits for its helpers even when it raises,
+        so no helper writes after this returns, and a helper's exception is
+        raised here.
+        """
+        tq, width = q.shape[1], k_all.shape[1]
+        out = np.empty((tq, self.config.n_heads * self.config.d_head), dtype=np.float32)
+        buffers = [buf[:tq] for buf in scores[:self._block_threads(tq, width)]]
+        heads = collections.deque(range(self.config.n_heads))  # each thread pops its next head
+        helpers = [_helper_pool().submit(self._block_heads, heads, q, k_all, v_all, slot, triangle, buf, out)
+                   for buf in buffers[1:]]
+        try:
+            self._block_heads(heads, q, k_all, v_all, slot, triangle, buffers[0], out)
+        finally:
+            futures.wait(helpers)
+        for helper in helpers:
+            helper.result()
+        return out
+
+    def _block_heads(self, heads: collections.deque, q: np.ndarray, k_all: np.ndarray,
+                     v_all: np.ndarray, slot: int, triangle: np.ndarray, scores: np.ndarray,
+                     out: np.ndarray) -> None:
+        """Run a chunk block's heads, popped from ``heads`` until none is left.
 
         Scaling, masking and the softmax's max, exp and divide run on the
         live prefix [0, slot + tq) only; the future tail is set to the 0.0
@@ -454,28 +539,24 @@ class DecoderModel:
         cfg = self.config
         group = cfg.n_heads // cfg.n_kv_heads
         tq = q.shape[1]
-        out = np.empty((tq, cfg.n_heads * cfg.d_head), dtype=np.float32)
-        scores = np.empty((tq, k_all.shape[1]), dtype=np.float32)  # reused by every head
-        live = scores
-        if causal is not None:
-            slot, triangle = causal
-            live = scores[:, :slot + tq]
-            diagonal, tail = scores[:, slot:slot + tq], scores[:, slot + tq:]
-        with np.errstate():  # restores the ufunc buffer size on exit
-            if causal is not None:
-                np.setbufsize(_LIVE_BUFSIZE)
-            for h in range(cfg.n_heads):
+        live = scores[:, :slot + tq]
+        diagonal, tail = scores[:, slot:slot + tq], scores[:, slot + tq:]
+        with np.errstate():  # ufunc settings are per thread; restores the buffer size on exit
+            np.setbufsize(_LIVE_BUFSIZE)
+            while True:
+                try:
+                    h = heads.popleft()
+                except IndexError:
+                    return
                 kv = h // group
                 np.matmul(q[h], k_all[kv].T, out=scores)
                 live *= self._inv_sqrt_dh
-                if causal is not None:
-                    np.copyto(diagonal, _NEG_INF, where=triangle)
-                    tail[...] = 0.0
-                live -= np.max(live, axis=1, keepdims=True)
+                np.copyto(diagonal, _NEG_INF, where=triangle)
+                tail[...] = 0.0
+                live -= np.maximum.reduce(live, axis=1, keepdims=True)
                 np.exp(live, out=live)
-                live /= np.sum(scores, axis=1, keepdims=True)
+                live /= np.add.reduce(scores, axis=1, keepdims=True)
                 out[:, h * cfg.d_head:(h + 1) * cfg.d_head] = scores @ v_all[kv]
-        return out
 
     def _mlp(self, hidden: np.ndarray, layer: int) -> np.ndarray:
         x = _rms_norm(hidden, self.params[f"layers.{layer}.mlp_norm"])
@@ -505,6 +586,38 @@ class CacheHandle:
     def rebuild(self, admit: Iterable[int], recompute: Iterable[int]) -> int:
         targets = list(admit) + (list(recompute) if self.recompute_enabled else [])
         return self.model.rebuild_blocks(self.cache, targets, self.chunks_by_index)
+
+
+_pool: futures.ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _cores() -> int:
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _helper_pool() -> futures.ThreadPoolExecutor:
+    """The process-wide helper threads of block attention, made on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = futures.ThreadPoolExecutor(max(1, _cores() - 1), thread_name_prefix="apce-attend")
+        return _pool
+
+
+def _forget_pool() -> None:
+    """A forked child has none of the parent's threads, but an inherited
+    executor would count them as idle and start no worker for new tasks."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 @functools.lru_cache(maxsize=1)

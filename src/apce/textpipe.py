@@ -109,10 +109,12 @@ def load_jsonl_records(path: str | Path) -> list[Record]:
     """Read evaluation records from a JSON-lines file.
 
     Each line must be an object with "id", "text", and "query"; "reference"
-    is optional. An id names the record's report file, so it may not be
-    empty, "." or "..", nor hold "/", "\\" or NUL.
+    is optional (null means none). "text", "query" and a "reference" must be
+    strings. An id names the record's report file, so it may not be empty,
+    "." or "..", nor hold "/", "\\" or NUL, and no two records may share one.
     """
     records: list[Record] = []
+    first_line: dict[str, int] = {}  # record id -> the line that holds it
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -122,12 +124,23 @@ def load_jsonl_records(path: str | Path) -> list[Record]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: line {lineno}: invalid JSON ({exc})") from exc
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path}: line {lineno}: a record must be a JSON object")
             missing = [key for key in ("id", "text", "query") if key not in obj]
             if missing:
                 raise ValueError(f"{path}: line {lineno}: missing fields {missing}")
+            not_text = [key for key in ("text", "query") if not isinstance(obj[key], str)]
+            if not isinstance(obj.get("reference", ""), (str, type(None))):
+                not_text.append("reference")
+            if not_text:
+                raise ValueError(f"{path}: line {lineno}: fields {not_text} must be strings")
             record_id = str(obj["id"])
             if record_id in ("", ".", "..") or any(c in record_id for c in "/\\\0"):
                 raise ValueError(f"{path}: line {lineno}: record id {record_id!r} is not a file name")
+            if record_id in first_line:
+                raise ValueError(f"{path}: line {lineno}: record id {record_id!r} "
+                                 f"repeats line {first_line[record_id]}")
+            first_line[record_id] = lineno
             records.append(
                 Record(
                     id=record_id,

@@ -199,6 +199,43 @@ def test_record_id_must_be_a_file_name(tmp_path, capsys, record_id):
     assert f"{corpus_path}: line 2: record id" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line,complaint", [
+    ('{"id": "a", "text": 5, "query": "q"}', "fields ['text'] must be strings"),
+    ('{"id": "a", "text": "t", "query": ["q"]}', "fields ['query'] must be strings"),
+    ('{"id": "a", "text": "t", "query": "q", "reference": 3}', "fields ['reference'] must be strings"),
+    ("5", "a record must be a JSON object"),
+    ('["a", "t", "q"]', "a record must be a JSON object"),
+])
+def test_record_fields_must_be_strings(tmp_path, capsys, line, complaint):
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_text(json.dumps({"id": "ok", "text": "one two", "query": "q"}) + "\n" + line + "\n")
+    for cmd in ("run", "sweep"):
+        extra = ("--axis", "n_chunks", "--values", "1") if cmd == "sweep" else ()
+        assert run_cli(cmd, "--input", str(corpus_path), *extra,
+                       "--out-dir", str(tmp_path / "o")) == 2, cmd
+        assert f"{corpus_path}: line 2: {complaint}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_null_reference_means_none(corpus, tmp_path):
+    _, conf = corpus
+    corpus_path = tmp_path / "nullref.jsonl"
+    corpus_path.write_text(json.dumps({"id": "a", "text": "one two", "query": "q", "reference": None}) + "\n")
+    assert run_cli("run", "--input", str(corpus_path), "--config", str(conf),
+                   "--out-dir", str(tmp_path / "o")) == 0
+    assert read_report(tmp_path / "o" / "a-apce-s0.json")["metrics"]["rouge_l_token_ids"] is None
+
+
+def test_duplicate_record_ids_are_refused(tmp_path, capsys):
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_text("\n".join(json.dumps({"id": rid, "text": "one two", "query": "q"})
+                                     for rid in ("a", "b", "c", "a")) + "\n")
+    for argv in (("sweep", "--axis", "n_chunks", "--values", "1"), ("run", "--record-id", "a"), ("run",)):
+        assert run_cli(*argv, "--input", str(corpus_path), "--out-dir", str(tmp_path / "o")) == 2, argv
+        assert f"{corpus_path}: line 4: record id 'a' repeats line 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_conflicting_selection_flags_exit_code(corpus, tmp_path):
     corpus_path, conf = corpus
     assert run_cli("run", "--input", str(corpus_path), "--config", str(conf),

@@ -1,8 +1,15 @@
+import os
+import signal
+import sys
+import threading
+import time
 import types
+import warnings
 
 import numpy as np
 import pytest
 
+import apce.model as model_module
 from apce.model import (
     AttentionCost,
     CacheHandle,
@@ -290,7 +297,7 @@ def concat_decode(model, blocks, gen_kv, last_token, position):
         parts = blocks[layer] + gen_kv[layer]
         k_all = np.concatenate([pk for pk, _ in parts], axis=1)
         v_all = np.concatenate([pv for _, pv in parts], axis=1)
-        attn = model._attend(q, k_all, v_all, None)
+        attn = model._attend_step(q, k_all, v_all)
         hidden = hidden + attn @ model.params[f"layers.{layer}.wo"]
         hidden = hidden + model._mlp(hidden, layer)
     return (_rms_norm(hidden, model.params["final_norm"]) @ model.params["head"])[0]
@@ -491,6 +498,247 @@ def test_block_attention_matches_the_full_mask_kernel(cfg, chunk_size):
         assert all(np.array_equal(a, b) for a, b in zip(outputs, w_outputs)), n
         assert all(np.array_equal(a, b) for a, b in zip(keys, w_keys)), n
         assert all(np.array_equal(a, b) for a, b in zip(values, w_values)), n
+
+
+# --- threaded block attention and batched decode against the serial kernel ---
+
+def serial_attend(self, q, k_all, v_all, causal):
+    """The attention kernel with every head run in turn on the calling
+    thread, decode included, reducing through ``np.max``/``np.sum``."""
+    cfg = self.config
+    group = cfg.n_heads // cfg.n_kv_heads
+    tq = q.shape[1]
+    out = np.empty((tq, cfg.n_heads * cfg.d_head), dtype=np.float32)
+    scores = np.empty((tq, k_all.shape[1]), dtype=np.float32)
+    live = scores
+    if causal is not None:
+        slot, triangle = causal
+        live = scores[:, :slot + tq]
+        diagonal, tail = scores[:, slot:slot + tq], scores[:, slot + tq:]
+    with np.errstate():
+        if causal is not None:
+            np.setbufsize(model_module._LIVE_BUFSIZE)
+        for h in range(cfg.n_heads):
+            kv = h // group
+            np.matmul(q[h], k_all[kv].T, out=scores)
+            live *= self._inv_sqrt_dh
+            if causal is not None:
+                np.copyto(diagonal, np.float32(-np.inf), where=triangle)
+                tail[...] = 0.0
+            live -= np.max(live, axis=1, keepdims=True)
+            np.exp(live, out=live)
+            live /= np.sum(scores, axis=1, keepdims=True)
+            out[:, h * cfg.d_head:(h + 1) * cfg.d_head] = scores @ v_all[kv]
+    return out
+
+
+def serial_model(cfg):
+    oracle = DecoderModel(cfg)
+    oracle._attend_step = lambda q, k_all, v_all: serial_attend(oracle, q, k_all, v_all, None)
+    oracle._attend_block = lambda q, k_all, v_all, slot, triangle, scores: serial_attend(
+        oracle, q, k_all, v_all, (slot, triangle))
+    return oracle
+
+
+@pytest.fixture
+def parallel_blocks(monkeypatch):
+    """Give every block attention one thread per head, counting the blocks
+    that handed heads to helpers. Returns that count as a list of one."""
+    handed = [0]
+    pool = model_module._helper_pool
+
+    def counted():
+        handed[0] += 1
+        return pool()
+
+    monkeypatch.setattr(model_module, "_cores", lambda: 8)
+    monkeypatch.setattr(model_module, "_helper_pool", counted)
+    return handed
+
+
+KV_1 = ModelConfig(n_layers=2, n_heads=4, d_model=32, d_head=8, d_kv_total=8,
+                   vocab_size=512, init_seed=7)
+KV_ALL = ModelConfig(n_layers=2, n_heads=4, d_model=32, d_head=8, d_kv_total=32,
+                     vocab_size=512, init_seed=8)
+
+
+@pytest.mark.parametrize("cfg,chunk_size,min_scores", [
+    (KV_1, 1, 0), (KV_1, 5, 0), (D_HEAD_8, 1, 0), (D_HEAD_8, 12, 0), (KV_ALL, 3, 0),
+    (D_HEAD_32, 7, 0),
+    # at the measured threshold: the full prefill's blocks (128 x 832 scores)
+    # are above it, the later sessions' narrower blocks below
+    (KV_1, 128, None), (D_HEAD_8, 128, None),
+])
+def test_threaded_block_attention_matches_the_serial_kernel(parallel_blocks, monkeypatch,
+                                                            cfg, chunk_size, min_scores):
+    """Heads spread over threads give the serial kernel's hidden states,
+    logits, K/V and counters bit for bit, with 1, 2 and 4 KV heads."""
+    if min_scores is not None:
+        monkeypatch.setattr(model_module, "_PARALLEL_MIN_SCORES", min_scores)
+    parts = make_chunks(max(40, 6 * chunk_size + chunk_size // 2), chunk_size)
+    bufsize = np.getbufsize()
+    got = arena_session(DecoderModel(cfg), parts)
+    assert parallel_blocks[0] > 0
+    want = arena_session(serial_model(cfg), parts)
+    assert np.getbufsize() == bufsize
+    assert len(got) == len(want) == 6
+    for n, (a, b) in enumerate(zip(got, want)):
+        (outputs, counters, keys, values), (w_outputs, w_counters, w_keys, w_values) = a, b
+        assert counters == w_counters, n
+        assert len(outputs) == len(w_outputs), n
+        assert all(np.array_equal(x, y) for x, y in zip(outputs, w_outputs)), n
+        assert all(np.array_equal(x, y) for x, y in zip(keys, w_keys)), n
+        assert all(np.array_equal(x, y) for x, y in zip(values, w_values)), n
+
+
+def test_small_blocks_and_one_core_stay_on_the_calling_thread(monkeypatch, chunks, toy_model_config):
+    model = DecoderModel(toy_model_config)
+    monkeypatch.setattr(model_module, "_pool", None)
+    model.prefill(chunks, KVCache(toy_model_config))  # 12 x 96 scores: below the threshold
+    monkeypatch.setattr(model_module, "_PARALLEL_MIN_SCORES", 0)
+    monkeypatch.setattr(model_module, "_cores", lambda: 1)
+    model.prefill(chunks, KVCache(toy_model_config))
+    assert model_module._pool is None
+
+
+@pytest.mark.parametrize("cfg", [KV_1, D_HEAD_8, KV_ALL, D_HEAD_32])
+def test_batched_decode_matches_the_per_head_oracle(cfg):
+    """Decode logits at widths 41-70 and 79-108 equal a per-head loop's,
+    across two arena growths and an evict and rebuild mid-generation."""
+    parts = make_chunks(64, 8)
+    logits = []
+    for model in (DecoderModel(cfg), serial_model(cfg)):
+        cache = KVCache(cfg)
+        token = int(np.argmax(model.prefill([parts[i] for i in (0, 2, 3, 5, 6)], cache).last_logits))
+        steps, capacities = [], [cache.capacity]
+        for position in range(64, 64 + 60):
+            if position == 94:
+                handle = CacheHandle(model, cache, parts)
+                handle.evict([3])
+                handle.rebuild(admit=[1, 4], recompute=[2, 5, 6])
+            out = model.decode_step(cache, token, position)
+            steps.append(out.logits)
+            capacities.append(cache.capacity)
+            token = out.token
+        logits.append(steps)
+    assert len(set(capacities)) >= 3  # grew at least twice
+    for n, (got, want) in enumerate(zip(*logits)):
+        assert np.array_equal(got, want), n
+
+
+def test_ufunc_buffer_size_does_not_leak_from_any_thread(parallel_blocks, monkeypatch, chunks,
+                                                          toy_model_config):
+    monkeypatch.setattr(model_module, "_PARALLEL_MIN_SCORES", 0)
+    default = []
+    fresh = threading.Thread(target=lambda: default.append(np.getbufsize()))
+    fresh.start()
+    fresh.join(timeout=10)
+    assert not fresh.is_alive()
+    after_heads = {}
+    block_heads = DecoderModel._block_heads
+
+    def recorded(self, *args):
+        block_heads(self, *args)
+        after_heads.setdefault(threading.get_ident(), set()).add(np.getbufsize())
+
+    monkeypatch.setattr(DecoderModel, "_block_heads", recorded)
+    model = DecoderModel(toy_model_config)
+    bufsize = np.getbufsize()
+    model.prefill(chunks, KVCache(toy_model_config))
+    assert np.getbufsize() == bufsize
+    assert parallel_blocks[0] > 0
+    assert after_heads.pop(threading.get_ident()) == {bufsize}
+    assert after_heads and all(sizes == set(default) for sizes in after_heads.values())
+    assert model_module._helper_pool().submit(np.getbufsize).result(timeout=10) == default[0]
+
+
+def test_each_head_is_taken_once_with_more_threads_than_cores(monkeypatch):
+    cfg = ModelConfig(n_layers=1, n_heads=8, d_model=64, d_head=8, d_kv_total=16,
+                      vocab_size=64, init_seed=3)
+    monkeypatch.setattr(model_module, "_PARALLEL_MIN_SCORES", 0)
+    monkeypatch.setattr(model_module, "_cores", lambda: 8)
+    monkeypatch.setattr(model_module, "_pool", None)  # a fresh pool of 7 helpers
+    model = DecoderModel(cfg)
+    rng = np.random.default_rng(1)
+    q = rng.standard_normal((8, 16, 8), dtype=np.float32)
+    k_all, v_all = rng.standard_normal((2, 2, 40, 8), dtype=np.float32)
+    causal = (16, np.triu(np.ones((16, 16), dtype=bool), 1))
+    scores = [np.empty((16, 40), dtype=np.float32) for _ in range(8)]
+    want = serial_attend(model, q, k_all, v_all, causal)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        deadline = time.monotonic() + 5
+        for n in range(200):
+            assert np.array_equal(model._attend_block(q, k_all, v_all, *causal, scores), want), n
+            if time.monotonic() > deadline:
+                break
+    finally:
+        sys.setswitchinterval(interval)
+        if model_module._pool is not None:
+            model_module._pool.shutdown()
+
+
+@pytest.mark.parametrize("failing", ["caller", "helper"])
+def test_a_failing_head_raises_after_every_thread_is_done(monkeypatch, failing):
+    """Whichever thread raises, ``_attend_block`` raises only once the other
+    one has finished, and nothing runs on after it."""
+    monkeypatch.setattr(model_module, "_PARALLEL_MIN_SCORES", 0)
+    monkeypatch.setattr(model_module, "_cores", lambda: 2)
+    caller = threading.get_ident()
+    finished = []
+    block_heads = DecoderModel._block_heads
+
+    def one_fails(self, *args):
+        if (threading.get_ident() == caller) == (failing == "caller"):
+            raise ArithmeticError(f"head failed on the {failing}")
+        time.sleep(0.2)
+        block_heads(self, *args)
+        finished.append(threading.get_ident())
+
+    monkeypatch.setattr(DecoderModel, "_block_heads", one_fails)
+    model = DecoderModel(D_HEAD_8)
+    rng = np.random.default_rng(0)
+    q = rng.standard_normal((4, 6, 8), dtype=np.float32)
+    k_all, v_all = rng.standard_normal((2, 2, 20, 8), dtype=np.float32)
+    with pytest.raises(ArithmeticError, match=failing):
+        model._attend_block(q, k_all, v_all, 10, np.triu(np.ones((6, 6), dtype=bool), 1),
+                            [np.empty((6, 20), dtype=np.float32) for _ in range(2)])
+    assert len(finished) == 1
+    assert (finished[0] == caller) == (failing == "helper")
+    time.sleep(0.1)
+    assert len(finished) == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_runs_a_threaded_prefill(parallel_blocks, monkeypatch, chunks, toy_model_config):
+    """The helper pool's threads do not survive a fork; the child must make
+    its own rather than wait on helpers that never start."""
+    monkeypatch.setattr(model_module, "_PARALLEL_MIN_SCORES", 0)
+    model = DecoderModel(toy_model_config)
+    want = model.prefill(chunks, KVCache(toy_model_config)).hidden
+    assert parallel_blocks[0] > 0 and model_module._pool is not None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads alive
+        pid = os.fork()
+    if pid == 0:  # the child never returns into the test runner
+        code = 1
+        try:
+            got = model.prefill(chunks, KVCache(toy_model_config)).hidden
+            code = 0 if np.array_equal(got, want) else 3
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's prefill did not finish")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 # --- attention cost ---
