@@ -36,13 +36,14 @@ load-bearing for the rest of the engine:
   thread plus process-wide helper threads, each taking the next head until
   none is left. Every head makes the same calls on the same shapes as in a
   serial loop and writes only its own output columns, so outputs and
-  counters are the serial kernel's bit for bit. Each thread uses one scores
+  counters are the serial kernel's bit for bit. Each helper uses one scores
   buffer through a whole prefill or rebuild, so peak memory grows by one
   (largest block's tokens x resident tokens) float32 buffer per extra
-  thread. Blocks whose per-head scores are small (``_PARALLEL_MIN_SCORES``)
-  and decode steps stay on the calling thread. The speedup assumes a
-  single-threaded BLAS; a multi-threaded one already spreads each product
-  over the cores.
+  thread. Blocks whose per-head scores have under a million elements
+  (``_PARALLEL_MIN_SCORES``), where two threads lose to one when the other
+  core is busy, and decode steps stay on the calling thread. The speedup
+  assumes a single-threaded BLAS; a multi-threaded one already spreads
+  each product over the cores.
 
 - Prefill and rebuild share one forward path. Both reserve their chunks'
   slots, settle the arena, and then run the chunks one block at a time in
@@ -90,15 +91,17 @@ _NEG_INF = np.float32(-np.inf)
 # the arithmetic, so results are the same bits at any size.
 _LIVE_BUFSIZE = 256
 # A block's heads go to more than one thread only when one head's score
-# matrix (query rows x key width) has at least this many elements; below
-# that, handing a head to another thread costs more than it saves. Measured
-# with 4-head blocks of the default model on a 2-core Xeon (numpy 2.4,
-# OpenBLAS, one BLAS thread), as two-thread time over one-thread time, the
-# two alternating in one process, at every block slot of the width:
-# 1.41-1.69 at 50x350, 1.05-1.13 at 50x700 and 50x1000, 0.99-1.10 at
-# 100x500 and 70x700, 0.84-1.17 at 100x700, 0.74-0.86 at 100x800,
-# 0.72-0.74 at 100x1000, 0.69-0.74 at 200x1800 and 0.58 at 512x3000.
-_PARALLEL_MIN_SCORES = 100_000
+# matrix (query rows x key width) has at least this many elements. Below
+# that, two threads lose to one whenever the second core is busy, and how
+# busy it is changes from minute to minute on a shared host, so a session's
+# time swings with it. Measured with 4-head blocks of the default model on
+# a 2-core Xeon (numpy 2.4, OpenBLAS, one BLAS thread), as two-thread time
+# over one-thread time, the two alternating in one process. With both cores
+# free: 0.69-0.88 at 100x700 to 100x1000 and 0.52-0.58 from 200x800 to
+# 512x3000. With a CPU-bound process on the other core: 1.06-1.19 at
+# 200x800 to 200x1800, 1.00-1.06 from 256x1000 to 384x1800, 0.92-1.04 from
+# 256x3000 to 512x2000, and 0.91-1.00 at 512x3000.
+_PARALLEL_MIN_SCORES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -428,15 +431,17 @@ class DecoderModel:
         """
         width = cache.chunk_tokens
         rows = max((c.size for c in ordered), default=0)
-        # One scores buffer per thread, made here by the calling thread and
-        # reused by every block and layer. A buffer that a helper allocates
-        # lands in (and grows) that thread's own malloc arena. Fresh buffers
-        # for each block made malloc hand memory back and fault it in again:
-        # a 3k-token prefill on two threads took about 22k page faults in
-        # attention and 12k in the MLP after it, against about 1k each with
-        # the buffers reused.
-        scores = [np.empty((rows, width), dtype=np.float32)
-                  for _ in range(self._block_threads(rows, width))]
+        # One scores buffer per helper thread, made here by the calling
+        # thread and reused by every block and layer. A buffer that a helper
+        # allocates lands in (and grows) that thread's own malloc arena, and
+        # fresh buffers for each block made malloc hand memory back and fault
+        # it in again (about 34k page faults per 3k-token prefill on two
+        # threads; about 3k with these). The calling thread makes its own per
+        # block, as a serial loop does: kept for the whole pass, it pushed the
+        # MLP's temporaries to the top of the heap, where malloc trims them,
+        # and a serial 9 x 200-token rebuild took 930 page faults, not 21.
+        helper_scores = [np.empty((rows, width), dtype=np.float32)
+                         for _ in range(self._block_threads(rows, width) - 1)]
         for c in ordered:
             slot = cache.slot(c.chunk_index)
             hidden = self.params["embedding"][np.asarray(c.token_ids, dtype=np.int64)].copy()
@@ -450,7 +455,7 @@ class DecoderModel:
                 keys[:, slot:slot + c.size] = k
                 values[:, slot:slot + c.size] = v
                 k_all = keys[:, :width]
-                attn = self._attend_block(q, k_all, values[:, :width], slot, triangle, scores)
+                attn = self._attend_block(q, k_all, values[:, :width], slot, triangle, helper_scores)
                 hidden = hidden + attn @ self.params[f"layers.{layer}.wo"]
                 hidden = hidden + self._mlp(hidden, layer)
             yield hidden, c.size * k_all.shape[1]
@@ -491,14 +496,14 @@ class DecoderModel:
         return min(_cores(), self.config.n_heads) if tq * width >= _PARALLEL_MIN_SCORES else 1
 
     def _attend_block(self, q: np.ndarray, k_all: np.ndarray, v_all: np.ndarray, slot: int,
-                      triangle: np.ndarray, scores: Sequence[np.ndarray]) -> np.ndarray:
+                      triangle: np.ndarray, helper_scores: Sequence[np.ndarray]) -> np.ndarray:
         """Chunk-block attention: q (H, tq, dh); k_all/v_all (Hk, tk, dh).
 
         The block's queries sit at arena slots [slot, slot + tq) of a
         document-ordered arena, so keys before ``slot`` are all past,
         ``triangle`` (tq, tq) marks the future keys within the block, and
-        every key from slot + tq on is future. ``scores`` holds one
-        (>= tq, tk) float32 buffer per thread the block may use.
+        every key from slot + tq on is future. ``helper_scores`` holds one
+        (>= tq, tk) float32 buffer per helper thread the block may use.
 
         The heads run in ``_block_heads`` on up to ``_block_threads``
         threads: this one and process-wide helpers. Each head makes the same
@@ -510,7 +515,9 @@ class DecoderModel:
         """
         tq, width = q.shape[1], k_all.shape[1]
         out = np.empty((tq, self.config.n_heads * self.config.d_head), dtype=np.float32)
-        buffers = [buf[:tq] for buf in scores[:self._block_threads(tq, width)]]
+        threads = self._block_threads(tq, width)
+        buffers = [np.empty((tq, width), dtype=np.float32)]  # this thread's, freed with the block
+        buffers += [buf[:tq] for buf in helper_scores[:threads - 1]]
         heads = collections.deque(range(self.config.n_heads))  # each thread pops its next head
         helpers = [_helper_pool().submit(self._block_heads, heads, q, k_all, v_all, slot, triangle, buf, out)
                    for buf in buffers[1:]]

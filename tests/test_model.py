@@ -535,7 +535,7 @@ def serial_attend(self, q, k_all, v_all, causal):
 def serial_model(cfg):
     oracle = DecoderModel(cfg)
     oracle._attend_step = lambda q, k_all, v_all: serial_attend(oracle, q, k_all, v_all, None)
-    oracle._attend_block = lambda q, k_all, v_all, slot, triangle, scores: serial_attend(
+    oracle._attend_block = lambda q, k_all, v_all, slot, triangle, helper_scores: serial_attend(
         oracle, q, k_all, v_all, (slot, triangle))
     return oracle
 
@@ -565,9 +565,9 @@ KV_ALL = ModelConfig(n_layers=2, n_heads=4, d_model=32, d_head=8, d_kv_total=32,
 @pytest.mark.parametrize("cfg,chunk_size,min_scores", [
     (KV_1, 1, 0), (KV_1, 5, 0), (D_HEAD_8, 1, 0), (D_HEAD_8, 12, 0), (KV_ALL, 3, 0),
     (D_HEAD_32, 7, 0),
-    # at the measured threshold: the full prefill's blocks (128 x 832 scores)
-    # are above it, the later sessions' narrower blocks below
-    (KV_1, 128, None), (D_HEAD_8, 128, None),
+    # at the measured threshold: the full prefill's blocks (416 x 2704
+    # scores) are above it, the later sessions' narrower blocks below
+    (KV_1, 416, None), (D_HEAD_8, 416, None),
 ])
 def test_threaded_block_attention_matches_the_serial_kernel(parallel_blocks, monkeypatch,
                                                             cfg, chunk_size, min_scores):
@@ -663,7 +663,7 @@ def test_each_head_is_taken_once_with_more_threads_than_cores(monkeypatch):
     q = rng.standard_normal((8, 16, 8), dtype=np.float32)
     k_all, v_all = rng.standard_normal((2, 2, 40, 8), dtype=np.float32)
     causal = (16, np.triu(np.ones((16, 16), dtype=bool), 1))
-    scores = [np.empty((16, 40), dtype=np.float32) for _ in range(8)]
+    scores = [np.empty((16, 40), dtype=np.float32) for _ in range(7)]  # one per helper
     want = serial_attend(model, q, k_all, v_all, causal)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -703,7 +703,7 @@ def test_a_failing_head_raises_after_every_thread_is_done(monkeypatch, failing):
     k_all, v_all = rng.standard_normal((2, 2, 20, 8), dtype=np.float32)
     with pytest.raises(ArithmeticError, match=failing):
         model._attend_block(q, k_all, v_all, 10, np.triu(np.ones((6, 6), dtype=bool), 1),
-                            [np.empty((6, 20), dtype=np.float32) for _ in range(2)])
+                            [np.empty((6, 20), dtype=np.float32)])
     assert len(finished) == 1
     assert (finished[0] == caller) == (failing == "helper")
     time.sleep(0.1)
