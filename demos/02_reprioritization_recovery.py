@@ -64,8 +64,9 @@ print("real run: chunk B now embeds like (instruction + generated tokens 51..100
 trace = simulate_generation(doc, INSTRUCTION, "apce", SYNC, CONFIG)
 print(f"initial selection: {trace.initial_selection} (chunk A)")
 for event in trace.replacement_stats.events:
-    print(f"  step {event.step:3d}: evict {list(event.evict)} admit {list(event.admit)} "
-          f"recompute {list(event.recompute)}")
+    plan = event.plan
+    print(f"  step {event.step:3d}: evict {list(plan.evict)} admit {list(plan.admit)} "
+          f"recompute {list(plan.recompute)}")
 print(f"replacements taken/available: {trace.replacement_stats.taken}"
       f"/{trace.replacement_stats.available}")
 

@@ -9,7 +9,8 @@ Run:  python demos/03_async_ttft.py
 """
 
 from apce.config import RunConfig
-from apce.sched import LoadModel, simulate_generation, timing_summary
+from apce.metrics import mean_std
+from apce.sched import LoadModel, simulate_generation
 
 DOC = " ".join(f"sect{i % 13} item{i % 7}" for i in range(100))  # 200 tokens, 20 chunks
 QUERY = "summarize the sect passages"
@@ -42,6 +43,6 @@ trace = simulate_generation(DOC, QUERY, "apce", load, CONFIG)
 for event in trace.events[:10]:
     print(f"  t={event.time:6.2f}  {event.kind:16s} {event.data}")
 
-summary = timing_summary([simulate_generation(DOC, QUERY, "apce", load, CONFIG)
-                          for _ in range(3)])
-print(f"\nttft over 3 identical runs: {summary.ttft_formatted} (deterministic, stddev 0)")
+ttft_mean, ttft_std = mean_std([simulate_generation(DOC, QUERY, "apce", load, CONFIG).ttft
+                               for _ in range(3)])
+print(f"\nttft over 3 identical runs: {ttft_mean:.4f}±{ttft_std:.4f} (deterministic, stddev 0)")

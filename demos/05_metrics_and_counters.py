@@ -8,20 +8,20 @@ Run:  python demos/05_metrics_and_counters.py
 """
 
 from apce.config import RunConfig
-from apce.metrics import rouge_l_f1, score_summary, tokenize_for_scoring
-from apce.model import attention_cost
+from apce.metrics import mean_std, rouge_l_f1, tokenize_for_scoring
 from apce.sched import LoadModel, simulate_generation
 
 candidate = tokenize_for_scoring("the railway follows the river for sixty miles")
 reference = tokenize_for_scoring("the railway follows the river and then turns north")
 score = rouge_l_f1(candidate, reference)
 print(f"ROUGE-L  precision {score.precision:.4f}  recall {score.recall:.4f}  f1 {score.f1:.4f}")
-print(f"aggregate formatting: {score_summary([score.f1, 0.61, 0.55])}\n")
+mean, std = mean_std([score.f1, 0.61, 0.55])
+print(f"aggregate formatting: {mean:.4f}±{std:.4f}\n")
 
-cost = attention_cost(29924, 24, 800)
+n_tokens, selected = 29924, 24 * 800
 print("closed-form prefill attention cost at a 30k-token context, 24 chunks of 800:")
-print(f"  dense {cost.dense_elements:,} vs selected {cost.sparse_elements:,}"
-      f"  (ratio {cost.ratio:.4f})\n")
+print(f"  dense {n_tokens ** 2:,} vs selected {selected ** 2:,}"
+      f"  (ratio {selected ** 2 / n_tokens ** 2:.4f})\n")
 
 DOC = " ".join(f"sect{i % 13} item{i % 7}" for i in range(80))  # 160 tokens, 16 chunks
 CONFIG = RunConfig(chunk_size=10, vocab_size=512, n_layers=2, n_heads=2, d_model=32,
@@ -37,4 +37,4 @@ print(f"  apce  prefill: {apce.counters['prefill_elements']:>7,}  (= 80^2)")
 print(f"  dense decode total: {dense.counters['decode_elements']:,}")
 print(f"  apce  decode total: {apce.counters['decode_elements']:,}")
 print(f"  measured ratio {apce.counters['prefill_elements'] / dense.counters['prefill_elements']:.4f}"
-      f" == analytical {attention_cost(160, 8, 10).ratio:.4f}")
+      f" == analytical {(8 * 10) ** 2 / 160 ** 2:.4f}")

@@ -24,15 +24,8 @@ from .memmodel import (
     memory_report,
     prefill_attn_bytes,
 )
-from .metrics import RougeLScore, rouge_l_f1, score_summary
-from .model import (
-    AttentionCost,
-    CacheHandle,
-    DecoderModel,
-    KVCache,
-    ModelConfig,
-    attention_cost,
-)
+from .metrics import RougeLScore, rouge_l_f1
+from .model import CacheHandle, DecoderModel, KVCache, ModelConfig
 from .reprior import (
     EnhancedQueryState,
     ReplacementPlan,
@@ -42,7 +35,7 @@ from .reprior import (
     reprioritize,
     update_enhanced_query,
 )
-from .sched import GenerationTrace, simulate_generation, timing_summary
+from .sched import GenerationTrace, simulate_generation
 from .select import ChunkScore, SelectionResult, cosine, select_top_k
 from .textpipe import Chunk, Record, TokenSequence, chunk, tokenize
 

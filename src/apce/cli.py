@@ -94,6 +94,8 @@ def load_records(args: argparse.Namespace) -> list[Record]:
     if not path.exists():
         raise MissingInput(f"input file not found: {path}")
     if path.suffix == ".jsonl":
+        if args.query is not None:
+            raise ValueError("--query applies only to plain-text input; JSONL records carry their own")
         records = load_jsonl_records(path)
         if not records:
             raise MissingInput(f"no records in {path}")
@@ -207,10 +209,14 @@ SWEEP_AXES = {
 }
 
 
+# per-run columns that a sweep reports as <column>_mean and <column>_std
+AGGREGATED = ("ttft", "total_time", "rouge_f1", "taken", "available")
+
+
 def _aggregate(rows: list[dict]) -> dict:
     """Mean and stddev per numeric column across runs of one sweep value."""
     out: dict[str, float | None] = {}
-    for column in ("ttft", "total_time", "rouge_f1", "taken", "available"):
+    for column in AGGREGATED:
         values = [r[column] for r in rows if r[column] is not None]
         if values:
             mean, std = mean_std(values)
@@ -251,9 +257,7 @@ def run_sweep(axis: str, values: list[int], base: RunConfig, records: list[Recor
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{name}.csv"
     columns = ["axis", "value", "runs",
-               "ttft_mean", "ttft_std", "total_time_mean", "total_time_std",
-               "rouge_f1_mean", "rouge_f1_std", "taken_mean", "taken_std",
-               "available_mean", "available_std"]
+               *(f"{column}_{stat}" for column in AGGREGATED for stat in ("mean", "std"))]
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()

@@ -27,8 +27,9 @@ class LoadModel:
     compute_seconds_per_element: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.per_chunk_load_latency < 0 or self.decode_latency < 0 or self.compute_seconds_per_element < 0:
-            raise ValueError("latencies must be >= 0")
+        for latency in (self.per_chunk_load_latency, self.decode_latency, self.compute_seconds_per_element):
+            if not 0.0 <= latency < math.inf:
+                raise ValueError("latencies must be finite and >= 0")
         if self.async_start_chunks < 1:
             raise ValueError("async_start_chunks must be >= 1")
 

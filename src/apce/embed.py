@@ -21,8 +21,6 @@ import numpy as np
 
 from .textpipe import Chunk, DEFAULT_VOCAB_SIZE, tokenize
 
-DEFAULT_DIM = 384
-
 
 class EmbeddingProvider(Protocol):
     """Anything that can turn a token-id sequence into a unit vector."""
@@ -43,7 +41,7 @@ def _hash_sign(token_id: int) -> float:
 class HashingEmbedder:
     """Deterministic signed-feature-hashing embedder over token ids."""
 
-    def __init__(self, dim: int = DEFAULT_DIM):
+    def __init__(self, dim: int):
         if dim < 1:
             raise ValueError("dim must be >= 1")
         self.dim = dim
@@ -141,9 +139,10 @@ class EmbeddingStore:
 def load_external_embeddings(path: str | Path, expected_dim: int | None = None) -> dict[int, np.ndarray]:
     """Load precomputed chunk embeddings from a JSON-lines file.
 
-    Each line must be an object {"chunk_index": int, "vector": [floats]}.
+    Each line must be an object {"chunk_index": int, "vector": [numbers]}.
     Vectors are validated (single dimension across the file, finite entries,
-    unique chunk_index) and then L2-normalized.
+    unique chunk_index) and then L2-normalized. A bad line raises ValueError
+    naming the path and the line.
     """
     out: dict[int, np.ndarray] = {}
     dim = expected_dim
@@ -156,14 +155,23 @@ def load_external_embeddings(path: str | Path, expected_dim: int | None = None) 
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: line {lineno}: invalid JSON ({exc})") from exc
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path}: line {lineno}: a line must be a JSON object")
             if "chunk_index" not in obj or "vector" not in obj:
                 raise ValueError(f"{path}: line {lineno}: needs 'chunk_index' and 'vector'")
-            idx = int(obj["chunk_index"])
+            idx = obj["chunk_index"]
+            if not isinstance(idx, int) or isinstance(idx, bool):
+                raise ValueError(f"{path}: line {lineno}: chunk_index must be an integer, got {idx!r}")
             if idx in out:
                 raise ValueError(f"{path}: line {lineno}: duplicate chunk_index {idx}")
-            vec = np.asarray(obj["vector"], dtype=np.float64)
-            if vec.ndim != 1:
-                raise ValueError(f"{path}: line {lineno}: vector must be one-dimensional")
+            vector = obj["vector"]
+            if not isinstance(vector, list) or not all(
+                    isinstance(x, (int, float)) and not isinstance(x, bool) for x in vector):
+                raise ValueError(f"{path}: line {lineno}: vector must be a list of numbers")
+            try:
+                vec = np.asarray(vector, dtype=np.float64)
+            except OverflowError as exc:  # an integer past the float range
+                raise ValueError(f"{path}: line {lineno}: non-finite entry in vector") from exc
             if dim is None:
                 dim = vec.shape[0]
             elif vec.shape[0] != dim:

@@ -100,10 +100,6 @@ REFERENCE_MB = {
     ("30k", "selected"): {"kv_cache_mb": 75.00, "prefill_attn_mb": 1003.12, "decode_attn_mb": 75.05},
 }
 
-# The two reference cells that disagree with the formula itself.
-KNOWN_INCONSISTENT = {("20k", "dense", "prefill_attn_mb"), ("30k", "dense", "prefill_attn_mb")}
-
-
 @dataclass(frozen=True)
 class MemoryRow:
     label: str

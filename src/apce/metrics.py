@@ -1,4 +1,4 @@
-"""Summarization metrics: ROUGE-L F1 plus aggregate mean/stddev formatting."""
+"""Summarization metrics: ROUGE-L F1, population mean/stddev, and a cosine proxy."""
 
 from __future__ import annotations
 
@@ -54,12 +54,6 @@ def mean_std(values: Sequence[float]) -> tuple[float, float]:
         raise ValueError("need at least one value")
     arr = np.asarray(values, dtype=np.float64)
     return float(arr.mean()), float(arr.std())
-
-
-def score_summary(values: Sequence[float]) -> str:
-    """Format scores as 'mean±stddev' with four decimals, e.g. '0.1500±0.0500'."""
-    mean, std = mean_std(values)
-    return f"{mean:.4f}±{std:.4f}"
 
 
 def embedding_cosine_proxy(

@@ -122,6 +122,8 @@ class ModelConfig:
         for name in ("n_layers", "n_heads", "d_model", "d_head", "d_kv_total", "vocab_size", "max_position"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if not 0.0 < self.rope_theta < np.inf:
+            raise ValueError("rope_theta must be positive and finite")
         if self.d_model != self.n_heads * self.d_head:
             raise ValueError("d_model must equal n_heads * d_head")
         if self.d_kv_total % self.d_head != 0:
@@ -136,18 +138,6 @@ class ModelConfig:
     @property
     def d_ff(self) -> int:
         return 4 * self.d_model
-
-
-@dataclass
-class KVBlock:
-    keys: np.ndarray  # (n_kv_heads, tokens, d_head) float32
-    values: np.ndarray
-    pos_start: int
-    pos_end: int  # exclusive
-
-    @property
-    def size(self) -> int:
-        return self.pos_end - self.pos_start
 
 
 @dataclass
@@ -203,16 +193,6 @@ class KVCache:
     @property
     def resident_tokens(self) -> int:
         return sum(end - start for start, end, _ in self._index.values())
-
-    def block(self, layer: int, chunk_index: int) -> KVBlock:
-        """Read-only views of one chunk's K/V in the arena."""
-        self.settle()
-        start, end, slot = self._index[chunk_index]
-        keys = self.keys[layer][:, slot:slot + end - start]
-        values = self.values[layer][:, slot:slot + end - start]
-        keys.flags.writeable = False
-        values.flags.writeable = False
-        return KVBlock(keys, values, start, end)
 
     def slot(self, chunk_index: int) -> int:
         self.settle()
@@ -290,21 +270,6 @@ class StepOutput(NamedTuple):
     logits: np.ndarray
     token: int
     score_elements: int
-
-
-class AttentionCost(NamedTuple):
-    dense_elements: int
-    sparse_elements: int
-    ratio: float
-
-
-def attention_cost(n_dense_tokens: int, k: int, m: int) -> AttentionCost:
-    """Closed-form prefill attention cost: N^2 dense vs (k*m)^2 selected."""
-    if k * m > n_dense_tokens:
-        raise ValueError("k*m must not exceed the dense token count")
-    dense = n_dense_tokens * n_dense_tokens
-    sparse = (k * m) * (k * m)
-    return AttentionCost(dense, sparse, sparse / dense)
 
 
 class DecoderModel:

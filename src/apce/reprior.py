@@ -30,11 +30,7 @@ import numpy as np
 
 from .embed import EmbeddingProvider, EmbeddingStore, embed_or_zero, embed_query_text, normalize
 from .select import score_chunks, select_top_k
-from .textpipe import Chunk, DEFAULT_VOCAB_SIZE
-
-DEFAULT_TAIL_CHARS = 100
-DEFAULT_RECENT_TOKENS = 50
-DEFAULT_BLEND_ALPHA = 0.5
+from .textpipe import Chunk
 
 
 @dataclass(frozen=True)
@@ -57,18 +53,11 @@ class ReplacementPlan:
 @dataclass
 class ReplacementEvent:
     step: int
-    evict: tuple[int, ...]
-    admit: tuple[int, ...]
-    recompute: tuple[int, ...]
+    plan: ReplacementPlan
 
     def as_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "evict": list(self.evict),
-            "admit": list(self.admit),
-            "recompute": list(self.recompute),
-            "applied": True,  # every recorded plan is carried out
-        }
+        # every recorded plan is carried out
+        return {"step": self.step, **self.plan.as_dict(), "applied": True}
 
 
 @dataclass
@@ -100,10 +89,10 @@ class EnhancedQueryState:
 
     instruction_text: str
     provider: EmbeddingProvider
-    vocab_size: int = DEFAULT_VOCAB_SIZE
-    instruction_tail_chars: int = DEFAULT_TAIL_CHARS
-    recent_token_window: int = DEFAULT_RECENT_TOKENS
-    blend_alpha: float = DEFAULT_BLEND_ALPHA
+    vocab_size: int
+    instruction_tail_chars: int
+    recent_token_window: int
+    blend_alpha: float
     current: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
@@ -191,4 +180,4 @@ def apply_plan(step: int, plan: ReplacementPlan, handle, stats: ReplacementStats
     handle.evict(plan.evict)
     handle.rebuild(plan.admit, plan.recompute)
     stats.taken += 1
-    stats.events.append(ReplacementEvent(step, plan.evict, plan.admit, plan.recompute))
+    stats.events.append(ReplacementEvent(step, plan))

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import LoadModel, RunConfig
 from .embed import EmbeddingStore, HashingEmbedder, load_external_embeddings
-from .metrics import mean_std
 from .model import CacheHandle, DecoderModel, KVCache
 from .reprior import (
     EnhancedQueryState,
@@ -197,32 +196,6 @@ def simulate_generation(
         counters=cache.counters.as_dict(),
         wall_seconds=time.perf_counter() - wall_start,
     )
-
-
-@dataclass(frozen=True)
-class TimingSummary:
-    count: int
-    ttft_mean: float
-    ttft_std: float
-    total_mean: float
-    total_std: float
-
-    @property
-    def ttft_formatted(self) -> str:
-        return f"{self.ttft_mean:.4f}±{self.ttft_std:.4f}"
-
-    @property
-    def total_formatted(self) -> str:
-        return f"{self.total_mean:.4f}±{self.total_std:.4f}"
-
-
-def timing_summary(traces: Sequence[GenerationTrace]) -> TimingSummary:
-    """Population mean and stddev of TTFT and total time across traces."""
-    if not traces:
-        raise ValueError("need at least one trace")
-    ttft_mean, ttft_std = mean_std([t.ttft for t in traces])
-    total_mean, total_std = mean_std([t.total_time for t in traces])
-    return TimingSummary(len(traces), ttft_mean, ttft_std, total_mean, total_std)
 
 
 def trace_events_json(trace: GenerationTrace) -> list[dict]:

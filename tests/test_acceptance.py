@@ -19,7 +19,7 @@ from apce.cli import main as cli_main
 from apce.config import RunConfig
 from apce.embed import EmbeddingStore
 from apce.metrics import lcs_length, rouge_l_f1
-from apce.model import DecoderModel, KVCache, ModelConfig, attention_cost
+from apce.model import DecoderModel, KVCache, ModelConfig
 from apce.reprior import ReplacementStats, apply_plan, reprioritize
 from apce.model import CacheHandle
 from apce.sched import LoadModel, simulate_generation
@@ -167,11 +167,13 @@ def test_criterion_4_recompute_soundness():
         oracle = KVCache(cfg)
         model.prefill([by_idx[i] for i in final], oracle)
         assert cache.resident_indices() == oracle.resident_indices()
+        # equal resident sets share one slot layout, so the chunk prefixes
+        # are equal exactly when every chunk's K/V are
+        n = oracle.chunk_tokens
+        assert cache.chunk_tokens == n
         for layer in range(cfg.n_layers):
-            for idx in final:
-                live, ref = cache.block(layer, idx), oracle.block(layer, idx)
-                assert np.array_equal(live.keys, ref.keys), (applied, layer, idx)
-                assert np.array_equal(live.values, ref.values), (applied, layer, idx)
+            for live, ref in ((cache.keys, oracle.keys), (cache.values, oracle.values)):
+                assert np.array_equal(live[layer][:, :n], ref[layer][:, :n]), (applied, layer)
         applied += 1
     report(4, f"{applied} replacement scenarios bitwise-equal to from-scratch prefill")
 
@@ -216,7 +218,7 @@ def test_criterion_5_reprioritization_recovery():
     on = simulate_generation(doc, instruction, "apce", SYNC, config)
     assert on.initial_selection == [0]
     assert on.tokens[:100] == probe.tokens[:100]  # B is inert until admitted
-    admitted = [e.step for e in on.replacement_stats.events if 1 in e.admit]
+    admitted = [e.step for e in on.replacement_stats.events if 1 in e.plan.admit]
     assert admitted == [100], f"expected admission exactly at step 100, got {admitted}"
 
     off = simulate_generation(doc, instruction, "apce", SYNC,
@@ -248,16 +250,15 @@ def test_criterion_6_complexity_scaling():
         assert len(full_sized) == k
         sparse = model.prefill(full_sized, sparse_cache).score_elements
 
-        cost = attention_cost(n_tokens, k, m)
-        assert dense == cost.dense_elements == n_tokens * n_tokens
-        assert sparse == cost.sparse_elements == (k * m) ** 2
+        assert dense == n_tokens * n_tokens
+        assert sparse == (k * m) ** 2
         # exact ratio identity, integers only
         assert sparse * n_tokens**2 == dense * (k * m) ** 2
 
         step = model.decode_step(sparse_cache, 7, position=n_tokens)
         assert step.score_elements == k * m + 1  # resident plus generated so far
         if n_tokens == 29924:
-            assert cost.ratio == pytest.approx(0.4117, abs=5e-5)
+            assert sparse / dense == pytest.approx(0.4117, abs=5e-5)
     report(6, "prefill counters satisfy sparse/dense == (km/N)^2 exactly, 30k ratio ~= 0.4117")
 
 

@@ -175,15 +175,26 @@ def test_missing_record_exit_code(corpus, tmp_path):
                    "--record-id", "ghost", "--out-dir", str(tmp_path / "o")) == 3
 
 
-def test_bad_config_exit_code(corpus, tmp_path):
+def test_bad_config_exit_code(corpus, tmp_path, capsys):
     corpus_path, _ = corpus
     bad = tmp_path / "bad.conf"
-    # a window below 1 would slice as tokens[-0:] (every token) or drop a head
-    for line in ("reprioritization.interval = never", "query.recent_tokens = 0",
-                 "query.recent_tokens = -3", "query.tail_chars = 0", "query.tail_chars = -3"):
+    windows = "query.tail_chars and query.recent_tokens must be >= 1"
+    latencies = "latencies must be finite and >= 0"
+    # a window below 1 would slice as tokens[-0:] (every token) or drop a head;
+    # a NaN or infinite latency, or a rope_theta <= 0 or not finite, would
+    # poison the virtual clock or the rope tables
+    for line, complaint in (
+            ("reprioritization.interval = never", "bad value"),
+            ("query.recent_tokens = 0", windows), ("query.recent_tokens = -3", windows),
+            ("query.tail_chars = 0", windows), ("query.tail_chars = -3", windows),
+            ("load.compute_seconds_per_element = nan", latencies),
+            ("load.decode_latency = inf", latencies), ("load.per_chunk_latency = nan", latencies),
+            ("model.rope_theta = 0", "rope_theta"), ("model.rope_theta = -5", "rope_theta"),
+            ("model.rope_theta = inf", "rope_theta")):
         bad.write_text(line + "\n")
         assert run_cli("run", "--input", str(corpus_path), "--config", str(bad),
                        "--out-dir", str(tmp_path / "o")) == 2, line
+        assert complaint in capsys.readouterr().err, line
     assert not (tmp_path / "o").exists()
 
 
@@ -251,6 +262,29 @@ def test_plain_text_input_requires_query(corpus, tmp_path):
                    "--out-dir", str(tmp_path / "o")) == 2
     assert run_cli("run", "--input", str(text), "--config", str(conf),
                    "--query", "summarize this", "--out-dir", str(tmp_path / "o")) == 0
+
+
+def test_query_flag_is_refused_with_jsonl_input(corpus, tmp_path, capsys):
+    corpus_path, conf = corpus
+    for cmd in ("run", "sweep"):
+        extra = ("--axis", "n_chunks", "--values", "1") if cmd == "sweep" else ()
+        assert run_cli(cmd, "--input", str(corpus_path), "--config", str(conf), *extra,
+                       "--query", "x", "--out-dir", str(tmp_path / "o")) == 2, cmd
+        assert "--query applies only to plain-text input" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_bad_embedding_file_line_exits_2(corpus, tmp_path, capsys):
+    corpus_path, conf = corpus
+    emb = tmp_path / "emb.jsonl"
+    conf.write_text(TOY_CONF + f"embedding.provider = file\nembedding.file = {emb}\n")
+    for line in ("5", '{"chunk_index": null, "vector": [1.0]}', '{"chunk_index": 0.7, "vector": [1.0]}',
+                 '{"chunk_index": 1, "vector": {"x": 1.0}}'):
+        emb.write_text(line + "\n")
+        assert run_cli("run", "--input", str(corpus_path), "--config", str(conf),
+                       "--out-dir", str(tmp_path / "o")) == 2, line
+        assert f"{emb}: line 1: " in capsys.readouterr().err, line
+    assert not (tmp_path / "o").exists()
 
 
 def test_sweep_chunk_size(corpus, tmp_path):

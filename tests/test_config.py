@@ -50,6 +50,10 @@ def test_both_k_and_fraction_rejected():
     {"recent_tokens": -3},
     {"tail_chars": 0},
     {"tail_chars": -3},
+    {"compute_seconds_per_element": float("nan")},
+    {"per_chunk_load_latency": float("inf")},
+    {"rope_theta": 0.0},
+    {"rope_theta": float("nan")},
 ])
 def test_validation_rejects(bad):
     with pytest.raises(ValueError):

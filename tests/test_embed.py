@@ -163,6 +163,37 @@ def test_external_embeddings_zero_vector(tmp_path):
         load_external_embeddings(path)
 
 
+@pytest.mark.parametrize("line,complaint", [
+    pytest.param("5", "a line must be a JSON object", id="number"),
+    pytest.param('["chunk_index", "vector"]', "a line must be a JSON object", id="list"),
+    pytest.param('{"chunk_index": null, "vector": [1.0, 0.0]}', "chunk_index must be an integer",
+                 id="null-index"),
+    pytest.param('{"chunk_index": 0.7, "vector": [1.0, 0.0]}', "chunk_index must be an integer",
+                 id="float-index"),
+    pytest.param('{"chunk_index": true, "vector": [1.0, 0.0]}', "chunk_index must be an integer",
+                 id="bool-index"),
+    pytest.param('{"chunk_index": "1", "vector": [1.0, 0.0]}', "chunk_index must be an integer",
+                 id="string-index"),
+    pytest.param('{"chunk_index": 1, "vector": ["a", 0.0]}', "vector must be a list of numbers",
+                 id="string-entry"),
+    pytest.param('{"chunk_index": 1, "vector": [true, false]}', "vector must be a list of numbers",
+                 id="bool-entries"),
+    pytest.param('{"chunk_index": 1, "vector": [[1.0], [0.0]]}', "vector must be a list of numbers",
+                 id="nested"),
+    pytest.param('{"chunk_index": 1, "vector": "1.0"}', "vector must be a list of numbers",
+                 id="string-vector"),
+    pytest.param('{"chunk_index": 1, "vector": null}', "vector must be a list of numbers",
+                 id="null-vector"),
+    pytest.param('{"chunk_index": 1, "vector": [1' + "0" * 400 + ', 0.0]}', "non-finite entry",
+                 id="int-past-float-range"),
+])
+def test_external_embeddings_bad_line(tmp_path, line, complaint):
+    path = tmp_path / "emb.jsonl"
+    path.write_text(json.dumps({"chunk_index": 0, "vector": [1.0, 0.0]}) + "\n" + line + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 2: {complaint}"):
+        load_external_embeddings(path)
+
+
 def test_external_embeddings_duplicate_index(tmp_path):
     path = tmp_path / "emb.jsonl"
     write_jsonl(path, [

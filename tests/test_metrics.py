@@ -11,7 +11,6 @@ from apce.metrics import (
     lcs_length,
     mean_std,
     rouge_l_f1,
-    score_summary,
     tokenize_for_scoring,
 )
 
@@ -83,21 +82,13 @@ def test_rouge_bounds(a, b):
     assert rouge_l_f1(a, a).f1 == 1.0
 
 
-def test_score_summary_formatting():
-    assert score_summary([0.5]) == "0.5000±0.0000"
-    assert score_summary([0.1, 0.2]) == "0.1500±0.0500"
-    assert score_summary([0.3, 0.3, 0.3]) == "0.3000±0.0000"
-
-
-def test_score_summary_population_stddev():
+def test_mean_std_population_stddev():
     mean, std = mean_std([2.0, 4.0])
     assert mean == 3.0
     assert std == 1.0  # population, not sample
-
-
-def test_score_summary_rejects_empty():
+    assert mean_std([0.3, 0.3, 0.3]) == pytest.approx((0.3, 0.0))
     with pytest.raises(ValueError):
-        score_summary([])
+        mean_std([])
 
 
 def test_tokenize_for_scoring_lowercases_and_splits():

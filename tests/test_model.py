@@ -3,7 +3,6 @@ import signal
 import sys
 import threading
 import time
-import types
 import warnings
 
 import numpy as np
@@ -11,14 +10,12 @@ import pytest
 
 import apce.model as model_module
 from apce.model import (
-    AttentionCost,
     CacheHandle,
     DecoderModel,
     KVCache,
     ModelConfig,
     _init_params,
     _rms_norm,
-    attention_cost,
 )
 from apce.textpipe import TokenSequence, chunk
 
@@ -28,15 +25,23 @@ def make_chunks(n_tokens, chunk_size, vocab=512, salt=0):
     return chunk(TokenSequence(tokens=ids), chunk_size)
 
 
+def chunk_kv(cache: KVCache, layer: int, c) -> tuple[np.ndarray, np.ndarray]:
+    """Copies of chunk ``c``'s keys and values in ``layer`` of the arena."""
+    slot = cache.slot(c.chunk_index)
+    span = slice(slot, slot + c.size)
+    return cache.keys[layer][:, span].copy(), cache.values[layer][:, span].copy()
+
+
 def caches_equal(a: KVCache, b: KVCache, layers: int) -> bool:
+    """Same resident set and the same chunk K/V. With equal resident sets both
+    arenas lay the same chunks out at the same slots, so comparing the whole
+    chunk prefix compares every chunk's block."""
     if a.resident_indices() != b.resident_indices():
         return False
-    for layer in range(layers):
-        for idx in a.resident_indices():
-            x, y = a.block(layer, idx), b.block(layer, idx)
-            if not (np.array_equal(x.keys, y.keys) and np.array_equal(x.values, y.values)):
-                return False
-    return True
+    a.settle()
+    b.settle()
+    return all(np.array_equal(x[layer][:, :a.chunk_tokens], y[layer][:, :b.chunk_tokens])
+               for layer in range(layers) for x, y in ((a.keys, b.keys), (a.values, b.values)))
 
 
 @pytest.fixture(scope="module")
@@ -91,10 +96,20 @@ def test_prefill_counts_squared_elements(model, chunks, toy_model_config):
 
 
 def test_prefill_positions_are_document_absolute(model, chunks, toy_model_config):
-    cache = KVCache(toy_model_config)
-    model.prefill([chunks[0], chunks[2]], cache)
-    block = cache.block(0, 2)
-    assert (block.pos_start, block.pos_end) == (24, 36)
+    """Layer-0 K/V depend only on a chunk's tokens and positions, so chunk 2's
+    are the same whether chunk 1 is resident or not, and differ when the same
+    tokens sit at other positions."""
+    gapped, full = KVCache(toy_model_config), KVCache(toy_model_config)
+    model.prefill([chunks[0], chunks[2]], gapped)
+    model.prefill(chunks[:3], full)
+    assert gapped.slot(2) == 12 and full.slot(2) == 24
+    for got, want in zip(chunk_kv(gapped, 0, chunks[2]), chunk_kv(full, 0, chunks[2])):
+        assert np.array_equal(got, want)
+
+    moved = chunk(TokenSequence(tokens=chunks[2].token_ids), chunks[2].size)[0]  # at positions 0-11
+    alone = KVCache(toy_model_config)
+    model.prefill([moved], alone)
+    assert not np.array_equal(chunk_kv(alone, 0, moved)[0], chunk_kv(full, 0, chunks[2])[0])
 
 
 def test_prefill_requires_empty_cache(model, chunks, toy_model_config):
@@ -125,9 +140,9 @@ def test_out_of_order_admission_is_stale_until_recomputed(model, chunks, toy_mod
     oracle = KVCache(toy_model_config)
     model.prefill(chunks[:3], oracle)
 
-    stale = live.block(layers - 1, 2)
-    fresh = oracle.block(layers - 1, 2)
-    assert not np.array_equal(stale.keys, fresh.keys)  # chunk 2 never saw chunk 1
+    stale = chunk_kv(live, layers - 1, chunks[2])
+    fresh = chunk_kv(oracle, layers - 1, chunks[2])
+    assert not np.array_equal(stale[0], fresh[0])  # chunk 2 never saw chunk 1
 
     model.rebuild_blocks(live, [2], by_idx)
     assert caches_equal(live, oracle, layers)
@@ -219,21 +234,22 @@ def test_recompute_idempotent(model, chunks, toy_model_config):
     by_idx = {c.chunk_index: c for c in chunks}
     cache = KVCache(toy_model_config)
     model.prefill(chunks[:3], cache)
-    snapshot = {(l, i): (cache.block(l, i).keys.copy(), cache.block(l, i).values.copy())
+    snapshot = {(l, i): chunk_kv(cache, l, chunks[i])
                 for l in range(toy_model_config.n_layers) for i in (0, 1, 2)}
     model.rebuild_blocks(cache, [0, 1, 2], by_idx)
     for (l, i), (k, v) in snapshot.items():
-        assert np.array_equal(cache.block(l, i).keys, k)
-        assert np.array_equal(cache.block(l, i).values, v)
+        keys, values = chunk_kv(cache, l, chunks[i])
+        assert np.array_equal(keys, k)
+        assert np.array_equal(values, v)
 
 
 def test_recompute_first_chunk_is_noop(model, chunks, toy_model_config):
     by_idx = {c.chunk_index: c for c in chunks}
     cache = KVCache(toy_model_config)
     model.prefill(chunks[:3], cache)
-    before = cache.block(toy_model_config.n_layers - 1, 0).keys.copy()
+    before = chunk_kv(cache, toy_model_config.n_layers - 1, chunks[0])[0]
     model.rebuild_blocks(cache, [0], by_idx)
-    assert np.array_equal(cache.block(toy_model_config.n_layers - 1, 0).keys, before)
+    assert np.array_equal(chunk_kv(cache, toy_model_config.n_layers - 1, chunks[0])[0], before)
 
 
 def test_rebuild_matches_fresh_prefill_after_swaps(model, chunks, toy_model_config):
@@ -276,12 +292,12 @@ def test_cache_handle_recompute_disabled_skips_stale(model, chunks, toy_model_co
     cache = KVCache(toy_model_config)
     model.prefill([chunks[0], chunks[2]], cache)
     handle = CacheHandle(model, cache, chunks, recompute_enabled=False)
-    before = cache.block(toy_model_config.n_layers - 1, 2).keys.copy()
+    before = chunk_kv(cache, toy_model_config.n_layers - 1, chunks[2])[0]
     handle.rebuild(admit=[1], recompute=[2])
-    after = cache.block(toy_model_config.n_layers - 1, 2).keys
+    after = chunk_kv(cache, toy_model_config.n_layers - 1, chunks[2])[0]
     assert np.array_equal(before, after)  # stale block untouched
     assert cache.has(1)  # admission still happened
-    assert np.all(np.isfinite(cache.block(0, 1).keys))
+    assert np.all(np.isfinite(chunk_kv(cache, 0, chunks[1])[0]))
 
 
 # --- arena ---
@@ -303,9 +319,8 @@ def concat_decode(model, blocks, gen_kv, last_token, position):
     return (_rms_norm(hidden, model.params["final_norm"]) @ model.params["head"])[0]
 
 
-def block_copies(cache, layers):
-    return [[(cache.block(l, i).keys.copy(), cache.block(l, i).values.copy())
-             for i in cache.resident_indices()] for l in range(layers)]
+def block_copies(cache, chunks, layers):
+    return [[chunk_kv(cache, l, chunks[i]) for i in cache.resident_indices()] for l in range(layers)]
 
 
 def generated_kv(cache, layer):
@@ -317,7 +332,7 @@ def test_decode_logits_match_concatenating_oracle(model, chunks, toy_model_confi
     layers = toy_model_config.n_layers
     cache = KVCache(toy_model_config)
     token = int(np.argmax(model.prefill([chunks[0], chunks[2], chunks[3]], cache).last_logits))
-    blocks = block_copies(cache, layers)
+    blocks = block_copies(cache, chunks, layers)
     gen_kv = [[] for _ in range(layers)]
     for step in range(6):
         want = concat_decode(model, blocks, gen_kv, token, 96 + step)
@@ -331,7 +346,7 @@ def test_decode_past_initial_capacity(model, chunks, toy_model_config):
     cache = KVCache(toy_model_config)
     token = int(np.argmax(model.prefill(chunks[:2], cache).last_logits))
     capacity = cache.capacity
-    blocks = block_copies(cache, layers)
+    blocks = block_copies(cache, chunks, layers)
     gen_kv = [[] for _ in range(layers)]
     steps = 2 * capacity + 3  # past two doublings
     for step in range(steps):
@@ -347,7 +362,7 @@ def test_decode_past_initial_capacity(model, chunks, toy_model_config):
         assert np.array_equal(keys, np.concatenate([k for k, _ in gen_kv[layer]], axis=1))
         assert np.array_equal(values, np.concatenate([v for _, v in gen_kv[layer]], axis=1))
     assert all(np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-               for got, ref in zip(block_copies(cache, layers), blocks) for a, b in zip(got, ref))
+               for got, ref in zip(block_copies(cache, chunks, layers), blocks) for a, b in zip(got, ref))
 
 
 def test_swap_mid_generation_matches_fresh_prefill_and_keeps_generated_kv(
@@ -376,7 +391,7 @@ def test_swap_mid_generation_matches_fresh_prefill_and_keeps_generated_kv(
         assert np.array_equal(values, generated[layer][1])
 
     gen_kv = [[(k[:, t:t + 1], v[:, t:t + 1]) for t in range(4)] for k, v in generated]
-    want = concat_decode(model, block_copies(oracle, layers), gen_kv, token, 100)
+    want = concat_decode(model, block_copies(oracle, chunks, layers), gen_kv, token, 100)
     assert np.array_equal(model.decode_step(cache, token, 100).logits, want)
 
 
@@ -401,12 +416,13 @@ def full_mask_attend(model, q, k_all, v_all, future):
     return out
 
 
-def full_mask_forward_blocks(self, cache, ordered):
+def full_mask_forward_blocks(self, cache, ordered, parts):
     """``_forward_blocks`` with each block's future mask built from the
-    document position of every arena slot."""
+    document position of every arena slot; ``parts`` holds every chunk."""
     width = cache.chunk_tokens
-    spans = [cache.block(0, i) for i in cache.resident_indices()]
-    positions = np.concatenate([np.arange(b.pos_start, b.pos_end) for b in spans])
+    spans = [parts[i] for i in cache.resident_indices()]
+    positions = np.concatenate([np.arange(c.doc_token_offset, c.doc_token_offset + c.size)
+                                for c in spans])
     for c in ordered:
         slot = cache.slot(c.chunk_index)
         hidden = self.params["embedding"][np.asarray(c.token_ids, dtype=np.int64)].copy()
@@ -486,7 +502,7 @@ def test_block_attention_matches_the_full_mask_kernel(cfg, chunk_size):
     gives the full-mask kernel's bits: hidden states, logits, K/V, counters."""
     parts = make_chunks(max(40, 6 * chunk_size + chunk_size // 2), chunk_size)
     oracle = DecoderModel(cfg)
-    oracle._forward_blocks = types.MethodType(full_mask_forward_blocks, oracle)
+    oracle._forward_blocks = lambda cache, ordered: full_mask_forward_blocks(oracle, cache, ordered, parts)
     bufsize = np.getbufsize()
     got, want = arena_session(DecoderModel(cfg), parts), arena_session(oracle, parts)
     assert np.getbufsize() == bufsize  # the kernel's ufunc buffer size does not leak
@@ -741,32 +757,6 @@ def test_forked_child_runs_a_threaded_prefill(parallel_blocks, monkeypatch, chun
     assert os.waitstatus_to_exitcode(status) == 0
 
 
-# --- attention cost ---
-
-@pytest.mark.parametrize(
-    "n,k,m,ratio",
-    [
-        (4800, 3, 800, 0.25),
-        (4800, 6, 800, 1.0),
-    ],
-)
-def test_attention_cost_examples(n, k, m, ratio):
-    cost = attention_cost(n, k, m)
-    assert cost == AttentionCost(n * n, (k * m) ** 2, ratio)
-
-
-def test_attention_cost_30k_configuration():
-    cost = attention_cost(29924, 24, 800)
-    assert cost.dense_elements == 29924**2
-    assert cost.sparse_elements == 19200**2
-    assert cost.ratio == pytest.approx(0.4117, abs=5e-5)
-
-
-def test_attention_cost_rejects_km_above_n():
-    with pytest.raises(ValueError):
-        attention_cost(100, 2, 100)
-
-
 # --- config and weights ---
 
 def test_config_validation():
@@ -812,6 +802,6 @@ def test_grouped_kv_heads_path():
     cache = KVCache(cfg)
     result = model.prefill(parts, cache)
     assert result.hidden.shape == (24, 64)
-    assert cache.block(0, 0).keys.shape == (2, 8, 16)
+    assert cache.keys[0][:, :cache.chunk_tokens].shape == (2, 24, 16)
     out = model.decode_step(cache, 3, position=24)
     assert np.all(np.isfinite(out.logits))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from apce.config import RunConfig
 from apce.embed import (
     DegenerateEmbedding,
     EmbeddingStore,
@@ -18,6 +19,15 @@ from apce.reprior import (
 )
 from apce.select import score_chunks
 from apce.textpipe import TokenSequence, chunk
+
+
+def query_state(instruction, provider, **fields):
+    """An EnhancedQueryState with RunConfig's defaults for the fields not given."""
+    defaults = RunConfig()
+    return EnhancedQueryState(**{
+        "instruction_text": instruction, "provider": provider, "vocab_size": defaults.vocab_size,
+        "instruction_tail_chars": defaults.tail_chars, "recent_token_window": defaults.recent_tokens,
+        "blend_alpha": defaults.alpha, **fields})
 
 
 class FakeHandle:
@@ -63,7 +73,7 @@ def make_chunks(n, m=10):
 def test_no_generated_tokens_returns_tail_embedding_exactly():
     provider = HashingEmbedder(64)
     instruction = "please summarize the second act of the play in a short paragraph"
-    state = EnhancedQueryState(instruction_text=instruction, provider=provider)
+    state = query_state(instruction, provider)
     want = embed_query_text(instruction[-100:], provider)
     assert np.array_equal(state.current, want)
     assert np.array_equal(update_enhanced_query(state, []), want)
@@ -71,8 +81,7 @@ def test_no_generated_tokens_returns_tail_embedding_exactly():
 
 def test_alpha_one_ignores_generated_tokens():
     provider = HashingEmbedder(64)
-    state = EnhancedQueryState(instruction_text="describe the garden", provider=provider,
-                               blend_alpha=1.0)
+    state = query_state("describe the garden", provider, blend_alpha=1.0)
     base = state.current.copy()
     update_enhanced_query(state, [5, 6, 7, 8])
     assert np.allclose(state.current, base, atol=1e-12)
@@ -82,8 +91,7 @@ def test_blend_matches_direct_formula():
     provider = HashingEmbedder(96)
     instruction = "x" * 40 + " find the relevant passage about rivers"
     generated = [(i * 13) % 500 for i in range(80)]
-    state = EnhancedQueryState(instruction_text=instruction, provider=provider,
-                               blend_alpha=0.5, recent_token_window=50)
+    state = query_state(instruction, provider, blend_alpha=0.5, recent_token_window=50)
     got = update_enhanced_query(state, generated)
     # independent recomputation of normalize(0.5 a + 0.5 b)
     a = embed_query_text(instruction[-100:], provider)
@@ -96,8 +104,7 @@ def test_blend_matches_direct_formula():
 
 def test_window_only_uses_recent_tokens():
     provider = HashingEmbedder(64)
-    state = EnhancedQueryState(instruction_text="query text", provider=provider,
-                               recent_token_window=4)
+    state = query_state("query text", provider, recent_token_window=4)
     a = update_enhanced_query(state, [1, 2, 3, 4]).copy()
     b = update_enhanced_query(state, [99, 98, 1, 2, 3, 4])
     assert np.array_equal(a, b)
@@ -105,7 +112,7 @@ def test_window_only_uses_recent_tokens():
 
 def test_empty_instruction_rejected():
     with pytest.raises(ValueError):
-        EnhancedQueryState(instruction_text="", provider=HashingEmbedder(8))
+        query_state("", HashingEmbedder(8))
 
 
 # --- boundary schedule ---
@@ -231,8 +238,10 @@ def test_scripted_replay_taken_and_available():
     assert stats.available >= 2
     assert stats.taken <= stats.available
     assert len(handle.indices()) <= 2
-    assert [e.as_dict()["applied"] for e in stats.events] == [True, True]
-    assert [e.step for e in stats.events] == [2, 4]
+    assert [e.as_dict() for e in stats.events] == [
+        {"step": 2, "evict": [1], "admit": [2], "recompute": [], "applied": True},
+        {"step": 4, "evict": [0], "admit": [3], "recompute": [2], "applied": True},
+    ]
 
 
 def test_recovery_evicted_chunk_returns_when_score_recovers():
@@ -250,7 +259,7 @@ def test_recovery_evicted_chunk_returns_when_score_recovers():
                         chunks)
     apply_plan(2, plan, handle, stats)
     assert 1 in handle.resident
-    admitted = [e for e in stats.events if 1 in e.admit]
+    admitted = [e for e in stats.events if 1 in e.plan.admit]
     assert admitted, "re-admission must appear in the event log"
 
 
@@ -276,8 +285,7 @@ class FixedProvider:
     (0.0, None),  # the recent tokens alone count, and they embed to zero
 ])
 def test_zero_blend_falls_back_to_tail(alpha, recent):
-    state = EnhancedQueryState(instruction_text="find it", provider=FixedProvider(recent),
-                               blend_alpha=alpha)
+    state = query_state("find it", FixedProvider(recent), blend_alpha=alpha)
     got = update_enhanced_query(state, [7, 7])
     assert np.array_equal(got, np.eye(4)[0])
     assert got is state.current

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 from apce.config import RunConfig
 from apce.model import _init_params
 from apce.sched import (
-    GenerationTrace,
     LoadModel,
     simulate_generation,
-    timing_summary,
     trace_events_json,
 )
 
@@ -147,24 +145,6 @@ def test_counters_present_in_trace():
     assert trace.counters["decode_elements"] > 0
 
 
-def test_timing_summary_examples():
-    def fake(ttft, total):
-        return GenerationTrace(mode="apce", events=[], ttft=ttft, total_time=total,
-                               tokens=[], n_chunks=0, doc_tokens=0, k_effective=0,
-                               initial_selection=[], initial_scores=[],
-                               replacement_stats=None, counters={}, wall_seconds=0.0)
-
-    single = timing_summary([fake(2.0, 5.0)])
-    assert single.ttft_std == 0.0
-    pair = timing_summary([fake(2.0, 6.0), fake(4.0, 8.0)])
-    assert pair.ttft_formatted == "3.0000±1.0000"
-    assert pair.total_formatted == "7.0000±1.0000"
-    same = timing_summary([fake(1.5, 2.5)] * 3)
-    assert same.ttft_mean == 1.5
-    with pytest.raises(ValueError):
-        timing_summary([])
-
-
 def test_trace_exports():
     load = LoadModel(per_chunk_load_latency=0.1, async_start_chunks=4)
     trace = run("apce", load)
@@ -226,7 +206,7 @@ def test_zero_norm_chunk_scores_zero_and_ranks_last(reprioritizing):
     assert scores[1] == 0.0
     assert trace.initial_selection == [0]
     assert len(trace.tokens) == 6
-    assert all(1 not in e.admit for e in trace.replacement_stats.events)
+    assert all(1 not in e.plan.admit for e in trace.replacement_stats.events)
 
 
 @given(
