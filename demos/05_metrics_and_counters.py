@@ -1,18 +1,20 @@
 """Metrics and measured attention cost.
 
-ROUGE-L on a worked example, then a small end-to-end run showing the
-attention score-element counters: dense prefill pays N^2, selection pays
-(km)^2, and each decode step pays one row over the resident tokens.
+ROUGE-L over token ids, as `apce run` scores it, on a worked example, then
+a small end-to-end run showing the attention score-element counters: dense
+prefill pays N^2, selection pays (km)^2, and each decode step pays one row
+over the resident tokens.
 
 Run:  python demos/05_metrics_and_counters.py
 """
 
 from apce.config import RunConfig
-from apce.metrics import mean_std, rouge_l_f1, tokenize_for_scoring
+from apce.metrics import mean_std, rouge_l_f1
 from apce.sched import LoadModel, simulate_generation
+from apce.textpipe import tokenize
 
-candidate = tokenize_for_scoring("the railway follows the river for sixty miles")
-reference = tokenize_for_scoring("the railway follows the river and then turns north")
+candidate = tokenize("the railway follows the river for sixty miles").tokens
+reference = tokenize("the railway follows the river and then turns north").tokens
 score = rouge_l_f1(candidate, reference)
 print(f"ROUGE-L  precision {score.precision:.4f}  recall {score.recall:.4f}  f1 {score.f1:.4f}")
 mean, std = mean_std([score.f1, 0.61, 0.55])

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import re
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -10,18 +9,11 @@ import numpy as np
 from .embed import EmbeddingProvider, embed_or_zero
 from .select import cosine
 
-_SCORING_PIECE_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
-
 
 class RougeLScore(NamedTuple):
     precision: float
     recall: float
     f1: float
-
-
-def tokenize_for_scoring(text: str) -> list[str]:
-    """Lowercase word/punctuation split, independent of the model tokenizer."""
-    return _SCORING_PIECE_RE.findall(text.lower())
 
 
 def lcs_length(a: Sequence, b: Sequence) -> int:

@@ -32,24 +32,22 @@ load-bearing for the rest of the engine:
   and with it the last bits; so the counters, which count that full-width
   work, are unchanged, and the results equal a full-mask kernel's.
 
-- A chunk block's heads run on up to one thread per core: the calling
-  thread plus process-wide helper threads, each taking the next head until
-  none is left. Every head makes the same calls on the same shapes as in a
-  serial loop and writes only its own output columns, so outputs and
-  counters are the serial kernel's bit for bit. Each helper uses one scores
-  buffer through a whole prefill or rebuild, so peak memory grows by one
-  (largest block's tokens x resident tokens) float32 buffer per extra
-  thread. Blocks whose per-head scores have under a million elements
-  (``_PARALLEL_MIN_SCORES``), where two threads lose to one when the other
-  core is busy, and decode steps stay on the calling thread. The speedup
-  assumes a single-threaded BLAS; a multi-threaded one already spreads
-  each product over the cores.
-
 - Prefill and rebuild share one forward path. Both reserve their chunks'
-  slots, settle the arena, and then run the chunks one block at a time in
-  document order through every layer, so each block attends to final K/V
-  before it and masked placeholders or stale K/V after it. Only one
-  block's triangle and rope tables are alive at a time.
+  slots, settle the arena, and run the chunks layer-major: a first stage
+  writes every block's layer-0 K/V, and stage l runs each block's attention
+  over layer l and its MLP, then writes its layer l+1 K/V. A stage's blocks
+  depend only on K/V that the stage before finished, so they run on up to
+  one thread per core (the calling thread and process-wide helpers, each
+  taking the next block), which meet once per stage. Each block makes the
+  same calls on the same shapes as in a serial loop that runs one block at a
+  time through every layer, so results are that loop's bit for bit; the keys
+  after a block may hold final K/V where that loop sees placeholders, but
+  they are finite and masked. Each thread keeps one workspace for a block's
+  scores and MLP intermediates: (largest block's tokens) x max(resident
+  tokens, 2 x d_ff) float32 elements. A pass of one block, or whose scores
+  for one layer and head (pass tokens x resident tokens) stay under
+  ``_PARALLEL_MIN_SCORES``, runs on the calling thread, as decode steps do.
+  The speedup assumes a single-threaded BLAS.
 
 - The arena changes layout only when residency does. Eviction and
   admission edit a chunk -> slot index; the arrays are re-laid out once,
@@ -75,7 +73,7 @@ import threading
 from concurrent import futures
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -90,17 +88,15 @@ _NEG_INF = np.float32(-np.inf)
 # a third of this size run in place. Buffering moves data and never changes
 # the arithmetic, so results are the same bits at any size.
 _LIVE_BUFSIZE = 256
-# A block's heads go to more than one thread only when one head's score
-# matrix (query rows x key width) has at least this many elements. Below
-# that, two threads lose to one whenever the second core is busy, and how
-# busy it is changes from minute to minute on a shared host, so a session's
-# time swings with it. Measured with 4-head blocks of the default model on
-# a 2-core Xeon (numpy 2.4, OpenBLAS, one BLAS thread), as two-thread time
-# over one-thread time, the two alternating in one process. With both cores
-# free: 0.69-0.88 at 100x700 to 100x1000 and 0.52-0.58 from 200x800 to
-# 512x3000. With a CPU-bound process on the other core: 1.06-1.19 at
-# 200x800 to 200x1800, 1.00-1.06 from 256x1000 to 384x1800, 0.92-1.04 from
-# 256x3000 to 512x2000, and 0.91-1.00 at 512x3000.
+# A pass goes to more than one thread only when its scores for one layer and
+# head (pass tokens x key width) reach this: below it, two threads lose to
+# one whenever the second core is busy, which on a shared host changes from
+# minute to minute. Two-thread over one-thread time of rebuilds, alternating
+# in one process (default model, 2-core Xeon, numpy 2.4, one BLAS thread):
+# with both cores free, 1.16 at 360 x 400 (40-token blocks), 0.96 at
+# 500 x 600 (100-token) and 0.61-0.76 from 600 x 800 to 1600 x 1800
+# (200-token); with a CPU-bound process on the other core, 1.09-1.12 at the
+# first two and 0.88-0.99 at the rest.
 _PARALLEL_MIN_SCORES = 1_000_000
 
 
@@ -272,6 +268,18 @@ class StepOutput(NamedTuple):
     score_elements: int
 
 
+@dataclass
+class _Block:
+    """A chunk block in a pass, and the hidden states its stages hand on."""
+
+    chunk: Chunk
+    slot: int
+    triangle: np.ndarray  # the future keys within the block
+    cos: np.ndarray
+    sin: np.ndarray
+    hidden: np.ndarray | None = None
+
+
 class DecoderModel:
     """Weights are fully determined by the config seed and are read-only.
 
@@ -337,15 +345,17 @@ class DecoderModel:
         cache.settle(capacity=width)
         cos, sin = self._rope_tables(np.asarray([position], dtype=np.int64))
         hidden = self.params["embedding"][np.asarray([last_token], dtype=np.int64)].copy()
+        work = np.empty(2 * cfg.d_ff, dtype=np.float32)
         for layer in range(cfg.n_layers):
-            q, k, v = self._project_qkv(hidden, layer, cos, sin)
+            x = _rms_norm(hidden, self.params[f"layers.{layer}.attn_norm"])
+            q = self._project(x, layer, "wq", cos, sin)
             keys, values = cache.keys[layer], cache.values[layer]
-            keys[:, width - 1:width] = k
-            values[:, width - 1:width] = v
+            keys[:, width - 1:width] = self._project(x, layer, "wk", cos, sin)
+            values[:, width - 1:width] = self._project(x, layer, "wv")
             k_all = keys[:, :width]
             attn = self._attend_step(q, k_all, values[:, :width])
             hidden = hidden + attn @ self.params[f"layers.{layer}.wo"]
-            hidden = hidden + self._mlp(hidden, layer)
+            hidden = hidden + self._mlp(hidden, layer, work)
         cache.gen_positions.append(position)
 
         final = _rms_norm(hidden, self.params["final_norm"])
@@ -359,10 +369,9 @@ class DecoderModel:
                        chunks_by_index: Mapping[int, Chunk]) -> int:
         """Recompute K/V blocks (admissions and stale residents alike).
 
-        Chunks are processed in ascending document order; each one attends
-        over the full resident chunk set with future positions masked, which
-        reproduces a from-scratch prefill of the same resident set bit for
-        bit. Generation K/V are excluded: they are in every chunk's future.
+        Each chunk attends over the full resident chunk set with future
+        positions masked, which reproduces a from-scratch prefill of the same
+        resident set bit for bit. Generation K/V are excluded: they are in every chunk's future.
         """
         targets = sorted(set(chunk_indices))
         if not targets:
@@ -383,60 +392,57 @@ class DecoderModel:
     # --- internals ---
 
     def _forward_blocks(self, cache: KVCache, ordered: Sequence[Chunk]
-                        ) -> Iterator[tuple[np.ndarray, int]]:
-        """Run settled resident chunks through every layer, one block at a time.
-
-        ``ordered`` must be in document order: each block writes its K/V into
-        its arena slot layer by layer and attends over the whole resident
-        chunk set with future positions masked, so the blocks before it must
-        already hold their final K/V. Yields, per block, its final-layer
-        hidden states (before the final norm) and the score elements
-        computed. Work happens as the caller iterates, so callers exhaust it;
-        one that drops the hidden states keeps a single block's alive.
-        """
+                        ) -> list[tuple[np.ndarray, int]]:
+        """Run settled resident chunks, in document order, through every
+        layer in stages (see the module docstring). Returns, per block, its
+        final-layer hidden states (before the final norm) and the score
+        elements computed."""
         width = cache.chunk_tokens
-        rows = max((c.size for c in ordered), default=0)
-        # One scores buffer per helper thread, made here by the calling
-        # thread and reused by every block and layer. A buffer that a helper
-        # allocates lands in (and grows) that thread's own malloc arena, and
-        # fresh buffers for each block made malloc hand memory back and fault
-        # it in again (about 34k page faults per 3k-token prefill on two
-        # threads; about 3k with these). The calling thread makes its own per
-        # block, as a serial loop does: kept for the whole pass, it pushed the
-        # MLP's temporaries to the top of the heap, where malloc trims them,
-        # and a serial 9 x 200-token rebuild took 930 page faults, not 21.
-        helper_scores = [np.empty((rows, width), dtype=np.float32)
-                         for _ in range(self._block_threads(rows, width) - 1)]
+        scores = sum(c.size for c in ordered) * width  # per layer and head
+        threads = min(_cores(), len(ordered)) if scores >= _PARALLEL_MIN_SCORES else 1
+        # One workspace per thread for all its blocks, all made here: a helper's
+        # own buffers land in (and grow) its malloc arena, and buffers made
+        # per block had malloc hand memory back and fault it in again.
+        size = max(c.size for c in ordered) * max(width, 2 * self.config.d_ff)
+        workspaces = [np.empty(size, dtype=np.float32) for _ in range(threads)]
+        triangles: dict[int, np.ndarray] = {}  # chunk positions are contiguous
+        blocks = []
         for c in ordered:
-            slot = cache.slot(c.chunk_index)
-            hidden = self.params["embedding"][np.asarray(c.token_ids, dtype=np.int64)].copy()
+            if c.size not in triangles:
+                triangles[c.size] = np.triu(np.ones((c.size, c.size), dtype=bool), 1)
             pos = np.arange(c.doc_token_offset, c.doc_token_offset + c.size, dtype=np.int64)
-            # position-only, so one serves every layer of this block
-            triangle = pos[None, :] > pos[:, None]
-            cos, sin = self._rope_tables(pos)
-            for layer in range(self.config.n_layers):
-                q, k, v = self._project_qkv(hidden, layer, cos, sin)
-                keys, values = cache.keys[layer], cache.values[layer]
-                keys[:, slot:slot + c.size] = k
-                values[:, slot:slot + c.size] = v
-                k_all = keys[:, :width]
-                attn = self._attend_block(q, k_all, values[:, :width], slot, triangle, helper_scores)
-                hidden = hidden + attn @ self.params[f"layers.{layer}.wo"]
-                hidden = hidden + self._mlp(hidden, layer)
-            yield hidden, c.size * k_all.shape[1]
+            blocks.append(_Block(c, cache.slot(c.chunk_index), triangles[c.size], *self._rope_tables(pos)))
+        for layer in range(-1, self.config.n_layers):
+            _run_stage(functools.partial(self._block_stage, cache, layer), blocks, workspaces)
+        return [(b.hidden, b.chunk.size * width) for b in blocks]
 
-    def _project_qkv(self, hidden: np.ndarray, layer: int, cos: np.ndarray, sin: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """cos/sin: rope tables of the rows' positions (``_rope_tables``)."""
-        cfg = self.config
-        x = _rms_norm(hidden, self.params[f"layers.{layer}.attn_norm"])
-        q = x @ self.params[f"layers.{layer}.wq"]
-        k = x @ self.params[f"layers.{layer}.wk"]
-        v = x @ self.params[f"layers.{layer}.wv"]
-        q = _split_heads(q, cfg.n_heads, cfg.d_head)
-        k = _split_heads(k, cfg.n_kv_heads, cfg.d_head)
-        v = _split_heads(v, cfg.n_kv_heads, cfg.d_head)
-        return _apply_rope(q, cos, sin), _apply_rope(k, cos, sin), v
+    def _block_stage(self, cache: KVCache, layer: int, block: _Block, work: np.ndarray) -> None:
+        """A block's attention over ``layer`` and its MLP (stage -1 embeds its
+        tokens instead), then the writing of its ``layer + 1`` K/V."""
+        if layer < 0:
+            hidden = self.params["embedding"][np.asarray(block.chunk.token_ids, dtype=np.int64)]
+        else:
+            width = cache.chunk_tokens
+            x = _rms_norm(block.hidden, self.params[f"layers.{layer}.attn_norm"])
+            q = self._project(x, layer, "wq", block.cos, block.sin)
+            attn = self._attend_block(q, cache.keys[layer][:, :width], cache.values[layer][:, :width],
+                                      block.slot, block.triangle, work)
+            hidden = block.hidden + attn @ self.params[f"layers.{layer}.wo"]
+            hidden = hidden + self._mlp(hidden, layer, work)
+        if layer + 1 < self.config.n_layers:
+            x = _rms_norm(hidden, self.params[f"layers.{layer + 1}.attn_norm"])
+            span = slice(block.slot, block.slot + block.chunk.size)
+            cache.keys[layer + 1][:, span] = self._project(x, layer + 1, "wk", block.cos, block.sin)
+            cache.values[layer + 1][:, span] = self._project(x, layer + 1, "wv")
+        block.hidden = hidden
+
+    def _project(self, x: np.ndarray, layer: int, name: str, cos: np.ndarray | None = None,
+                 sin: np.ndarray | None = None) -> np.ndarray:
+        """The layer's normed input x times its ``name`` weights, split into
+        heads, then rotated by the rows' ``_rope_tables`` cos/sin if given."""
+        weight = self.params[f"layers.{layer}.{name}"]
+        out = _split_heads(x @ weight, weight.shape[1] // self.config.d_head, self.config.d_head)
+        return out if cos is None else _apply_rope(out, cos, sin)
 
     def _attend_step(self, q: np.ndarray, k_all: np.ndarray, v_all: np.ndarray) -> np.ndarray:
         """Decode attention: q (H, 1, dh) over every key of k_all/v_all (Hk, tk, dh).
@@ -455,49 +461,15 @@ class DecoderModel:
         scores /= np.add.reduce(scores, axis=-1, keepdims=True)
         return np.matmul(scores, v_all[:, None]).reshape(1, cfg.n_heads * dh)
 
-    def _block_threads(self, tq: int, width: int) -> int:
-        """Threads for a block's heads: one per core, if a head's scores are
-        large enough to be worth handing over (``_PARALLEL_MIN_SCORES``)."""
-        return min(_cores(), self.config.n_heads) if tq * width >= _PARALLEL_MIN_SCORES else 1
-
     def _attend_block(self, q: np.ndarray, k_all: np.ndarray, v_all: np.ndarray, slot: int,
-                      triangle: np.ndarray, helper_scores: Sequence[np.ndarray]) -> np.ndarray:
+                      triangle: np.ndarray, work: np.ndarray) -> np.ndarray:
         """Chunk-block attention: q (H, tq, dh); k_all/v_all (Hk, tk, dh).
 
         The block's queries sit at arena slots [slot, slot + tq) of a
         document-ordered arena, so keys before ``slot`` are all past,
         ``triangle`` (tq, tq) marks the future keys within the block, and
-        every key from slot + tq on is future. ``helper_scores`` holds one
-        (>= tq, tk) float32 buffer per helper thread the block may use.
-
-        The heads run in ``_block_heads`` on up to ``_block_threads``
-        threads: this one and process-wide helpers. Each head makes the same
-        calls on the same shapes whichever thread runs it and writes only
-        its own columns of the output, so the result is the serial kernel's
-        bit for bit. This thread waits for its helpers even when it raises,
-        so no helper writes after this returns, and a helper's exception is
-        raised here.
-        """
-        tq, width = q.shape[1], k_all.shape[1]
-        out = np.empty((tq, self.config.n_heads * self.config.d_head), dtype=np.float32)
-        threads = self._block_threads(tq, width)
-        buffers = [np.empty((tq, width), dtype=np.float32)]  # this thread's, freed with the block
-        buffers += [buf[:tq] for buf in helper_scores[:threads - 1]]
-        heads = collections.deque(range(self.config.n_heads))  # each thread pops its next head
-        helpers = [_helper_pool().submit(self._block_heads, heads, q, k_all, v_all, slot, triangle, buf, out)
-                   for buf in buffers[1:]]
-        try:
-            self._block_heads(heads, q, k_all, v_all, slot, triangle, buffers[0], out)
-        finally:
-            futures.wait(helpers)
-        for helper in helpers:
-            helper.result()
-        return out
-
-    def _block_heads(self, heads: collections.deque, q: np.ndarray, k_all: np.ndarray,
-                     v_all: np.ndarray, slot: int, triangle: np.ndarray, scores: np.ndarray,
-                     out: np.ndarray) -> None:
-        """Run a chunk block's heads, popped from ``heads`` until none is left.
+        every key from slot + tq on is future. Each head's scores go in turn
+        into the first tq x tk elements of ``work`` (flat float32).
 
         Scaling, masking and the softmax's max, exp and divide run on the
         live prefix [0, slot + tq) only; the future tail is set to the 0.0
@@ -505,21 +477,19 @@ class DecoderModel:
         the product with V stay full width: a narrower matmul can take
         another BLAS path and a shorter sum another pairwise order, so
         either would change the last bits. The result is therefore the
-        full-mask softmax bit for bit, and the score work done per block is
-        still tq x tk.
+        full-mask softmax bit for bit, whatever finite K/V the future keys
+        hold, and the score work done per block is still tq x tk.
         """
         cfg = self.config
         group = cfg.n_heads // cfg.n_kv_heads
-        tq = q.shape[1]
+        tq, width = q.shape[1], k_all.shape[1]
+        out = np.empty((tq, cfg.n_heads * cfg.d_head), dtype=np.float32)
+        scores = work[:tq * width].reshape(tq, width)
         live = scores[:, :slot + tq]
         diagonal, tail = scores[:, slot:slot + tq], scores[:, slot + tq:]
-        with np.errstate():  # ufunc settings are per thread; restores the buffer size on exit
-            np.setbufsize(_LIVE_BUFSIZE)
-            while True:
-                try:
-                    h = heads.popleft()
-                except IndexError:
-                    return
+        bufsize = np.setbufsize(_LIVE_BUFSIZE)  # this thread's; returns the old size
+        try:
+            for h in range(cfg.n_heads):
                 kv = h // group
                 np.matmul(q[h], k_all[kv].T, out=scores)
                 live *= self._inv_sqrt_dh
@@ -529,11 +499,21 @@ class DecoderModel:
                 np.exp(live, out=live)
                 live /= np.add.reduce(scores, axis=1, keepdims=True)
                 out[:, h * cfg.d_head:(h + 1) * cfg.d_head] = scores @ v_all[kv]
+        finally:
+            np.setbufsize(bufsize)
+        return out
 
-    def _mlp(self, hidden: np.ndarray, layer: int) -> np.ndarray:
+    def _mlp(self, hidden: np.ndarray, layer: int, work: np.ndarray) -> np.ndarray:
+        """SiLU MLP. Its two (rows, d_ff) intermediates are written into
+        ``work``, a flat float32 array of at least 2 x rows x d_ff elements."""
+        d_ff = self.config.d_ff
+        size = hidden.shape[0] * d_ff
         x = _rms_norm(hidden, self.params[f"layers.{layer}.mlp_norm"])
-        inner = x @ self.params[f"layers.{layer}.w1"]
-        inner = inner / (np.float32(1.0) + np.exp(-inner))  # SiLU
+        inner = np.matmul(x, self.params[f"layers.{layer}.w1"], out=work[:size].reshape(-1, d_ff))
+        gate = np.negative(inner, out=work[size:2 * size].reshape(-1, d_ff))
+        np.exp(gate, out=gate)
+        np.add(np.float32(1.0), gate, out=gate)
+        inner /= gate  # inner / (1 + exp(-inner))
         return inner @ self.params[f"layers.{layer}.w2"]
 
     def _rope_tables(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -573,7 +553,7 @@ def _cores() -> int:
 
 
 def _helper_pool() -> futures.ThreadPoolExecutor:
-    """The process-wide helper threads of block attention, made on first use."""
+    """The process-wide helper threads of chunk passes, made on first use."""
     global _pool
     with _pool_lock:
         if _pool is None:
@@ -590,6 +570,31 @@ def _forget_pool() -> None:
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _run_stage(step: Callable[[_Block, np.ndarray], None], blocks: Sequence[_Block],
+               workspaces: Sequence[np.ndarray]) -> None:
+    """Call ``step(block, workspace)`` once per block on one thread per
+    workspace: this one and pool helpers, each taking the next block until
+    none is left. Returns, or raises a block's exception, only once every
+    thread is done."""
+    pending = collections.deque(blocks)
+
+    def drain(work: np.ndarray) -> None:
+        while True:
+            try:
+                block = pending.popleft()
+            except IndexError:
+                return
+            step(block, work)
+
+    helpers = [_helper_pool().submit(drain, work) for work in workspaces[1:]]
+    try:
+        drain(workspaces[0])
+    finally:
+        futures.wait(helpers)
+    for helper in helpers:
+        helper.result()
 
 
 @functools.lru_cache(maxsize=1)

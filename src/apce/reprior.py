@@ -9,11 +9,17 @@ chunks come in, and any retained chunk whose causal context changed gets
 marked for K/V rebuild. Applying a plan evicts and rebuilds through the
 cache, which updates the resident set.
 
-Staleness rule: under causal masking a block's K/V depend exactly on the
-resident chunks at earlier document positions, so a retained chunk is stale
-iff some admitted or evicted chunk sits before it in document order. The
-recompute set is all retained chunks past the earliest changed offset;
-freshly admitted chunks are always computed from scratch anyway.
+Staleness rule: under causal masking the values of a block's K/V depend
+only on the resident chunks at earlier document positions, so a retained
+chunk is stale iff some admitted or evicted chunk sits before it in
+document order. The recompute set is all retained chunks past the earliest
+changed offset; freshly admitted chunks are always computed from scratch
+anyway. The bits also depend on the arena width: the full-width row sums
+and scores·V of attention run over every resident chunk. So a chunk that
+no rule marks stale can differ in the last bits (about 5e-7 at layers past
+the first, with the default model) from a fresh prefill of a wider
+resident set, and only a rebuild at the same width is bit-identical to a
+fresh prefill.
 
 At steady state (buffer at capacity, enough candidates) a plan swaps
 one-for-one, so evictions and admissions balance. While the candidate pool

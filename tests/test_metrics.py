@@ -11,7 +11,6 @@ from apce.metrics import (
     lcs_length,
     mean_std,
     rouge_l_f1,
-    tokenize_for_scoring,
 )
 
 
@@ -89,10 +88,6 @@ def test_mean_std_population_stddev():
     assert mean_std([0.3, 0.3, 0.3]) == pytest.approx((0.3, 0.0))
     with pytest.raises(ValueError):
         mean_std([])
-
-
-def test_tokenize_for_scoring_lowercases_and_splits():
-    assert tokenize_for_scoring("The cat, sat!") == ["the", "cat", ",", "sat", "!"]
 
 
 def test_embedding_cosine_proxy_basics():

@@ -280,6 +280,38 @@ def test_rebuild_matches_fresh_prefill_after_swaps(model, chunks, toy_model_conf
         assert caches_equal(live, oracle, layers), (start, leave, enter)
 
 
+def test_rebuild_bits_depend_on_the_arena_width():
+    """With the default model and 200-token chunks: rebuilding part of the
+    same resident set gives a fresh prefill's bits. Admitting chunk 4 after
+    a prefill of 0-3 leaves nothing stale, yet only layer 0's K/V (token and
+    position alone) equal a fresh prefill of 0-4 bit for bit; later layers
+    match to rounding, because the full-width row sums and scores·V run
+    over the narrower arena of 0-3."""
+    cfg = ModelConfig()
+    model = DecoderModel(cfg)
+    parts = make_chunks(1000, 200, vocab=cfg.vocab_size)
+    fresh = KVCache(cfg)
+    model.prefill(parts, fresh)
+
+    same = KVCache(cfg)
+    model.prefill(parts, same)
+    handle = CacheHandle(model, same, parts)
+    handle.evict([1])
+    handle.rebuild(admit=[1], recompute=[2, 3, 4])
+    assert caches_equal(same, fresh, cfg.n_layers)
+
+    grown = KVCache(cfg)
+    model.prefill(parts[:4], grown)
+    CacheHandle(model, grown, parts).rebuild(admit=[4], recompute=[])
+    assert grown.resident_indices() == fresh.resident_indices()
+    for layer in range(cfg.n_layers):
+        for got, want in ((grown.keys, fresh.keys), (grown.values, fresh.values)):
+            got, want = got[layer][:, :1000], want[layer][:, :1000]
+            if layer == 0:
+                assert np.array_equal(got, want)
+            assert np.max(np.abs(got - want)) <= 1e-5, layer
+
+
 def test_cache_handle_missing_tokens(model, chunks, toy_model_config):
     cache = KVCache(toy_model_config)
     model.prefill(chunks[:2], cache)
@@ -302,20 +334,36 @@ def test_cache_handle_recompute_disabled_skips_stale(model, chunks, toy_model_co
 
 # --- arena ---
 
+def project_qkv(model, hidden, layer, cos, sin):
+    """q, k and v of ``hidden`` at ``layer``, through the model's projections."""
+    x = _rms_norm(hidden, model.params[f"layers.{layer}.attn_norm"])
+    return (model._project(x, layer, "wq", cos, sin), model._project(x, layer, "wk", cos, sin),
+            model._project(x, layer, "wv"))
+
+
+def mlp(model, hidden, layer):
+    """The SiLU MLP with fresh intermediates: the reference for the model's,
+    which writes them into a workspace."""
+    x = _rms_norm(hidden, model.params[f"layers.{layer}.mlp_norm"])
+    inner = x @ model.params[f"layers.{layer}.w1"]
+    inner = inner / (np.float32(1.0) + np.exp(-inner))
+    return inner @ model.params[f"layers.{layer}.w2"]
+
+
 def concat_decode(model, blocks, gen_kv, last_token, position):
     """decode_step as a per-chunk cache computes it: every layer concatenates
     the resident chunk blocks and each generated token's K/V. ``blocks[layer]``
     lists (keys, values) in document order; ``gen_kv[layer]`` gains this token's."""
     hidden = model.params["embedding"][[last_token]].copy()
     for layer in range(model.config.n_layers):
-        q, k, v = model._project_qkv(hidden, layer, *model._rope_tables(np.asarray([position])))
+        q, k, v = project_qkv(model, hidden, layer, *model._rope_tables(np.asarray([position])))
         gen_kv[layer].append((k, v))
         parts = blocks[layer] + gen_kv[layer]
         k_all = np.concatenate([pk for pk, _ in parts], axis=1)
         v_all = np.concatenate([pv for _, pv in parts], axis=1)
         attn = model._attend_step(q, k_all, v_all)
         hidden = hidden + attn @ model.params[f"layers.{layer}.wo"]
-        hidden = hidden + model._mlp(hidden, layer)
+        hidden = hidden + mlp(model, hidden, layer)
     return (_rms_norm(hidden, model.params["final_norm"]) @ model.params["head"])[0]
 
 
@@ -416,28 +464,45 @@ def full_mask_attend(model, q, k_all, v_all, future):
     return out
 
 
-def full_mask_forward_blocks(self, cache, ordered, parts):
-    """``_forward_blocks`` with each block's future mask built from the
-    document position of every arena slot; ``parts`` holds every chunk."""
+def block_major_forward(model, cache, ordered, attend):
+    """``_forward_blocks`` as a serial loop that runs each block through every
+    layer before the next block starts, so the blocks after it hold
+    placeholder or stale K/V, with the reference MLP. ``attend(q, k_all,
+    v_all, slot, pos)`` is the block attention; ``pos`` holds the block's
+    document positions."""
     width = cache.chunk_tokens
-    spans = [parts[i] for i in cache.resident_indices()]
-    positions = np.concatenate([np.arange(c.doc_token_offset, c.doc_token_offset + c.size)
-                                for c in spans])
+    result = []
     for c in ordered:
         slot = cache.slot(c.chunk_index)
-        hidden = self.params["embedding"][np.asarray(c.token_ids, dtype=np.int64)].copy()
+        hidden = model.params["embedding"][np.asarray(c.token_ids, dtype=np.int64)].copy()
         pos = np.arange(c.doc_token_offset, c.doc_token_offset + c.size, dtype=np.int64)
-        future = positions[None, :] > pos[:, None]
-        cos, sin = self._rope_tables(pos)
-        for layer in range(self.config.n_layers):
-            q, k, v = self._project_qkv(hidden, layer, cos, sin)
+        cos, sin = model._rope_tables(pos)
+        for layer in range(model.config.n_layers):
+            q, k, v = project_qkv(model, hidden, layer, cos, sin)
             keys, values = cache.keys[layer], cache.values[layer]
             keys[:, slot:slot + c.size] = k
             values[:, slot:slot + c.size] = v
-            attn = full_mask_attend(self, q, keys[:, :width], values[:, :width], future)
-            hidden = hidden + attn @ self.params[f"layers.{layer}.wo"]
-            hidden = hidden + self._mlp(hidden, layer)
-        yield hidden, c.size * width
+            attn = attend(q, keys[:, :width], values[:, :width], slot, pos)
+            hidden = hidden + attn @ model.params[f"layers.{layer}.wo"]
+            hidden = hidden + mlp(model, hidden, layer)
+        result.append((hidden, c.size * width))
+    return result
+
+
+def full_mask_model(cfg, parts):
+    """A model whose passes are block-major and mask each block with the
+    document position of every arena slot; ``parts`` holds every chunk."""
+    oracle = DecoderModel(cfg)
+
+    def forward(cache, ordered):
+        positions = np.concatenate([np.arange(parts[i].doc_token_offset,
+                                              parts[i].doc_token_offset + parts[i].size)
+                                    for i in cache.resident_indices()])
+        return block_major_forward(oracle, cache, ordered, lambda q, k_all, v_all, slot, pos: (
+            full_mask_attend(oracle, q, k_all, v_all, positions[None, :] > pos[:, None])))
+
+    oracle._forward_blocks = forward
+    return oracle
 
 
 def arena_session(model, parts):
@@ -487,6 +552,17 @@ def arena_session(model, parts):
     return seen
 
 
+def assert_sessions_equal(got, want):
+    assert len(got) == len(want) == 6
+    for n, ((outputs, counters, keys, values), (w_outputs, w_counters, w_keys, w_values)) in enumerate(
+            zip(got, want)):
+        assert counters == w_counters, n
+        assert len(outputs) == len(w_outputs), n
+        assert all(np.array_equal(a, b) for a, b in zip(outputs, w_outputs)), n
+        assert all(np.array_equal(a, b) for a, b in zip(keys, w_keys)), n
+        assert all(np.array_equal(a, b) for a, b in zip(values, w_values)), n
+
+
 D_HEAD_32 = ModelConfig(n_layers=2, n_heads=2, d_model=64, d_head=32, d_kv_total=32,
                         vocab_size=512, init_seed=5)
 D_HEAD_8 = ModelConfig(n_layers=2, n_heads=4, d_model=32, d_head=8, d_kv_total=16,
@@ -499,28 +575,22 @@ D_HEAD_8 = ModelConfig(n_layers=2, n_heads=4, d_model=32, d_head=8, d_kv_total=1
 ])
 def test_block_attention_matches_the_full_mask_kernel(cfg, chunk_size):
     """Masking only the block's diagonal triangle and zeroing the future tail
-    gives the full-mask kernel's bits: hidden states, logits, K/V, counters."""
+    gives the full-mask kernel's bits: hidden states, logits, K/V, counters.
+    The kernel's passes are layer-major, so the keys after a block hold final
+    K/V, where the oracle's block-major passes leave placeholders."""
     parts = make_chunks(max(40, 6 * chunk_size + chunk_size // 2), chunk_size)
-    oracle = DecoderModel(cfg)
-    oracle._forward_blocks = lambda cache, ordered: full_mask_forward_blocks(oracle, cache, ordered, parts)
     bufsize = np.getbufsize()
-    got, want = arena_session(DecoderModel(cfg), parts), arena_session(oracle, parts)
+    got, want = arena_session(DecoderModel(cfg), parts), arena_session(full_mask_model(cfg, parts), parts)
     assert np.getbufsize() == bufsize  # the kernel's ufunc buffer size does not leak
-    assert len(got) == len(want) == 6
-    for n, ((outputs, counters, keys, values), (w_outputs, w_counters, w_keys, w_values)) in enumerate(
-            zip(got, want)):
-        assert counters == w_counters, n
-        assert len(outputs) == len(w_outputs), n
-        assert all(np.array_equal(a, b) for a, b in zip(outputs, w_outputs)), n
-        assert all(np.array_equal(a, b) for a, b in zip(keys, w_keys)), n
-        assert all(np.array_equal(a, b) for a, b in zip(values, w_values)), n
+    assert_sessions_equal(got, want)
 
 
-# --- threaded block attention and batched decode against the serial kernel ---
+# --- parallel passes and batched decode against the serial kernel ---
 
 def serial_attend(self, q, k_all, v_all, causal):
-    """The attention kernel with every head run in turn on the calling
-    thread, decode included, reducing through ``np.max``/``np.sum``."""
+    """The attention kernel with every head run in turn, decode included,
+    reducing through ``np.max``/``np.sum``. The ufunc buffer size is left at
+    its default: it moves data, not arithmetic."""
     cfg = self.config
     group = cfg.n_heads // cfg.n_kv_heads
     tq = q.shape[1]
@@ -531,35 +601,39 @@ def serial_attend(self, q, k_all, v_all, causal):
         slot, triangle = causal
         live = scores[:, :slot + tq]
         diagonal, tail = scores[:, slot:slot + tq], scores[:, slot + tq:]
-    with np.errstate():
+    for h in range(cfg.n_heads):
+        kv = h // group
+        np.matmul(q[h], k_all[kv].T, out=scores)
+        live *= self._inv_sqrt_dh
         if causal is not None:
-            np.setbufsize(model_module._LIVE_BUFSIZE)
-        for h in range(cfg.n_heads):
-            kv = h // group
-            np.matmul(q[h], k_all[kv].T, out=scores)
-            live *= self._inv_sqrt_dh
-            if causal is not None:
-                np.copyto(diagonal, np.float32(-np.inf), where=triangle)
-                tail[...] = 0.0
-            live -= np.max(live, axis=1, keepdims=True)
-            np.exp(live, out=live)
-            live /= np.sum(scores, axis=1, keepdims=True)
-            out[:, h * cfg.d_head:(h + 1) * cfg.d_head] = scores @ v_all[kv]
+            np.copyto(diagonal, np.float32(-np.inf), where=triangle)
+            tail[...] = 0.0
+        live -= np.max(live, axis=1, keepdims=True)
+        np.exp(live, out=live)
+        live /= np.sum(scores, axis=1, keepdims=True)
+        out[:, h * cfg.d_head:(h + 1) * cfg.d_head] = scores @ v_all[kv]
     return out
 
 
 def serial_model(cfg):
+    """A model whose passes run block-major on the calling thread and whose
+    attention, decode included, runs one head at a time."""
     oracle = DecoderModel(cfg)
+
+    def attend(q, k_all, v_all, slot, pos):
+        steps = np.arange(len(pos))
+        return serial_attend(oracle, q, k_all, v_all, (slot, steps[None, :] > steps[:, None]))
+
     oracle._attend_step = lambda q, k_all, v_all: serial_attend(oracle, q, k_all, v_all, None)
-    oracle._attend_block = lambda q, k_all, v_all, slot, triangle, helper_scores: serial_attend(
-        oracle, q, k_all, v_all, (slot, triangle))
+    oracle._forward_blocks = lambda cache, ordered: block_major_forward(oracle, cache, ordered, attend)
     return oracle
 
 
 @pytest.fixture
 def parallel_blocks(monkeypatch):
-    """Give every block attention one thread per head, counting the blocks
-    that handed heads to helpers. Returns that count as a list of one."""
+    """Give every pass that passes the gate one thread per block, counting
+    the stages that handed blocks to helpers. Returns that count as a list
+    of one."""
     handed = [0]
     pool = model_module._helper_pool
 
@@ -581,14 +655,16 @@ KV_ALL = ModelConfig(n_layers=2, n_heads=4, d_model=32, d_head=8, d_kv_total=32,
 @pytest.mark.parametrize("cfg,chunk_size,min_scores", [
     (KV_1, 1, 0), (KV_1, 5, 0), (D_HEAD_8, 1, 0), (D_HEAD_8, 12, 0), (KV_ALL, 3, 0),
     (D_HEAD_32, 7, 0),
-    # at the measured threshold: the full prefill's blocks (416 x 2704
-    # scores) are above it, the later sessions' narrower blocks below
+    # at the measured gate: the prefills (2704, 1456 and 1248 tokens) and
+    # the four-block rebuild (1664 x 2080) are above it, the one-block
+    # rebuilds (416 x 1872) below
     (KV_1, 416, None), (D_HEAD_8, 416, None),
 ])
 def test_threaded_block_attention_matches_the_serial_kernel(parallel_blocks, monkeypatch,
                                                             cfg, chunk_size, min_scores):
-    """Heads spread over threads give the serial kernel's hidden states,
-    logits, K/V and counters bit for bit, with 1, 2 and 4 KV heads."""
+    """Blocks spread over threads, one layer at a time, give the block-major
+    serial kernel's hidden states, logits, K/V and counters bit for bit,
+    with 1, 2 and 4 KV heads."""
     if min_scores is not None:
         monkeypatch.setattr(model_module, "_PARALLEL_MIN_SCORES", min_scores)
     parts = make_chunks(max(40, 6 * chunk_size + chunk_size // 2), chunk_size)
@@ -597,24 +673,25 @@ def test_threaded_block_attention_matches_the_serial_kernel(parallel_blocks, mon
     assert parallel_blocks[0] > 0
     want = arena_session(serial_model(cfg), parts)
     assert np.getbufsize() == bufsize
-    assert len(got) == len(want) == 6
-    for n, (a, b) in enumerate(zip(got, want)):
-        (outputs, counters, keys, values), (w_outputs, w_counters, w_keys, w_values) = a, b
-        assert counters == w_counters, n
-        assert len(outputs) == len(w_outputs), n
-        assert all(np.array_equal(x, y) for x, y in zip(outputs, w_outputs)), n
-        assert all(np.array_equal(x, y) for x, y in zip(keys, w_keys)), n
-        assert all(np.array_equal(x, y) for x, y in zip(values, w_values)), n
+    assert_sessions_equal(got, want)
 
 
 def test_small_blocks_and_one_core_stay_on_the_calling_thread(monkeypatch, chunks, toy_model_config):
+    """A pass below the gate, on one core, or of one block makes no helper pool."""
     model = DecoderModel(toy_model_config)
     monkeypatch.setattr(model_module, "_pool", None)
-    model.prefill(chunks, KVCache(toy_model_config))  # 12 x 96 scores: below the threshold
+    model.prefill(chunks, KVCache(toy_model_config))  # 96 tokens x 96 keys: below the gate
     monkeypatch.setattr(model_module, "_PARALLEL_MIN_SCORES", 0)
     monkeypatch.setattr(model_module, "_cores", lambda: 1)
     model.prefill(chunks, KVCache(toy_model_config))
+    monkeypatch.setattr(model_module, "_cores", lambda: 2)
+    cache = KVCache(toy_model_config)
+    model.prefill(chunks[:1], cache)
+    model.rebuild_blocks(cache, [1], {c.chunk_index: c for c in chunks})
     assert model_module._pool is None
+    model.prefill(chunks, KVCache(toy_model_config))  # the gate opens
+    assert model_module._pool is not None
+    model_module._pool.shutdown()
 
 
 @pytest.mark.parametrize("cfg", [KV_1, D_HEAD_8, KV_ALL, D_HEAD_32])
@@ -645,81 +722,104 @@ def test_batched_decode_matches_the_per_head_oracle(cfg):
 def test_ufunc_buffer_size_does_not_leak_from_any_thread(parallel_blocks, monkeypatch, chunks,
                                                           toy_model_config):
     monkeypatch.setattr(model_module, "_PARALLEL_MIN_SCORES", 0)
+    monkeypatch.setattr(model_module, "_cores", lambda: 2)
     default = []
     fresh = threading.Thread(target=lambda: default.append(np.getbufsize()))
     fresh.start()
     fresh.join(timeout=10)
     assert not fresh.is_alive()
-    after_heads = {}
-    block_heads = DecoderModel._block_heads
+    caller = threading.get_ident()
+    after_stage = {}
+    block_stage = DecoderModel._block_stage
 
     def recorded(self, *args):
-        block_heads(self, *args)
-        after_heads.setdefault(threading.get_ident(), set()).add(np.getbufsize())
+        block_stage(self, *args)
+        after_stage.setdefault(threading.get_ident(), set()).add(np.getbufsize())
+        time.sleep(0.002)  # so both threads take blocks
 
-    monkeypatch.setattr(DecoderModel, "_block_heads", recorded)
+    monkeypatch.setattr(DecoderModel, "_block_stage", recorded)
     model = DecoderModel(toy_model_config)
     bufsize = np.getbufsize()
     model.prefill(chunks, KVCache(toy_model_config))
     assert np.getbufsize() == bufsize
     assert parallel_blocks[0] > 0
-    assert after_heads.pop(threading.get_ident()) == {bufsize}
-    assert after_heads and all(sizes == set(default) for sizes in after_heads.values())
+    assert after_stage.pop(caller) == {bufsize}
+    assert after_stage and all(sizes == set(default) for sizes in after_stage.values())
     assert model_module._helper_pool().submit(np.getbufsize).result(timeout=10) == default[0]
 
 
-def test_each_head_is_taken_once_with_more_threads_than_cores(monkeypatch):
-    cfg = ModelConfig(n_layers=1, n_heads=8, d_model=64, d_head=8, d_kv_total=16,
+def test_each_block_runs_once_per_stage_with_more_threads_than_cores(monkeypatch):
+    """Eight threads on two cores with a 1 µs switch interval: every stage
+    runs each of the pass's 12 blocks exactly once, no block starts a stage
+    before every block has finished the one before, and the result is the
+    serial kernel's."""
+    cfg = ModelConfig(n_layers=3, n_heads=2, d_model=16, d_head=8, d_kv_total=8,
                       vocab_size=64, init_seed=3)
+    parts = make_chunks(48, 4, vocab=64)
+    want = serial_model(cfg).prefill(parts, KVCache(cfg))
     monkeypatch.setattr(model_module, "_PARALLEL_MIN_SCORES", 0)
     monkeypatch.setattr(model_module, "_cores", lambda: 8)
     monkeypatch.setattr(model_module, "_pool", None)  # a fresh pool of 7 helpers
+    events = []
+    block_stage = DecoderModel._block_stage
+
+    def recorded(self, cache, layer, block, work):
+        events.append(("start", layer, block.slot, threading.get_ident()))
+        block_stage(self, cache, layer, block, work)
+        events.append(("end", layer, block.slot, threading.get_ident()))
+
+    monkeypatch.setattr(DecoderModel, "_block_stage", recorded)
     model = DecoderModel(cfg)
-    rng = np.random.default_rng(1)
-    q = rng.standard_normal((8, 16, 8), dtype=np.float32)
-    k_all, v_all = rng.standard_normal((2, 2, 40, 8), dtype=np.float32)
-    causal = (16, np.triu(np.ones((16, 16), dtype=bool), 1))
-    scores = [np.empty((16, 40), dtype=np.float32) for _ in range(7)]  # one per helper
-    want = serial_attend(model, q, k_all, v_all, causal)
+    stages = range(-1, cfg.n_layers)
+    slots = sorted(4 * i for i in range(12))
+    threads = set()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         deadline = time.monotonic() + 5
-        for n in range(200):
-            assert np.array_equal(model._attend_block(q, k_all, v_all, *causal, scores), want), n
+        for n in range(100):
+            events.clear()
+            got = model.prefill(parts, KVCache(cfg))
+            assert np.array_equal(got.hidden, want.hidden) and np.array_equal(got.last_logits,
+                                                                              want.last_logits), n
+            for kind in ("start", "end"):
+                ran = [(layer, slot) for k, layer, slot, _ in events if k == kind]
+                assert sorted(ran) == [(layer, slot) for layer in stages for slot in slots], n
+            layers = [layer for _, layer, _, _ in events]
+            assert layers == sorted(layers), n  # each stage ends before the next starts
+            threads |= {thread for *_, thread in events}
             if time.monotonic() > deadline:
                 break
     finally:
         sys.setswitchinterval(interval)
         if model_module._pool is not None:
             model_module._pool.shutdown()
+    assert len(threads) > 1
 
 
 @pytest.mark.parametrize("failing", ["caller", "helper"])
-def test_a_failing_head_raises_after_every_thread_is_done(monkeypatch, failing):
-    """Whichever thread raises, ``_attend_block`` raises only once the other
-    one has finished, and nothing runs on after it."""
+def test_a_failing_block_raises_after_every_thread_is_done(monkeypatch, failing):
+    """Whichever thread a block fails on, the pass raises only once the
+    other thread has finished its block, and nothing runs on after it."""
     monkeypatch.setattr(model_module, "_PARALLEL_MIN_SCORES", 0)
     monkeypatch.setattr(model_module, "_cores", lambda: 2)
     caller = threading.get_ident()
+    failed = threading.Event()
     finished = []
-    block_heads = DecoderModel._block_heads
+    block_stage = DecoderModel._block_stage
 
     def one_fails(self, *args):
         if (threading.get_ident() == caller) == (failing == "caller"):
-            raise ArithmeticError(f"head failed on the {failing}")
+            failed.set()
+            raise ArithmeticError(f"block failed on the {failing}")
+        failed.wait(timeout=10)  # so each thread takes one of the two blocks
         time.sleep(0.2)
-        block_heads(self, *args)
+        block_stage(self, *args)
         finished.append(threading.get_ident())
 
-    monkeypatch.setattr(DecoderModel, "_block_heads", one_fails)
-    model = DecoderModel(D_HEAD_8)
-    rng = np.random.default_rng(0)
-    q = rng.standard_normal((4, 6, 8), dtype=np.float32)
-    k_all, v_all = rng.standard_normal((2, 2, 20, 8), dtype=np.float32)
+    monkeypatch.setattr(DecoderModel, "_block_stage", one_fails)
     with pytest.raises(ArithmeticError, match=failing):
-        model._attend_block(q, k_all, v_all, 10, np.triu(np.ones((6, 6), dtype=bool), 1),
-                            [np.empty((6, 20), dtype=np.float32)])
+        DecoderModel(D_HEAD_8).prefill(make_chunks(24, 12), KVCache(D_HEAD_8))
     assert len(finished) == 1
     assert (finished[0] == caller) == (failing == "helper")
     time.sleep(0.1)

@@ -1,0 +1,127 @@
+"""Run the benchmark on two checkouts in alternating pairs and compare them.
+
+Usage:
+
+    python3 tools/pairs.py PARENT CHANGE --workload apce-reprior --seeds 401-410 --seconds 10
+
+PARENT and CHANGE are checkouts of this repository (for instance a
+``git archive`` of the parent commit and the working tree). Pair i runs
+``perfbench/run.py`` once in each, at the i-th seed, the parent first in
+even pairs and the change first in odd ones, so drift in the host's speed
+falls on both sides alike. ``--busy`` keeps one CPU-bound process of this
+tool's own running through every run, to see how each side does when a
+core is taken.
+
+For each pair it prints every end-to-end metric of both sides and the steal
+ticks that ``/proc/stat`` counted during each run (the time the host gave
+this machine's vCPUs to others). Then, per metric, each side's median and
+quartiles and the number of pairs the change won, judged by the metric's
+``better`` direction in the change's ``BENCHMARK.json``; ties count for
+neither side. Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def parse_seeds(text: str) -> list[int]:
+    """'401-405,510' -> [401, 402, 403, 404, 405, 510]."""
+    seeds = []
+    for part in text.split(","):
+        low, _, high = part.partition("-")
+        seeds.extend(range(int(low), int(high or low) + 1))
+    return seeds
+
+
+def cpu_ticks() -> tuple[int, int] | None:
+    """(steal, total) ticks of all CPUs so far, or None off Linux."""
+    try:
+        with open("/proc/stat") as stat:
+            fields = [int(x) for x in stat.readline().split()[1:]]
+    except OSError:
+        return None
+    return fields[7], sum(fields[:8])  # user .. steal; guest time is inside user
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, busy: bool) -> tuple[dict, str]:
+    """One benchmark run: its metric values and the steal seen during it."""
+    spinner = subprocess.Popen([sys.executable, "-c", "while True: pass"]) if busy else None
+    before = cpu_ticks()
+    try:
+        done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                               "--seed", str(seed), "--seconds", str(seconds)],
+                              cwd=checkout, capture_output=True, text=True)
+    finally:
+        after = cpu_ticks()
+        if spinner is not None:
+            spinner.kill()
+            spinner.wait()
+    if done.returncode != 0:
+        sys.exit(f"{checkout}: perfbench/run.py exited {done.returncode}\n{done.stderr}")
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    values = {name: m["value"] for name, m in result["metrics"].items()}
+    values["failed"] = result["failed"]
+    steal = "n/a"
+    if before and after:
+        ticks, total = after[0] - before[0], after[1] - before[1]
+        steal = f"{ticks} ticks ({100 * ticks / max(total, 1):.1f}%)"
+    return values, steal
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return q1, median, q3
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", required=True, type=parse_seeds, help="e.g. 401-410 or 3,7,9")
+    parser.add_argument("--seconds", type=float, default=15)
+    parser.add_argument("--busy", action="store_true", help="run a CPU-bound process alongside")
+    args = parser.parse_args(argv)
+
+    checkouts = {"parent": args.parent, "change": args.change}
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    runs: dict[str, list[dict]] = {side: [] for side in SIDES}
+    for n, seed in enumerate(args.seeds):
+        order = SIDES if n % 2 == 0 else SIDES[::-1]
+        steal = {}
+        for side in order:
+            values, steal[side] = run_once(checkouts[side], args.workload, seed, args.seconds, args.busy)
+            runs[side].append(values)
+        shown = "  ".join(f"{name} {runs['parent'][-1][name]:.4g}/{runs['change'][-1][name]:.4g}"
+                          for name in better)
+        print(f"pair {n + 1} seed {seed} ({order[0]} first)  parent/change  {shown}  "
+              f"steal parent {steal['parent']}, change {steal['change']}", flush=True)
+
+    pairs = len(args.seeds)
+    print(f"\n{args.workload}: {pairs} pairs of {args.seconds:g} s runs"
+          f"{' with a CPU-bound process alongside' if args.busy else ''}")
+    for name, direction in better.items():
+        sides = {side: [r[name] for r in runs[side]] for side in SIDES}
+        sign = 1 if direction == "lower" else -1
+        wins = sum(sign * (c - p) < 0 for p, c in zip(sides["parent"], sides["change"]))
+        summary = "  ".join("{} {:.4g} [{:.4g}-{:.4g}]".format(side, q[1], q[0], q[2])
+                            for side, q in ((s, quartiles(sides[s])) for s in SIDES))
+        print(f"  {name:12} median [IQR]  {summary}  change better in {wins} of {pairs}")
+    failed = {side: sum(r["failed"] for r in runs[side]) for side in SIDES}
+    print(f"  failed sessions  parent {failed['parent']}  change {failed['change']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
