@@ -36,6 +36,9 @@ class LoadModel:
 
 @dataclass
 class RunConfig:
+    """Every setting of a run. The model and load fields take their defaults
+    from ``ModelConfig`` and ``LoadModel``."""
+
     mode: str = "apce"
     seed: int = 0
     chunk_size: int = 800
@@ -50,19 +53,19 @@ class RunConfig:
     embedding_dim: int = 384
     embedding_provider: str = "hash"
     embedding_file: str | None = None
-    vocab_size: int = 32768
+    vocab_size: int = ModelConfig.vocab_size
     max_new_tokens: int = 64
-    per_chunk_load_latency: float = 0.0
-    async_start_chunks: int = 4
-    decode_latency: float = 0.0
-    compute_seconds_per_element: float = 0.0
-    n_layers: int = 4
-    n_heads: int = 4
-    d_model: int = 128
-    d_head: int = 32
-    d_kv_total: int = 64
-    rope_theta: float = 10000.0
-    max_position: int = 65536
+    per_chunk_load_latency: float = LoadModel.per_chunk_load_latency
+    async_start_chunks: int = LoadModel.async_start_chunks
+    decode_latency: float = LoadModel.decode_latency
+    compute_seconds_per_element: float = LoadModel.compute_seconds_per_element
+    n_layers: int = ModelConfig.n_layers
+    n_heads: int = ModelConfig.n_heads
+    d_model: int = ModelConfig.d_model
+    d_head: int = ModelConfig.d_head
+    d_kv_total: int = ModelConfig.d_kv_total
+    rope_theta: float = ModelConfig.rope_theta
+    max_position: int = ModelConfig.max_position
 
     def validate(self) -> None:
         if self.mode not in ("dense", "apce"):

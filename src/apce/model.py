@@ -14,12 +14,13 @@ load-bearing for the rest of the engine:
   prefix view of it, so chunk tokens score against the keys of *every*
   resident chunk and a decode step scores against all of them plus the
   generated tokens. The score-element counters are read off the query rows
-  and the width of the views attended, so a prefill measures exactly
-  (resident tokens)^2, like a conventional full-matrix implementation, and
-  operand shapes stay identical between an initial prefill and a later
-  rebuild of the same resident set. With identical shapes and identical
-  unmasked inputs, float32 results are reproduced bit for bit, which is
-  what the rebuild-equals-fresh-prefill checks rely on.
+  and the width of the views attended in each layer that writes K/V, so a
+  prefill measures exactly (resident tokens)^2, like a conventional
+  full-matrix implementation, and operand shapes stay identical between an
+  initial prefill and a later rebuild of the same resident set. With
+  identical shapes and identical unmasked inputs, float32 results are
+  reproduced bit for bit, which is what the rebuild-equals-fresh-prefill
+  checks rely on.
 
 - Document order makes a chunk block's mask positional: the keys before
   its slot are all past, those inside it form a strictly upper triangle
@@ -35,19 +36,23 @@ load-bearing for the rest of the engine:
 - Prefill and rebuild share one forward path. Both reserve their chunks'
   slots, settle the arena, and run the chunks layer-major: a first stage
   writes every block's layer-0 K/V, and stage l runs each block's attention
-  over layer l and its MLP, then writes its layer l+1 K/V. A stage's blocks
-  depend only on K/V that the stage before finished, so they run on up to
-  one thread per core (the calling thread and process-wide helpers, each
-  taking the next block), which meet once per stage. Each block makes the
-  same calls on the same shapes as in a serial loop that runs one block at a
-  time through every layer, so results are that loop's bit for bit; the keys
-  after a block may hold final K/V where that loop sees placeholders, but
-  they are finite and masked. Each thread keeps one workspace for a block's
-  scores and MLP intermediates: (largest block's tokens) x max(resident
-  tokens, 2 x d_ff) float32 elements. A pass of one block, or whose scores
-  for one layer and head (pass tokens x resident tokens) stay under
-  ``_PARALLEL_MIN_SCORES``, runs on the calling thread, as decode steps do.
-  The speedup assumes a single-threaded BLAS.
+  over layer l and its MLP, then writes its layer l+1 K/V. The last layer
+  writes no K/V, so only the block that seeds generation runs it: a rebuild
+  stops every block once its last-layer K/V are written, and a prefill then
+  runs its last block, whole, through the last layer, whose final row gives
+  the logits that seed greedy decoding. A stage's blocks depend only on K/V
+  that the stage before finished, so they run on up to one thread per core
+  (the calling thread and process-wide helpers, each taking the next block),
+  which meet once per stage. Each block makes the same calls on the same
+  shapes as in a serial loop that runs one block at a time through the same
+  layers, so results are that loop's bit for bit; the keys after a block may
+  hold final K/V where that loop sees placeholders, but they are finite and
+  masked. Each thread keeps one workspace for a block's scores and MLP
+  intermediates: (largest block's tokens) x max(resident tokens, 2 x d_ff)
+  float32 elements. A pass of one block, or whose scores for one layer and
+  head (pass tokens x resident tokens) stay under ``_PARALLEL_MIN_SCORES``,
+  runs on the calling thread, as decode steps do. The speedup assumes a
+  single-threaded BLAS.
 
 - The arena changes layout only when residency does. Eviction and
   admission edit a chunk -> slot index; the arrays are re-laid out once,
@@ -77,7 +82,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .textpipe import Chunk
+from .textpipe import DEFAULT_VOCAB_SIZE, Chunk
 
 _NORM_EPS = np.float32(1e-5)
 _NEG_INF = np.float32(-np.inf)
@@ -109,7 +114,7 @@ class ModelConfig:
     d_model: int = 128
     d_head: int = 32
     d_kv_total: int = 64
-    vocab_size: int = 32768
+    vocab_size: int = DEFAULT_VOCAB_SIZE
     rope_theta: float = 10000.0
     init_seed: int = 0
     max_position: int = 65536
@@ -139,7 +144,10 @@ class ModelConfig:
 @dataclass
 class CostCounters:
     """Attention score elements actually computed, counted once per
-    (query, key) pair (layers and heads share the same pattern)."""
+    (query, key) pair of a layer that writes K/V (those layers and the heads
+    share the same pattern): a pass's block tokens x the width attended,
+    summed, and a decode step's key width. The last layer of a prefill runs
+    for its last block only and adds nothing to the count."""
 
     prefill_elements: int = 0
     rebuild_elements: int = 0
@@ -257,7 +265,6 @@ class KVCache:
 
 
 class PrefillResult(NamedTuple):
-    hidden: np.ndarray  # (tokens, d_model) final-layer hidden states, post norm
     last_logits: np.ndarray | None
     score_elements: int
 
@@ -301,8 +308,8 @@ class DecoderModel:
 
         Attention is causal over the chunks being prefilled; their K/V fill
         the cache's arena in document order, with document-absolute
-        positions. Returns final hidden states for every processed token
-        plus the last position's logits (the seed of greedy generation).
+        positions. Returns the last position's logits (the seed of greedy
+        generation) and the score elements computed.
         """
         cfg = self.config
         if cache.resident_tokens or cache.gen_len:
@@ -312,19 +319,17 @@ class DecoderModel:
             if a.chunk_index == b.chunk_index:
                 raise ValueError(f"duplicate chunk index {a.chunk_index}")
         if not ordered:
-            return PrefillResult(np.zeros((0, cfg.d_model), dtype=np.float32), None, 0)
+            return PrefillResult(None, 0)
         if any(c.doc_token_offset + c.size > cfg.max_position for c in ordered):
             raise ValueError("chunk positions overflow max_position")
 
         for c in ordered:
             cache.reserve(c)
         cache.settle()
-        hidden, block_elements = zip(*self._forward_blocks(cache, ordered))
-        elements = sum(block_elements)
-        final = _rms_norm(np.concatenate(hidden, axis=0), self.params["final_norm"])
-        last_logits = final[-1] @ self.params["head"]
+        elements, hidden = self._forward_blocks(cache, ordered, finish_last=True)
+        last_logits = _rms_norm(hidden[-1:], self.params["final_norm"])[0] @ self.params["head"]
         cache.counters.prefill_elements += elements
-        return PrefillResult(final, last_logits, elements)
+        return PrefillResult(last_logits, elements)
 
     def decode_step(self, cache: KVCache, last_token: int, position: int) -> StepOutput:
         """One greedy decode step at a document-absolute position.
@@ -385,18 +390,20 @@ class DecoderModel:
         cache.settle()
 
         ordered = sorted((chunks_by_index[i] for i in targets), key=lambda c: c.doc_token_offset)
-        elements = sum(n for _, n in self._forward_blocks(cache, ordered))
+        elements, _ = self._forward_blocks(cache, ordered, finish_last=False)
         cache.counters.rebuild_elements += elements
         return elements
 
     # --- internals ---
 
-    def _forward_blocks(self, cache: KVCache, ordered: Sequence[Chunk]
-                        ) -> list[tuple[np.ndarray, int]]:
-        """Run settled resident chunks, in document order, through every
-        layer in stages (see the module docstring). Returns, per block, its
-        final-layer hidden states (before the final norm) and the score
-        elements computed."""
+    def _forward_blocks(self, cache: KVCache, ordered: Sequence[Chunk], finish_last: bool
+                        ) -> tuple[int, np.ndarray | None]:
+        """Run settled resident chunks, in document order, through the stages
+        that write K/V (see the module docstring). With ``finish_last``, the
+        last block alone then runs the last layer, on this thread. Returns the
+        score elements computed per layer and head (pass tokens x resident
+        tokens), and the last block's final-layer hidden states (before the
+        final norm) if it was finished, else None."""
         width = cache.chunk_tokens
         scores = sum(c.size for c in ordered) * width  # per layer and head
         threads = min(_cores(), len(ordered)) if scores >= _PARALLEL_MIN_SCORES else 1
@@ -412,9 +419,15 @@ class DecoderModel:
                 triangles[c.size] = np.triu(np.ones((c.size, c.size), dtype=bool), 1)
             pos = np.arange(c.doc_token_offset, c.doc_token_offset + c.size, dtype=np.int64)
             blocks.append(_Block(c, cache.slot(c.chunk_index), triangles[c.size], *self._rope_tables(pos)))
-        for layer in range(-1, self.config.n_layers):
+        last_layer = self.config.n_layers - 1
+        for layer in range(-1, last_layer):
             _run_stage(functools.partial(self._block_stage, cache, layer), blocks, workspaces)
-        return [(b.hidden, b.chunk.size * width) for b in blocks]
+        if not finish_last:
+            return scores, None
+        # The whole block, not its last row: a one-row product takes another
+        # BLAS path and would change the bits.
+        self._block_stage(cache, last_layer, blocks[-1], workspaces[0])
+        return scores, blocks[-1].hidden
 
     def _block_stage(self, cache: KVCache, layer: int, block: _Block, work: np.ndarray) -> None:
         """A block's attention over ``layer`` and its MLP (stage -1 embeds its

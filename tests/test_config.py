@@ -1,6 +1,8 @@
 import pytest
 
-from apce.config import RunConfig, apply_overrides, load_config_file, parse_config_text
+from apce.config import LoadModel, RunConfig, apply_overrides, load_config_file, parse_config_text
+from apce.model import ModelConfig
+from apce.textpipe import DEFAULT_VOCAB_SIZE
 
 
 def test_defaults_are_valid():
@@ -11,6 +13,9 @@ def test_defaults_are_valid():
     assert config.alpha == 0.5
     assert config.embedding_dim == 384
     assert config.async_start_chunks == 4
+    assert config.model_config() == ModelConfig()  # the model and load defaults live there
+    assert config.load_model() == LoadModel()
+    assert config.vocab_size == DEFAULT_VOCAB_SIZE
 
 
 def test_effective_k_fraction_round_half_up():

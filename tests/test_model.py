@@ -1,3 +1,4 @@
+import collections
 import os
 import signal
 import sys
@@ -18,6 +19,10 @@ from apce.model import (
     _rms_norm,
 )
 from apce.textpipe import TokenSequence, chunk
+
+# numpy's default ufunc buffer size (8192 elements), read before any test runs:
+# the kernel's own buffer size must not leak into any test after it.
+DEFAULT_BUFSIZE = np.getbufsize()
 
 
 def make_chunks(n_tokens, chunk_size, vocab=512, salt=0):
@@ -60,7 +65,6 @@ def test_prefill_deterministic_and_equal_to_itself(model, chunks, toy_model_conf
     c1, c2 = KVCache(toy_model_config), KVCache(toy_model_config)
     r1 = model.prefill(chunks, c1)
     r2 = model.prefill(chunks, c2)
-    assert np.array_equal(r1.hidden, r2.hidden)
     assert np.array_equal(r1.last_logits, r2.last_logits)
     assert caches_equal(c1, c2, toy_model_config.n_layers)
 
@@ -73,9 +77,10 @@ def test_prefill_deterministic_and_equal_to_itself(model, chunks, toy_model_conf
     assert caches_equal(c1, c3, toy_model_config.n_layers)
     assert elements == r1.score_elements
     assert c3.counters.rebuild_elements == c1.counters.prefill_elements
-    hidden = [h for h, _ in model._forward_blocks(c3, chunks)]  # once more, over the rebuilt cache
-    final = _rms_norm(np.concatenate(hidden, axis=0), model.params["final_norm"])
-    assert np.array_equal(final, r1.hidden)
+    # once more, over the rebuilt cache, finishing the last block
+    elements, hidden = model._forward_blocks(c3, chunks, finish_last=True)
+    assert elements == r1.score_elements and hidden.shape == (chunks[-1].size, toy_model_config.d_model)
+    final = _rms_norm(hidden, model.params["final_norm"])
     assert np.array_equal(final[-1] @ model.params["head"], r1.last_logits)
     assert caches_equal(c1, c3, toy_model_config.n_layers)
 
@@ -203,29 +208,27 @@ def test_decode_needs_cache(model, toy_model_config):
 
 # --- causality ---
 
-def test_causality_future_token_cannot_affect_past_logits(model, toy_model_config):
+def test_causality_future_token_cannot_affect_past_kv(model, toy_model_config):
+    """Flipping the document's last token leaves every layer's K/V at every
+    earlier position bit-identical, in the flipped token's own block too,
+    and does change that token's K/V and the last logits."""
     base = make_chunks(60, 10)
-    ids = list(base[0].tokens.tokens)
-    flipped = [c.tokens.tokens for c in base]
-
     cache_a = KVCache(toy_model_config)
-    hidden_a = model.prefill(base, cache_a).hidden
+    logits_a = model.prefill(base, cache_a).last_logits
 
-    # flip a token in the last chunk, far after position p
     mutated = make_chunks(60, 10)
     tokens = list(mutated[-1].tokens.tokens)
     tokens[-1] = (tokens[-1] + 11) % 512
     object.__setattr__(mutated[-1], "tokens", TokenSequence(tokens=tuple(tokens)))
-
     cache_b = KVCache(toy_model_config)
-    hidden_b = model.prefill(mutated, cache_b).hidden
+    logits_b = model.prefill(mutated, cache_b).last_logits
 
-    p = 25  # strictly before the mutation
-    logits_a = hidden_a[p] @ model.params["head"]
-    logits_b = hidden_b[p] @ model.params["head"]
-    assert np.array_equal(logits_a, logits_b)
-    # and the mutation does matter at the end
-    assert not np.array_equal(hidden_a[-1], hidden_b[-1])
+    p = 59  # the flipped position
+    for layer in range(toy_model_config.n_layers):
+        for a, b in ((cache_a.keys, cache_b.keys), (cache_a.values, cache_b.values)):
+            assert np.array_equal(a[layer][:, :p], b[layer][:, :p]), layer
+            assert not np.array_equal(a[layer][:, p], b[layer][:, p]), layer
+    assert not np.array_equal(logits_a, logits_b)
 
 
 # --- recompute ---
@@ -464,29 +467,31 @@ def full_mask_attend(model, q, k_all, v_all, future):
     return out
 
 
-def block_major_forward(model, cache, ordered, attend):
+def block_major_forward(model, cache, ordered, finish_last, attend):
     """``_forward_blocks`` as a serial loop that runs each block through every
     layer before the next block starts, so the blocks after it hold
-    placeholder or stale K/V, with the reference MLP. ``attend(q, k_all,
-    v_all, slot, pos)`` is the block attention; ``pos`` holds the block's
-    document positions."""
+    placeholder or stale K/V, with the reference MLP. A block stops once its
+    last-layer K/V are written, except the last block under ``finish_last``.
+    ``attend(q, k_all, v_all, slot, pos)`` is the block attention; ``pos``
+    holds the block's document positions."""
     width = cache.chunk_tokens
-    result = []
+    last_layer = model.config.n_layers - 1
     for c in ordered:
         slot = cache.slot(c.chunk_index)
         hidden = model.params["embedding"][np.asarray(c.token_ids, dtype=np.int64)].copy()
         pos = np.arange(c.doc_token_offset, c.doc_token_offset + c.size, dtype=np.int64)
         cos, sin = model._rope_tables(pos)
-        for layer in range(model.config.n_layers):
+        for layer in range(last_layer + 1):
             q, k, v = project_qkv(model, hidden, layer, cos, sin)
             keys, values = cache.keys[layer], cache.values[layer]
             keys[:, slot:slot + c.size] = k
             values[:, slot:slot + c.size] = v
+            if layer == last_layer and not (finish_last and c is ordered[-1]):
+                break
             attn = attend(q, keys[:, :width], values[:, :width], slot, pos)
             hidden = hidden + attn @ model.params[f"layers.{layer}.wo"]
             hidden = hidden + mlp(model, hidden, layer)
-        result.append((hidden, c.size * width))
-    return result
+    return sum(c.size * width for c in ordered), hidden if finish_last else None
 
 
 def full_mask_model(cfg, parts):
@@ -494,11 +499,11 @@ def full_mask_model(cfg, parts):
     document position of every arena slot; ``parts`` holds every chunk."""
     oracle = DecoderModel(cfg)
 
-    def forward(cache, ordered):
+    def forward(cache, ordered, finish_last):
         positions = np.concatenate([np.arange(parts[i].doc_token_offset,
                                               parts[i].doc_token_offset + parts[i].size)
                                     for i in cache.resident_indices()])
-        return block_major_forward(oracle, cache, ordered, lambda q, k_all, v_all, slot, pos: (
+        return block_major_forward(oracle, cache, ordered, finish_last, lambda q, k_all, v_all, slot, pos: (
             full_mask_attend(oracle, q, k_all, v_all, positions[None, :] > pos[:, None])))
 
     oracle._forward_blocks = forward
@@ -520,12 +525,12 @@ def arena_session(model, parts):
 
     cache = KVCache(cfg)
     result = model.prefill(parts, cache)
-    snapshot(cache, result.hidden, result.last_logits)
+    snapshot(cache, result.last_logits)
 
     # mid-arena admission with recompute off: the tail holds stale K/V
     cache = KVCache(cfg)
     result = model.prefill([by_idx[i] for i in (0, 2, 4, last)], cache)
-    snapshot(cache, result.hidden, result.last_logits)
+    snapshot(cache, result.last_logits)
     CacheHandle(model, cache, parts, recompute_enabled=False).rebuild(admit=[1], recompute=[2, 4, last])
     snapshot(cache)
     model.rebuild_blocks(cache, [2], by_idx)  # 4 and the last chunk still stale after it
@@ -575,13 +580,12 @@ D_HEAD_8 = ModelConfig(n_layers=2, n_heads=4, d_model=32, d_head=8, d_kv_total=1
 ])
 def test_block_attention_matches_the_full_mask_kernel(cfg, chunk_size):
     """Masking only the block's diagonal triangle and zeroing the future tail
-    gives the full-mask kernel's bits: hidden states, logits, K/V, counters.
+    gives the full-mask kernel's bits: logits, used K/V, counters.
     The kernel's passes are layer-major, so the keys after a block hold final
     K/V, where the oracle's block-major passes leave placeholders."""
     parts = make_chunks(max(40, 6 * chunk_size + chunk_size // 2), chunk_size)
-    bufsize = np.getbufsize()
     got, want = arena_session(DecoderModel(cfg), parts), arena_session(full_mask_model(cfg, parts), parts)
-    assert np.getbufsize() == bufsize  # the kernel's ufunc buffer size does not leak
+    assert np.getbufsize() == DEFAULT_BUFSIZE  # the kernel's ufunc buffer size does not leak
     assert_sessions_equal(got, want)
 
 
@@ -625,7 +629,8 @@ def serial_model(cfg):
         return serial_attend(oracle, q, k_all, v_all, (slot, steps[None, :] > steps[:, None]))
 
     oracle._attend_step = lambda q, k_all, v_all: serial_attend(oracle, q, k_all, v_all, None)
-    oracle._forward_blocks = lambda cache, ordered: block_major_forward(oracle, cache, ordered, attend)
+    oracle._forward_blocks = lambda cache, ordered, finish_last: block_major_forward(
+        oracle, cache, ordered, finish_last, attend)
     return oracle
 
 
@@ -663,16 +668,15 @@ KV_ALL = ModelConfig(n_layers=2, n_heads=4, d_model=32, d_head=8, d_kv_total=32,
 def test_threaded_block_attention_matches_the_serial_kernel(parallel_blocks, monkeypatch,
                                                             cfg, chunk_size, min_scores):
     """Blocks spread over threads, one layer at a time, give the block-major
-    serial kernel's hidden states, logits, K/V and counters bit for bit,
+    serial kernel's logits, used K/V and counters bit for bit,
     with 1, 2 and 4 KV heads."""
     if min_scores is not None:
         monkeypatch.setattr(model_module, "_PARALLEL_MIN_SCORES", min_scores)
     parts = make_chunks(max(40, 6 * chunk_size + chunk_size // 2), chunk_size)
-    bufsize = np.getbufsize()
     got = arena_session(DecoderModel(cfg), parts)
     assert parallel_blocks[0] > 0
     want = arena_session(serial_model(cfg), parts)
-    assert np.getbufsize() == bufsize
+    assert np.getbufsize() == DEFAULT_BUFSIZE
     assert_sessions_equal(got, want)
 
 
@@ -739,24 +743,25 @@ def test_ufunc_buffer_size_does_not_leak_from_any_thread(parallel_blocks, monkey
 
     monkeypatch.setattr(DecoderModel, "_block_stage", recorded)
     model = DecoderModel(toy_model_config)
-    bufsize = np.getbufsize()
     model.prefill(chunks, KVCache(toy_model_config))
-    assert np.getbufsize() == bufsize
+    assert np.getbufsize() == DEFAULT_BUFSIZE
     assert parallel_blocks[0] > 0
-    assert after_stage.pop(caller) == {bufsize}
+    assert after_stage.pop(caller) == {DEFAULT_BUFSIZE}
     assert after_stage and all(sizes == set(default) for sizes in after_stage.values())
     assert model_module._helper_pool().submit(np.getbufsize).result(timeout=10) == default[0]
 
 
 def test_each_block_runs_once_per_stage_with_more_threads_than_cores(monkeypatch):
     """Eight threads on two cores with a 1 µs switch interval: every stage
-    runs each of the pass's 12 blocks exactly once, no block starts a stage
-    before every block has finished the one before, and the result is the
-    serial kernel's."""
+    that writes K/V runs each of the pass's 12 blocks exactly once, the last
+    layer runs the last block alone, no block starts a stage before every
+    block has finished the one before, and the result is the serial
+    kernel's."""
     cfg = ModelConfig(n_layers=3, n_heads=2, d_model=16, d_head=8, d_kv_total=8,
                       vocab_size=64, init_seed=3)
     parts = make_chunks(48, 4, vocab=64)
-    want = serial_model(cfg).prefill(parts, KVCache(cfg))
+    want_cache = KVCache(cfg)
+    want = serial_model(cfg).prefill(parts, want_cache)
     monkeypatch.setattr(model_module, "_PARALLEL_MIN_SCORES", 0)
     monkeypatch.setattr(model_module, "_cores", lambda: 8)
     monkeypatch.setattr(model_module, "_pool", None)  # a fresh pool of 7 helpers
@@ -770,8 +775,9 @@ def test_each_block_runs_once_per_stage_with_more_threads_than_cores(monkeypatch
 
     monkeypatch.setattr(DecoderModel, "_block_stage", recorded)
     model = DecoderModel(cfg)
-    stages = range(-1, cfg.n_layers)
-    slots = sorted(4 * i for i in range(12))
+    slots = [4 * i for i in range(12)]
+    expected = [(layer, slot) for layer in range(-1, cfg.n_layers - 1) for slot in slots]
+    expected.append((cfg.n_layers - 1, slots[-1]))
     threads = set()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -779,12 +785,13 @@ def test_each_block_runs_once_per_stage_with_more_threads_than_cores(monkeypatch
         deadline = time.monotonic() + 5
         for n in range(100):
             events.clear()
-            got = model.prefill(parts, KVCache(cfg))
-            assert np.array_equal(got.hidden, want.hidden) and np.array_equal(got.last_logits,
-                                                                              want.last_logits), n
+            cache = KVCache(cfg)
+            got = model.prefill(parts, cache)
+            assert np.array_equal(got.last_logits, want.last_logits), n
+            assert caches_equal(cache, want_cache, cfg.n_layers), n
             for kind in ("start", "end"):
                 ran = [(layer, slot) for k, layer, slot, _ in events if k == kind]
-                assert sorted(ran) == [(layer, slot) for layer in stages for slot in slots], n
+                assert sorted(ran) == expected, n
             layers = [layer for _, layer, _, _ in events]
             assert layers == sorted(layers), n  # each stage ends before the next starts
             threads |= {thread for *_, thread in events}
@@ -795,6 +802,48 @@ def test_each_block_runs_once_per_stage_with_more_threads_than_cores(monkeypatch
         if model_module._pool is not None:
             model_module._pool.shutdown()
     assert len(threads) > 1
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_only_the_block_that_seeds_generation_runs_the_last_layer(monkeypatch, threads):
+    """Each stage that writes K/V runs every block of a pass once. The last
+    layer writes no K/V: a rebuild sends no block through it, and a prefill
+    sends its last block alone, on the calling thread."""
+    cfg = ModelConfig(n_layers=3, n_heads=2, d_model=16, d_head=8, d_kv_total=8,
+                      vocab_size=64, init_seed=3)
+    parts = make_chunks(48, 4, vocab=64)
+    monkeypatch.setattr(model_module, "_PARALLEL_MIN_SCORES", 0)
+    monkeypatch.setattr(model_module, "_cores", lambda: threads)
+    monkeypatch.setattr(model_module, "_pool", None)  # a fresh pool, shut down below
+    caller = threading.get_ident()
+    calls = []
+    block_stage = DecoderModel._block_stage
+
+    def counted(self, cache, layer, block, work):
+        calls.append((layer, block.slot, threading.get_ident()))
+        time.sleep(0.002)  # so every thread takes blocks
+        block_stage(self, cache, layer, block, work)
+
+    monkeypatch.setattr(DecoderModel, "_block_stage", counted)
+    model = DecoderModel(cfg)
+    last = cfg.n_layers - 1
+
+    def per_layer():
+        ran = collections.Counter(layer for layer, _, _ in calls)
+        return [ran[layer] for layer in range(-1, cfg.n_layers)]
+
+    cache = KVCache(cfg)
+    model.prefill(parts[:10], cache)
+    assert per_layer() == [10, 10, 10, 1]
+    assert [(slot, thread) for layer, slot, thread in calls if layer == last] == [(36, caller)]
+    assert len({thread for *_, thread in calls}) == threads
+
+    calls.clear()
+    model.rebuild_blocks(cache, [1, 5, 10, 11], {c.chunk_index: c for c in parts})
+    assert per_layer() == [4, 4, 4, 0]
+    assert len({thread for *_, thread in calls}) == threads
+    if model_module._pool is not None:
+        model_module._pool.shutdown()
 
 
 @pytest.mark.parametrize("failing", ["caller", "helper"])
@@ -832,7 +881,7 @@ def test_forked_child_runs_a_threaded_prefill(parallel_blocks, monkeypatch, chun
     its own rather than wait on helpers that never start."""
     monkeypatch.setattr(model_module, "_PARALLEL_MIN_SCORES", 0)
     model = DecoderModel(toy_model_config)
-    want = model.prefill(chunks, KVCache(toy_model_config)).hidden
+    want = model.prefill(chunks, KVCache(toy_model_config)).last_logits
     assert parallel_blocks[0] > 0 and model_module._pool is not None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads alive
@@ -840,7 +889,7 @@ def test_forked_child_runs_a_threaded_prefill(parallel_blocks, monkeypatch, chun
     if pid == 0:  # the child never returns into the test runner
         code = 1
         try:
-            got = model.prefill(chunks, KVCache(toy_model_config)).hidden
+            got = model.prefill(chunks, KVCache(toy_model_config)).last_logits
             code = 0 if np.array_equal(got, want) else 3
         finally:
             os._exit(code)
@@ -901,7 +950,7 @@ def test_grouped_kv_heads_path():
     parts = make_chunks(24, 8, vocab=128)
     cache = KVCache(cfg)
     result = model.prefill(parts, cache)
-    assert result.hidden.shape == (24, 64)
+    assert result.last_logits.shape == (128,)
     assert cache.keys[0][:, :cache.chunk_tokens].shape == (2, 24, 16)
     out = model.decode_step(cache, 3, position=24)
     assert np.all(np.isfinite(out.logits))

@@ -17,7 +17,10 @@ ticks that ``/proc/stat`` counted during each run (the time the host gave
 this machine's vCPUs to others). Then, per metric, each side's median and
 quartiles and the number of pairs the change won, judged by the metric's
 ``better`` direction in the change's ``BENCHMARK.json``; ties count for
-neither side. Standard library only.
+neither side. Last on each metric's line is whether a claimed gain on it
+would hold: the change wins at least 9 in 10 of the pairs, and its median
+is better than the parent's by more than the parent's interquartile range.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -83,6 +86,15 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def claim_holds(wins: int, pairs: int, parent: tuple[float, float, float], change_median: float,
+                sign: int) -> bool:
+    """A gain may be claimed: at least 9 in 10 pairs won, and the medians
+    apart, in the better direction, by more than the parent's IQR.
+    ``parent`` is its (q1, median, q3); ``sign`` is 1 when lower is better."""
+    q1, median, q3 = parent
+    return 10 * wins >= 9 * pairs and sign * (median - change_median) > q3 - q1
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -115,9 +127,11 @@ def main(argv: list[str] | None = None) -> int:
         sides = {side: [r[name] for r in runs[side]] for side in SIDES}
         sign = 1 if direction == "lower" else -1
         wins = sum(sign * (c - p) < 0 for p, c in zip(sides["parent"], sides["change"]))
-        summary = "  ".join("{} {:.4g} [{:.4g}-{:.4g}]".format(side, q[1], q[0], q[2])
-                            for side, q in ((s, quartiles(sides[s])) for s in SIDES))
-        print(f"  {name:12} median [IQR]  {summary}  change better in {wins} of {pairs}")
+        q = {side: quartiles(sides[side]) for side in SIDES}
+        summary = "  ".join(f"{side} {q[side][1]:.4g} [{q[side][0]:.4g}-{q[side][2]:.4g}]" for side in SIDES)
+        claim = claim_holds(wins, pairs, q["parent"], q["change"][1], sign)
+        print(f"  {name:12} median [IQR]  {summary}  change better in {wins} of {pairs}, "
+              f"claim {'holds' if claim else 'fails'}")
     failed = {side: sum(r["failed"] for r in runs[side]) for side in SIDES}
     print(f"  failed sessions  parent {failed['parent']}  change {failed['change']}")
     return 0
