@@ -7,10 +7,11 @@ ablation. ``memtable`` prints the analytical memory table.
 
 Exit codes are stable: 0 all runs completed, 2 bad configuration or
 arguments, 3 missing input (file or record), 4 internal error (a broken
-invariant of the engine; APCE_LOG=DEBUG logs its traceback). Set APCE_LOG
-to control log verbosity. Reports are schema-versioned JSON; everything in
-them except the "timestamps" field is a pure function of (config, corpus,
-seed).
+invariant of the engine, or any other unexpected exception; APCE_LOG=DEBUG
+logs its traceback). Set APCE_LOG to control log verbosity. Each flag of
+``run`` and ``sweep`` sets the config key that ``--help`` shows for it.
+Reports are schema-versioned JSON; everything in them except the
+"timestamps" field is a pure function of (config, corpus, seed).
 """
 
 from __future__ import annotations
@@ -21,12 +22,11 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import memmodel
-from .config import RunConfig, apply_overrides, load_config_file
+from .config import RunConfig, apply_overrides, load_config_file, with_one_selection_rule
 from .embed import HashingEmbedder
 from .metrics import embedding_cosine_proxy, mean_std, rouge_l_f1
 from .sched import simulate_generation, trace_events_json
@@ -46,45 +46,29 @@ class MissingInput(Exception):
     pass
 
 
+# (flag, config key it sets, argparse options): the run and sweep overrides
+RUN_FLAGS: tuple[tuple[str, str, dict], ...] = (
+    ("--seed", "seed", {"type": int}),
+    ("--mode", "mode", {"choices": ["dense", "apce"]}),
+    ("--chunk-size", "chunk.size", {"type": int}),
+    ("--max-chunks", "select.max_chunks", {"type": int}),
+    ("--fraction", "select.fraction", {"type": float}),
+    ("--interval", "reprioritization.interval", {"type": int}),
+    ("--no-recompute", "reprioritization.recompute", {"action": "store_const", "const": False}),
+    ("--no-reprioritization", "reprioritization.enabled", {"action": "store_const", "const": False}),
+    ("--async-start", "load.async_start_chunks", {"type": int}),
+    ("--max-new-tokens", "generation.max_new_tokens", {"type": int}),
+    ("--load-latency", "load.per_chunk_latency", {"type": float, "help": "simulated seconds per chunk load"}),
+    ("--decode-latency", "load.decode_latency", {"type": float, "help": "simulated seconds per decode step"}),
+)
+
+
 def build_run_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig()
-    if args.config:
-        try:
-            raw = load_config_file(args.config)
-        except FileNotFoundError as exc:
-            raise MissingInput(str(exc)) from exc
-        config = apply_overrides(config, raw)
-    overrides: dict[str, str] = {}
-    if args.seed is not None:
-        overrides["seed"] = str(args.seed)
-    if args.mode is not None:
-        overrides["mode"] = args.mode
-    if args.chunk_size is not None:
-        overrides["chunk.size"] = str(args.chunk_size)
-    if args.max_chunks is not None and args.fraction is not None:
-        raise ValueError("set at most one of --max-chunks and --fraction")
-    if args.max_chunks is not None:
-        # an explicit flag replaces whichever selection rule the file set
-        overrides["select.max_chunks"] = str(args.max_chunks)
-        overrides["select.fraction"] = "none"
-    if args.fraction is not None:
-        overrides["select.fraction"] = str(args.fraction)
-        overrides["select.max_chunks"] = "none"
-    if args.interval is not None:
-        overrides["reprioritization.interval"] = str(args.interval)
-    if args.no_recompute:
-        overrides["reprioritization.recompute"] = "false"
-    if args.no_reprioritization:
-        overrides["reprioritization.enabled"] = "false"
-    if args.async_start is not None:
-        overrides["load.async_start_chunks"] = str(args.async_start)
-    if args.max_new_tokens is not None:
-        overrides["generation.max_new_tokens"] = str(args.max_new_tokens)
-    if args.load_latency is not None:
-        overrides["load.per_chunk_latency"] = str(args.load_latency)
-    if args.decode_latency is not None:
-        overrides["load.decode_latency"] = str(args.decode_latency)
-    config = apply_overrides(config, overrides)
+    if args.config:  # main maps a missing file to exit 3
+        config = apply_overrides(config, load_config_file(args.config))
+    flags = {key: str(getattr(args, key)) for _, key, _ in RUN_FLAGS if getattr(args, key) is not None}
+    config = apply_overrides(config, with_one_selection_rule(flags))
     config.validate()
     return config
 
@@ -232,9 +216,7 @@ def run_sweep(axis: str, values: list[int], base: RunConfig, records: list[Recor
     per_run: list[dict] = []
     aggregates: list[dict] = []
     for value in values:
-        config = apply_overrides(base, {key: str(value)})
-        if axis == "n_chunks":
-            config = replace(config, fraction=None)
+        config = apply_overrides(base, with_one_selection_rule({key: str(value)}))
         config.validate()
         rows = []
         for record in records:
@@ -330,18 +312,12 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", required=True, help="JSONL corpus or plain-text file")
     parser.add_argument("--query", help="instruction text (required for plain-text input)")
     parser.add_argument("--out-dir", default="out", help="report directory")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--mode", choices=["dense", "apce"])
-    parser.add_argument("--chunk-size", type=int)
-    parser.add_argument("--max-chunks", type=int)
-    parser.add_argument("--fraction", type=float)
-    parser.add_argument("--interval", type=int)
-    parser.add_argument("--no-recompute", action="store_true")
-    parser.add_argument("--no-reprioritization", action="store_true")
-    parser.add_argument("--async-start", type=int)
-    parser.add_argument("--max-new-tokens", type=int)
-    parser.add_argument("--load-latency", type=float, help="simulated seconds per chunk load")
-    parser.add_argument("--decode-latency", type=float, help="simulated seconds per decode step")
+    for flag, key, options in RUN_FLAGS:
+        if "const" in options:  # a switch: say what it sets
+            options = {"help": f"sets {key} = {str(options['const']).lower()}", **options}
+        elif "choices" not in options:
+            options = {"metavar": key, **options}
+        parser.add_argument(flag, dest=key, **options)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -386,18 +362,16 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except MissingInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISSING_INPUT
-    except FileNotFoundError as exc:
+    except (MissingInput, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    except RuntimeError as exc:
+    except Exception as exc:  # a broken invariant, expected (RuntimeError) or not
         log.debug("internal error", exc_info=exc)
-        print(f"error: {exc}", file=sys.stderr)
+        detail = exc if isinstance(exc, RuntimeError) else f"{type(exc).__name__}: {exc}"
+        print(f"error: {detail}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -2,17 +2,18 @@
 the simulated latencies a session runs under (``LoadModel``).
 
 The config format is a flat key-value file (``key = value`` per line, ``#``
-comments). Keys are namespaced per subsystem; the full set lives in
-``KEY_SPECS``. Command-line flags override file values, which override
-defaults.
+comments). Keys are namespaced per subsystem. Each ``RunConfig`` field
+declares its key and default (``_setting``); ``KEY_SPECS`` is derived from
+the fields, and each key's parser from its field's annotation. Command-line
+flags override file values, which override defaults.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .model import ModelConfig
 
@@ -34,38 +35,48 @@ class LoadModel:
             raise ValueError("async_start_chunks must be >= 1")
 
 
+# ModelConfig/LoadModel field -> the RunConfig field it is copied from
+_RENAMED = {"init_seed": "seed"}
+
+
+def _setting(key: str, default: Any) -> Any:
+    """A ``RunConfig`` field whose config-file and report key is ``key``."""
+    return field(default=default, metadata={"key": key})
+
+
 @dataclass
 class RunConfig:
-    """Every setting of a run. The model and load fields take their defaults
-    from ``ModelConfig`` and ``LoadModel``."""
+    """Every setting of a run, each under its config key. The model and load
+    fields take their defaults from ``ModelConfig`` and ``LoadModel``."""
 
-    mode: str = "apce"
-    seed: int = 0
-    chunk_size: int = 800
-    max_chunks: int | None = None
-    fraction: float | None = None
-    reprioritization_enabled: bool = True
-    interval: int = 50
-    recompute: bool = True
-    tail_chars: int = 100
-    recent_tokens: int = 50
-    alpha: float = 0.5
-    embedding_dim: int = 384
-    embedding_provider: str = "hash"
-    embedding_file: str | None = None
-    vocab_size: int = ModelConfig.vocab_size
-    max_new_tokens: int = 64
-    per_chunk_load_latency: float = LoadModel.per_chunk_load_latency
-    async_start_chunks: int = LoadModel.async_start_chunks
-    decode_latency: float = LoadModel.decode_latency
-    compute_seconds_per_element: float = LoadModel.compute_seconds_per_element
-    n_layers: int = ModelConfig.n_layers
-    n_heads: int = ModelConfig.n_heads
-    d_model: int = ModelConfig.d_model
-    d_head: int = ModelConfig.d_head
-    d_kv_total: int = ModelConfig.d_kv_total
-    rope_theta: float = ModelConfig.rope_theta
-    max_position: int = ModelConfig.max_position
+    mode: str = _setting("mode", "apce")
+    seed: int = _setting("seed", 0)
+    chunk_size: int = _setting("chunk.size", 800)
+    max_chunks: int | None = _setting("select.max_chunks", None)
+    fraction: float | None = _setting("select.fraction", None)
+    reprioritization_enabled: bool = _setting("reprioritization.enabled", True)
+    interval: int = _setting("reprioritization.interval", 50)
+    recompute: bool = _setting("reprioritization.recompute", True)
+    tail_chars: int = _setting("query.tail_chars", 100)
+    recent_tokens: int = _setting("query.recent_tokens", 50)
+    alpha: float = _setting("query.alpha", 0.5)
+    embedding_dim: int = _setting("embedding.dim", 384)
+    embedding_provider: str = _setting("embedding.provider", "hash")
+    embedding_file: str | None = _setting("embedding.file", None)
+    vocab_size: int = _setting("tokenizer.vocab_size", ModelConfig.vocab_size)
+    max_new_tokens: int = _setting("generation.max_new_tokens", 64)
+    per_chunk_load_latency: float = _setting("load.per_chunk_latency", LoadModel.per_chunk_load_latency)
+    async_start_chunks: int = _setting("load.async_start_chunks", LoadModel.async_start_chunks)
+    decode_latency: float = _setting("load.decode_latency", LoadModel.decode_latency)
+    compute_seconds_per_element: float = _setting("load.compute_seconds_per_element",
+                                                  LoadModel.compute_seconds_per_element)
+    n_layers: int = _setting("model.n_layers", ModelConfig.n_layers)
+    n_heads: int = _setting("model.n_heads", ModelConfig.n_heads)
+    d_model: int = _setting("model.d_model", ModelConfig.d_model)
+    d_head: int = _setting("model.d_head", ModelConfig.d_head)
+    d_kv_total: int = _setting("model.d_kv_total", ModelConfig.d_kv_total)
+    rope_theta: float = _setting("model.rope_theta", ModelConfig.rope_theta)
+    max_position: int = _setting("model.max_position", ModelConfig.max_position)
 
     def validate(self) -> None:
         if self.mode not in ("dense", "apce"):
@@ -107,26 +118,14 @@ class RunConfig:
         fraction = self.fraction if self.fraction is not None else 0.7
         return max(1, min(n_chunks, math.floor(fraction * n_chunks + 0.5)))
 
+    def _copy_into(self, cls: type) -> Any:
+        return cls(**{f.name: getattr(self, _RENAMED.get(f.name, f.name)) for f in fields(cls)})
+
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            n_layers=self.n_layers,
-            n_heads=self.n_heads,
-            d_model=self.d_model,
-            d_head=self.d_head,
-            d_kv_total=self.d_kv_total,
-            vocab_size=self.vocab_size,
-            rope_theta=self.rope_theta,
-            init_seed=self.seed,
-            max_position=self.max_position,
-        )
+        return self._copy_into(ModelConfig)
 
     def load_model(self) -> LoadModel:
-        return LoadModel(
-            per_chunk_load_latency=self.per_chunk_load_latency,
-            async_start_chunks=self.async_start_chunks,
-            decode_latency=self.decode_latency,
-            compute_seconds_per_element=self.compute_seconds_per_element,
-        )
+        return self._copy_into(LoadModel)
 
     def as_flat_dict(self) -> dict[str, Any]:
         """Namespaced key view of this config (stable order), for reports."""
@@ -142,48 +141,34 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _parse_opt_int(raw: str) -> int | None:
-    return None if raw.strip().lower() in ("", "none") else int(raw)
+def _optional(parse: Callable[[str], Any]) -> Callable[[str], Any]:
+    return lambda raw: None if raw.strip().lower() in ("", "none") else parse(raw)
 
 
-def _parse_opt_float(raw: str) -> float | None:
-    return None if raw.strip().lower() in ("", "none") else float(raw)
-
-
-def _parse_opt_str(raw: str) -> str | None:
-    return None if raw.strip().lower() in ("", "none") else raw.strip()
-
-
-# config-file key -> (RunConfig attribute, parser)
-KEY_SPECS: dict[str, tuple[str, Any]] = {
-    "mode": ("mode", str),
-    "seed": ("seed", int),
-    "chunk.size": ("chunk_size", int),
-    "select.max_chunks": ("max_chunks", _parse_opt_int),
-    "select.fraction": ("fraction", _parse_opt_float),
-    "reprioritization.enabled": ("reprioritization_enabled", _parse_bool),
-    "reprioritization.interval": ("interval", int),
-    "reprioritization.recompute": ("recompute", _parse_bool),
-    "query.tail_chars": ("tail_chars", int),
-    "query.recent_tokens": ("recent_tokens", int),
-    "query.alpha": ("alpha", float),
-    "embedding.dim": ("embedding_dim", int),
-    "embedding.provider": ("embedding_provider", str),
-    "embedding.file": ("embedding_file", _parse_opt_str),
-    "tokenizer.vocab_size": ("vocab_size", int),
-    "generation.max_new_tokens": ("max_new_tokens", int),
-    "load.per_chunk_latency": ("per_chunk_load_latency", float),
-    "load.async_start_chunks": ("async_start_chunks", int),
-    "load.decode_latency": ("decode_latency", float),
-    "load.compute_seconds_per_element": ("compute_seconds_per_element", float),
-    "model.n_layers": ("n_layers", int),
-    "model.n_heads": ("n_heads", int),
-    "model.d_model": ("d_model", int),
-    "model.d_head": ("d_head", int),
-    "model.d_kv_total": ("d_kv_total", int),
-    "model.rope_theta": ("rope_theta", float),
-    "model.max_position": ("max_position", int),
+# a field's annotation -> the parser of its config values
+_PARSERS: dict[str, Callable[[str], Any]] = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "bool": _parse_bool,
+    "str | None": _optional(str.strip),
+    "int | None": _optional(int),
+    "float | None": _optional(float),
 }
+
+# config key -> (RunConfig attribute, parser), in field order
+KEY_SPECS: dict[str, tuple[str, Callable[[str], Any]]] = {
+    f.metadata["key"]: (f.name, _PARSERS[f.type]) for f in fields(RunConfig)
+}
+
+
+def with_one_selection_rule(raw: dict[str, str]) -> dict[str, str]:
+    """``raw`` plus a reset of the selection rule it does not set, so an
+    explicit select.max_chunks replaces a fraction the config had set, and
+    the other way round. Setting both is left for ``validate`` to refuse."""
+    if raw.keys() & {"select.max_chunks", "select.fraction"}:
+        return {"select.max_chunks": "none", "select.fraction": "none", **raw}
+    return raw
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:

@@ -548,9 +548,14 @@ class CacheHandle:
         for idx in indices:
             self.cache.evict(idx)
 
+    def rebuild_targets(self, admit: Iterable[int], recompute: Iterable[int]) -> list[int]:
+        """The chunks a rebuild computes: every admitted one, and the stale
+        retained ones only while recompute is on."""
+        return list(admit) + (list(recompute) if self.recompute_enabled else [])
+
     def rebuild(self, admit: Iterable[int], recompute: Iterable[int]) -> int:
-        targets = list(admit) + (list(recompute) if self.recompute_enabled else [])
-        return self.model.rebuild_blocks(self.cache, targets, self.chunks_by_index)
+        return self.model.rebuild_blocks(self.cache, self.rebuild_targets(admit, recompute),
+                                         self.chunks_by_index)
 
 
 _pool: futures.ThreadPoolExecutor | None = None

@@ -176,7 +176,7 @@ def simulate_generation(
                 now += rebuilt * load.compute_seconds_per_element
                 events.append(TraceEvent(now, "recompute",
                                          {"step": step, "elements": rebuilt,
-                                          "chunks": sorted(set(plan.admit) | set(plan.recompute))}))
+                                          "chunks": sorted(handle.rebuild_targets(plan.admit, plan.recompute))}))
 
     events.sort(key=lambda e: e.time)
     total_time = events[-1].time if events else 0.0

@@ -165,6 +165,21 @@ def test_internal_error_exit_code(corpus, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == "error: internal consistency: no tokens available for chunks [7]\n"
 
 
+def test_unexpected_exception_exits_4_and_logs_its_traceback(corpus, tmp_path, monkeypatch, capsys, caplog):
+    corpus_path, conf = corpus
+
+    def broken(*args):
+        raise KeyError(7)  # as KVCache.evict raises for a chunk that is not resident
+
+    monkeypatch.setattr(apce.cli, "simulate_generation", broken)
+    with caplog.at_level("DEBUG", logger="apce"):
+        assert run_cli("run", "--input", str(corpus_path), "--config", str(conf),
+                       "--out-dir", str(tmp_path / "o")) == 4
+    assert capsys.readouterr().err == "error: KeyError: 7\n"
+    assert [r.exc_info[0] for r in caplog.records if r.message == "internal error"] == [KeyError]
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_input_exit_code(tmp_path):
     assert run_cli("run", "--input", str(tmp_path / "nope.jsonl")) == 3
 

@@ -138,6 +138,21 @@ def test_taken_le_available_over_run():
     assert trace.replacement_stats.taken <= trace.replacement_stats.available
 
 
+@pytest.mark.parametrize("recompute", [True, False])
+def test_recompute_event_lists_only_the_chunks_rebuilt(recompute):
+    # a boundary that evicts chunk 2 leaves chunk 3 stale; with recompute off
+    # only the admitted chunk is rebuilt, and the event must say so
+    config = dataclasses.replace(TOY, interval=2, max_new_tokens=30, fraction=0.4, recompute=recompute)
+    load = LoadModel(per_chunk_load_latency=0.1, async_start_chunks=3, decode_latency=0.1)
+    trace = simulate_generation(DOC, QUERY, "apce", load, config)
+    plans = {e.data["step"]: e.data for e in trace.events if e.kind == "reprioritization"}
+    rebuilt = [e.data for e in trace.events if e.kind == "recompute"]
+    assert any(plans[e["step"]]["recompute"] for e in rebuilt), "some plan must leave chunks stale"
+    for event in rebuilt:
+        plan = plans[event["step"]]
+        assert event["chunks"] == sorted(plan["admit"] + (plan["recompute"] if recompute else []))
+
+
 def test_counters_present_in_trace():
     load = LoadModel()
     trace = run("apce", load)
