@@ -25,7 +25,7 @@ from .memmodel import (
     prefill_attn_bytes,
 )
 from .metrics import RougeLScore, rouge_l_f1
-from .model import CacheHandle, DecoderModel, KVCache, ModelConfig
+from .model import DecoderModel, KVCache, ModelConfig
 from .reprior import (
     EnhancedQueryState,
     ReplacementPlan,
@@ -35,7 +35,7 @@ from .reprior import (
     reprioritize,
     update_enhanced_query,
 )
-from .sched import GenerationTrace, simulate_generation
+from .sched import GenerationTrace, Session, simulate_generation
 from .select import ChunkScore, SelectionResult, cosine, select_top_k
 from .textpipe import Chunk, Record, TokenSequence, chunk, tokenize
 

@@ -174,6 +174,7 @@ def with_one_selection_rule(raw: dict[str, str]) -> dict[str, str]:
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     """Parse ``key = value`` lines into a raw string mapping."""
     raw: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -184,6 +185,9 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
         key = key.strip()
         if key not in KEY_SPECS:
             raise ValueError(f"{source}: line {lineno}: unknown key {key!r}")
+        if key in raw:
+            raise ValueError(f"{source}: line {lineno}: key {key!r} repeats line {first_line[key]}")
+        first_line[key] = lineno
         raw[key] = value.strip()
     return raw
 

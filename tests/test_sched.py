@@ -1,13 +1,16 @@
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apce.config import RunConfig
-from apce.model import _init_params
+from apce.model import KVCache, _init_params
+from apce.reprior import reprioritization_due
 from apce.sched import (
     LoadModel,
+    Session,
     simulate_generation,
     trace_events_json,
 )
@@ -258,3 +261,92 @@ def test_replayed_residency_obeys_the_buffer_laws(k, interval, async_start, late
     resident_tokens = sum(min(TOY.chunk_size, trace.doc_tokens - i * TOY.chunk_size)
                           for i in trace.initial_selection)
     assert trace.counters["prefill_elements"] == resident_tokens ** 2
+
+
+# --- Session ---
+
+def run_session(load, config):
+    """Drive a session through simulate_generation's loop, and keep it."""
+    session = Session(DOC, QUERY, "apce", load, config)
+    for step in range(1, config.max_new_tokens + 1):
+        if step > 1:
+            session.step()
+        if config.reprioritization_enabled and reprioritization_due(step, config.interval):
+            session.boundary()
+    return session
+
+
+def test_a_session_ends_with_a_fresh_prefill_of_its_resident_set():
+    """Random async loads, intervals, k and seeds, recompute on: the final
+    arena holds what a fresh prefill of the resident set would. Layer 0 K/V
+    depend on tokens and positions alone, so they match bit for bit; later
+    layers of a chunk last computed while the arena was narrower match to
+    rounding (see the ``reprior`` module docstring)."""
+    rng = np.random.default_rng(13)
+    plans = 0
+    for draw in range(40):
+        config = dataclasses.replace(TOY, fraction=None, max_chunks=int(rng.integers(1, 11)),
+                                     interval=int(rng.integers(1, 5)),
+                                     max_new_tokens=int(rng.integers(2, 25)),
+                                     seed=int(rng.integers(0, 4)), recompute=True)
+        load = LoadModel(per_chunk_load_latency=float(rng.choice([0.0, 0.01, 0.05, 0.3])),
+                         async_start_chunks=int(rng.integers(1, 12)), decode_latency=0.01,
+                         compute_seconds_per_element=1e-7)
+        session = run_session(load, config)
+        trace = simulate_generation(DOC, QUERY, "apce", load, config)
+        assert session.trace(0.0).events == trace.events, draw
+        plans += session.stats.taken
+
+        cache = session.cache
+        fresh = KVCache(session.model.config)
+        session.model.prefill([session.chunks[i] for i in cache.resident_indices()], fresh)
+        assert cache.resident_indices() == fresh.resident_indices(), draw
+        assert cache.chunk_tokens == fresh.chunk_tokens, draw
+        width = fresh.chunk_tokens
+        for layer in range(config.n_layers):
+            for got, want in ((cache.keys, fresh.keys), (cache.values, fresh.values)):
+                got, want = got[layer][:, :width], want[layer][:, :width]
+                if layer == 0:
+                    assert np.array_equal(got, want), draw
+                assert np.max(np.abs(got - want)) <= 1e-5, (draw, layer)
+    assert plans >= 40
+
+
+def test_dense_equivalence_under_slow_arrival():
+    """k = n with every chunk awaited: boundaries find nothing to change, so
+    tokens and TTFT equal dense's however slowly the chunks arrive."""
+    rng = np.random.default_rng(21)
+    for draw in range(20):
+        config = dataclasses.replace(TOY, fraction=None, max_chunks=10,
+                                     interval=int(rng.integers(1, 5)),
+                                     max_new_tokens=int(rng.integers(2, 25)),
+                                     seed=int(rng.integers(0, 4)))
+        load = LoadModel(per_chunk_load_latency=float(rng.uniform(0.01, 1.0)), async_start_chunks=10,
+                         decode_latency=float(rng.uniform(0.0, 0.1)), compute_seconds_per_element=1e-7)
+        apce = simulate_generation(DOC, QUERY, "apce", load, config)
+        dense = simulate_generation(DOC, QUERY, "dense", load, config)
+        assert any(e.kind == "reprioritization" for e in apce.events), draw
+        assert apce.tokens == dense.tokens, draw
+        assert apce.ttft == dense.ttft, draw
+        assert apce.replacement_stats.taken == 0, draw
+
+
+def test_session_with_recompute_off_rebuilds_only_the_admitted_chunk():
+    config = dataclasses.replace(TOY, fraction=None, max_chunks=3, recompute=False)
+    session = Session(DOC, QUERY, "apce", LoadModel(async_start_chunks=10), config)
+    cache, last = session.cache, config.n_layers - 1
+    resident = cache.resident_indices()
+    admit = min(set(range(10)) - set(resident))
+    stale = [i for i in resident if i > admit]
+    assert stale, resident
+
+    def block(i):
+        slot = cache.slot(i)
+        return cache.keys[last][:, slot:slot + 10].copy()
+
+    before = {i: block(i) for i in stale}
+    session.rebuild(admit=[admit], recompute=stale)
+    assert cache.has(admit)
+    assert all(np.array_equal(block(i), before[i]) for i in stale)  # stale blocks untouched
+    assert session.events[-1].kind == "recompute"
+    assert session.events[-1].data == {"step": 1, "elements": 10 * cache.chunk_tokens, "chunks": [admit]}

@@ -11,7 +11,11 @@ records of a corpus-sweep corpus plus one apce-reprior document as record
 ``long00``. Then it runs, in each checkout's ``src``:
 
 - ``apce run`` on ``long00`` as apce with asynchronous start and recompute,
-  as dense, and as apce with ``--no-recompute``;
+  and then as dense, with ``--no-recompute``, with ``--no-reprioritization``,
+  with ``--interval 1`` (a boundary on the token the prefill emits), with
+  ``--async-start`` above the chunk count (the clamp's ``warning`` event),
+  and with ``embedding.provider = file`` over seeded random vectors that
+  the tool writes;
 - ``apce sweep`` over the whole corpus on each axis: ``n_chunks`` (over a
   base ``--fraction``, so the flag's reset is exercised), ``chunk_size`` and
   ``reprioritization_interval``.
@@ -27,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -38,11 +43,19 @@ SIDES = ("parent", "change")
 # the apce-reprior session's settings, for the runs on long00
 LONG = ["--record-id", "long00", "--chunk-size", "200", "--max-chunks", "9", "--interval", "8",
         "--async-start", "4", "--load-latency", "0.136", "--decode-latency", "0.02"]
+# a flag given twice takes its last value
 RUNS = {
     "apce": LONG,
     "dense": [*LONG, "--mode", "dense"],
     "no-recompute": [*LONG, "--no-recompute"],
+    "no-reprioritization": [*LONG, "--no-reprioritization"],
+    "interval-1": [*LONG, "--interval", "1"],
+    "async-clamped": [*LONG, "--async-start", "99"],
+    "file-embeddings": LONG,
 }
+CONFIGS = {"file-embeddings": "file.conf"}  # every other job reads run.conf
+VECTORS = 64  # chunk vectors written, more than long00 has chunks
+EMBEDDING_DIM = 384
 SHORT = ["--chunk-size", "100", "--max-new-tokens", "16", "--interval", "4", "--async-start", "2",
          "--load-latency", "0.01", "--decode-latency", "0.02"]
 SWEEPS = {
@@ -53,8 +66,8 @@ SWEEPS = {
 SHOWN = 8  # differing paths printed per file
 
 
-def write_corpus(work: Path, seed: int) -> tuple[Path, Path]:
-    """The seeded corpus and config file both checkouts run on."""
+def write_corpus(work: Path, seed: int) -> Path:
+    """The seeded corpus, config files and chunk vectors both checkouts run on."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
@@ -63,17 +76,25 @@ def write_corpus(work: Path, seed: int) -> tuple[Path, Path]:
     lines = [*corpus.lines, json.dumps({"id": "long00", "text": long.doc, "query": long.query})]
     corpus_path = work / "corpus.jsonl"
     corpus_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    config_path = work / "run.conf"
-    config_path.write_text(corpus.config_text, encoding="utf-8")
-    return corpus_path, config_path
+    (work / "run.conf").write_text(corpus.config_text, encoding="utf-8")
+    rng = random.Random(seed)
+    vectors = work / "vectors.jsonl"
+    vectors.write_text("".join(
+        json.dumps({"chunk_index": i, "vector": [rng.gauss(0.0, 1.0) for _ in range(EMBEDDING_DIM)]}) + "\n"
+        for i in range(VECTORS)), encoding="utf-8")
+    (work / "file.conf").write_text(
+        f"{corpus.config_text}embedding.provider = file\nembedding.dim = {EMBEDDING_DIM}\n"
+        f"embedding.file = {vectors.resolve()}\n", encoding="utf-8")
+    return corpus_path
 
 
-def run_side(checkout: Path, out: Path, corpus: Path, config: Path) -> None:
+def run_side(checkout: Path, out: Path, corpus: Path, work: Path) -> None:
     """Every run and sweep in one checkout, each into its own directory."""
     env = {**os.environ, "PYTHONPATH": str(checkout.resolve() / "src")}
     jobs = [("run", name, args) for name, args in RUNS.items()]
     jobs += [("sweep", name, args) for name, args in SWEEPS.items()]
     for command, name, args in jobs:
+        config = work / CONFIGS.get(name, "run.conf")
         argv = [sys.executable, "-m", "apce.cli", command, "--input", str(corpus),
                 "--config", str(config), "--out-dir", str(out / f"{command}-{name}"), *args]
         done = subprocess.run(argv, env=env, capture_output=True, text=True)
@@ -123,9 +144,9 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="samebytes-") as scratch:
         work = args.work or Path(scratch)
         work.mkdir(parents=True, exist_ok=True)
-        corpus, config = write_corpus(work, args.seed)
+        corpus = write_corpus(work, args.seed)
         for side, checkout in zip(SIDES, (args.parent, args.change)):
-            run_side(checkout, work / side, corpus, config)
+            run_side(checkout, work / side, corpus, work)
         problems = compare(work / "parent", work / "change")
     for line in problems:
         print(line)
