@@ -5,6 +5,8 @@ for a query by cosine similarity.
 Run:  python demos/01_chunking_and_selection.py
 """
 
+import re
+
 from apce.embed import EmbeddingStore, HashingEmbedder, embed_query_text
 from apce.select import score_chunks, select_top_k
 from apce.textpipe import chunk, tokenize
@@ -22,25 +24,28 @@ Hikers use the stone sheds as shelters when storms roll over the ridge.
 
 QUERY = "how does the railway route relate to the river"
 
-seq = tokenize(DOCUMENT)
-print(f"document tokens: {len(seq)}")
+ids = tokenize(DOCUMENT)
+print(f"document tokens: {len(ids)}")
+# ids do not lead back to text, but the tokenizer's own split gives the i-th piece for the i-th id
+pieces = re.findall(r"\w+|[^\w\s]", DOCUMENT)
 
-chunks = chunk(seq, chunk_size=12)
+chunks = chunk(ids, chunk_size=12)
 print(f"chunks of 12 tokens: {len(chunks)} (last has {chunks[-1].size})")
 
 provider = HashingEmbedder(dim=384)
 store = EmbeddingStore.from_chunks(chunks, provider)
 query_vec = embed_query_text(QUERY, provider)
 
-scores = score_chunks(store, query_vec)
+scores = score_chunks(store, query_vec, range(len(chunks)))
 result = select_top_k(scores, k=3)
 
 print("\nchunk scores against the query:")
 for s in scores:
     marker = "  <-- selected" if s.chunk_index in result.selected else ""
-    words = " ".join(chunks[s.chunk_index].tokens.pieces[:6])
+    offset = chunks[s.chunk_index].doc_token_offset
+    words = " ".join(pieces[offset:offset + 6])
     print(f"  chunk {s.chunk_index:2d}  score {s.score:+.3f}  [{words} ...]{marker}")
 
 print(f"\nselected (document order): {result.selected}")
 print("only these chunks would be prefilled into the KV cache;")
-print(f"the other {len(chunks) - result.k_effective} stay out until a reprioritization admits them")
+print(f"the other {len(chunks) - len(result.selected)} stay out until a reprioritization admits them")

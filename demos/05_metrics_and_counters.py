@@ -13,8 +13,8 @@ from apce.metrics import mean_std, rouge_l_f1
 from apce.sched import LoadModel, simulate_generation
 from apce.textpipe import tokenize
 
-candidate = tokenize("the railway follows the river for sixty miles").tokens
-reference = tokenize("the railway follows the river and then turns north").tokens
+candidate = tokenize("the railway follows the river for sixty miles")
+reference = tokenize("the railway follows the river and then turns north")
 score = rouge_l_f1(candidate, reference)
 print(f"ROUGE-L  precision {score.precision:.4f}  recall {score.recall:.4f}  f1 {score.f1:.4f}")
 mean, std = mean_std([score.f1, 0.61, 0.55])

@@ -37,6 +37,6 @@ from .reprior import (
 )
 from .sched import GenerationTrace, Session, simulate_generation
 from .select import ChunkScore, SelectionResult, cosine, select_top_k
-from .textpipe import Chunk, Record, TokenSequence, chunk, tokenize
+from .textpipe import Chunk, Record, chunk, tokenize
 
 __version__ = "0.1.0"

@@ -100,7 +100,7 @@ def run_record(record: Record, config: RunConfig) -> dict:
 
     metrics: dict[str, object] = {}
     if record.reference:
-        reference_ids = list(tokenize(record.reference, vocab_size=config.vocab_size).tokens)
+        reference_ids = tokenize(record.reference, vocab_size=config.vocab_size)
         rouge = rouge_l_f1(trace.tokens, reference_ids)
         metrics["rouge_l_token_ids"] = {
             "precision": rouge.precision, "recall": rouge.recall, "f1": rouge.f1,

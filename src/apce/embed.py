@@ -97,10 +97,10 @@ def embed_query_text(
     """Tokenize text and embed through the same provider as chunks."""
     if not text:
         raise ValueError("query text must be non-empty")
-    seq = tokenize(text, vocab_size=vocab_size)
-    if len(seq) == 0:
+    ids = tokenize(text, vocab_size=vocab_size)
+    if not ids:
         raise ValueError("query text contains no tokens")
-    return provider.embed_tokens(seq.tokens)
+    return provider.embed_tokens(ids)
 
 
 class EmbeddingStore:
@@ -132,20 +132,16 @@ class EmbeddingStore:
     def __getitem__(self, chunk_index: int) -> np.ndarray:
         return self._chunk_embeddings[chunk_index]
 
-    def indices(self) -> list[int]:
-        return sorted(self._chunk_embeddings)
 
-
-def load_external_embeddings(path: str | Path, expected_dim: int | None = None) -> dict[int, np.ndarray]:
+def load_external_embeddings(path: str | Path, expected_dim: int) -> dict[int, np.ndarray]:
     """Load precomputed chunk embeddings from a JSON-lines file.
 
     Each line must be an object {"chunk_index": int, "vector": [numbers]}.
-    Vectors are validated (single dimension across the file, finite entries,
-    unique chunk_index) and then L2-normalized. A bad line raises ValueError
+    Vectors are validated (``expected_dim`` entries, all finite, unique
+    chunk_index) and then L2-normalized. A bad line raises ValueError
     naming the path and the line.
     """
     out: dict[int, np.ndarray] = {}
-    dim = expected_dim
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -172,11 +168,9 @@ def load_external_embeddings(path: str | Path, expected_dim: int | None = None) 
                 vec = np.asarray(vector, dtype=np.float64)
             except OverflowError as exc:  # an integer past the float range
                 raise ValueError(f"{path}: line {lineno}: non-finite entry in vector") from exc
-            if dim is None:
-                dim = vec.shape[0]
-            elif vec.shape[0] != dim:
+            if vec.shape[0] != expected_dim:
                 raise ValueError(
-                    f"{path}: line {lineno}: dimension mismatch (expected {dim}, got {vec.shape[0]})"
+                    f"{path}: line {lineno}: dimension mismatch (expected {expected_dim}, got {vec.shape[0]})"
                 )
             if not np.all(np.isfinite(vec)):
                 raise ValueError(f"{path}: line {lineno}: non-finite entry in vector")

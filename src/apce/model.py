@@ -13,10 +13,11 @@ load-bearing for the rest of the engine:
   document order, then the generated tokens. Every attention reads a
   prefix view of it, so chunk tokens score against the keys of *every*
   resident chunk and a decode step scores against all of them plus the
-  generated tokens. The score-element counters are read off the query rows
-  and the width of the views attended in each layer that writes K/V, so a
-  prefill measures exactly (resident tokens)^2, like a conventional
-  full-matrix implementation, and operand shapes stay identical between an
+  generated tokens. The score-element counters (``KVCache.counters``, which
+  defines an element) are read off the query rows and the width of the
+  views attended in each layer that writes K/V, so a prefill measures
+  exactly (resident tokens)^2, like a conventional full-matrix
+  implementation, and operand shapes stay identical between an
   initial prefill and a later rebuild of the same resident set. With
   identical shapes and identical unmasked inputs, float32 results are
   reproduced bit for bit, which is what the rebuild-equals-fresh-prefill
@@ -141,26 +142,6 @@ class ModelConfig:
         return 4 * self.d_model
 
 
-@dataclass
-class CostCounters:
-    """Attention score elements actually computed, counted once per
-    (query, key) pair of a layer that writes K/V (those layers and the heads
-    share the same pattern): a pass's block tokens x the width attended,
-    summed, and a decode step's key width. The last layer of a prefill runs
-    for its last block only and adds nothing to the count."""
-
-    prefill_elements: int = 0
-    rebuild_elements: int = 0
-    decode_elements: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "prefill_elements": self.prefill_elements,
-            "rebuild_elements": self.rebuild_elements,
-            "decode_elements": self.decode_elements,
-        }
-
-
 class KVCache:
     """Per-layer K/V arenas: resident chunks in document order, then generated tokens.
 
@@ -172,6 +153,14 @@ class KVCache:
     index; ``settle`` re-lays the arrays out once, before attention next reads
     them, and the generated tail moves with that re-layout. Capacity grows by
     doubling.
+
+    ``counters`` holds the attention score elements actually computed, under
+    ``prefill_elements``, ``rebuild_elements`` and ``decode_elements``. An
+    element is one (query, key) pair of a layer that writes K/V (those
+    layers and the heads share the same pattern): a pass adds its block
+    tokens x the width attended, summed, and a decode step its key width.
+    The last layer of a prefill runs for its last block only and adds
+    nothing to the count.
     """
 
     def __init__(self, config: ModelConfig):
@@ -184,7 +173,7 @@ class KVCache:
         self._unsettled = False
         self.chunk_tokens = 0  # arena slots laid out for chunks
         self.gen_positions: list[int] = []
-        self.counters = CostCounters()
+        self.counters = {"prefill_elements": 0, "rebuild_elements": 0, "decode_elements": 0}
 
     # --- chunk blocks ---
 
@@ -265,7 +254,7 @@ class KVCache:
 
 
 class PrefillResult(NamedTuple):
-    last_logits: np.ndarray | None
+    last_logits: np.ndarray
     score_elements: int
 
 
@@ -304,22 +293,23 @@ class DecoderModel:
     # --- public operations ---
 
     def prefill(self, chunks: Sequence[Chunk], cache: KVCache) -> PrefillResult:
-        """Process chunks (ascending document order) into an empty cache.
+        """Process one or more chunks, in any order, into an empty cache.
 
         Attention is causal over the chunks being prefilled; their K/V fill
         the cache's arena in document order, with document-absolute
-        positions. Returns the last position's logits (the seed of greedy
-        generation) and the score elements computed.
+        positions. Returns the logits of the last document position (the
+        seed of greedy generation) and the score elements computed.
         """
         cfg = self.config
         if cache.resident_tokens or cache.gen_len:
             raise ValueError("prefill requires an empty cache")
-        ordered = sorted(chunks, key=lambda c: c.chunk_index)
-        for a, b in zip(ordered, ordered[1:]):
-            if a.chunk_index == b.chunk_index:
-                raise ValueError(f"duplicate chunk index {a.chunk_index}")
-        if not ordered:
-            return PrefillResult(None, 0)
+        if not chunks:
+            raise ValueError("prefill needs at least one chunk")
+        indices = sorted(c.chunk_index for c in chunks)
+        for a, b in zip(indices, indices[1:]):
+            if a == b:
+                raise ValueError(f"duplicate chunk index {a}")
+        ordered = sorted(chunks, key=lambda c: c.doc_token_offset)
         if any(c.doc_token_offset + c.size > cfg.max_position for c in ordered):
             raise ValueError("chunk positions overflow max_position")
 
@@ -328,7 +318,7 @@ class DecoderModel:
         cache.settle()
         elements, hidden = self._forward_blocks(cache, ordered, finish_last=True)
         last_logits = _rms_norm(hidden[-1:], self.params["final_norm"])[0] @ self.params["head"]
-        cache.counters.prefill_elements += elements
+        cache.counters["prefill_elements"] += elements
         return PrefillResult(last_logits, elements)
 
     def decode_step(self, cache: KVCache, last_token: int, position: int) -> StepOutput:
@@ -367,7 +357,7 @@ class DecoderModel:
         logits = (final @ self.params["head"])[0]
         token = int(np.argmax(logits))
         elements = k_all.shape[1]
-        cache.counters.decode_elements += elements
+        cache.counters["decode_elements"] += elements
         return StepOutput(logits, token, elements)
 
     def rebuild_blocks(self, cache: KVCache, chunks: Sequence[Chunk]) -> int:
@@ -385,7 +375,7 @@ class DecoderModel:
                 cache.reserve(c)
         cache.settle()
         elements, _ = self._forward_blocks(cache, ordered, finish_last=False)
-        cache.counters.rebuild_elements += elements
+        cache.counters["rebuild_elements"] += elements
         return elements
 
     # --- internals ---

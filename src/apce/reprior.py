@@ -106,11 +106,12 @@ class EnhancedQueryState:
             raise ValueError("instruction_text must be non-empty")
         if not 0.0 <= self.blend_alpha <= 1.0:
             raise ValueError("blend_alpha must lie in [0, 1]")
-        self._tail_embedding = embed_query_text(
-            self.instruction_text[-self.instruction_tail_chars:],
-            self.provider,
-            vocab_size=self.vocab_size,
-        )
+        tail = self.instruction_text[-self.instruction_tail_chars:]
+        try:
+            self._tail_embedding = embed_query_text(tail, self.provider, vocab_size=self.vocab_size)
+        except ValueError as exc:  # no token in the tail, or its signed hashes cancel
+            raise ValueError(f"query tail {tail!r}, the last query.tail_chars = {self.instruction_tail_chars} "
+                             "characters of the query, holds no token or embeds to the zero vector") from exc
         self.current = self._tail_embedding
 
 
@@ -141,24 +142,24 @@ def reprioritize(
     store: EmbeddingStore,
     query: np.ndarray,
     chunks: Sequence[Chunk],
-    candidate_indices: Iterable[int] | None = None,
+    candidate_indices: Iterable[int],
 ) -> ReplacementPlan:
     """Re-score candidates and plan the transform of ``resident`` into the
     fresh top-``capacity``.
 
-    ``candidate_indices`` restricts the pool (asynchronous loading exposes
-    only arrived chunks); it must cover everything resident. A boundary
-    whose top-k equals the resident set yields an empty plan.
+    ``candidate_indices`` is the pool (asynchronous loading exposes only
+    arrived chunks); it must cover everything resident. A boundary whose
+    top-k equals the resident set yields an empty plan.
     """
     if capacity < 1:
         raise ValueError("capacity must be >= 1")
     offsets = {c.chunk_index: c.doc_token_offset for c in chunks}
-    pool = set(candidate_indices) if candidate_indices is not None else set(store.indices())
+    pool = set(candidate_indices)
     buffered = set(resident)
     if not buffered <= pool:
         raise ValueError("candidate pool must include all resident chunks")
 
-    scores = score_chunks(store, query, candidate_indices=pool)
+    scores = score_chunks(store, query, pool)
     target = set(select_top_k(scores, capacity).selected)
 
     admit = tuple(sorted(target - buffered))

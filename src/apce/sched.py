@@ -79,16 +79,16 @@ class Session:
         self.mode, self.load = mode, load
         self.recompute_enabled = config.recompute
 
-        seq = tokenize(doc_text, vocab_size=config.vocab_size)
-        if len(seq) == 0:
+        ids = tokenize(doc_text, vocab_size=config.vocab_size)
+        if not ids:
             raise ValueError("document produced no tokens")
-        self.doc_tokens = len(seq)
+        self.doc_tokens = len(ids)
         # the first new token comes from the prefill, so the last decode step
         # runs at doc_tokens + max_new_tokens - 2, which must stay below max_position
         if self.doc_tokens + config.max_new_tokens - 1 > config.max_position:
             raise ValueError(f"{self.doc_tokens} document tokens and {config.max_new_tokens} new tokens "
                              f"overflow max_position {config.max_position}")
-        self.chunks = chunks = chunk_tokens(seq, config.chunk_size)
+        self.chunks = chunks = chunk_tokens(ids, config.chunk_size)
         n = len(chunks)
 
         provider = HashingEmbedder(config.embedding_dim)  # a vectors file holds chunks only, not query text
@@ -190,7 +190,7 @@ class Session:
             initial_selection=list(self.initial.selected),
             initial_scores=[(s.chunk_index, s.score) for s in self.initial.scores],
             replacement_stats=self.stats,
-            counters=self.cache.counters.as_dict(),
+            counters=dict(self.cache.counters),
             wall_seconds=wall_seconds,
         )
 

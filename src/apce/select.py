@@ -28,7 +28,6 @@ class ChunkScore(NamedTuple):
 class SelectionResult:
     selected: tuple[int, ...]  # ascending chunk_index
     scores: tuple[ChunkScore, ...]
-    k_effective: int
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -48,12 +47,11 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
 def score_chunks(
     store: EmbeddingStore,
     query: np.ndarray,
-    candidate_indices: Iterable[int] | None = None,
+    candidate_indices: Iterable[int],
 ) -> list[ChunkScore]:
-    """Score candidate chunks (default: all in the store) against the query."""
-    indices = sorted(candidate_indices) if candidate_indices is not None else store.indices()
+    """Score the candidate chunks against the query, in chunk order."""
     return [ChunkScore(i, cosine(query, store[i])) if store[i].any() else ChunkScore(i, 0.0, True)
-            for i in indices]
+            for i in sorted(candidate_indices)]
 
 
 def select_top_k(scores: Sequence[ChunkScore], k: int) -> SelectionResult:
@@ -66,7 +64,6 @@ def select_top_k(scores: Sequence[ChunkScore], k: int) -> SelectionResult:
         raise ValueError("k must be >= 1")
     if not scores:
         raise ValueError("scores must be non-empty")
-    k_effective = min(k, len(scores))
     ranked = sorted(scores, key=lambda s: (s.degenerate, -s.score, s.chunk_index))
-    selected = tuple(sorted(s.chunk_index for s in ranked[:k_effective]))
-    return SelectionResult(selected=selected, scores=tuple(scores), k_effective=k_effective)
+    selected = tuple(sorted(s.chunk_index for s in ranked[:k]))
+    return SelectionResult(selected=selected, scores=tuple(scores))

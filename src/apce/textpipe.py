@@ -6,6 +6,10 @@ punctuation pieces, and each piece maps to an id through a stable 32-bit hash
 identical ids on every platform and in every process, which the selection,
 caching, and replay machinery downstream depends on. Linguistic fidelity is
 a non-goal; determinism is the contract.
+
+The hash is not invertible, so ids do not lead back to text. A caller that
+needs the pieces splits the text again with the same pattern: the i-th
+piece gives the i-th id.
 """
 
 from __future__ import annotations
@@ -27,72 +31,38 @@ def piece_to_id(piece: str, vocab_size: int = DEFAULT_VOCAB_SIZE) -> int:
     return zlib.crc32(piece.encode("utf-8")) % vocab_size
 
 
-@dataclass(frozen=True)
-class TokenSequence:
-    """An ordered run of token ids, with the surface pieces kept alongside.
-
-    The hash mapping is not invertible, so the pieces are the only way back
-    from ids to the text they came from.
-    """
-
-    tokens: tuple[int, ...]
-    pieces: tuple[str, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.pieces is not None and len(self.pieces) != len(self.tokens):
-            raise ValueError("pieces and tokens must have equal length")
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def slice(self, start: int, stop: int) -> "TokenSequence":
-        pieces = self.pieces[start:stop] if self.pieces is not None else None
-        return TokenSequence(tokens=self.tokens[start:stop], pieces=pieces)
-
-
-def tokenize(text: str, vocab_size: int = DEFAULT_VOCAB_SIZE) -> TokenSequence:
-    """Tokenize utf-8 text deterministically. Empty text gives an empty sequence."""
+def tokenize(text: str, vocab_size: int = DEFAULT_VOCAB_SIZE) -> tuple[int, ...]:
+    """Tokenize utf-8 text deterministically into token ids. Empty text gives ()."""
     if not isinstance(text, str):
         raise TypeError("tokenize expects a str")
     if vocab_size < 1:
         raise ValueError("vocab_size must be >= 1")
-    pieces = tuple(_PIECE_RE.findall(text))
-    ids = tuple(piece_to_id(p, vocab_size) for p in pieces)
-    return TokenSequence(tokens=ids, pieces=pieces)
+    return tuple(piece_to_id(p, vocab_size) for p in _PIECE_RE.findall(text))
 
 
 @dataclass(frozen=True)
 class Chunk:
-    """A contiguous slice of the document's token sequence."""
+    """A contiguous slice of the document's token ids."""
 
     chunk_index: int
-    tokens: TokenSequence
+    token_ids: tuple[int, ...]
     doc_token_offset: int
 
     @property
     def size(self) -> int:
-        return len(self.tokens)
-
-    @property
-    def token_ids(self) -> tuple[int, ...]:
-        return self.tokens.tokens
+        return len(self.token_ids)
 
 
-def chunk(seq: TokenSequence, chunk_size: int) -> list[Chunk]:
-    """Partition a token sequence into fixed-size chunks.
+def chunk(ids: tuple[int, ...], chunk_size: int) -> list[Chunk]:
+    """Partition token ids into fixed-size chunks, numbered in document order.
 
     Every chunk has exactly ``chunk_size`` tokens except possibly the last,
-    which holds the remainder (never empty). An empty sequence gives an
-    empty list.
+    which holds the remainder (never empty). No ids give an empty list.
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
-    chunks: list[Chunk] = []
-    n = len(seq)
-    for i, start in enumerate(range(0, n, chunk_size)):
-        stop = min(start + chunk_size, n)
-        chunks.append(Chunk(chunk_index=i, tokens=seq.slice(start, stop), doc_token_offset=start))
-    return chunks
+    return [Chunk(chunk_index=i, token_ids=tuple(ids[start:start + chunk_size]), doc_token_offset=start)
+            for i, start in enumerate(range(0, len(ids), chunk_size))]
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from apce.model import DecoderModel, KVCache, ModelConfig
 from apce.reprior import reprioritize
 from apce.sched import LoadModel, simulate_generation
 from apce.select import ChunkScore, select_top_k
-from apce.textpipe import TokenSequence, chunk
+from apce.textpipe import chunk
 
 VOCAB = 512
 
@@ -134,7 +134,7 @@ def test_criterion_4_recompute_soundness():
                       vocab_size=VOCAB, init_seed=99)
     model = DecoderModel(cfg)
     ids = tuple((i * 31 + 5) % VOCAB for i in range(80))
-    chunks = chunk(TokenSequence(tokens=ids), 10)  # 8 chunks
+    chunks = chunk(ids, 10)  # 8 chunks
     by_idx = {c.chunk_index: c for c in chunks}
     rng = np.random.default_rng(4)
 
@@ -156,7 +156,7 @@ def test_criterion_4_recompute_soundness():
         cache = KVCache(cfg)
         model.prefill([by_idx[i] for i in initial], cache)
 
-        plan = reprioritize(initial, k, store, rng.normal(size=dim), chunks)
+        plan = reprioritize(initial, k, store, rng.normal(size=dim), chunks, by_idx)
         if plan.is_empty():
             continue
         for i in plan.evict:
@@ -242,7 +242,7 @@ def test_criterion_6_complexity_scaling():
                           vocab_size=32768, init_seed=0, max_position=n_tokens + 64)
         model = DecoderModel(cfg)
         ids = tuple((i * 17 + 3) % 32000 for i in range(n_tokens))
-        parts = chunk(TokenSequence(tokens=ids), m)
+        parts = chunk(ids, m)
 
         dense_cache = KVCache(cfg)
         dense = model.prefill(parts, dense_cache).score_elements

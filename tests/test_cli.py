@@ -418,3 +418,15 @@ def test_run_needs_no_jsonschema(corpus, tmp_path):
                             env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     read_report(out / "r1-apce-s0.json")
+
+
+@pytest.mark.parametrize("query", ["Summarize the document." + " " * 120, "z6 z54"],
+                         ids=["blank-tail", "cancelling-tail"])
+def test_unusable_query_tail_exits_2_naming_the_tail_and_its_key(tmp_path, capsys, query):
+    """A tail with no token, and one whose signed hashes cancel (under the
+    default vocabulary and embedding width), give one message."""
+    doc = tmp_path / "doc.txt"
+    doc.write_text("some plain document " * 20)
+    assert run_cli("run", "--input", str(doc), "--query", query, "--out-dir", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == (f"error: query tail {query[-100:]!r}, the last query.tail_chars = 100 "
+                                       "characters of the query, holds no token or embeds to the zero vector\n")

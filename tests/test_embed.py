@@ -14,13 +14,13 @@ from apce.embed import (
     embed_query_text,
     load_external_embeddings,
 )
-from apce.textpipe import Chunk, TokenSequence, chunk, tokenize
+from apce.textpipe import Chunk, chunk, tokenize
 
 from oracles.hashing_embedding_reference import reference_embedding
 
 
 def make_chunk(ids, index=0, offset=0):
-    return Chunk(chunk_index=index, tokens=TokenSequence(tokens=tuple(ids)), doc_token_offset=offset)
+    return Chunk(chunk_index=index, token_ids=tuple(ids), doc_token_offset=offset)
 
 
 def test_identical_chunks_identical_embeddings():
@@ -55,16 +55,15 @@ def test_empty_chunk_rejected():
 def test_query_text_routes_through_same_provider():
     provider = HashingEmbedder(96)
     text = "summarize the chapter about winters"
-    seq = tokenize(text)
     via_text = embed_query_text(text, provider)
-    via_tokens = provider.embed_tokens(seq.tokens)
+    via_tokens = provider.embed_tokens(tokenize(text))
     assert np.array_equal(via_text, via_tokens)
 
 
 def test_query_text_matches_oracle():
     provider = HashingEmbedder(384)
     text = "summarize the chapter"
-    ids = list(tokenize(text).tokens)
+    ids = list(tokenize(text))
     assert np.allclose(embed_query_text(text, provider), reference_embedding(ids, 384), atol=1e-12)
 
 
@@ -128,7 +127,7 @@ def test_external_embeddings_valid(tmp_path):
         {"chunk_index": 1, "vector": [1.0, 0.0]},
         {"chunk_index": 2, "vector": [0.0, -2.0]},
     ])
-    frags = load_external_embeddings(path)
+    frags = load_external_embeddings(path, expected_dim=2)
     assert sorted(frags) == [0, 1, 2]
     # norms checked against hand computation: (3,4)/5, (1,0), (0,-1)
     assert np.allclose(frags[0], [0.6, 0.8])
@@ -143,14 +142,14 @@ def test_external_embeddings_dimension_mismatch(tmp_path):
         {"chunk_index": 1, "vector": [1.0, 0.0, 0.0]},
     ])
     with pytest.raises(ValueError, match="line 2"):
-        load_external_embeddings(path)
+        load_external_embeddings(path, expected_dim=2)
 
 
 def test_external_embeddings_nan(tmp_path):
     path = tmp_path / "emb.jsonl"
     write_jsonl(path, [{"chunk_index": 0, "vector": [1.0, float("nan")]}])
     with pytest.raises(ValueError, match="non-finite"):
-        load_external_embeddings(path)
+        load_external_embeddings(path, expected_dim=2)
 
 
 def test_external_embeddings_zero_vector(tmp_path):
@@ -160,7 +159,7 @@ def test_external_embeddings_zero_vector(tmp_path):
         {"chunk_index": 1, "vector": [0.0, -0.0]},
     ])
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 2: zero vector"):
-        load_external_embeddings(path)
+        load_external_embeddings(path, expected_dim=2)
 
 
 @pytest.mark.parametrize("line,complaint", [
@@ -191,7 +190,7 @@ def test_external_embeddings_bad_line(tmp_path, line, complaint):
     path = tmp_path / "emb.jsonl"
     path.write_text(json.dumps({"chunk_index": 0, "vector": [1.0, 0.0]}) + "\n" + line + "\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 2: {complaint}"):
-        load_external_embeddings(path)
+        load_external_embeddings(path, expected_dim=2)
 
 
 def test_external_embeddings_duplicate_index(tmp_path):
@@ -201,12 +200,12 @@ def test_external_embeddings_duplicate_index(tmp_path):
         {"chunk_index": 0, "vector": [0.0, 1.0]},
     ])
     with pytest.raises(ValueError, match="duplicate"):
-        load_external_embeddings(path)
+        load_external_embeddings(path, expected_dim=2)
 
 
 def test_cancelling_chunk_embeds_to_zero():
     provider = HashingEmbedder(384)
-    ids = tokenize("z6 z54").tokens  # both pieces hash to one coordinate, opposite signs
+    ids = tokenize("z6 z54")  # both pieces hash to one coordinate, opposite signs
     with pytest.raises(DegenerateEmbedding):
         provider.embed_tokens(ids)
     vec = embed_chunk(make_chunk(ids), provider)

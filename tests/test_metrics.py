@@ -98,5 +98,5 @@ def test_embedding_cosine_proxy_basics():
 
 
 def test_embedding_cosine_proxy_degenerate_input_scores_zero():
-    cancelling = list(tokenize("z6 z54").tokens)
+    cancelling = list(tokenize("z6 z54"))
     assert embedding_cosine_proxy(cancelling, [1, 2, 3], HashingEmbedder(384)) == 0.0

@@ -17,7 +17,7 @@ from apce.model import (
     _init_params,
     _rms_norm,
 )
-from apce.textpipe import TokenSequence, chunk
+from apce.textpipe import Chunk, chunk
 
 # numpy's default ufunc buffer size (8192 elements), read before any test runs:
 # the kernel's own buffer size must not leak into any test after it.
@@ -26,7 +26,7 @@ DEFAULT_BUFSIZE = np.getbufsize()
 
 def make_chunks(n_tokens, chunk_size, vocab=512, salt=0):
     ids = tuple((i * 7919 + salt) % vocab for i in range(n_tokens))
-    return chunk(TokenSequence(tokens=ids), chunk_size)
+    return chunk(ids, chunk_size)
 
 
 def chunk_kv(cache: KVCache, layer: int, c) -> tuple[np.ndarray, np.ndarray]:
@@ -74,7 +74,7 @@ def test_prefill_deterministic_and_equal_to_itself(model, chunks, toy_model_conf
     elements = model.rebuild_blocks(c3, chunks)
     assert caches_equal(c1, c3, toy_model_config.n_layers)
     assert elements == r1.score_elements
-    assert c3.counters.rebuild_elements == c1.counters.prefill_elements
+    assert c3.counters["rebuild_elements"] == c1.counters["prefill_elements"]
     # once more, over the rebuilt cache, finishing the last block
     elements, hidden = model._forward_blocks(c3, chunks, finish_last=True)
     assert elements == r1.score_elements and hidden.shape == (chunks[-1].size, toy_model_config.d_model)
@@ -85,17 +85,41 @@ def test_prefill_deterministic_and_equal_to_itself(model, chunks, toy_model_conf
 
 def test_prefill_empty(model, toy_model_config):
     cache = KVCache(toy_model_config)
-    result = model.prefill([], cache)
-    assert result.score_elements == 0
-    assert result.last_logits is None
-    assert cache.resident_tokens == 0
+    with pytest.raises(ValueError, match="at least one chunk"):
+        model.prefill([], cache)
+    assert cache.resident_tokens == 0 and cache.counters["prefill_elements"] == 0
+
+
+def test_prefill_orders_blocks_by_offset_whatever_their_indices(model, chunks, toy_model_config):
+    """Chunks numbered against their offsets prefill as the same chunks
+    numbered in document order: the logits come from the last document
+    position, and the K/V are the same."""
+    parts = chunks[:3]
+    backwards = [Chunk(chunk_index=2 - c.chunk_index, token_ids=c.token_ids,
+                       doc_token_offset=c.doc_token_offset) for c in parts]
+    forward_cache, backward_cache = KVCache(toy_model_config), KVCache(toy_model_config)
+    want = model.prefill(parts, forward_cache)
+    got = model.prefill(backwards[::-1], backward_cache)
+    assert np.array_equal(got.last_logits, want.last_logits)
+    assert got.score_elements == want.score_elements
+    assert backward_cache.resident_indices() == [2, 1, 0]
+    for c, b in zip(parts, backwards):
+        for layer in range(toy_model_config.n_layers):
+            for x, y in zip(chunk_kv(forward_cache, layer, c), chunk_kv(backward_cache, layer, b)):
+                assert np.array_equal(x, y)
+
+
+def test_prefill_refuses_a_repeated_chunk_index(model, chunks, toy_model_config):
+    twin = Chunk(chunk_index=0, token_ids=chunks[1].token_ids, doc_token_offset=chunks[1].doc_token_offset)
+    with pytest.raises(ValueError, match="duplicate chunk index 0"):
+        model.prefill([chunks[0], twin], KVCache(toy_model_config))
 
 
 def test_prefill_counts_squared_elements(model, chunks, toy_model_config):
     cache = KVCache(toy_model_config)
     result = model.prefill(chunks[:3], cache)
     assert result.score_elements == 36 * 36
-    assert cache.counters.prefill_elements == 36 * 36
+    assert cache.counters["prefill_elements"] == 36 * 36
 
 
 def test_prefill_positions_are_document_absolute(model, chunks, toy_model_config):
@@ -109,7 +133,7 @@ def test_prefill_positions_are_document_absolute(model, chunks, toy_model_config
     for got, want in zip(chunk_kv(gapped, 0, chunks[2]), chunk_kv(full, 0, chunks[2])):
         assert np.array_equal(got, want)
 
-    moved = chunk(TokenSequence(tokens=chunks[2].token_ids), chunks[2].size)[0]  # at positions 0-11
+    moved = chunk(chunks[2].token_ids, chunks[2].size)[0]  # at positions 0-11
     alone = KVCache(toy_model_config)
     model.prefill([moved], alone)
     assert not np.array_equal(chunk_kv(alone, 0, moved)[0], chunk_kv(full, 0, chunks[2])[0])
@@ -186,8 +210,8 @@ def test_decode_logits_finite_and_counters_monotone(model, chunks, toy_model_con
     for step in range(5):
         out = model.decode_step(cache, token, position=96 + step)
         assert np.all(np.isfinite(out.logits))
-        assert cache.counters.decode_elements > seen
-        seen = cache.counters.decode_elements
+        assert cache.counters["decode_elements"] > seen
+        seen = cache.counters["decode_elements"]
         token = out.token
 
 
@@ -214,9 +238,9 @@ def test_causality_future_token_cannot_affect_past_kv(model, toy_model_config):
     logits_a = model.prefill(base, cache_a).last_logits
 
     mutated = make_chunks(60, 10)
-    tokens = list(mutated[-1].tokens.tokens)
+    tokens = list(mutated[-1].token_ids)
     tokens[-1] = (tokens[-1] + 11) % 512
-    object.__setattr__(mutated[-1], "tokens", TokenSequence(tokens=tuple(tokens)))
+    object.__setattr__(mutated[-1], "token_ids", tuple(tokens))
     cache_b = KVCache(toy_model_config)
     logits_b = model.prefill(mutated, cache_b).last_logits
 
@@ -492,7 +516,7 @@ def arena_session(model, parts):
 
     def snapshot(cache, *outputs):
         used = cache.chunk_tokens + cache.gen_len
-        seen.append((outputs, cache.counters.as_dict(),
+        seen.append((outputs, dict(cache.counters),
                      [cache.keys[l][:, :used].copy() for l in range(cfg.n_layers)],
                      [cache.values[l][:, :used].copy() for l in range(cfg.n_layers)]))
 

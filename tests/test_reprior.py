@@ -18,7 +18,7 @@ from apce.reprior import (
     update_enhanced_query,
 )
 from apce.select import score_chunks
-from apce.textpipe import TokenSequence, chunk
+from apce.textpipe import chunk
 
 
 def query_state(instruction, provider, **fields):
@@ -47,7 +47,7 @@ class FakeHandle:
         self.resident |= set(admit)
         return 0
 
-    def indices(self):
+    def resident_indices(self):
         return sorted(self.resident)
 
 
@@ -64,8 +64,7 @@ def query_favoring(weights, dim=8):
 
 
 def make_chunks(n, m=10):
-    seq = TokenSequence(tokens=tuple(range(n * m)))
-    return chunk(seq, m)
+    return chunk(tuple(range(n * m)), m)
 
 
 # --- enhanced query ---
@@ -142,7 +141,8 @@ def test_events_fired_equals_floor_tokens_over_interval():
 def test_unchanged_scores_give_empty_plan():
     chunks = make_chunks(4)
     store = basis_store(4)
-    plan = reprioritize([0, 1], 2, store, query_favoring({0: 0.9, 1: 0.8, 2: 0.1}), chunks)
+    plan = reprioritize([0, 1], 2, store, query_favoring({0: 0.9, 1: 0.8, 2: 0.1}),
+                        chunks, range(len(chunks)))
     assert plan.is_empty()
 
 
@@ -150,7 +150,8 @@ def test_tail_admission_needs_no_recompute():
     # buffer {0,1} -> target {0,2}: admitted chunk is last in document order
     chunks = make_chunks(3)
     store = basis_store(3)
-    plan = reprioritize([0, 1], 2, store, query_favoring({0: 0.9, 1: 0.1, 2: 0.5}), chunks)
+    plan = reprioritize([0, 1], 2, store, query_favoring({0: 0.9, 1: 0.1, 2: 0.5}),
+                        chunks, range(len(chunks)))
     assert plan.evict == (1,)
     assert plan.admit == (2,)
     assert plan.recompute == ()
@@ -160,7 +161,8 @@ def test_earlier_admission_marks_later_retained_stale():
     # buffer {2,3} -> admit 0 (evicting 3): chunk 2 follows chunk 0, so it is stale
     chunks = make_chunks(4)
     store = basis_store(4)
-    plan = reprioritize([2, 3], 2, store, query_favoring({0: 0.9, 2: 0.8, 3: 0.1, 1: 0.0}), chunks)
+    plan = reprioritize([2, 3], 2, store, query_favoring({0: 0.9, 2: 0.8, 3: 0.1, 1: 0.0}),
+                        chunks, range(len(chunks)))
     assert plan.evict == (3,)
     assert plan.admit == (0,)
     assert plan.recompute == (2,)
@@ -171,7 +173,8 @@ def test_earlier_eviction_also_marks_later_retained_stale():
     # context even though the admitted chunk comes after it
     chunks = make_chunks(6)
     store = basis_store(6)
-    plan = reprioritize([0, 3], 2, store, query_favoring({3: 0.9, 5: 0.8, 0: 0.1}), chunks)
+    plan = reprioritize([0, 3], 2, store, query_favoring({3: 0.9, 5: 0.8, 0: 0.1}),
+                        chunks, range(len(chunks)))
     assert plan.evict == (0,)
     assert plan.admit == (5,)
     assert plan.recompute == (3,)
@@ -187,7 +190,7 @@ def test_pool_restriction_and_growth():
     with pytest.raises(ValueError):
         reprioritize([0], 3, store, q, chunks, candidate_indices=[1, 2])  # excludes resident 0
     with pytest.raises(ValueError):
-        reprioritize([0], 0, store, q, chunks)  # capacity below one
+        reprioritize([0], 0, store, q, chunks, range(len(chunks)))  # capacity below one
 
 
 # --- apply_plan ---
@@ -197,10 +200,11 @@ def test_empty_plan_is_a_noop():
     store = basis_store(3)
     handle = FakeHandle([0, 1])
     stats = ReplacementStats()
-    plan = reprioritize(handle.indices(), 2, store, query_favoring({0: 0.9, 1: 0.8}), chunks)
+    plan = reprioritize(handle.resident_indices(), 2, store, query_favoring({0: 0.9, 1: 0.8}),
+                        chunks, range(len(chunks)))
     apply_plan(1, plan, handle, stats)
     assert stats.available == 0 and stats.taken == 0
-    assert handle.indices() == [0, 1]
+    assert handle.resident_indices() == [0, 1]
 
 
 def test_applied_plan_updates_buffer_and_cache_calls():
@@ -209,14 +213,14 @@ def test_applied_plan_updates_buffer_and_cache_calls():
     stats = ReplacementStats()
     handle = FakeHandle([2, 3])
     q = query_favoring({0: 0.9, 2: 0.8, 3: 0.1})
-    plan = reprioritize(handle.indices(), 2, store, q, chunks)
+    plan = reprioritize(handle.resident_indices(), 2, store, q, chunks, range(len(chunks)))
     apply_plan(1, plan, handle, stats)
-    assert handle.indices() == [0, 2]
+    assert handle.resident_indices() == [0, 2]
     assert handle.evicted == [3]
     assert handle.rebuilt == [((0,), (2,))]
     assert stats.taken == stats.available == 1
-    score = {s.chunk_index: s.score for s in score_chunks(store, q)}
-    assert min(score[i] for i in handle.indices()) >= score[3]
+    score = {s.chunk_index: s.score for s in score_chunks(store, q, range(4))}
+    assert min(score[i] for i in handle.resident_indices()) >= score[3]
 
 
 def test_scripted_replay_taken_and_available():
@@ -232,12 +236,12 @@ def test_scripted_replay_taken_and_available():
         query_favoring({3: 0.9, 2: 0.8, 0: 0.1}),  # swap 0 -> 3
     ]
     for step, q in enumerate(queries, start=1):
-        plan = reprioritize(handle.indices(), 2, store, q, chunks)
+        plan = reprioritize(handle.resident_indices(), 2, store, q, chunks, range(len(chunks)))
         apply_plan(step, plan, handle, stats)
     assert stats.taken == 2
     assert stats.available >= 2
     assert stats.taken <= stats.available
-    assert len(handle.indices()) <= 2
+    assert len(handle.resident_indices()) <= 2
     assert [e.as_dict() for e in stats.events] == [
         {"step": 2, "evict": [1], "admit": [2], "recompute": [], "applied": True},
         {"step": 4, "evict": [0], "admit": [3], "recompute": [2], "applied": True},
@@ -250,13 +254,13 @@ def test_recovery_evicted_chunk_returns_when_score_recovers():
     stats = ReplacementStats()
     handle = FakeHandle([0, 1])
     # chunk 1 loses its slot ...
-    plan = reprioritize(handle.indices(), 2, store, query_favoring({0: 0.9, 2: 0.8, 1: 0.05}),
-                        chunks)
+    plan = reprioritize(handle.resident_indices(), 2, store, query_favoring({0: 0.9, 2: 0.8, 1: 0.05}),
+                        chunks, range(len(chunks)))
     apply_plan(1, plan, handle, stats)
     assert 1 not in handle.resident
     # ... and is re-admitted once its score re-enters the top-k
-    plan = reprioritize(handle.indices(), 2, store, query_favoring({0: 0.9, 1: 0.8, 2: 0.05}),
-                        chunks)
+    plan = reprioritize(handle.resident_indices(), 2, store, query_favoring({0: 0.9, 1: 0.8, 2: 0.05}),
+                        chunks, range(len(chunks)))
     apply_plan(2, plan, handle, stats)
     assert 1 in handle.resident
     admitted = [e for e in stats.events if 1 in e.plan.admit]

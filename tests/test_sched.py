@@ -350,3 +350,23 @@ def test_session_with_recompute_off_rebuilds_only_the_admitted_chunk():
     assert all(np.array_equal(block(i), before[i]) for i in stale)  # stale blocks untouched
     assert session.events[-1].kind == "recompute"
     assert session.events[-1].data == {"step": 1, "elements": 10 * cache.chunk_tokens, "chunks": [admit]}
+
+
+def test_the_clock_charges_exactly_what_the_counters_count():
+    """With every latency 0 and a power-of-two price per element, each
+    charge and each sum of charges is exact, so the clock reads the counted
+    elements times the price with no rounding at all."""
+    price = 2.0 ** -20
+    load = LoadModel(per_chunk_load_latency=0.0, decode_latency=0.0, compute_seconds_per_element=price)
+    rng = np.random.default_rng(29)
+    rebuilt = 0
+    for draw in range(30):
+        mode = str(rng.choice(["dense", "apce"]))
+        config = dataclasses.replace(TOY, fraction=None, max_chunks=int(rng.integers(1, 11)),
+                                     interval=int(rng.integers(1, 6)), recompute=bool(rng.integers(0, 2)),
+                                     max_new_tokens=int(rng.integers(2, 25)), seed=int(rng.integers(0, 4)))
+        trace = simulate_generation(DOC, QUERY, mode, load, config)
+        assert trace.ttft == trace.counters["prefill_elements"] * price, draw
+        assert trace.total_time == sum(trace.counters.values()) * price, draw
+        rebuilt += trace.counters["rebuild_elements"] > 0
+    assert rebuilt >= 5

@@ -50,7 +50,7 @@ def test_top_k_degenerate_selects_all():
     scores = [ChunkScore(i, float(i)) for i in range(4)]
     result = select_top_k(scores, 10)
     assert result.selected == (0, 1, 2, 3)
-    assert result.k_effective == 4
+    assert len(result.selected) == 4
 
 
 def test_top_k_tie_break_smaller_index():
@@ -108,7 +108,7 @@ def test_monotonicity_raising_a_loser_admits_it():
 def test_degenerate_chunk_ranks_after_every_other():
     store = EmbeddingStore({0: np.asarray([1.0, 0.0]), 1: np.asarray([-1.0, 0.0]),
                             2: np.asarray([0.0, 1.0]), 3: np.zeros(2)}, dim=2)
-    scores = score_chunks(store, np.asarray([1.0, 0.0]))
+    scores = score_chunks(store, np.asarray([1.0, 0.0]), range(4))
     assert scores[3] == ChunkScore(3, 0.0, degenerate=True)
     assert not any(s.degenerate for s in scores[:3])
     # chunk 1 scores -1.0 and chunk 2 exactly 0.0, yet both outrank chunk 3

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from apce.textpipe import (
     Record,
-    TokenSequence,
     chunk,
     load_jsonl_records,
     tokenize,
@@ -18,11 +17,11 @@ DATA = Path(__file__).parent / "data"
 
 
 def test_empty_text_gives_empty_sequence():
-    assert tokenize("").tokens == ()
+    assert tokenize("") == ()
 
 
 def test_repeated_word_maps_to_equal_ids():
-    ids = tokenize("a a a").tokens
+    ids = tokenize("a a a")
     assert len(ids) == 3
     assert ids[0] == ids[1] == ids[2]
 
@@ -31,17 +30,17 @@ def test_golden_tokens():
     # expected ids generated once by tests/oracles/tokenizer_reference.py
     golden = json.loads((DATA / "golden_tokens.json").read_text())
     got = tokenize(golden["text"], vocab_size=golden["vocab_size"])
-    assert list(got.tokens) == golden["tokens"]
+    assert list(got) == golden["tokens"]
 
 
 def test_tokenize_deterministic():
     text = "Some text, with punctuation! And 2 numbers: 42."
-    assert tokenize(text).tokens == tokenize(text).tokens
+    assert tokenize(text) == tokenize(text)
 
 
 def test_token_ids_below_vocab():
-    seq = tokenize("alpha beta gamma delta", vocab_size=11)
-    assert all(0 <= t < 11 for t in seq.tokens)
+    ids = tokenize("alpha beta gamma delta", vocab_size=11)
+    assert all(0 <= t < 11 for t in ids)
 
 
 def test_chunk_6_tokens_by_4():
@@ -52,16 +51,14 @@ def test_chunk_6_tokens_by_4():
 
 
 def test_chunk_exact_division():
-    seq = TokenSequence(tokens=tuple(range(8000)))
-    parts = chunk(seq, 800)
+    parts = chunk(tuple(range(8000)), 800)
     assert len(parts) == 10
     assert all(c.size == 800 for c in parts)
 
 
 def test_chunk_30k_group_shape():
     # ceil(29924 / 800) = 38 with a final remainder chunk of 324 tokens
-    seq = TokenSequence(tokens=tuple(i % 32768 for i in range(29924)))
-    parts = chunk(seq, 800)
+    parts = chunk(tuple(i % 32768 for i in range(29924)), 800)
     assert len(parts) == 38
     assert parts[-1].size == 324
     assert all(c.size == 800 for c in parts[:-1])
@@ -82,10 +79,10 @@ def test_chunk_empty_sequence():
 )
 @settings(max_examples=40, deadline=None)
 def test_partition_completeness_and_count_law(n, m):
-    seq = TokenSequence(tokens=tuple(i % 32768 for i in range(n)))
-    parts = chunk(seq, m)
+    ids = tuple(i % 32768 for i in range(n))
+    parts = chunk(ids, m)
     assert len(parts) == math.ceil(n / m)
-    assert tuple(t for c in parts for t in c.tokens.tokens) == seq.tokens
+    assert tuple(t for c in parts for t in c.token_ids) == ids
     running_offset = 0
     for i, c in enumerate(parts):
         assert c.chunk_index == i

@@ -1,4 +1,5 @@
-"""Check that two checkouts write the same reports, CSV and JSON.
+"""Check that two checkouts write the same reports, CSV and JSON, and that
+their demos print the same.
 
 Usage:
 
@@ -18,12 +19,14 @@ records of a corpus-sweep corpus plus one apce-reprior document as record
   the tool writes;
 - ``apce sweep`` over the whole corpus on each axis: ``n_chunks`` (over a
   base ``--fraction``, so the flag's reset is exercised), ``chunk_size`` and
-  ``reprioritization_interval``.
+  ``reprioritization_interval``;
+- every script in the checkout's ``demos``, keeping its standard output.
 
-It compares each report minus its ``timestamps`` field, and every CSV and
-sweep JSON byte for byte, and prints the first differing paths of each file
-that differs. It exits 0 when everything is equal and 1 otherwise. Standard
-library only, plus ``perfbench/workloads.py``, which it only reads.
+It compares each report minus its ``timestamps`` field, and every CSV,
+sweep JSON and demo output byte for byte. It names each file that differs,
+with the first differing paths of a report, and exits 0 when everything is
+equal and 1 otherwise. Standard library only, plus
+``perfbench/workloads.py``, which it only reads.
 """
 
 from __future__ import annotations
@@ -89,7 +92,8 @@ def write_corpus(work: Path, seed: int) -> Path:
 
 
 def run_side(checkout: Path, out: Path, corpus: Path, work: Path) -> None:
-    """Every run and sweep in one checkout, each into its own directory."""
+    """Every run and sweep in one checkout, each into its own directory, and
+    the stdout of every demo under ``demos``."""
     env = {**os.environ, "PYTHONPATH": str(checkout.resolve() / "src")}
     jobs = [("run", name, args) for name, args in RUNS.items()]
     jobs += [("sweep", name, args) for name, args in SWEEPS.items()]
@@ -100,6 +104,13 @@ def run_side(checkout: Path, out: Path, corpus: Path, work: Path) -> None:
         done = subprocess.run(argv, env=env, capture_output=True, text=True)
         if done.returncode != 0:
             sys.exit(f"{checkout}: apce {command} {name} exited {done.returncode}\n{done.stderr}")
+    (out / "demos").mkdir(parents=True, exist_ok=True)
+    for demo in sorted((checkout / "demos").glob("*.py")):
+        done = subprocess.run([sys.executable, str(demo.resolve())], cwd=work, env=env,
+                              capture_output=True, text=True)
+        if done.returncode != 0:
+            sys.exit(f"{checkout}: {demo.name} exited {done.returncode}\n{done.stderr}")
+        (out / "demos" / f"{demo.stem}.txt").write_text(done.stdout, encoding="utf-8")
 
 
 def differing_paths(a, b, path: str = "") -> list[str]:
@@ -150,7 +161,8 @@ def main() -> int:
         problems = compare(work / "parent", work / "change")
     for line in problems:
         print(line)
-    print(f"{len(problems)} file(s) differ" if problems else "all reports, CSV and JSON equal minus timestamps")
+    print(f"{len(problems)} file(s) differ" if problems
+          else "all reports, CSV, JSON and demo output equal minus timestamps")
     return 1 if problems else 0
 
 
