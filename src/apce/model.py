@@ -55,9 +55,12 @@ load-bearing for the rest of the engine:
   runs on the calling thread, as decode steps do. The speedup assumes a
   single-threaded BLAS.
 
-- The arena changes layout only when residency does. Eviction and
-  admission edit a chunk -> slot index; the arrays are re-laid out once,
-  before attention next reads them, with the generated tokens moved along.
+- The arena is allocated once, at the most tokens its session will hold,
+  and changes layout only when residency does. Eviction and admission edit
+  a chunk -> slot index; the arrays are re-laid out in place once, before
+  attention next reads them, by copying the blocks whose slot changed, with
+  the generated tokens moved along. Attention reads prefix views whose
+  per-head rows do not depend on the capacity, so neither do the bits.
   Decode steps write their token's K/V in place. Chunk tokens never attend
   the generated tail (it is strictly in the future of every chunk
   position), so rebuilding chunks mid-generation stays byte-equal to a
@@ -143,16 +146,20 @@ class ModelConfig:
 
 
 class KVCache:
-    """Per-layer K/V arenas: resident chunks in document order, then generated tokens.
+    """Per-layer K/V arenas of a fixed capacity: resident chunks in document
+    order, then generated tokens.
 
     Each layer owns one keys and one values array shaped (n_kv_heads,
-    capacity, d_head). Slots [0, chunk_tokens) hold the resident chunks in
-    document order and the next gen_len slots the generated tokens, so every
-    attention reads a prefix view of the arena. A chunk -> slot index sits
-    beside it. Evicting a chunk or reserving a placeholder only edits the
-    index; ``settle`` re-lays the arrays out once, before attention next reads
-    them, and the generated tail moves with that re-layout. Capacity grows by
-    doubling.
+    capacity, d_head), allocated here and never again: ``capacity`` is the
+    most chunk plus generated tokens the cache will hold. Slots
+    [0, chunk_tokens) hold the resident chunks in document order and the
+    next gen_len slots the generated tokens, so every attention reads a
+    prefix view of the arena. A chunk -> slot index sits beside it.
+    Evicting a chunk or reserving a placeholder only edits the index;
+    ``settle`` re-lays the arrays out in place, before attention next reads
+    them, and the generated tail moves with that re-layout. Reserving a
+    chunk whose positions overlap another resident chunk's is refused, and
+    so is holding more tokens than the capacity.
 
     ``counters`` holds the attention score elements actually computed, under
     ``prefill_elements``, ``rebuild_elements`` and ``decode_elements``. An
@@ -163,11 +170,11 @@ class KVCache:
     nothing to the count.
     """
 
-    def __init__(self, config: ModelConfig):
+    def __init__(self, config: ModelConfig, capacity: int):
         self.config = config
-        empty = np.zeros((config.n_kv_heads, 0, config.d_head), dtype=np.float32)
-        self.keys: list[np.ndarray] = [empty] * config.n_layers
-        self.values: list[np.ndarray] = [empty] * config.n_layers
+        shape = (config.n_kv_heads, capacity, config.d_head)
+        self.keys = [np.empty(shape, dtype=np.float32) for _ in range(config.n_layers)]
+        self.values = [np.empty(shape, dtype=np.float32) for _ in range(config.n_layers)]
         # chunk -> (pos_start, pos_end, arena slot); slot is None until settled
         self._index: dict[int, tuple[int, int, int | None]] = {}
         self._unsettled = False
@@ -195,10 +202,21 @@ class KVCache:
         """Give a chunk about to be computed a zeroed slot at the next settle.
 
         Placeholders make operand widths match the final resident set before
-        rebuilds run; their contents are always masked out.
+        rebuilds run; their contents are always masked out. Raises
+        ValueError if the chunk's positions overlap those of another chunk
+        in the index, and RuntimeError if the arena cannot hold it.
         """
-        self._index[chunk.chunk_index] = (chunk.doc_token_offset,
-                                          chunk.doc_token_offset + chunk.size, None)
+        start, end = chunk.doc_token_offset, chunk.doc_token_offset + chunk.size
+        others = {i: span for i, span in self._index.items() if i != chunk.chunk_index}
+        for other, (other_start, other_end, _) in others.items():
+            if start < other_end and other_start < end:
+                raise ValueError(f"chunk {chunk.chunk_index} at positions [{start}, {end}) overlaps "
+                                 f"chunk {other} at [{other_start}, {other_end})")
+        held = sum(e - s for s, e, _ in others.values()) + self.gen_len
+        if held + chunk.size > self.capacity:
+            raise RuntimeError(f"chunk {chunk.chunk_index} ({chunk.size} tokens) does not fit beside "
+                               f"{held} held tokens in an arena of {self.capacity} slots")
+        self._index[chunk.chunk_index] = (start, end, None)
         self._unsettled = True
 
     def evict(self, chunk_index: int) -> None:
@@ -211,32 +229,36 @@ class KVCache:
     def capacity(self) -> int:
         return self.keys[0].shape[1]
 
-    def settle(self, capacity: int = 0) -> None:
-        """Re-lay the arenas out for the current index: one copy of each array.
+    def settle(self) -> None:
+        """Re-lay the arenas out in place for the current index.
 
-        Also runs when the arenas must grow to hold ``capacity`` slots.
+        Only blocks whose slot changes are copied, the generated tail being
+        the last block. Blocks keep their document order, so those moving
+        left can go in ascending slot order and those moving right in
+        descending order, each before anything overwrites it. Placeholders
+        are zeroed last, as their slots may hold a block still to move.
         """
-        if not self._unsettled and capacity <= self.capacity:
+        if not self._unsettled:
             return
-        moves = []  # (old slot or None for a placeholder, new slot, tokens)
+        moves = []  # (old slot, new slot, tokens), in document order
+        placeholders = []  # (new slot, tokens)
         slot = 0
         for idx in self.resident_indices():
             start, end, old = self._index[idx]
-            moves.append((old, slot, end - start))
+            if old is None:
+                placeholders.append((slot, end - start))
+            elif old != slot:
+                moves.append((old, slot, end - start))
             self._index[idx] = (start, end, slot)
             slot += end - start
-        gen_old = slice(self.chunk_tokens, self.chunk_tokens + self.gen_len)
-        gen_new = slice(slot, slot + self.gen_len)
-        needed = max(gen_new.stop, capacity)
-        grown = self.capacity if needed <= self.capacity else max(needed, 2 * self.capacity)
-        shape = (self.config.n_kv_heads, grown, self.config.d_head)
-        for arenas in (self.keys, self.values):
-            for layer, old_arena in enumerate(arenas):
-                arena = np.empty(shape, dtype=np.float32)
-                for old, new, size in moves:
-                    arena[:, new:new + size] = 0.0 if old is None else old_arena[:, old:old + size]
-                arena[:, gen_new] = old_arena[:, gen_old]
-                arenas[layer] = arena
+        if self.gen_len and slot != self.chunk_tokens:
+            moves.append((self.chunk_tokens, slot, self.gen_len))
+        ordered = [m for m in moves if m[1] < m[0]] + [m for m in reversed(moves) if m[1] > m[0]]
+        for arena in (*self.keys, *self.values):
+            for old, new, size in ordered:
+                arena[:, new:new + size] = arena[:, old:old + size]
+            for new, size in placeholders:
+                arena[:, new:new + size] = 0.0
         self.chunk_tokens = slot
         self._unsettled = False
 
@@ -337,7 +359,9 @@ class DecoderModel:
             raise ValueError("decode position must follow all cached positions")
 
         width = cache.resident_tokens + cache.gen_len + 1  # chunks, generated tokens, this token
-        cache.settle(capacity=width)
+        if width > cache.capacity:
+            raise RuntimeError(f"decode step needs {width} arena slots, the cache has {cache.capacity}")
+        cache.settle()
         cos, sin = self._rope_tables(np.asarray([position], dtype=np.int64))
         hidden = self.params["embedding"][np.asarray([last_token], dtype=np.int64)].copy()
         work = np.empty(2 * cfg.d_ff, dtype=np.float32)

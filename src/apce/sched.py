@@ -126,7 +126,9 @@ class Session:
                                     self.k_effective)
 
         self.model = DecoderModel(config.model_config())
-        self.cache = KVCache(self.model.config)
+        # at most k chunks are resident, beside one generated token per decode step
+        capacity = min(self.doc_tokens, self.k_effective * config.chunk_size) + config.max_new_tokens - 1
+        self.cache = KVCache(self.model.config, capacity)
         prefill = self.model.prefill([chunks[i] for i in self.initial.selected], self.cache)
         self.now += prefill.score_elements * load.compute_seconds_per_element
         self.stats = ReplacementStats()

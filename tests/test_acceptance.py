@@ -153,7 +153,7 @@ def test_criterion_4_recompute_soundness():
         initial = select_top_k(
             [ChunkScore(i, float(query_a @ store[i])) for i in range(len(chunks))], k).selected
 
-        cache = KVCache(cfg)
+        cache = KVCache(cfg, len(ids))
         model.prefill([by_idx[i] for i in initial], cache)
 
         plan = reprioritize(initial, k, store, rng.normal(size=dim), chunks, by_idx)
@@ -165,7 +165,7 @@ def test_criterion_4_recompute_soundness():
 
         # the set the plan must produce, derived from the plan itself
         final = sorted((set(initial) - set(plan.evict)) | set(plan.admit))
-        oracle = KVCache(cfg)
+        oracle = KVCache(cfg, len(ids))
         model.prefill([by_idx[i] for i in final], oracle)
         assert cache.resident_indices() == oracle.resident_indices()
         # equal resident sets share one slot layout, so the chunk prefixes
@@ -244,9 +244,9 @@ def test_criterion_6_complexity_scaling():
         ids = tuple((i * 17 + 3) % 32000 for i in range(n_tokens))
         parts = chunk(ids, m)
 
-        dense_cache = KVCache(cfg)
+        dense_cache = KVCache(cfg, n_tokens)
         dense = model.prefill(parts, dense_cache).score_elements
-        sparse_cache = KVCache(cfg)
+        sparse_cache = KVCache(cfg, k * m + 1)
         full_sized = [c for c in parts if c.size == m][:k]
         assert len(full_sized) == k
         sparse = model.prefill(full_sized, sparse_cache).score_elements

@@ -22,6 +22,8 @@ from apce.textpipe import Chunk, chunk
 # numpy's default ufunc buffer size (8192 elements), read before any test runs:
 # the kernel's own buffer size must not leak into any test after it.
 DEFAULT_BUFSIZE = np.getbufsize()
+# arena slots of the caches below: more than any of them holds
+ARENA = 1024
 
 
 def make_chunks(n_tokens, chunk_size, vocab=512, salt=0):
@@ -61,14 +63,14 @@ def chunks():
 # --- prefill ---
 
 def test_prefill_deterministic_and_equal_to_itself(model, chunks, toy_model_config):
-    c1, c2 = KVCache(toy_model_config), KVCache(toy_model_config)
+    c1, c2 = KVCache(toy_model_config, ARENA), KVCache(toy_model_config, ARENA)
     r1 = model.prefill(chunks, c1)
     r2 = model.prefill(chunks, c2)
     assert np.array_equal(r1.last_logits, r2.last_logits)
     assert caches_equal(c1, c2, toy_model_config.n_layers)
 
     # prefill is the rebuild path run over an empty cache with every chunk reserved
-    c3 = KVCache(toy_model_config)
+    c3 = KVCache(toy_model_config, ARENA)
     for c in chunks:
         c3.reserve(c)
     elements = model.rebuild_blocks(c3, chunks)
@@ -84,7 +86,7 @@ def test_prefill_deterministic_and_equal_to_itself(model, chunks, toy_model_conf
 
 
 def test_prefill_empty(model, toy_model_config):
-    cache = KVCache(toy_model_config)
+    cache = KVCache(toy_model_config, ARENA)
     with pytest.raises(ValueError, match="at least one chunk"):
         model.prefill([], cache)
     assert cache.resident_tokens == 0 and cache.counters["prefill_elements"] == 0
@@ -97,7 +99,7 @@ def test_prefill_orders_blocks_by_offset_whatever_their_indices(model, chunks, t
     parts = chunks[:3]
     backwards = [Chunk(chunk_index=2 - c.chunk_index, token_ids=c.token_ids,
                        doc_token_offset=c.doc_token_offset) for c in parts]
-    forward_cache, backward_cache = KVCache(toy_model_config), KVCache(toy_model_config)
+    forward_cache, backward_cache = KVCache(toy_model_config, ARENA), KVCache(toy_model_config, ARENA)
     want = model.prefill(parts, forward_cache)
     got = model.prefill(backwards[::-1], backward_cache)
     assert np.array_equal(got.last_logits, want.last_logits)
@@ -112,11 +114,17 @@ def test_prefill_orders_blocks_by_offset_whatever_their_indices(model, chunks, t
 def test_prefill_refuses_a_repeated_chunk_index(model, chunks, toy_model_config):
     twin = Chunk(chunk_index=0, token_ids=chunks[1].token_ids, doc_token_offset=chunks[1].doc_token_offset)
     with pytest.raises(ValueError, match="duplicate chunk index 0"):
-        model.prefill([chunks[0], twin], KVCache(toy_model_config))
+        model.prefill([chunks[0], twin], KVCache(toy_model_config, ARENA))
+
+
+def test_prefill_refuses_overlapping_chunk_positions(model, toy_model_config):
+    ids = tuple(range(12))
+    with pytest.raises(ValueError, match=r"chunk 1 at positions \[6, 18\) overlaps chunk 0 at \[0, 12\)"):
+        model.prefill([Chunk(0, ids, 0), Chunk(1, ids, 6)], KVCache(toy_model_config, ARENA))
 
 
 def test_prefill_counts_squared_elements(model, chunks, toy_model_config):
-    cache = KVCache(toy_model_config)
+    cache = KVCache(toy_model_config, ARENA)
     result = model.prefill(chunks[:3], cache)
     assert result.score_elements == 36 * 36
     assert cache.counters["prefill_elements"] == 36 * 36
@@ -126,7 +134,7 @@ def test_prefill_positions_are_document_absolute(model, chunks, toy_model_config
     """Layer-0 K/V depend only on a chunk's tokens and positions, so chunk 2's
     are the same whether chunk 1 is resident or not, and differ when the same
     tokens sit at other positions."""
-    gapped, full = KVCache(toy_model_config), KVCache(toy_model_config)
+    gapped, full = KVCache(toy_model_config, ARENA), KVCache(toy_model_config, ARENA)
     model.prefill([chunks[0], chunks[2]], gapped)
     model.prefill(chunks[:3], full)
     assert gapped.slot(2) == 12 and full.slot(2) == 24
@@ -134,13 +142,13 @@ def test_prefill_positions_are_document_absolute(model, chunks, toy_model_config
         assert np.array_equal(got, want)
 
     moved = chunk(chunks[2].token_ids, chunks[2].size)[0]  # at positions 0-11
-    alone = KVCache(toy_model_config)
+    alone = KVCache(toy_model_config, ARENA)
     model.prefill([moved], alone)
     assert not np.array_equal(chunk_kv(alone, 0, moved)[0], chunk_kv(full, 0, chunks[2])[0])
 
 
 def test_prefill_requires_empty_cache(model, chunks, toy_model_config):
-    cache = KVCache(toy_model_config)
+    cache = KVCache(toy_model_config, ARENA)
     model.prefill(chunks[:2], cache)
     with pytest.raises(ValueError):
         model.prefill(chunks[2:3], cache)
@@ -152,18 +160,18 @@ def test_prefill_position_overflow():
     model = DecoderModel(cfg)
     parts = make_chunks(16, 8, vocab=64)
     with pytest.raises(ValueError, match="overflow"):
-        model.prefill(parts, KVCache(cfg))
+        model.prefill(parts, KVCache(cfg, ARENA))
 
 
 def test_out_of_order_admission_is_stale_until_recomputed(model, chunks, toy_model_config):
     """Admitting an earlier chunk leaves later blocks stale; recompute heals them."""
     layers = toy_model_config.n_layers
 
-    live = KVCache(toy_model_config)
+    live = KVCache(toy_model_config, ARENA)
     model.prefill([chunks[0], chunks[2]], live)
     model.rebuild_blocks(live, [chunks[1]])  # admit chunk 1, no recompute of chunk 2
 
-    oracle = KVCache(toy_model_config)
+    oracle = KVCache(toy_model_config, ARENA)
     model.prefill(chunks[:3], oracle)
 
     stale = chunk_kv(live, layers - 1, chunks[2])
@@ -179,7 +187,7 @@ def test_out_of_order_admission_is_stale_until_recomputed(model, chunks, toy_mod
 def test_decode_deterministic(model, chunks, toy_model_config):
     logits = []
     for _ in range(2):
-        cache = KVCache(toy_model_config)
+        cache = KVCache(toy_model_config, ARENA)
         pre = model.prefill(chunks[:4], cache)
         out = model.decode_step(cache, int(np.argmax(pre.last_logits)), position=96)
         logits.append(out.logits)
@@ -187,7 +195,7 @@ def test_decode_deterministic(model, chunks, toy_model_config):
 
 
 def test_decode_elements_equal_resident_plus_generated(model, chunks, toy_model_config):
-    cache = KVCache(toy_model_config)
+    cache = KVCache(toy_model_config, ARENA)
     pre = model.prefill([chunks[0], chunks[3]], cache)  # 24 resident tokens
     token = int(np.argmax(pre.last_logits))
     for step in range(1, 4):
@@ -195,7 +203,7 @@ def test_decode_elements_equal_resident_plus_generated(model, chunks, toy_model_
         assert out.score_elements == 24 + step
         token = out.token
     # strictly below what a dense cache would cost at the same step
-    dense = KVCache(toy_model_config)
+    dense = KVCache(toy_model_config, ARENA)
     pre_d = model.prefill(chunks, dense)
     out_d = model.decode_step(dense, int(np.argmax(pre_d.last_logits)), position=96)
     assert out_d.score_elements == 96 + 1
@@ -203,7 +211,7 @@ def test_decode_elements_equal_resident_plus_generated(model, chunks, toy_model_
 
 
 def test_decode_logits_finite_and_counters_monotone(model, chunks, toy_model_config):
-    cache = KVCache(toy_model_config)
+    cache = KVCache(toy_model_config, ARENA)
     pre = model.prefill(chunks[:2], cache)
     token = int(np.argmax(pre.last_logits))
     seen = 0
@@ -216,7 +224,7 @@ def test_decode_logits_finite_and_counters_monotone(model, chunks, toy_model_con
 
 
 def test_decode_position_must_advance(model, chunks, toy_model_config):
-    cache = KVCache(toy_model_config)
+    cache = KVCache(toy_model_config, ARENA)
     model.prefill(chunks[:2], cache)
     with pytest.raises(ValueError):
         model.decode_step(cache, 1, position=5)  # inside the document
@@ -224,7 +232,7 @@ def test_decode_position_must_advance(model, chunks, toy_model_config):
 
 def test_decode_needs_cache(model, toy_model_config):
     with pytest.raises(ValueError):
-        model.decode_step(KVCache(toy_model_config), 1, position=0)
+        model.decode_step(KVCache(toy_model_config, ARENA), 1, position=0)
 
 
 # --- causality ---
@@ -234,14 +242,14 @@ def test_causality_future_token_cannot_affect_past_kv(model, toy_model_config):
     earlier position bit-identical, in the flipped token's own block too,
     and does change that token's K/V and the last logits."""
     base = make_chunks(60, 10)
-    cache_a = KVCache(toy_model_config)
+    cache_a = KVCache(toy_model_config, ARENA)
     logits_a = model.prefill(base, cache_a).last_logits
 
     mutated = make_chunks(60, 10)
     tokens = list(mutated[-1].token_ids)
     tokens[-1] = (tokens[-1] + 11) % 512
     object.__setattr__(mutated[-1], "token_ids", tuple(tokens))
-    cache_b = KVCache(toy_model_config)
+    cache_b = KVCache(toy_model_config, ARENA)
     logits_b = model.prefill(mutated, cache_b).last_logits
 
     p = 59  # the flipped position
@@ -255,7 +263,7 @@ def test_causality_future_token_cannot_affect_past_kv(model, toy_model_config):
 # --- recompute ---
 
 def test_recompute_idempotent(model, chunks, toy_model_config):
-    cache = KVCache(toy_model_config)
+    cache = KVCache(toy_model_config, ARENA)
     model.prefill(chunks[:3], cache)
     snapshot = {(l, i): chunk_kv(cache, l, chunks[i])
                 for l in range(toy_model_config.n_layers) for i in (0, 1, 2)}
@@ -266,8 +274,17 @@ def test_recompute_idempotent(model, chunks, toy_model_config):
         assert np.array_equal(values, v)
 
 
+def test_rebuild_refuses_a_chunk_overlapping_a_resident_one(model, chunks, toy_model_config):
+    cache = KVCache(toy_model_config, ARENA)
+    model.prefill(chunks[:3], cache)
+    shifted = Chunk(8, chunks[1].token_ids, chunks[1].doc_token_offset + 5)
+    with pytest.raises(ValueError, match="chunk 8 at positions .* overlaps chunk 1 at"):
+        model.rebuild_blocks(cache, [shifted])
+    assert cache.resident_indices() == [0, 1, 2]
+
+
 def test_recompute_first_chunk_is_noop(model, chunks, toy_model_config):
-    cache = KVCache(toy_model_config)
+    cache = KVCache(toy_model_config, ARENA)
     model.prefill(chunks[:3], cache)
     before = chunk_kv(cache, toy_model_config.n_layers - 1, chunks[0])[0]
     model.rebuild_blocks(cache, [chunks[0]])
@@ -287,7 +304,7 @@ def test_rebuild_matches_fresh_prefill_after_swaps(model, chunks, toy_model_conf
         outside = [i for i in all_idx if i not in start]
         enter = sorted(rng.choice(outside, size=2, replace=False).tolist())
 
-        live = KVCache(toy_model_config)
+        live = KVCache(toy_model_config, ARENA)
         model.prefill([by_idx[i] for i in start], live)
         for i in leave:
             live.evict(i)
@@ -297,7 +314,7 @@ def test_rebuild_matches_fresh_prefill_after_swaps(model, chunks, toy_model_conf
                  if by_idx[i].doc_token_offset > changed_offset]
         model.rebuild_blocks(live, [by_idx[i] for i in enter + stale])
 
-        oracle = KVCache(toy_model_config)
+        oracle = KVCache(toy_model_config, ARENA)
         model.prefill([by_idx[i] for i in final], oracle)
         assert caches_equal(live, oracle, layers), (start, leave, enter)
 
@@ -312,16 +329,16 @@ def test_rebuild_bits_depend_on_the_arena_width():
     cfg = ModelConfig()
     model = DecoderModel(cfg)
     parts = make_chunks(1000, 200, vocab=cfg.vocab_size)
-    fresh = KVCache(cfg)
+    fresh = KVCache(cfg, ARENA)
     model.prefill(parts, fresh)
 
-    same = KVCache(cfg)
+    same = KVCache(cfg, ARENA)
     model.prefill(parts, same)
     same.evict(1)
     model.rebuild_blocks(same, parts[1:])  # chunk 1 back in, 2-4 stale
     assert caches_equal(same, fresh, cfg.n_layers)
 
-    grown = KVCache(cfg)
+    grown = KVCache(cfg, ARENA)
     model.prefill(parts[:4], grown)
     model.rebuild_blocks(grown, [parts[4]])
     assert grown.resident_indices() == fresh.resident_indices()
@@ -377,9 +394,69 @@ def generated_kv(cache, layer):
     return cache.keys[layer][:, tail].copy(), cache.values[layer][:, tail].copy()
 
 
+def test_settle_lays_the_arena_out_in_place_like_a_fresh_copy():
+    """Random reserve, evict and settle sequences, with generated tokens
+    written in between: after each settle, every arena array (the one made
+    at construction) starts with each resident chunk's rows in document
+    order, zeros for placeholders, then the generated tail, as a fresh array
+    built from copies of each block would. Some settles move blocks both
+    left and right."""
+    cfg = D_HEAD_8
+    rng = np.random.default_rng(11)
+    mixed = 0
+    for draw in range(40):
+        sizes = rng.integers(1, 13, size=10)
+        offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        parts = [Chunk(i, tuple(range(int(n))), int(o)) for i, (n, o) in enumerate(zip(sizes, offsets))]
+        cache = KVCache(cfg, 48)
+        arrays = [*cache.keys, *cache.values]
+        blocks = {}  # chunk -> its rows in every arena, (arenas, heads, tokens, d_head)
+        gen = []  # the generated tokens' rows, likewise
+        slots = {}  # chunk -> its slot at the last settle
+        position = int(sizes.sum())
+        for _ in range(8):
+            for i in cache.resident_indices():
+                if rng.random() < 0.3:
+                    cache.evict(i)
+                    del blocks[i], slots[i]
+            reserved = []
+            for c in parts:
+                fits = cache.resident_tokens + cache.gen_len + c.size <= cache.capacity
+                if not cache.has(c.chunk_index) and fits and rng.random() < 0.4:
+                    cache.reserve(c)
+                    reserved.append(c.chunk_index)
+                    blocks[c.chunk_index] = np.zeros((len(arrays), cfg.n_kv_heads, c.size, cfg.d_head),
+                                                     dtype=np.float32)
+            cache.settle()
+            moved = [cache.slot(i) - old for i, old in slots.items()]
+            mixed += min(moved, default=0) < 0 < max(moved, default=0)
+            slots = {i: cache.slot(i) for i in cache.resident_indices()}
+
+            fresh = np.concatenate([blocks[i] for i in cache.resident_indices()] + gen, axis=2)
+            used = cache.chunk_tokens + cache.gen_len
+            assert used == fresh.shape[2], draw
+            for arena, want in zip(arrays, fresh):
+                assert np.array_equal(arena[:, :used], want), draw
+            assert all(a is b for a, b in zip([*cache.keys, *cache.values], arrays)), draw
+
+            for i in reserved:  # compute the placeholders
+                blocks[i] = rng.standard_normal(blocks[i].shape, dtype=np.float32)
+                for arena, rows in zip(arrays, blocks[i]):
+                    arena[:, slots[i]:slots[i] + rows.shape[1]] = rows
+            for _ in range(int(rng.integers(0, 3))):
+                if used < cache.capacity:
+                    rows = rng.standard_normal((len(arrays), cfg.n_kv_heads, 1, cfg.d_head), dtype=np.float32)
+                    for arena, row in zip(arrays, rows):
+                        arena[:, used:used + 1] = row
+                    gen.append(rows)
+                    cache.gen_positions.append(position)
+                    position, used = position + 1, used + 1
+    assert mixed >= 10, mixed
+
+
 def test_decode_logits_match_concatenating_oracle(model, chunks, toy_model_config):
     layers = toy_model_config.n_layers
-    cache = KVCache(toy_model_config)
+    cache = KVCache(toy_model_config, ARENA)
     token = int(np.argmax(model.prefill([chunks[0], chunks[2], chunks[3]], cache).last_logits))
     blocks = block_copies(cache, chunks, layers)
     gen_kv = [[] for _ in range(layers)]
@@ -390,21 +467,23 @@ def test_decode_logits_match_concatenating_oracle(model, chunks, toy_model_confi
         token = out.token
 
 
-def test_decode_past_initial_capacity(model, chunks, toy_model_config):
+def test_decode_fills_the_arena_and_refuses_a_step_past_it(model, chunks, toy_model_config):
     layers = toy_model_config.n_layers
-    cache = KVCache(toy_model_config)
+    steps = 30
+    cache = KVCache(toy_model_config, 24 + steps)
     token = int(np.argmax(model.prefill(chunks[:2], cache).last_logits))
-    capacity = cache.capacity
+    arrays = [*cache.keys, *cache.values]
     blocks = block_copies(cache, chunks, layers)
     gen_kv = [[] for _ in range(layers)]
-    steps = 2 * capacity + 3  # past two doublings
     for step in range(steps):
         want = concat_decode(model, blocks, gen_kv, token, 96 + step)
         out = model.decode_step(cache, token, 96 + step)
         assert np.array_equal(out.logits, want), step
         assert out.score_elements == 24 + step + 1
         token = out.token
-    assert cache.capacity > 2 * capacity
+    with pytest.raises(RuntimeError, match="arena slots"):
+        model.decode_step(cache, token, 96 + steps)
+    assert all(a is b for a, b in zip([*cache.keys, *cache.values], arrays))
     assert cache.gen_positions == list(range(96, 96 + steps))
     for layer in range(layers):
         keys, values = generated_kv(cache, layer)
@@ -417,7 +496,7 @@ def test_decode_past_initial_capacity(model, chunks, toy_model_config):
 def test_swap_mid_generation_matches_fresh_prefill_and_keeps_generated_kv(
         model, chunks, toy_model_config):
     layers = toy_model_config.n_layers
-    cache = KVCache(toy_model_config)
+    cache = KVCache(toy_model_config, ARENA)
     token = int(np.argmax(model.prefill([chunks[1], chunks[3], chunks[5]], cache).last_logits))
     for step in range(4):
         token = model.decode_step(cache, token, 96 + step).token
@@ -429,7 +508,7 @@ def test_swap_mid_generation_matches_fresh_prefill_and_keeps_generated_kv(
     # admit 0 and 6; chunk 0 now precedes every resident, so 1 and 5 are stale as well
     model.rebuild_blocks(cache, [chunks[i] for i in (0, 1, 5, 6)])
 
-    oracle = KVCache(toy_model_config)
+    oracle = KVCache(toy_model_config, ARENA)
     model.prefill([chunks[i] for i in (0, 1, 5, 6)], oracle)
     assert caches_equal(cache, oracle, layers)
     assert cache.gen_positions == [96, 97, 98, 99]
@@ -513,6 +592,7 @@ def arena_session(model, parts):
     by_idx = {c.chunk_index: c for c in parts}
     last = parts[-1].chunk_index
     seen = []
+    arena = sum(c.size for c in parts) + 5  # every chunk, and the five decode steps below
 
     def snapshot(cache, *outputs):
         used = cache.chunk_tokens + cache.gen_len
@@ -520,12 +600,12 @@ def arena_session(model, parts):
                      [cache.keys[l][:, :used].copy() for l in range(cfg.n_layers)],
                      [cache.values[l][:, :used].copy() for l in range(cfg.n_layers)]))
 
-    cache = KVCache(cfg)
+    cache = KVCache(cfg, arena)
     result = model.prefill(parts, cache)
     snapshot(cache, result.last_logits)
 
     # mid-arena admission with recompute off: the tail holds stale K/V
-    cache = KVCache(cfg)
+    cache = KVCache(cfg, arena)
     result = model.prefill([by_idx[i] for i in (0, 2, 4, last)], cache)
     snapshot(cache, result.last_logits)
     model.rebuild_blocks(cache, [by_idx[1]])
@@ -534,7 +614,7 @@ def arena_session(model, parts):
     snapshot(cache)
 
     # rebuild mid-generation
-    cache = KVCache(cfg)
+    cache = KVCache(cfg, arena)
     token = int(np.argmax(model.prefill([by_idx[i] for i in (1, 3, 5)], cache).last_logits))
     position = parts[-1].doc_token_offset + parts[-1].size
     logits = []
@@ -680,16 +760,16 @@ def test_small_blocks_and_one_core_stay_on_the_calling_thread(monkeypatch, chunk
     """A pass below the gate, on one core, or of one block makes no helper pool."""
     model = DecoderModel(toy_model_config)
     monkeypatch.setattr(model_module, "_pool", None)
-    model.prefill(chunks, KVCache(toy_model_config))  # 96 tokens x 96 keys: below the gate
+    model.prefill(chunks, KVCache(toy_model_config, ARENA))  # 96 tokens x 96 keys: below the gate
     monkeypatch.setattr(model_module, "_PARALLEL_MIN_SCORES", 0)
     monkeypatch.setattr(model_module, "_cores", lambda: 1)
-    model.prefill(chunks, KVCache(toy_model_config))
+    model.prefill(chunks, KVCache(toy_model_config, ARENA))
     monkeypatch.setattr(model_module, "_cores", lambda: 2)
-    cache = KVCache(toy_model_config)
+    cache = KVCache(toy_model_config, ARENA)
     model.prefill(chunks[:1], cache)
     model.rebuild_blocks(cache, [chunks[1]])
     assert model_module._pool is None
-    model.prefill(chunks, KVCache(toy_model_config))  # the gate opens
+    model.prefill(chunks, KVCache(toy_model_config, ARENA))  # the gate opens
     assert model_module._pool is not None
     model_module._pool.shutdown()
 
@@ -697,23 +777,23 @@ def test_small_blocks_and_one_core_stay_on_the_calling_thread(monkeypatch, chunk
 @pytest.mark.parametrize("cfg", [KV_1, D_HEAD_8, KV_ALL, D_HEAD_32])
 def test_batched_decode_matches_the_per_head_oracle(cfg):
     """Decode logits at widths 41-70 and 79-108 equal a per-head loop's,
-    across two arena growths and an evict and rebuild mid-generation."""
+    across an evict and rebuild mid-generation, up to a full arena."""
     parts = make_chunks(64, 8)
     logits = []
     for model in (DecoderModel(cfg), serial_model(cfg)):
-        cache = KVCache(cfg)
+        cache = KVCache(cfg, 48 + 60)  # six chunks once 1 and 4 are in
         token = int(np.argmax(model.prefill([parts[i] for i in (0, 2, 3, 5, 6)], cache).last_logits))
-        steps, capacities = [], [cache.capacity]
+        steps = []
         for position in range(64, 64 + 60):
             if position == 94:
                 cache.evict(3)
                 model.rebuild_blocks(cache, [parts[i] for i in (1, 2, 4, 5, 6)])
             out = model.decode_step(cache, token, position)
             steps.append(out.logits)
-            capacities.append(cache.capacity)
             token = out.token
+        with pytest.raises(RuntimeError):
+            model.decode_step(cache, token, 64 + 60)
         logits.append(steps)
-    assert len(set(capacities)) >= 3  # grew at least twice
     for n, (got, want) in enumerate(zip(*logits)):
         assert np.array_equal(got, want), n
 
@@ -738,7 +818,7 @@ def test_ufunc_buffer_size_does_not_leak_from_any_thread(parallel_blocks, monkey
 
     monkeypatch.setattr(DecoderModel, "_block_stage", recorded)
     model = DecoderModel(toy_model_config)
-    model.prefill(chunks, KVCache(toy_model_config))
+    model.prefill(chunks, KVCache(toy_model_config, ARENA))
     assert np.getbufsize() == DEFAULT_BUFSIZE
     assert parallel_blocks[0] > 0
     assert after_stage.pop(caller) == {DEFAULT_BUFSIZE}
@@ -755,7 +835,7 @@ def test_each_block_runs_once_per_stage_with_more_threads_than_cores(monkeypatch
     cfg = ModelConfig(n_layers=3, n_heads=2, d_model=16, d_head=8, d_kv_total=8,
                       vocab_size=64, init_seed=3)
     parts = make_chunks(48, 4, vocab=64)
-    want_cache = KVCache(cfg)
+    want_cache = KVCache(cfg, ARENA)
     want = serial_model(cfg).prefill(parts, want_cache)
     monkeypatch.setattr(model_module, "_PARALLEL_MIN_SCORES", 0)
     monkeypatch.setattr(model_module, "_cores", lambda: 8)
@@ -780,7 +860,7 @@ def test_each_block_runs_once_per_stage_with_more_threads_than_cores(monkeypatch
         deadline = time.monotonic() + 5
         for n in range(100):
             events.clear()
-            cache = KVCache(cfg)
+            cache = KVCache(cfg, ARENA)
             got = model.prefill(parts, cache)
             assert np.array_equal(got.last_logits, want.last_logits), n
             assert caches_equal(cache, want_cache, cfg.n_layers), n
@@ -827,7 +907,7 @@ def test_only_the_block_that_seeds_generation_runs_the_last_layer(monkeypatch, t
         ran = collections.Counter(layer for layer, _, _ in calls)
         return [ran[layer] for layer in range(-1, cfg.n_layers)]
 
-    cache = KVCache(cfg)
+    cache = KVCache(cfg, ARENA)
     model.prefill(parts[:10], cache)
     assert per_layer() == [10, 10, 10, 1]
     assert [(slot, thread) for layer, slot, thread in calls if layer == last] == [(36, caller)]
@@ -863,7 +943,7 @@ def test_a_failing_block_raises_after_every_thread_is_done(monkeypatch, failing)
 
     monkeypatch.setattr(DecoderModel, "_block_stage", one_fails)
     with pytest.raises(ArithmeticError, match=failing):
-        DecoderModel(D_HEAD_8).prefill(make_chunks(24, 12), KVCache(D_HEAD_8))
+        DecoderModel(D_HEAD_8).prefill(make_chunks(24, 12), KVCache(D_HEAD_8, ARENA))
     assert len(finished) == 1
     assert (finished[0] == caller) == (failing == "helper")
     time.sleep(0.1)
@@ -876,7 +956,7 @@ def test_forked_child_runs_a_threaded_prefill(parallel_blocks, monkeypatch, chun
     its own rather than wait on helpers that never start."""
     monkeypatch.setattr(model_module, "_PARALLEL_MIN_SCORES", 0)
     model = DecoderModel(toy_model_config)
-    want = model.prefill(chunks, KVCache(toy_model_config)).last_logits
+    want = model.prefill(chunks, KVCache(toy_model_config, ARENA)).last_logits
     assert parallel_blocks[0] > 0 and model_module._pool is not None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads alive
@@ -884,7 +964,7 @@ def test_forked_child_runs_a_threaded_prefill(parallel_blocks, monkeypatch, chun
     if pid == 0:  # the child never returns into the test runner
         code = 1
         try:
-            got = model.prefill(chunks, KVCache(toy_model_config)).last_logits
+            got = model.prefill(chunks, KVCache(toy_model_config, ARENA)).last_logits
             code = 0 if np.array_equal(got, want) else 3
         finally:
             os._exit(code)
@@ -943,7 +1023,7 @@ def test_grouped_kv_heads_path():
                       vocab_size=128, init_seed=2)
     model = DecoderModel(cfg)
     parts = make_chunks(24, 8, vocab=128)
-    cache = KVCache(cfg)
+    cache = KVCache(cfg, ARENA)
     result = model.prefill(parts, cache)
     assert result.last_logits.shape == (128,)
     assert cache.keys[0][:, :cache.chunk_tokens].shape == (2, 24, 16)

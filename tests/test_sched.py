@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import apce.sched as sched
 from apce.config import RunConfig
 from apce.model import KVCache, _init_params
 from apce.reprior import reprioritization_due
@@ -298,7 +299,7 @@ def test_a_session_ends_with_a_fresh_prefill_of_its_resident_set():
         plans += session.stats.taken
 
         cache = session.cache
-        fresh = KVCache(session.model.config)
+        fresh = KVCache(session.model.config, cache.resident_tokens)
         session.model.prefill([session.chunks[i] for i in cache.resident_indices()], fresh)
         assert cache.resident_indices() == fresh.resident_indices(), draw
         assert cache.chunk_tokens == fresh.chunk_tokens, draw
@@ -310,6 +311,31 @@ def test_a_session_ends_with_a_fresh_prefill_of_its_resident_set():
                     assert np.array_equal(got, want), draw
                 assert np.max(np.abs(got - want)) <= 1e-5, (draw, layer)
     assert plans >= 40
+
+
+def test_a_session_allocates_its_arena_once_at_its_bound(monkeypatch):
+    """An apce session with asynchronous arrival and six non-empty plans
+    keeps the arrays its cache was made with, sized for k chunks beside one
+    generated token per decode step; a dense session's holds every chunk."""
+    made = []
+
+    class Recorded(KVCache):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append((self, [*self.keys, *self.values]))
+
+    monkeypatch.setattr(sched, "KVCache", Recorded)
+    config = dataclasses.replace(TOY, fraction=None, max_chunks=4, interval=2, max_new_tokens=24)
+    load = LoadModel(per_chunk_load_latency=0.05, async_start_chunks=2, decode_latency=0.01,
+                     compute_seconds_per_element=1e-7)
+    trace = simulate_generation(DOC, QUERY, "apce", load, config)
+    assert trace.replacement_stats.taken >= 3
+    (cache, arrays), = made
+    assert all(a is b for a, b in zip([*cache.keys, *cache.values], arrays, strict=True))
+    assert cache.capacity == 4 * config.chunk_size + config.max_new_tokens - 1
+
+    dense = Session(DOC, QUERY, "dense", load, config)
+    assert dense.cache.capacity == dense.doc_tokens + config.max_new_tokens - 1
 
 
 def test_dense_equivalence_under_slow_arrival():
@@ -337,6 +363,7 @@ def test_session_with_recompute_off_rebuilds_only_the_admitted_chunk():
     cache, last = session.cache, config.n_layers - 1
     resident = cache.resident_indices()
     admit = min(set(range(10)) - set(resident))
+    session.evict([resident.pop()])  # the arena holds k chunks, as a plan keeps it
     stale = [i for i in resident if i > admit]
     assert stale, resident
 

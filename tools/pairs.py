@@ -17,10 +17,14 @@ ticks that ``/proc/stat`` counted during each run (the time the host gave
 this machine's vCPUs to others). Then, per metric, each side's median and
 quartiles and the number of pairs the change won, judged by the metric's
 ``better`` direction in the change's ``BENCHMARK.json``; ties count for
-neither side. Last on each metric's line is whether a claimed gain on it
-would hold: the change wins at least 9 in 10 of the pairs, and its median
-is better than the parent's by more than the parent's interquartile range.
-Standard library only.
+neither side. Then whether a claimed gain on it would hold: the change
+wins at least 9 in 10 of the pairs, and its median is better than the
+parent's by more than the parent's interquartile range. Last is the
+benchmark's no-regression verdict, with the metric's ``bound`` from the
+same file: "worse" when the change's median is worse than the parent's by
+more than bound x the parent's median; else "unresolved" when the parent's
+own interquartile range is wider than that, unless every run of the change
+beats every run of the parent; else "within bound". Standard library only.
 """
 
 from __future__ import annotations
@@ -95,6 +99,18 @@ def claim_holds(wins: int, pairs: int, parent: tuple[float, float, float], chang
     return 10 * wins >= 9 * pairs and sign * (median - change_median) > q3 - q1
 
 
+def regression_verdict(parent: list[float], change: list[float], bound: float, sign: int) -> str:
+    """'worse', 'unresolved' or 'within bound' (see the module docstring)
+    for one metric's runs on each side; ``sign`` is 1 when lower is better."""
+    q1, median, q3 = quartiles(parent)
+    allowed = bound * abs(median)
+    if sign * (statistics.median(change) - median) > allowed:
+        return "worse"
+    if q3 - q1 > allowed and not all(sign * (c - p) < 0 for c in change for p in parent):
+        return "unresolved"
+    return "within bound"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -108,6 +124,7 @@ def main(argv: list[str] | None = None) -> int:
     checkouts = {"parent": args.parent, "change": args.change}
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bound = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
     for n, seed in enumerate(args.seeds):
         order = SIDES if n % 2 == 0 else SIDES[::-1]
@@ -130,8 +147,9 @@ def main(argv: list[str] | None = None) -> int:
         q = {side: quartiles(sides[side]) for side in SIDES}
         summary = "  ".join(f"{side} {q[side][1]:.4g} [{q[side][0]:.4g}-{q[side][2]:.4g}]" for side in SIDES)
         claim = claim_holds(wins, pairs, q["parent"], q["change"][1], sign)
+        verdict = regression_verdict(sides["parent"], sides["change"], bound[name], sign)
         print(f"  {name:12} median [IQR]  {summary}  change better in {wins} of {pairs}, "
-              f"claim {'holds' if claim else 'fails'}")
+              f"claim {'holds' if claim else 'fails'}, {verdict} (bound {bound[name]:g})")
     failed = {side: sum(r["failed"] for r in runs[side]) for side in SIDES}
     print(f"  failed sessions  parent {failed['parent']}  change {failed['change']}")
     return 0
