@@ -7,7 +7,7 @@ Run:  python demos/01_chunking_and_selection.py
 
 import re
 
-from apce.embed import EmbeddingStore, HashingEmbedder, embed_query_text
+from apce.embed import EmbeddingStore, HashingEmbedder
 from apce.select import score_chunks, select_top_k
 from apce.textpipe import chunk, tokenize
 
@@ -34,18 +34,18 @@ print(f"chunks of 12 tokens: {len(chunks)} (last has {chunks[-1].size})")
 
 provider = HashingEmbedder(dim=384)
 store = EmbeddingStore.from_chunks(chunks, provider)
-query_vec = embed_query_text(QUERY, provider)
+query_vec = provider.embed_tokens(tokenize(QUERY))
 
 scores = score_chunks(store, query_vec, range(len(chunks)))
-result = select_top_k(scores, k=3)
+selected = select_top_k(scores, k=3)
 
 print("\nchunk scores against the query:")
 for s in scores:
-    marker = "  <-- selected" if s.chunk_index in result.selected else ""
+    marker = "  <-- selected" if s.chunk_index in selected else ""
     offset = chunks[s.chunk_index].doc_token_offset
     words = " ".join(pieces[offset:offset + 6])
     print(f"  chunk {s.chunk_index:2d}  score {s.score:+.3f}  [{words} ...]{marker}")
 
-print(f"\nselected (document order): {result.selected}")
+print(f"\nselected (document order): {selected}")
 print("only these chunks would be prefilled into the KV cache;")
-print(f"the other {len(chunks) - len(result.selected)} stay out until a reprioritization admits them")
+print(f"the other {len(chunks) - len(selected)} stay out until a reprioritization admits them")

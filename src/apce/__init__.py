@@ -9,13 +9,7 @@ analytical model accounts for the memory this saves.
 """
 
 from .config import LoadModel, RunConfig, apply_overrides, load_config_file
-from .embed import (
-    EmbeddingStore,
-    HashingEmbedder,
-    embed_chunk,
-    embed_query_text,
-    load_external_embeddings,
-)
+from .embed import EmbeddingStore, HashingEmbedder, load_external_embeddings
 from .memmodel import (
     MemConfig,
     MemoryReport,
@@ -36,7 +30,7 @@ from .reprior import (
     update_enhanced_query,
 )
 from .sched import GenerationTrace, Session, simulate_generation
-from .select import ChunkScore, SelectionResult, cosine, select_top_k
+from .select import ChunkScore, cosine, select_top_k
 from .textpipe import Chunk, Record, chunk, tokenize
 
 __version__ = "0.1.0"

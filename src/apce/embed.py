@@ -8,6 +8,11 @@ inside a chunk does not matter) and is fully deterministic, which is what
 the scoring pipeline needs; semantic quality on par with a trained sentence
 encoder is not the goal. External providers plug in through precomputed
 embedding files with the same normalization contract.
+
+Zero-vector rule: a non-empty bag whose signed hashes cancel embeds to the
+read-only zero vector. It has no direction, so callers test ``.any()``:
+scoring gives such a chunk 0.0 and ranks it last, a blend falls back to the
+query tail, and a query tail itself may not embed to it.
 """
 
 from __future__ import annotations
@@ -15,19 +20,11 @@ from __future__ import annotations
 import json
 import zlib
 from pathlib import Path
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .textpipe import Chunk, DEFAULT_VOCAB_SIZE, tokenize
-
-
-class EmbeddingProvider(Protocol):
-    """Anything that can turn a token-id sequence into a unit vector."""
-
-    dim: int
-
-    def embed_tokens(self, token_ids: Sequence[int]) -> np.ndarray: ...
+from .textpipe import Chunk
 
 
 def _hash_coordinate(token_id: int, dim: int) -> int:
@@ -47,6 +44,8 @@ class HashingEmbedder:
         self.dim = dim
 
     def embed_tokens(self, token_ids: Sequence[int]) -> np.ndarray:
+        """The unit embedding of a non-empty bag of ids, or the read-only
+        zero vector when their signed hashes cancel."""
         if len(token_ids) == 0:
             raise ValueError("cannot embed an empty token sequence")
         vec = np.zeros(self.dim, dtype=np.float64)
@@ -54,53 +53,19 @@ class HashingEmbedder:
         # how callers parallelize across chunks.
         for tid in token_ids:
             vec[_hash_coordinate(tid, self.dim)] += _hash_sign(tid)
+        if not vec.any():
+            vec.setflags(write=False)
+            return vec
         return normalize(vec)
-
-
-class DegenerateEmbedding(ValueError):
-    """The vector to normalize is zero, e.g. because signed hashes cancelled."""
 
 
 def normalize(vec: np.ndarray) -> np.ndarray:
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
-        raise DegenerateEmbedding("zero vector cannot be normalized (degenerate embedding)")
+        raise ValueError("zero vector cannot be normalized")
     out = vec / norm
     out.setflags(write=False)
     return out
-
-
-def embed_or_zero(provider: EmbeddingProvider, token_ids: Sequence[int]) -> np.ndarray:
-    """Embed tokens; a sequence whose contributions cancel gives the zero vector."""
-    try:
-        return provider.embed_tokens(token_ids)
-    except DegenerateEmbedding:
-        zero = np.zeros(provider.dim, dtype=np.float64)
-        zero.setflags(write=False)
-        return zero
-
-
-def embed_chunk(chunk: Chunk, provider: EmbeddingProvider) -> np.ndarray:
-    """Embed one chunk. Empty chunks are rejected (unusable for cosine); a
-    chunk whose signed hashes cancel embeds to the zero vector, which scoring
-    treats as degenerate (score 0.0, ranked last)."""
-    if chunk.size == 0:
-        raise ValueError(f"chunk {chunk.chunk_index} is empty")
-    return embed_or_zero(provider, chunk.token_ids)
-
-
-def embed_query_text(
-    text: str,
-    provider: EmbeddingProvider,
-    vocab_size: int = DEFAULT_VOCAB_SIZE,
-) -> np.ndarray:
-    """Tokenize text and embed through the same provider as chunks."""
-    if not text:
-        raise ValueError("query text must be non-empty")
-    ids = tokenize(text, vocab_size=vocab_size)
-    if not ids:
-        raise ValueError("query text contains no tokens")
-    return provider.embed_tokens(ids)
 
 
 class EmbeddingStore:
@@ -120,14 +85,10 @@ class EmbeddingStore:
             arr.setflags(write=False)
             frozen[int(idx)] = arr
         self._chunk_embeddings = frozen
-        self.dim = dim
 
     @classmethod
-    def from_chunks(cls, chunks: Iterable[Chunk], provider: EmbeddingProvider) -> "EmbeddingStore":
-        return cls(
-            {c.chunk_index: embed_chunk(c, provider) for c in chunks},
-            dim=provider.dim,
-        )
+    def from_chunks(cls, chunks: Iterable[Chunk], provider: HashingEmbedder) -> "EmbeddingStore":
+        return cls({c.chunk_index: provider.embed_tokens(c.token_ids) for c in chunks}, dim=provider.dim)
 
     def __getitem__(self, chunk_index: int) -> np.ndarray:
         return self._chunk_embeddings[chunk_index]

@@ -6,7 +6,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .embed import EmbeddingProvider, embed_or_zero
+from .embed import HashingEmbedder
 from .select import cosine
 
 
@@ -51,7 +51,7 @@ def mean_std(values: Sequence[float]) -> tuple[float, float]:
 def embedding_cosine_proxy(
     candidate_tokens: Sequence[int],
     reference_tokens: Sequence[int],
-    provider: EmbeddingProvider,
+    provider: HashingEmbedder,
 ) -> float:
     """Cosine between hashed bag embeddings of candidate and reference.
 
@@ -61,6 +61,6 @@ def embedding_cosine_proxy(
     """
     if not candidate_tokens or not reference_tokens:
         return 0.0
-    a = embed_or_zero(provider, candidate_tokens)
-    b = embed_or_zero(provider, reference_tokens)
+    a = provider.embed_tokens(candidate_tokens)
+    b = provider.embed_tokens(reference_tokens)
     return cosine(a, b) if a.any() and b.any() else 0.0

@@ -34,9 +34,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .embed import EmbeddingProvider, EmbeddingStore, embed_or_zero, embed_query_text, normalize
+from .embed import EmbeddingStore, HashingEmbedder, normalize
 from .select import score_chunks, select_top_k
-from .textpipe import Chunk
+from .textpipe import Chunk, tokenize
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ class EnhancedQueryState:
     """
 
     instruction_text: str
-    provider: EmbeddingProvider
+    provider: HashingEmbedder
     vocab_size: int
     instruction_tail_chars: int
     recent_token_window: int
@@ -107,12 +107,11 @@ class EnhancedQueryState:
         if not 0.0 <= self.blend_alpha <= 1.0:
             raise ValueError("blend_alpha must lie in [0, 1]")
         tail = self.instruction_text[-self.instruction_tail_chars:]
-        try:
-            self._tail_embedding = embed_query_text(tail, self.provider, vocab_size=self.vocab_size)
-        except ValueError as exc:  # no token in the tail, or its signed hashes cancel
+        ids = tokenize(tail, vocab_size=self.vocab_size)
+        if not ids or not (embedding := self.provider.embed_tokens(ids)).any():
             raise ValueError(f"query tail {tail!r}, the last query.tail_chars = {self.instruction_tail_chars} "
-                             "characters of the query, holds no token or embeds to the zero vector") from exc
-        self.current = self._tail_embedding
+                             "characters of the query, holds no token or embeds to the zero vector")
+        self.current = self._tail_embedding = embedding
 
 
 def update_enhanced_query(state: EnhancedQueryState, generated_tokens: Sequence[int]) -> np.ndarray:
@@ -121,7 +120,7 @@ def update_enhanced_query(state: EnhancedQueryState, generated_tokens: Sequence[
         state.current = state._tail_embedding
         return state.current
     recent = list(generated_tokens[-state.recent_token_window:])
-    recent_embedding = embed_or_zero(state.provider, recent)
+    recent_embedding = state.provider.embed_tokens(recent)
     alpha = state.blend_alpha
     blended = alpha * state._tail_embedding + (1.0 - alpha) * recent_embedding
     # a blend that cancels to zero has no direction: keep the instruction tail
@@ -160,7 +159,7 @@ def reprioritize(
         raise ValueError("candidate pool must include all resident chunks")
 
     scores = score_chunks(store, query, pool)
-    target = set(select_top_k(scores, capacity).selected)
+    target = set(select_top_k(scores, capacity))
 
     admit = tuple(sorted(target - buffered))
     evict = tuple(sorted(buffered - target))

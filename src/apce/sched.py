@@ -74,6 +74,8 @@ class Session:
 
     def __init__(self, doc_text: str, query_text: str, mode: str, load: LoadModel,
                  config: RunConfig):
+        config.validate()
+        # mode is its own argument: config.mode is not read here
         if mode not in ("dense", "apce"):
             raise ValueError(f"mode must be 'dense' or 'apce', got {mode!r}")
         self.mode, self.load = mode, load
@@ -122,14 +124,14 @@ class Session:
             self.k_effective = config.effective_k(n)
 
         self.now = self._arrival(start_count - 1)
-        self.initial = select_top_k(score_chunks(self.store, self.query_state.current, self._arrived()),
-                                    self.k_effective)
+        self.initial_scores = score_chunks(self.store, self.query_state.current, self._arrived())
+        self.initial = select_top_k(self.initial_scores, self.k_effective)
 
         self.model = DecoderModel(config.model_config())
         # at most k chunks are resident, beside one generated token per decode step
         capacity = min(self.doc_tokens, self.k_effective * config.chunk_size) + config.max_new_tokens - 1
         self.cache = KVCache(self.model.config, capacity)
-        prefill = self.model.prefill([chunks[i] for i in self.initial.selected], self.cache)
+        prefill = self.model.prefill([chunks[i] for i in self.initial], self.cache)
         self.now += prefill.score_elements * load.compute_seconds_per_element
         self.stats = ReplacementStats()
         self.tokens: list[int] = []
@@ -189,8 +191,8 @@ class Session:
             n_chunks=len(self.chunks),
             doc_tokens=self.doc_tokens,
             k_effective=self.k_effective,
-            initial_selection=list(self.initial.selected),
-            initial_scores=[(s.chunk_index, s.score) for s in self.initial.scores],
+            initial_selection=list(self.initial),
+            initial_scores=[(s.chunk_index, s.score) for s in self.initial_scores],
             replacement_stats=self.stats,
             counters=dict(self.cache.counters),
             wall_seconds=wall_seconds,

@@ -10,7 +10,6 @@ after every other chunk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -22,12 +21,6 @@ class ChunkScore(NamedTuple):
     chunk_index: int
     score: float
     degenerate: bool = False  # zero-norm chunk embedding
-
-
-@dataclass(frozen=True)
-class SelectionResult:
-    selected: tuple[int, ...]  # ascending chunk_index
-    scores: tuple[ChunkScore, ...]
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -54,8 +47,8 @@ def score_chunks(
             for i in sorted(candidate_indices)]
 
 
-def select_top_k(scores: Sequence[ChunkScore], k: int) -> SelectionResult:
-    """Pick the k highest-scoring chunks.
+def select_top_k(scores: Sequence[ChunkScore], k: int) -> tuple[int, ...]:
+    """Pick the k highest-scoring chunks, as ascending chunk indices.
 
     Ties go to the smaller chunk index; degenerate chunks rank after all
     others. k larger than the candidate count selects everything.
@@ -65,5 +58,4 @@ def select_top_k(scores: Sequence[ChunkScore], k: int) -> SelectionResult:
     if not scores:
         raise ValueError("scores must be non-empty")
     ranked = sorted(scores, key=lambda s: (s.degenerate, -s.score, s.chunk_index))
-    selected = tuple(sorted(s.chunk_index for s in ranked[:k]))
-    return SelectionResult(selected=selected, scores=tuple(scores))
+    return tuple(sorted(s.chunk_index for s in ranked[:k]))

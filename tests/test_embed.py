@@ -6,14 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apce.embed import (
-    DegenerateEmbedding,
-    EmbeddingStore,
-    HashingEmbedder,
-    embed_chunk,
-    embed_query_text,
-    load_external_embeddings,
-)
+from apce.embed import EmbeddingStore, HashingEmbedder, load_external_embeddings
 from apce.textpipe import Chunk, chunk, tokenize
 
 from oracles.hashing_embedding_reference import reference_embedding
@@ -24,15 +17,14 @@ def make_chunk(ids, index=0, offset=0):
 
 
 def test_identical_chunks_identical_embeddings():
-    provider = HashingEmbedder(32)
-    a = embed_chunk(make_chunk([5, 9, 120]), provider)
-    b = embed_chunk(make_chunk([5, 9, 120], index=3, offset=30), provider)
-    assert np.array_equal(a, b)
+    store = EmbeddingStore.from_chunks(
+        [make_chunk([5, 9, 120]), make_chunk([5, 9, 120], index=3, offset=30)], HashingEmbedder(32))
+    assert np.array_equal(store[0], store[3])
 
 
 def test_single_repeated_token_single_coordinate():
     provider = HashingEmbedder(64)
-    vec = embed_chunk(make_chunk([7, 7, 7, 7]), provider)
+    vec = provider.embed_tokens([7, 7, 7, 7])
     nonzero = np.nonzero(vec)[0]
     assert len(nonzero) == 1
     assert abs(abs(vec[nonzero[0]]) - 1.0) < 1e-12
@@ -48,40 +40,29 @@ def test_matches_reference_oracle():
 
 def test_empty_chunk_rejected():
     provider = HashingEmbedder(16)
-    with pytest.raises(ValueError):
-        embed_chunk(make_chunk([]), provider)
-
-
-def test_query_text_routes_through_same_provider():
-    provider = HashingEmbedder(96)
-    text = "summarize the chapter about winters"
-    via_text = embed_query_text(text, provider)
-    via_tokens = provider.embed_tokens(tokenize(text))
-    assert np.array_equal(via_text, via_tokens)
+    with pytest.raises(ValueError, match="empty"):
+        EmbeddingStore.from_chunks([make_chunk([1]), make_chunk([], index=1, offset=1)], provider)
 
 
 def test_query_text_matches_oracle():
     provider = HashingEmbedder(384)
     text = "summarize the chapter"
-    ids = list(tokenize(text))
-    assert np.allclose(embed_query_text(text, provider), reference_embedding(ids, 384), atol=1e-12)
+    ids = tokenize(text)
+    assert np.allclose(provider.embed_tokens(ids), reference_embedding(list(ids), 384), atol=1e-12)
 
 
 def test_empty_query_rejected():
-    with pytest.raises(ValueError):
-        embed_query_text("", HashingEmbedder(8))
-    with pytest.raises(ValueError):
-        embed_query_text("   ", HashingEmbedder(8))
+    for text in ("", "   "):
+        with pytest.raises(ValueError, match="empty"):
+            HashingEmbedder(8).embed_tokens(tokenize(text))
 
 
 @given(st.lists(st.integers(min_value=0, max_value=32767), min_size=1, max_size=64))
 @settings(max_examples=60, deadline=None)
 def test_norm_invariant(ids):
-    provider = HashingEmbedder(384)
-    try:
-        vec = provider.embed_tokens(ids)
-    except ValueError:
-        return  # total sign cancellation is a documented degenerate error
+    vec = HashingEmbedder(384).embed_tokens(ids)
+    if not vec.any():
+        return  # every signed hash cancelled: the zero vector
     assert abs(np.linalg.norm(vec) - 1.0) < 1e-6
     assert np.all(np.isfinite(vec))
 
@@ -93,11 +74,7 @@ def test_bag_model_order_insensitive(ids, rnd):
     provider = HashingEmbedder(128)
     shuffled = list(ids)
     rnd.shuffle(shuffled)
-    try:
-        a = provider.embed_tokens(ids)
-    except ValueError:
-        return
-    assert np.array_equal(a, provider.embed_tokens(shuffled))
+    assert np.array_equal(provider.embed_tokens(ids), provider.embed_tokens(shuffled))
 
 
 def test_store_immutable_after_prefill():
@@ -206,7 +183,7 @@ def test_external_embeddings_duplicate_index(tmp_path):
 def test_cancelling_chunk_embeds_to_zero():
     provider = HashingEmbedder(384)
     ids = tokenize("z6 z54")  # both pieces hash to one coordinate, opposite signs
-    with pytest.raises(DegenerateEmbedding):
-        provider.embed_tokens(ids)
-    vec = embed_chunk(make_chunk(ids), provider)
+    vec = provider.embed_tokens(ids)
     assert vec.shape == (384,) and not vec.any()
+    assert not vec.flags.writeable
+    assert not EmbeddingStore.from_chunks([make_chunk(ids)], provider)[0].any()

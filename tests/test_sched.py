@@ -176,8 +176,9 @@ def test_file_embedding_provider(tmp_path):
 
     import numpy as np
 
-    from apce.embed import HashingEmbedder, embed_query_text
+    from apce.embed import HashingEmbedder
     from apce.select import cosine
+    from apce.textpipe import tokenize
 
     rng = np.random.default_rng(0)
     vectors = {i: rng.normal(size=48).tolist() for i in range(10)}
@@ -188,8 +189,7 @@ def test_file_embedding_provider(tmp_path):
     config = dataclasses.replace(TOY, embedding_provider="file", embedding_file=str(path))
     trace = run("apce", LoadModel(async_start_chunks=100), config)
     # initial scores must come from the file vectors, not hashed chunk bags
-    query = embed_query_text(QUERY[-config.tail_chars:], HashingEmbedder(48),
-                             vocab_size=config.vocab_size)
+    query = HashingEmbedder(48).embed_tokens(tokenize(QUERY[-config.tail_chars:], vocab_size=config.vocab_size))
     for idx, score in trace.initial_scores:
         assert score == pytest.approx(cosine(query, np.asarray(vectors[idx])), abs=1e-12)
 
@@ -203,6 +203,36 @@ def test_file_embedding_provider(tmp_path):
 def test_bad_mode_rejected():
     with pytest.raises(ValueError):
         run("hybrid", LoadModel())
+
+
+@pytest.mark.parametrize("setting", [
+    {"recent_tokens": 0}, {"tail_chars": 0}, {"max_chunks": 0, "fraction": None}, {"fraction": 2.0},
+    {"embedding_provider": "bogus"}, {"max_new_tokens": 0},
+], ids=lambda setting: ",".join(f"{k}={v}" for k, v in setting.items()))
+def test_a_config_that_validate_refuses_does_not_run(setting):
+    config = dataclasses.replace(TOY, **setting)
+    with pytest.raises(ValueError):
+        config.validate()
+    with pytest.raises(ValueError):
+        run("apce", LoadModel(), config)
+
+
+def test_mode_and_load_come_from_the_arguments_not_the_config():
+    # as the benchmark's prefill-dense calls it: "dense" beside an apce config,
+    # whose load.* fields here disagree with the LoadModel passed in
+    config = dataclasses.replace(TOY, per_chunk_load_latency=8.0, async_start_chunks=1, decode_latency=4.0,
+                                 compute_seconds_per_element=1.0)
+    assert config.mode == "apce"
+    per_element = 2.0 ** -20
+    load = LoadModel(per_chunk_load_latency=0.25, async_start_chunks=3, decode_latency=0.5,
+                     compute_seconds_per_element=per_element)
+    trace = run("dense", load, config)
+    assert trace.mode == "dense" and trace.k_effective == trace.n_chunks == 10
+    assert trace.counters["prefill_elements"] == 100 ** 2
+    ttft = 10 * 0.25 + 100 ** 2 * per_element
+    assert trace.ttft == pytest.approx(ttft, rel=1e-12)
+    decode = (config.max_new_tokens - 1) * 0.5 + trace.counters["decode_elements"] * per_element
+    assert trace.total_time == pytest.approx(ttft + decode, rel=1e-12)
 
 
 def test_empty_document_rejected():

@@ -43,25 +43,23 @@ def test_cosine_rejects_dimension_mismatch():
 
 def test_top_k_strict_ordering():
     scores = [ChunkScore(0, 0.9), ChunkScore(1, 0.1), ChunkScore(2, 0.5)]
-    assert select_top_k(scores, 2).selected == (0, 2)
+    assert select_top_k(scores, 2) == (0, 2)
 
 
 def test_top_k_degenerate_selects_all():
     scores = [ChunkScore(i, float(i)) for i in range(4)]
-    result = select_top_k(scores, 10)
-    assert result.selected == (0, 1, 2, 3)
-    assert len(result.selected) == 4
+    assert select_top_k(scores, 10) == (0, 1, 2, 3)
 
 
 def test_top_k_tie_break_smaller_index():
     scores = [ChunkScore(3, 0.5), ChunkScore(1, 0.5), ChunkScore(2, 0.5)]
-    assert select_top_k(scores, 2).selected == (1, 2)
+    assert select_top_k(scores, 2) == (1, 2)
 
 
 def test_top_k_seeded_oracle():
     rnd = random.Random(42)
     scores = [ChunkScore(i, rnd.choice([0.0, 0.25, 0.5, rnd.random()])) for i in range(100)]
-    assert select_top_k(scores, 17).selected == brute_force_top_k(scores, 17)
+    assert select_top_k(scores, 17) == brute_force_top_k(scores, 17)
 
 
 @given(
@@ -74,7 +72,7 @@ def test_top_k_matches_brute_force(n, k, seed):
     rnd = random.Random(seed)
     # coarse grid of values makes ties common
     scores = [ChunkScore(i, rnd.choice([-0.5, 0.0, 0.1, 0.5, 0.9])) for i in range(n)]
-    assert select_top_k(scores, k).selected == brute_force_top_k(scores, k)
+    assert select_top_k(scores, k) == brute_force_top_k(scores, k)
 
 
 @given(
@@ -93,16 +91,16 @@ def test_selection_scale_invariant(data, n, dim):
     k = data.draw(st.integers(min_value=1, max_value=n))
     base = [ChunkScore(i, cosine(query, vectors[i])) for i in range(n)]
     scaled = [ChunkScore(i, cosine(query * scale, vectors[i] * scale)) for i in range(n)]
-    assert select_top_k(base, k).selected == select_top_k(scaled, k).selected
+    assert select_top_k(base, k) == select_top_k(scaled, k)
 
 
 def test_monotonicity_raising_a_loser_admits_it():
     scores = [ChunkScore(0, 0.9), ChunkScore(1, 0.8), ChunkScore(2, 0.1)]
     before = select_top_k(scores, 2)
-    assert 2 not in before.selected
+    assert 2 not in before
     bumped = [ChunkScore(0, 0.9), ChunkScore(1, 0.8), ChunkScore(2, 0.85)]
     after = select_top_k(bumped, 2)
-    assert 2 in after.selected
+    assert 2 in after
 
 
 def test_degenerate_chunk_ranks_after_every_other():
@@ -112,5 +110,5 @@ def test_degenerate_chunk_ranks_after_every_other():
     assert scores[3] == ChunkScore(3, 0.0, degenerate=True)
     assert not any(s.degenerate for s in scores[:3])
     # chunk 1 scores -1.0 and chunk 2 exactly 0.0, yet both outrank chunk 3
-    assert select_top_k(scores, 3).selected == (0, 1, 2)
-    assert select_top_k([scores[3], scores[2]], 1).selected == (2,)
+    assert select_top_k(scores, 3) == (0, 1, 2)
+    assert select_top_k([scores[3], scores[2]], 1) == (2,)

@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 _spec = importlib.util.spec_from_file_location("pairs", Path(__file__).resolve().parents[1] / "tools" / "pairs.py")
 pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(pairs)
@@ -33,3 +35,14 @@ def test_a_parent_spread_wider_than_the_bound_is_unresolved_unless_the_change_wi
     assert pairs.regression_verdict(parent, [0.5, 0.55, 0.6], 0.25, LOWER) == "unresolved"  # a tie
     assert pairs.regression_verdict(parent, [1.5, 1.6], 0.25, HIGHER) == "within bound"
     assert pairs.regression_verdict(parent, [x + 0.5 for x in parent], 0.25, LOWER) == "worse"
+
+
+def test_ratio_quartiles_are_taken_over_the_per_pair_ratios():
+    parent = [1.0, 2.0, 4.0, 0.5, 1.0]
+    change = [1.1, 1.8, 4.0, 0.6, 0.9]  # ratios 1.1, 0.9, 1.0, 1.2, 0.9
+    q1, median, q3 = pairs.ratio_quartiles(parent, change)
+    assert median == 1.0
+    assert (q1, q3) == pytest.approx((0.9, 1.15))
+    assert pairs.ratio_quartiles([2.0], [3.0]) == (1.5, 1.5, 1.5)
+    assert pairs.ratio_quartiles([0.0, 2.0], [1.0, 1.0]) == (0.5, 0.5, 0.5)  # a zero parent is skipped
+    assert pairs.ratio_quartiles([0.0], [1.0]) is None

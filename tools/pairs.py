@@ -15,16 +15,18 @@ core is taken.
 For each pair it prints every end-to-end metric of both sides and the steal
 ticks that ``/proc/stat`` counted during each run (the time the host gave
 this machine's vCPUs to others). Then, per metric, each side's median and
-quartiles and the number of pairs the change won, judged by the metric's
-``better`` direction in the change's ``BENCHMARK.json``; ties count for
-neither side. Then whether a claimed gain on it would hold: the change
-wins at least 9 in 10 of the pairs, and its median is better than the
-parent's by more than the parent's interquartile range. Last is the
-benchmark's no-regression verdict, with the metric's ``bound`` from the
-same file: "worse" when the change's median is worse than the parent's by
-more than bound x the parent's median; else "unresolved" when the parent's
-own interquartile range is wider than that, unless every run of the change
-beats every run of the parent; else "within bound". Standard library only.
+quartiles, the median and quartiles of the per-pair ratio change/parent
+(over the pairs whose parent value is not zero), and the number of pairs
+the change won, judged by the metric's ``better`` direction in the
+change's ``BENCHMARK.json``; ties count for neither side. Then whether a
+claimed gain on it would hold: the change wins at least 9 in 10 of the
+pairs, and its median is better than the parent's by more than the
+parent's interquartile range. Last is the benchmark's no-regression
+verdict, with the metric's ``bound`` from the same file: "worse" when the
+change's median is worse than the parent's by more than bound x the
+parent's median; else "unresolved" when the parent's own interquartile
+range is wider than that, unless every run of the change beats every run
+of the parent; else "within bound". Standard library only.
 """
 
 from __future__ import annotations
@@ -90,6 +92,13 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def ratio_quartiles(parent: list[float], change: list[float]) -> tuple[float, float, float] | None:
+    """(q1, median, q3) of change/parent, pair by pair, skipping pairs whose
+    parent value is zero; None when every pair is skipped."""
+    ratios = [c / p for p, c in zip(parent, change) if p != 0]
+    return quartiles(ratios) if ratios else None
+
+
 def claim_holds(wins: int, pairs: int, parent: tuple[float, float, float], change_median: float,
                 sign: int) -> bool:
     """A gain may be claimed: at least 9 in 10 pairs won, and the medians
@@ -146,10 +155,13 @@ def main(argv: list[str] | None = None) -> int:
         wins = sum(sign * (c - p) < 0 for p, c in zip(sides["parent"], sides["change"]))
         q = {side: quartiles(sides[side]) for side in SIDES}
         summary = "  ".join(f"{side} {q[side][1]:.4g} [{q[side][0]:.4g}-{q[side][2]:.4g}]" for side in SIDES)
+        ratio = ratio_quartiles(sides["parent"], sides["change"])
+        ratio_text = f"{ratio[1]:.4g} [{ratio[0]:.4g}-{ratio[2]:.4g}]" if ratio else "n/a"
         claim = claim_holds(wins, pairs, q["parent"], q["change"][1], sign)
         verdict = regression_verdict(sides["parent"], sides["change"], bound[name], sign)
-        print(f"  {name:12} median [IQR]  {summary}  change better in {wins} of {pairs}, "
-              f"claim {'holds' if claim else 'fails'}, {verdict} (bound {bound[name]:g})")
+        print(f"  {name:12} median [IQR]  {summary}  change/parent {ratio_text}  "
+              f"change better in {wins} of {pairs}, claim {'holds' if claim else 'fails'}, "
+              f"{verdict} (bound {bound[name]:g})")
     failed = {side: sum(r["failed"] for r in runs[side]) for side in SIDES}
     print(f"  failed sessions  parent {failed['parent']}  change {failed['change']}")
     return 0
