@@ -9,21 +9,21 @@ Run:  python demos/04_memory_table.py
 """
 
 from apce.memmodel import (
+    COLUMNS,
     MemConfig,
     make_row,
     memory_report,
     report_text,
 )
 
-report = memory_report()
-print(report_text(report, flag_inconsistent=True))
+print(report_text(memory_report(), flag_inconsistent=True))
 
 print("\nscaling a custom configuration (100k context, 70% of 800-token chunks):")
 cfg = MemConfig(seq_len=100_000, n_chunks_selected=87, chunk_size=800)
 dense = make_row("100k", "dense", cfg)
 selected = make_row("100k", "selected", cfg)
 for row in (dense, selected):
-    print(f"  {row.method:>8}: kv {row.kv_cache_mb:10.2f} MB   prefill {row.prefill_attn_mb:10.2f} MB"
-          f"   decode {row.decode_attn_mb:10.2f} MB")
+    kv, prefill, decode = (row.mb(c) for c in COLUMNS)
+    print(f"  {row.method:>8}: kv {kv:10.2f} MB   prefill {prefill:10.2f} MB   decode {decode:10.2f} MB")
 ratio = selected.l_effective / dense.l_effective
 print(f"  kv and decode shrink like km/L ({ratio:.3f}); prefill like (km/L)^2 ({ratio**2:.3f})")

@@ -12,7 +12,6 @@ from .config import LoadModel, RunConfig, apply_overrides, load_config_file
 from .embed import EmbeddingStore, HashingEmbedder, load_external_embeddings
 from .memmodel import (
     MemConfig,
-    MemoryReport,
     decode_attn_bytes,
     kv_cache_bytes,
     memory_report,

@@ -281,6 +281,8 @@ def _parse_memtable_row(raw: str, widths: dict[str, int]) -> tuple[str, memmodel
         raise ValueError(f"--row expects 'L,k,m[,label]', got {raw!r}")
     seq_len, k, m = (int(p) for p in parts[:3])
     label = parts[3] if len(parts) == 4 else f"L{seq_len}"
+    if not label:
+        raise ValueError(f"--row {raw!r} has an empty label")
     return label, memmodel.MemConfig(seq_len=seq_len, n_chunks_selected=k, chunk_size=m, **widths)
 
 
@@ -289,14 +291,19 @@ def cmd_memtable(args: argparse.Namespace) -> int:
               if getattr(args, name) is not None}
     if widths and not args.row:
         raise ValueError("--d-q, --d-kv and --bytes-per-element apply only to --row rows")
-    configs = dict(_parse_memtable_row(raw, widths) for raw in args.row) if args.row else None
-    report = memmodel.memory_report(configs=configs, layer_count=args.layers)
+    configs = {}
+    for raw in args.row or ():
+        label, cfg = _parse_memtable_row(raw, widths)
+        if label in configs:
+            raise ValueError(f"--row label {label!r} is given twice")
+        configs[label] = cfg
+    rows = memmodel.memory_report(configs=configs or None, layer_count=args.layers)
     if args.format == "text":
-        output = memmodel.report_text(report, flag_inconsistent=args.flag_inconsistent)
+        output = memmodel.report_text(rows, flag_inconsistent=args.flag_inconsistent)
     elif args.format == "csv":
-        output = memmodel.report_csv(report)
+        output = memmodel.report_csv(rows)
     else:
-        output = json.dumps(memmodel.report_json(report), sort_keys=True, indent=2)
+        output = json.dumps(memmodel.report_json(rows, args.layers), sort_keys=True, indent=2)
     if args.out:
         path = Path(args.out)
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -12,12 +12,14 @@ Dense rows use the full sequence length; selected rows use L = k*m. MB here
 always means 2^20 bytes; that is the convention under which the shipped
 reference figures reproduce exactly.
 
-The builtin presets model one self-attention layer with d_q=3072 and
-d_kv=1024 at three context-length groups. Reference figures for those
-presets are included for cross-checking; two of the dense prefill figures
-are internally inconsistent with the formula above (the formula gives
-1085.67 and 2175.49 MB where 1060.0 and 2120.0 are reported) and get
-flagged rather than matched.
+``memory_report`` returns the table as a list of rows: a dense row, then a
+selected row, for each group in config order. The builtin presets model one
+self-attention layer with d_q=3072 and d_kv=1024 at three context-length
+groups. Reference figures for those presets are included for
+cross-checking; two of the dense prefill figures are internally
+inconsistent with the formula above (the formula gives 1085.67 and 2175.49
+MB where 1060.0 and 2120.0 are reported) and get flagged rather than
+matched.
 """
 
 from __future__ import annotations
@@ -84,10 +86,10 @@ def to_mib(n_bytes: int) -> float:
 
 COLUMNS = ("kv_cache_mb", "prefill_attn_mb", "decode_attn_mb")
 
-# Dense sequence lengths for the builtin groups, recovered by inverting the
-# KV formula from the reported dense KV figures (32.40 / 78.56 / 116.89 MB).
-PRESET_DENSE_LENGTHS = {"8k": 8294, "20k": 20111, "30k": 29924}
-PRESET_SELECTED_CHUNKS = {"8k": 7, "20k": 18, "30k": 24}
+# label -> (dense sequence length, selected chunks k) for the builtin groups.
+# The dense lengths are recovered by inverting the KV formula from the
+# reported dense KV figures (32.40 / 78.56 / 116.89 MB).
+PRESETS = {"8k": (8294, 7), "20k": (20111, 18), "30k": (29924, 24)}
 PRESET_CHUNK_SIZE = 800
 
 # Reported per-layer figures used for cross-checking, in MB (2^20 bytes).
@@ -100,6 +102,7 @@ REFERENCE_MB = {
     ("30k", "selected"): {"kv_cache_mb": 75.00, "prefill_attn_mb": 1003.12, "decode_attn_mb": 75.05},
 }
 
+
 @dataclass(frozen=True)
 class MemoryRow:
     label: str
@@ -110,20 +113,9 @@ class MemoryRow:
     decode_attn_bytes: int
     reference_mb: dict[str, float] | None = None
 
-    @property
-    def kv_cache_mb(self) -> float:
-        return to_mib(self.kv_cache_bytes)
-
-    @property
-    def prefill_attn_mb(self) -> float:
-        return to_mib(self.prefill_attn_bytes)
-
-    @property
-    def decode_attn_mb(self) -> float:
-        return to_mib(self.decode_attn_bytes)
-
     def mb(self, column: str) -> float:
-        return {c: getattr(self, c) for c in COLUMNS}[column]
+        """The MB cell of ``column``, e.g. ``kv_cache_mb`` from ``kv_cache_bytes``."""
+        return to_mib(getattr(self, column.removesuffix("_mb") + "_bytes"))
 
     def mismatched_columns(self) -> list[str]:
         """Columns where the formula disagrees with the reference figure."""
@@ -132,46 +124,8 @@ class MemoryRow:
         return [c for c in COLUMNS if abs(self.mb(c) - self.reference_mb[c]) > 0.005]
 
 
-@dataclass(frozen=True)
-class MemoryReport:
-    rows: tuple[MemoryRow, ...]
-    layer_count: int = 1
-
-    def savings(self, label: str) -> dict[str, float]:
-        """Per-column savings of the selected row vs the dense row, from the
-        rounded MB cells, as a fraction."""
-        dense = self._find(label, "dense")
-        sel = self._find(label, "selected")
-        return {c: round(1.0 - sel.mb(c) / dense.mb(c), 3) for c in COLUMNS}
-
-    def flagged_cells(self) -> list[tuple[str, str, str]]:
-        out = []
-        for row in self.rows:
-            for col in row.mismatched_columns():
-                out.append((row.label, row.method, col))
-        return out
-
-    def _find(self, label: str, method: str) -> MemoryRow:
-        for row in self.rows:
-            if row.label == label and row.method == method:
-                return row
-        raise KeyError((label, method))
-
-    def labels(self) -> list[str]:
-        seen: list[str] = []
-        for row in self.rows:
-            if row.label not in seen:
-                seen.append(row.label)
-        return seen
-
-
-def make_row(
-    label: str,
-    method: str,
-    cfg: MemConfig,
-    reference_mb: dict[str, float] | None = None,
-    layer_count: int = 1,
-) -> MemoryRow:
+def make_row(label: str, method: str, cfg: MemConfig, reference_mb: dict[str, float] | None = None,
+             layer_count: int = 1) -> MemoryRow:
     l_eff = cfg.seq_len if method == "dense" else cfg.selected_len
     return MemoryRow(
         label=label,
@@ -184,91 +138,68 @@ def make_row(
     )
 
 
-def builtin_configs() -> dict[str, MemConfig]:
-    return {
-        label: MemConfig(
-            seq_len=PRESET_DENSE_LENGTHS[label],
-            n_chunks_selected=PRESET_SELECTED_CHUNKS[label],
-            chunk_size=PRESET_CHUNK_SIZE,
-        )
-        for label in ("8k", "20k", "30k")
-    }
+def memory_report(configs: dict[str, MemConfig] | None = None, layer_count: int = 1) -> list[MemoryRow]:
+    """The memory table: a dense row, then a selected row, for each group.
 
-
-def memory_report(
-    configs: dict[str, MemConfig] | None = None,
-    layer_count: int = 1,
-) -> MemoryReport:
-    """Build the per-layer memory table.
-
-    With the builtin configs every formula cell is paired with its reported
-    reference figure; disagreeing cells show up in ``flagged_cells()``.
-    Custom configs carry no reference column.
+    Without ``configs`` the builtin presets are used and every formula cell
+    is paired with its reported reference figure; disagreeing cells show up
+    in ``flagged_cells``. Custom configs carry no reference column.
     """
     if layer_count < 1:
         raise ValueError("layer_count must be >= 1")
     custom = configs is not None
     if configs is None:
-        configs = builtin_configs()
-    rows: list[MemoryRow] = []
-    for label, cfg in configs.items():
-        for method in ("dense", "selected"):
-            ref = None if custom else REFERENCE_MB.get((label, method))
-            rows.append(make_row(label, method, cfg, reference_mb=ref, layer_count=layer_count))
-    return MemoryReport(rows=tuple(rows), layer_count=layer_count)
+        configs = {label: MemConfig(seq_len=seq_len, n_chunks_selected=k, chunk_size=PRESET_CHUNK_SIZE)
+                   for label, (seq_len, k) in PRESETS.items()}
+    return [make_row(label, method, cfg, None if custom else REFERENCE_MB[(label, method)], layer_count)
+            for label, cfg in configs.items() for method in ("dense", "selected")]
 
 
-def report_text(report: MemoryReport, flag_inconsistent: bool = False) -> str:
+def savings(dense: MemoryRow, selected: MemoryRow) -> dict[str, float]:
+    """Per-column savings of the selected row vs the dense row, from the
+    rounded MB cells, as a fraction."""
+    return {c: round(1.0 - selected.mb(c) / dense.mb(c), 3) for c in COLUMNS}
+
+
+def flagged_cells(rows: list[MemoryRow]) -> list[tuple[MemoryRow, str]]:
+    """(row, column) of every cell that disagrees with its reference figure."""
+    return [(row, col) for row in rows for col in row.mismatched_columns()]
+
+
+def report_text(rows: list[MemoryRow], flag_inconsistent: bool = False) -> str:
     """Aligned text rendering, one dense/selected pair per group plus savings."""
     header = f"{'group':<8}{'method':<10}{'KV-cache (MB)':>15}{'Prefill Attn (MB)':>19}{'Decode Attn (MB)':>18}"
     lines = [header, "-" * len(header)]
-    for row in report.rows:
-        cells = []
-        for col in COLUMNS:
-            text = f"{row.mb(col):.2f}"
-            if flag_inconsistent and col in row.mismatched_columns():
-                text += "*"
-            cells.append(text)
-        lines.append(
-            f"{row.label:<8}{row.method:<10}{cells[0]:>15}{cells[1]:>19}{cells[2]:>18}"
-        )
+    for row in rows:
+        mismatched = row.mismatched_columns() if flag_inconsistent else []
+        kv, prefill, decode = (f"{row.mb(c):.2f}" + ("*" if c in mismatched else "") for c in COLUMNS)
+        lines.append(f"{row.label:<8}{row.method:<10}{kv:>15}{prefill:>19}{decode:>18}")
     lines.append("")
-    for label in report.labels():
-        try:
-            sav = report.savings(label)
-        except KeyError:
-            continue
+    for dense, selected in zip(rows[::2], rows[1::2]):
+        sav = savings(dense, selected)
         lines.append(
-            f"{label}: savings vs dense  kv {sav['kv_cache_mb']:.1%}  "
+            f"{dense.label}: savings vs dense  kv {sav['kv_cache_mb']:.1%}  "
             f"prefill {sav['prefill_attn_mb']:.1%}  decode {sav['decode_attn_mb']:.1%}"
         )
-    if flag_inconsistent:
-        flagged = report.flagged_cells()
-        if flagged:
-            lines.append("")
-            lines.append("* formula disagrees with the reported reference figure:")
-            for label, method, col in flagged:
-                row = report._find(label, method)
-                lines.append(
-                    f"  {label}/{method}/{col}: formula {row.mb(col):.2f} MB vs reported "
-                    f"{row.reference_mb[col]:.2f} MB"
-                )
+    flagged = flagged_cells(rows) if flag_inconsistent else []
+    if flagged:
+        lines += ["", "* formula disagrees with the reported reference figure:"]
+        lines += [f"  {row.label}/{row.method}/{col}: formula {row.mb(col):.2f} MB vs reported "
+                  f"{row.reference_mb[col]:.2f} MB" for row, col in flagged]
     return "\n".join(lines)
 
 
-def report_csv(report: MemoryReport) -> str:
-    lines = ["group,method,l_effective,kv_cache_mb,prefill_attn_mb,decode_attn_mb"]
-    for row in report.rows:
-        lines.append(
-            f"{row.label},{row.method},{row.l_effective},"
-            f"{row.kv_cache_mb:.2f},{row.prefill_attn_mb:.2f},{row.decode_attn_mb:.2f}"
-        )
+def report_csv(rows: list[MemoryRow]) -> str:
+    lines = ["group,method,l_effective," + ",".join(COLUMNS)]
+    for row in rows:
+        cells = ",".join(f"{row.mb(c):.2f}" for c in COLUMNS)
+        lines.append(f"{row.label},{row.method},{row.l_effective},{cells}")
     return "\n".join(lines) + "\n"
 
 
-def report_json(report: MemoryReport) -> dict:
+def report_json(rows: list[MemoryRow], layer_count: int) -> dict:
     return {
-        "layer_count": report.layer_count,
+        "layer_count": layer_count,
         "mb_convention_bytes": int(MIB),
         "rows": [
             {
@@ -278,13 +209,11 @@ def report_json(report: MemoryReport) -> dict:
                 "kv_cache_bytes": row.kv_cache_bytes,
                 "prefill_attn_bytes": row.prefill_attn_bytes,
                 "decode_attn_bytes": row.decode_attn_bytes,
-                "kv_cache_mb": row.kv_cache_mb,
-                "prefill_attn_mb": row.prefill_attn_mb,
-                "decode_attn_mb": row.decode_attn_mb,
+                **{c: row.mb(c) for c in COLUMNS},
                 "reference_mb": row.reference_mb,
                 "mismatched_columns": row.mismatched_columns(),
             }
-            for row in report.rows
+            for row in rows
         ],
-        "flagged_cells": [list(cell) for cell in report.flagged_cells()],
+        "flagged_cells": [[row.label, row.method, col] for row, col in flagged_cells(rows)],
     }

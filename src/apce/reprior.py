@@ -106,6 +106,8 @@ class EnhancedQueryState:
             raise ValueError("instruction_text must be non-empty")
         if not 0.0 <= self.blend_alpha <= 1.0:
             raise ValueError("blend_alpha must lie in [0, 1]")
+        if self.instruction_tail_chars < 1 or self.recent_token_window < 1:
+            raise ValueError("instruction_tail_chars and recent_token_window must be >= 1")
         tail = self.instruction_text[-self.instruction_tail_chars:]
         ids = tokenize(tail, vocab_size=self.vocab_size)
         if not ids or not (embedding := self.provider.embed_tokens(ids)).any():

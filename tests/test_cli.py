@@ -360,6 +360,13 @@ def test_memtable_json(capsys):
     assert run_cli("memtable", "--format", "json") == 0
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["rows"]) == 6
+    assert payload["layer_count"] == 1
+    assert run_cli("memtable", "--layers", "28", "--format", "json") == 0
+    stacked = json.loads(capsys.readouterr().out)
+    assert stacked["layer_count"] == 28
+    for one, many in zip(payload["rows"], stacked["rows"], strict=True):
+        for cell in ("kv_cache_bytes", "prefill_attn_bytes", "decode_attn_bytes"):
+            assert many[cell] == 28 * one[cell]
 
 
 def test_memtable_csv_to_file(tmp_path):
@@ -375,6 +382,21 @@ def test_memtable_custom_row(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert {r["group"] for r in payload["rows"]} == {"custom"}
     assert payload["flagged_cells"] == []
+    assert run_cli("memtable", "--row", "1000,1,500,custom", "--row", "2000,2,500") == 0
+    text = capsys.readouterr().out
+    assert "custom: savings vs dense  kv 50.1%" in text
+    assert "L2000: savings vs dense  kv 49.9%" in text
+
+
+@pytest.mark.parametrize("rows, label", [
+    (["1000,1,500,x", "2000,1,500,x"], "'x'"),
+    (["1000,1,500", "1000,1,400"], "'L1000'"),
+    (["1000,1,500,"], "'1000,1,500,'"),
+], ids=["repeated", "repeated-default", "empty"])
+def test_memtable_refuses_a_repeated_or_empty_label(capsys, rows, label):
+    assert run_cli("memtable", *(arg for row in rows for arg in ("--row", row))) == 2
+    err = capsys.readouterr().err
+    assert label in err and ("given twice" in err or "empty label" in err)
 
 
 def test_memtable_bad_row():

@@ -4,14 +4,15 @@ from hypothesis import strategies as st
 
 from apce.memmodel import (
     MemConfig,
-    builtin_configs,
     decode_attn_bytes,
+    flagged_cells,
     kv_cache_bytes,
     memory_report,
     prefill_attn_bytes,
     report_csv,
     report_json,
     report_text,
+    savings,
     to_mib,
 )
 
@@ -57,35 +58,42 @@ def test_dense_lengths_recovered_by_inversion():
     assert round(116.89 * 2**20 / bytes_per_token) == 29924
 
 
+def pairs(rows):
+    """(dense, selected) per group, checking the table's dense-then-selected shape."""
+    out = list(zip(rows[::2], rows[1::2]))
+    assert len(rows) == 2 * len(out)
+    for dense, sel in out:
+        assert (dense.method, sel.method, sel.label) == ("dense", "selected", dense.label)
+    return out
+
+
 def test_builtin_report_cells():
-    report = memory_report()
-    for row in report.rows:
+    rows = memory_report()
+    assert [(row.label, row.method) for row in rows] == list(EXPECTED_CELLS)
+    for row in rows:
         kv, prefill, decode = EXPECTED_CELLS[(row.label, row.method)]
-        assert row.kv_cache_mb == kv
-        assert row.decode_attn_mb == decode
+        assert row.mb("kv_cache_mb") == kv
+        assert row.mb("decode_attn_mb") == decode
         if prefill is not None:
-            assert row.prefill_attn_mb == prefill
+            assert row.mb("prefill_attn_mb") == prefill
 
 
 def test_flagged_cells_are_exactly_the_two_dense_prefills():
-    report = memory_report()
-    assert sorted(report.flagged_cells()) == [
+    cells = [(row.label, row.method, col) for row, col in flagged_cells(memory_report())]
+    assert cells == [
         ("20k", "dense", "prefill_attn_mb"),
         ("30k", "dense", "prefill_attn_mb"),
     ]
 
 
 def test_savings_examples():
-    report = memory_report()
-    assert report.savings("30k")["kv_cache_mb"] == pytest.approx(0.358, abs=5e-4)
-    assert report.savings("8k")["prefill_attn_mb"] == pytest.approx(0.435, abs=5e-4)
+    by_label = {dense.label: (dense, sel) for dense, sel in pairs(memory_report())}
+    assert savings(*by_label["30k"])["kv_cache_mb"] == pytest.approx(0.358, abs=5e-4)
+    assert savings(*by_label["8k"])["prefill_attn_mb"] == pytest.approx(0.435, abs=5e-4)
 
 
 def test_selected_never_exceeds_dense():
-    report = memory_report()
-    for label in report.labels():
-        dense = report._find(label, "dense")
-        sel = report._find(label, "selected")
+    for dense, sel in pairs(memory_report()):
         assert sel.kv_cache_bytes <= dense.kv_cache_bytes
         assert sel.prefill_attn_bytes <= dense.prefill_attn_bytes
         assert sel.decode_attn_bytes <= dense.decode_attn_bytes
@@ -116,9 +124,10 @@ def test_ratio_laws():
 
 
 def test_custom_rows_have_no_reference():
-    report = memory_report(configs={"tiny": MemConfig(seq_len=1000, n_chunks_selected=1, chunk_size=500)})
-    assert all(row.reference_mb is None for row in report.rows)
-    assert report.flagged_cells() == []
+    rows = memory_report(configs={"tiny": MemConfig(seq_len=1000, n_chunks_selected=1, chunk_size=500)})
+    assert [(row.label, row.method) for row in rows] == [("tiny", "dense"), ("tiny", "selected")]
+    assert all(row.reference_mb is None for row in rows)
+    assert flagged_cells(rows) == []
 
 
 def test_mem_config_validation():
@@ -129,13 +138,14 @@ def test_mem_config_validation():
 
 
 def test_renderings_cover_all_rows():
-    report = memory_report()
-    text = report_text(report, flag_inconsistent=True)
+    rows = memory_report()
+    text = report_text(rows, flag_inconsistent=True)
     assert "1085.67*" in text and "2175.49*" in text
-    csv_text = report_csv(report)
+    csv_text = report_csv(rows)
     assert len(csv_text.strip().splitlines()) == 7  # header + 6 rows
-    payload = report_json(report)
+    payload = report_json(rows, 1)
     assert len(payload["rows"]) == 6
+    assert payload["layer_count"] == 1
     assert payload["flagged_cells"] == [["20k", "dense", "prefill_attn_mb"],
                                         ["30k", "dense", "prefill_attn_mb"]]
 
@@ -143,4 +153,11 @@ def test_renderings_cover_all_rows():
 def test_layer_scaling():
     single = memory_report()
     stacked = memory_report(layer_count=28)
-    assert stacked.rows[0].kv_cache_bytes == 28 * single.rows[0].kv_cache_bytes
+    assert len(stacked) == len(single)
+    for one, many in zip(single, stacked):
+        assert many.kv_cache_bytes == 28 * one.kv_cache_bytes
+        assert many.prefill_attn_bytes == 28 * one.prefill_attn_bytes
+        assert many.decode_attn_bytes == 28 * one.decode_attn_bytes
+    with pytest.raises(ValueError):
+        memory_report(layer_count=0)
+

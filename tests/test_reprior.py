@@ -108,6 +108,13 @@ def test_empty_instruction_rejected():
         query_state("", HashingEmbedder(8))
 
 
+@pytest.mark.parametrize("field", ["instruction_tail_chars", "recent_token_window"])
+def test_zero_tail_or_window_rejected(field):
+    # tokens[-0:] would silently mean the whole query or every generated token
+    with pytest.raises(ValueError, match=field):
+        query_state("query text", HashingEmbedder(64), **{field: 0})
+
+
 # --- boundary schedule ---
 
 def test_reprioritization_due_examples():

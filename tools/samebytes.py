@@ -20,12 +20,16 @@ records of a corpus-sweep corpus plus one apce-reprior document as record
 - ``apce sweep`` over the whole corpus on each axis: ``n_chunks`` (over a
   base ``--fraction``, so the flag's reset is exercised), ``chunk_size`` and
   ``reprioritization_interval``;
+- ``apce memtable`` as plain text, with ``--flag-inconsistent``, as CSV, as
+  JSON, as JSON for 28 layers, for one custom ``--row`` with its own widths,
+  and for two custom ``--row`` groups with ``--flag-inconsistent``, keeping
+  each standard output;
 - every script in the checkout's ``demos``, keeping its standard output.
 
 It compares each report minus its ``timestamps`` field, and every CSV,
-sweep JSON and demo output byte for byte. It names each file that differs,
-with the first differing paths of a report, and exits 0 when everything is
-equal and 1 otherwise. Standard library only, plus
+sweep JSON, memtable and demo output byte for byte. It names each file that
+differs, with the first differing paths of a report, and exits 0 when
+everything is equal and 1 otherwise. Standard library only, plus
 ``perfbench/workloads.py``, which it only reads.
 """
 
@@ -66,6 +70,15 @@ SWEEPS = {
     "chunk_size": ["--axis", "chunk_size", "--values", "80,100,160", *SHORT],
     "reprioritization_interval": ["--axis", "reprioritization_interval", "--values", "2,4,8", *SHORT],
 }
+MEMTABLES = {
+    "text": [],
+    "flag-inconsistent": ["--flag-inconsistent"],
+    "csv": ["--format", "csv"],
+    "json": ["--format", "json"],
+    "json-28-layers": ["--layers", "28", "--format", "json"],
+    "custom-widths": ["--row", "1000,1,500", "--d-q", "64", "--d-kv", "512", "--bytes-per-element", "4"],
+    "custom-rows": ["--row", "1000,1,500,short", "--row", "30000,20,1000", "--flag-inconsistent"],
+}
 SHOWN = 8  # differing paths printed per file
 
 
@@ -93,7 +106,7 @@ def write_corpus(work: Path, seed: int) -> Path:
 
 def run_side(checkout: Path, out: Path, corpus: Path, work: Path) -> None:
     """Every run and sweep in one checkout, each into its own directory, and
-    the stdout of every demo under ``demos``."""
+    the stdout of every memtable and of every demo under ``demos``."""
     env = {**os.environ, "PYTHONPATH": str(checkout.resolve() / "src")}
     jobs = [("run", name, args) for name, args in RUNS.items()]
     jobs += [("sweep", name, args) for name, args in SWEEPS.items()]
@@ -104,14 +117,16 @@ def run_side(checkout: Path, out: Path, corpus: Path, work: Path) -> None:
         done = subprocess.run(argv, env=env, capture_output=True, text=True)
         if done.returncode != 0:
             sys.exit(f"{checkout}: apce {command} {name} exited {done.returncode}\n{done.stderr}")
-    (out / "demos").mkdir(parents=True, exist_ok=True)
-    for demo in sorted((checkout / "demos").glob("*.py")):
-        done = subprocess.run([sys.executable, str(demo.resolve())], cwd=work, env=env,
-                              capture_output=True, text=True)
+    printed = [(f"memtable/{name}.txt", f"apce memtable {name}",
+                [sys.executable, "-m", "apce.cli", "memtable", *args]) for name, args in MEMTABLES.items()]
+    printed += [(f"demos/{demo.stem}.txt", demo.name, [sys.executable, str(demo.resolve())])
+                for demo in sorted((checkout / "demos").glob("*.py"))]
+    for name, what, argv in printed:
+        done = subprocess.run(argv, cwd=work, env=env, capture_output=True, text=True)
         if done.returncode != 0:
-            sys.exit(f"{checkout}: {demo.name} exited {done.returncode}\n{done.stderr}")
-        (out / "demos" / f"{demo.stem}.txt").write_text(done.stdout, encoding="utf-8")
-
+            sys.exit(f"{checkout}: {what} exited {done.returncode}\n{done.stderr}")
+        (out / name).parent.mkdir(parents=True, exist_ok=True)
+        (out / name).write_text(done.stdout, encoding="utf-8")
 
 def differing_paths(a, b, path: str = "") -> list[str]:
     """The paths at which two JSON values differ, in document order."""
@@ -162,7 +177,7 @@ def main() -> int:
     for line in problems:
         print(line)
     print(f"{len(problems)} file(s) differ" if problems
-          else "all reports, CSV, JSON and demo output equal minus timestamps")
+          else "all reports, CSV, JSON, memtable and demo output equal minus timestamps")
     return 1 if problems else 0
 
 
