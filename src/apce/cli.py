@@ -6,10 +6,12 @@ aggregate CSV and JSON; ``--axis reprioritization_interval`` is the interval
 ablation. ``memtable`` prints the analytical memory table.
 
 Exit codes are stable: 0 all runs completed, 2 bad configuration or
-arguments, 3 missing input (file or record), 4 internal error (a broken
-invariant of the engine, or any other unexpected exception; APCE_LOG=DEBUG
-logs its traceback). Set APCE_LOG to control log verbosity. Each flag of
-``run`` and ``sweep`` sets the config key that ``--help`` shows for it.
+arguments (an output path of the wrong kind among them), 3 missing input
+(a file or record that is not there, or an input path that is a
+directory), 4 internal error (a broken invariant of the engine, or any
+other unexpected exception; APCE_LOG=DEBUG logs its traceback). Set
+APCE_LOG to control log verbosity. Each flag of ``run`` and ``sweep`` sets
+the config key that ``--help`` shows for it.
 Reports are schema-versioned JSON; everything in them except the
 "timestamps" field is a pure function of (config, corpus, seed).
 """
@@ -65,18 +67,40 @@ RUN_FLAGS: tuple[tuple[str, str, dict], ...] = (
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig()
-    if args.config:  # main maps a missing file to exit 3
-        config = apply_overrides(config, load_config_file(args.config))
+    if args.config:
+        config = apply_overrides(config, load_config_file(_input_file(args.config, "config file")))
     flags = {key: str(getattr(args, key)) for _, key, _ in RUN_FLAGS if getattr(args, key) is not None}
     config = apply_overrides(config, with_one_selection_rule(flags))
     config.validate()
+    if config.embedding_provider == "file":
+        _input_file(config.embedding_file, "embedding.file")
     return config
 
 
+def _input_file(path: str | Path, what: str) -> Path:
+    """``path``, if it names a file; else MissingInput (exit 3)."""
+    path = Path(path)
+    if not path.exists():  # also a path that runs through a file
+        raise MissingInput(f"{what} not found: {path}")
+    if path.is_dir():
+        raise MissingInput(f"{what} {path} is a directory")
+    return path
+
+
+def _check_output(path: Path, flag: str, directory: bool) -> Path:
+    """Refuse an output path of the wrong kind (exit 2) before any work: a
+    file given for a directory, a directory given for a file, or a path
+    under a file."""
+    if path.exists() and path.is_dir() != directory:
+        raise ValueError(f"{flag} {path} is {'not ' if directory else ''}a directory")
+    under = next((p for p in path.parents if p.exists()), None)  # None for "." and "/"
+    if under is not None and not under.is_dir():
+        raise ValueError(f"{flag} {path} lies under {under}, which is not a directory")
+    return path
+
+
 def load_records(args: argparse.Namespace) -> list[Record]:
-    path = Path(args.input)
-    if not path.exists():
-        raise MissingInput(f"input file not found: {path}")
+    path = _input_file(args.input, "input file")
     if path.suffix == ".jsonl":
         if args.query is not None:
             raise ValueError("--query applies only to plain-text input; JSONL records carry their own")
@@ -147,7 +171,7 @@ def write_report(report: dict, out_dir: Path) -> Path:
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{report['run_id']}.json"
-    path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n", encoding="utf-8")
     return path
 
 
@@ -169,6 +193,7 @@ def append_csv_row(report: dict, out_dir: Path) -> Path:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = build_run_config(args)
+    out_dir = _check_output(Path(args.out_dir), "--out-dir", directory=True)
     records = load_records(args)
     if args.record_id is not None:
         matched = [r for r in records if r.id == args.record_id]
@@ -177,7 +202,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         records = matched[:1]
     else:
         records = records[:1]
-    out_dir = Path(args.out_dir)
     report = run_record(records[0], config)
     path = write_report(report, out_dir)
     append_csv_row(report, out_dir)
@@ -251,7 +275,7 @@ def run_sweep(axis: str, values: list[int], base: RunConfig, records: list[Recor
         "values": values,
         "aggregates": aggregates,
         "per_run": per_run,
-    }, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    }, sort_keys=True, indent=2, allow_nan=False) + "\n", encoding="utf-8")
     return csv_path, json_path
 
 
@@ -267,9 +291,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     values = _parse_values(args.values)
     if not values:
         raise ValueError("sweep needs at least one value")
+    out_dir = _check_output(Path(args.out_dir), "--out-dir", directory=True)
     records = load_records(args)
-    csv_path, json_path = run_sweep(args.axis, values, config, records,
-                                    Path(args.out_dir), f"sweep_{args.axis}")
+    csv_path, json_path = run_sweep(args.axis, values, config, records, out_dir, f"sweep_{args.axis}")
     print(csv_path)
     print(json_path)
     return EXIT_OK
@@ -305,7 +329,7 @@ def cmd_memtable(args: argparse.Namespace) -> int:
     else:
         output = json.dumps(memmodel.report_json(rows, args.layers), sort_keys=True, indent=2)
     if args.out:
-        path = Path(args.out)
+        path = _check_output(Path(args.out), "--out", directory=False)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(output + ("\n" if not output.endswith("\n") else ""), encoding="utf-8")
         print(path)

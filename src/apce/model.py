@@ -43,17 +43,18 @@ load-bearing for the rest of the engine:
   runs its last block, whole, through the last layer, whose final row gives
   the logits that seed greedy decoding. A stage's blocks depend only on K/V
   that the stage before finished, so they run on up to one thread per core
-  (the calling thread and process-wide helpers, each taking the next block),
-  which meet once per stage. Each block makes the same calls on the same
-  shapes as in a serial loop that runs one block at a time through the same
-  layers, so results are that loop's bit for bit; the keys after a block may
-  hold final K/V where that loop sees placeholders, but they are finite and
-  masked. Each thread keeps one workspace for a block's scores and MLP
-  intermediates: (largest block's tokens) x max(resident tokens, 2 x d_ff)
-  float32 elements. A pass of one block, or whose scores for one layer and
-  head (pass tokens x resident tokens) stay under ``_PARALLEL_MIN_SCORES``,
-  runs on the calling thread, as decode steps do. The speedup assumes a
-  single-threaded BLAS.
+  (the calling thread and helpers started for the pass, each taking the
+  next block), which meet once per stage. Each block makes the same calls
+  on the same shapes as in a serial loop that runs one block at a time
+  through the same layers, so results are that loop's bit for bit; the keys
+  after a block may hold final K/V where that loop sees placeholders, but
+  they are finite and masked. Each thread keeps one workspace for a block's
+  scores and MLP intermediates: (largest block's tokens) x max(resident
+  tokens, 2 x d_ff) float32 elements. A pass of one block, or whose scores
+  for one layer and head (pass tokens x resident tokens) stay under
+  ``_PARALLEL_MIN_SCORES``, runs on the calling thread, as decode steps do.
+  A pass joins its helpers before it returns, so none outlives it. The
+  speedup assumes a single-threaded BLAS.
 
 - The arena is allocated once, at the most tokens its session will hold,
   and changes layout only when residency does. Eviction and admission edit
@@ -78,7 +79,6 @@ from __future__ import annotations
 import collections
 import functools
 import os
-import threading
 from concurrent import futures
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -428,8 +428,11 @@ class DecoderModel:
             pos = np.arange(c.doc_token_offset, c.doc_token_offset + c.size, dtype=np.int64)
             blocks.append(_Block(c, cache.slot(c.chunk_index), triangles[c.size], *self._rope_tables(pos)))
         last_layer = self.config.n_layers - 1
-        for layer in range(-1, last_layer):
-            _run_stage(functools.partial(self._block_stage, cache, layer), blocks, workspaces)
+        # A helper thread starts at its first task, so a one-thread pass starts
+        # none; leaving the block joins those started.
+        with futures.ThreadPoolExecutor(max(threads - 1, 1), thread_name_prefix="apce-attend") as pool:
+            for layer in range(-1, last_layer):
+                _run_stage(functools.partial(self._block_stage, cache, layer), blocks, workspaces, pool)
         if not finish_last:
             return scores, None
         # The whole block, not its last row: a one-row product takes another
@@ -542,10 +545,6 @@ class DecoderModel:
         return np.cos(angles).astype(np.float32), np.sin(angles).astype(np.float32)
 
 
-_pool: futures.ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
 def _cores() -> int:
     """The cores this process may run on."""
     try:
@@ -554,32 +553,12 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _helper_pool() -> futures.ThreadPoolExecutor:
-    """The process-wide helper threads of chunk passes, made on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = futures.ThreadPoolExecutor(max(1, _cores() - 1), thread_name_prefix="apce-attend")
-        return _pool
-
-
-def _forget_pool() -> None:
-    """A forked child has none of the parent's threads, but an inherited
-    executor would count them as idle and start no worker for new tasks."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
 def _run_stage(step: Callable[[_Block, np.ndarray], None], blocks: Sequence[_Block],
-               workspaces: Sequence[np.ndarray]) -> None:
+               workspaces: Sequence[np.ndarray], pool: futures.Executor) -> None:
     """Call ``step(block, workspace)`` once per block on one thread per
-    workspace: this one and pool helpers, each taking the next block until
-    none is left. Returns, or raises a block's exception, only once every
-    thread is done."""
+    workspace: this one and, for each workspace after the first, a helper of
+    ``pool``, each taking the next block until none is left. Returns, or
+    raises a block's exception, only once every thread is done."""
     pending = collections.deque(blocks)
 
     def drain(work: np.ndarray) -> None:
@@ -590,7 +569,7 @@ def _run_stage(step: Callable[[_Block, np.ndarray], None], blocks: Sequence[_Blo
                 return
             step(block, work)
 
-    helpers = [_helper_pool().submit(drain, work) for work in workspaces[1:]]
+    helpers = [pool.submit(drain, work) for work in workspaces[1:]]
     try:
         drain(workspaces[0])
     finally:

@@ -18,6 +18,7 @@ reprioritization boundary.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -182,6 +183,9 @@ class Session:
 
     def trace(self, wall_seconds: float) -> GenerationTrace:
         events = sorted(self.events, key=lambda e: e.time)
+        if not math.isfinite(events[-1].time):  # each latency is finite, their sum need not be
+            raise ValueError("the virtual clock overflowed: load.per_chunk_latency, load.decode_latency "
+                             "and load.compute_seconds_per_element are too large for this session")
         return GenerationTrace(
             mode=self.mode,
             events=events,

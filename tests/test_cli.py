@@ -180,8 +180,36 @@ def test_unexpected_exception_exits_4_and_logs_its_traceback(corpus, tmp_path, m
     assert not (tmp_path / "o").exists()
 
 
-def test_missing_input_exit_code(tmp_path):
-    assert run_cli("run", "--input", str(tmp_path / "nope.jsonl")) == 3
+def test_missing_input_exit_code(corpus, tmp_path, capsys):
+    """An input path that is not there, or names a directory, exits 3."""
+    corpus_path, conf = corpus
+    folder = tmp_path / "folder.jsonl"
+    folder.mkdir()
+    embeddings = tmp_path / "emb.conf"
+    embeddings.write_text(TOY_CONF + f"embedding.provider = file\nembedding.file = {folder}\n")
+    for args in (("--input", str(tmp_path / "nope.jsonl")),
+                 ("--input", str(folder), "--config", str(conf)),
+                 ("--input", str(folder), "--config", str(conf), "--query", "q"),
+                 ("--input", str(corpus_path), "--config", str(folder)),
+                 ("--input", str(corpus_path), "--config", str(corpus_path / "under_a_file.conf")),
+                 ("--input", str(corpus_path), "--config", str(embeddings))):
+        assert run_cli("run", *args, "--out-dir", str(tmp_path / "o")) == 3, args
+        assert capsys.readouterr().err.startswith("error: "), args
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", [("run",), ("sweep", "--axis", "n_chunks", "--values", "1,2")])
+def test_a_virtual_clock_that_overflows_is_refused(corpus, tmp_path, capsys, command):
+    """Each latency is finite, but their sum is not: the run exits 2 naming
+    the load.* keys, and writes no report, CSV row or sweep file."""
+    corpus_path, conf = corpus
+    assert run_cli(*command, "--input", str(corpus_path), "--config", str(conf), "--decode-latency", "1e308",
+                   "--max-new-tokens", "4", "--out-dir", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert "virtual clock overflowed" in err
+    for key in ("load.per_chunk_latency", "load.decode_latency", "load.compute_seconds_per_element"):
+        assert key in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_missing_record_exit_code(corpus, tmp_path):
@@ -191,7 +219,7 @@ def test_missing_record_exit_code(corpus, tmp_path):
 
 
 def test_bad_config_exit_code(corpus, tmp_path, capsys):
-    corpus_path, _ = corpus
+    corpus_path, conf = corpus
     bad = tmp_path / "bad.conf"
     windows = "query.tail_chars and query.recent_tokens must be >= 1"
     latencies = "latencies must be finite and >= 0"
@@ -211,7 +239,33 @@ def test_bad_config_exit_code(corpus, tmp_path, capsys):
         assert run_cli("run", "--input", str(corpus_path), "--config", str(bad),
                        "--out-dir", str(tmp_path / "o")) == 2, line
         assert complaint in capsys.readouterr().err, line
+    # an output path of the wrong kind is bad usage too, refused before any session
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    for argv, complaint in (
+            (("run", "--out-dir", str(a_file)), f"--out-dir {a_file} is not a directory"),
+            (("sweep", "--axis", "n_chunks", "--values", "1", "--out-dir", str(a_file)),
+             f"--out-dir {a_file} is not a directory"),
+            (("run", "--out-dir", str(a_file / "o")), f"lies under {a_file}, which is not a directory"),
+            (("memtable", "--out", str(tmp_path)), f"--out {tmp_path} is a directory"),
+            (("memtable", "--out", str(a_file / "t.txt")), f"lies under {a_file}")):
+        if argv[0] != "memtable":
+            argv = (*argv, "--input", str(corpus_path), "--config", str(conf))
+        assert run_cli(*argv) == 2, argv
+        assert complaint in capsys.readouterr().err, argv
+    assert a_file.read_text() == ""
     assert not (tmp_path / "o").exists()
+
+
+def test_out_dir_may_be_the_working_directory(corpus, tmp_path, monkeypatch):
+    """"." has no parent to check, and is a directory: run and sweep write there."""
+    corpus_path, conf = corpus
+    monkeypatch.chdir(tmp_path)
+    common = ("--input", str(corpus_path), "--config", str(conf), "--out-dir", ".")
+    assert run_cli("run", *common) == 0
+    assert run_cli("sweep", "--axis", "n_chunks", "--values", "1", *common) == 0
+    assert (tmp_path / "runs.csv").is_file()
+    assert (tmp_path / "sweep_n_chunks.csv").is_file() and (tmp_path / "sweep_n_chunks.json").is_file()
 
 
 @pytest.mark.parametrize("record_id", ["a/b", "../escape", "a\\b", "a\0b", "", ".", ".."])

@@ -710,21 +710,27 @@ def serial_model(cfg):
     return oracle
 
 
+def count_handed_stages(monkeypatch):
+    """Count the stages that hand blocks to helpers. Returns that count as a
+    list of one."""
+    handed = [0]
+    run_stage = model_module._run_stage
+
+    def counted(step, blocks, workspaces, *rest):
+        handed[0] += len(workspaces) > 1
+        run_stage(step, blocks, workspaces, *rest)
+
+    monkeypatch.setattr(model_module, "_run_stage", counted)
+    return handed
+
+
 @pytest.fixture
 def parallel_blocks(monkeypatch):
     """Give every pass that passes the gate one thread per block, counting
     the stages that handed blocks to helpers. Returns that count as a list
     of one."""
-    handed = [0]
-    pool = model_module._helper_pool
-
-    def counted():
-        handed[0] += 1
-        return pool()
-
     monkeypatch.setattr(model_module, "_cores", lambda: 8)
-    monkeypatch.setattr(model_module, "_helper_pool", counted)
-    return handed
+    return count_handed_stages(monkeypatch)
 
 
 KV_1 = ModelConfig(n_layers=2, n_heads=4, d_model=32, d_head=8, d_kv_total=8,
@@ -757,9 +763,10 @@ def test_threaded_block_attention_matches_the_serial_kernel(parallel_blocks, mon
 
 
 def test_small_blocks_and_one_core_stay_on_the_calling_thread(monkeypatch, chunks, toy_model_config):
-    """A pass below the gate, on one core, or of one block makes no helper pool."""
+    """A pass below the gate, on one core, or of one block hands no block
+    to a helper."""
+    handed = count_handed_stages(monkeypatch)
     model = DecoderModel(toy_model_config)
-    monkeypatch.setattr(model_module, "_pool", None)
     model.prefill(chunks, KVCache(toy_model_config, ARENA))  # 96 tokens x 96 keys: below the gate
     monkeypatch.setattr(model_module, "_PARALLEL_MIN_SCORES", 0)
     monkeypatch.setattr(model_module, "_cores", lambda: 1)
@@ -768,10 +775,37 @@ def test_small_blocks_and_one_core_stay_on_the_calling_thread(monkeypatch, chunk
     cache = KVCache(toy_model_config, ARENA)
     model.prefill(chunks[:1], cache)
     model.rebuild_blocks(cache, [chunks[1]])
-    assert model_module._pool is None
+    assert handed[0] == 0
     model.prefill(chunks, KVCache(toy_model_config, ARENA))  # the gate opens
-    assert model_module._pool is not None
-    model_module._pool.shutdown()
+    assert handed[0] > 0
+
+
+def test_no_helper_outlives_its_pass(parallel_blocks, monkeypatch, chunks, toy_model_config):
+    """A threaded prefill and a threaded rebuild leave the live threads as
+    they found them: every helper a pass starts is joined before it returns."""
+    monkeypatch.setattr(model_module, "_PARALLEL_MIN_SCORES", 0)
+    ran_on = set()
+    block_stage = DecoderModel._block_stage
+
+    def recorded(self, *args):
+        ran_on.add(threading.current_thread().name)
+        time.sleep(0.002)  # so the helpers take blocks
+        block_stage(self, *args)
+
+    monkeypatch.setattr(DecoderModel, "_block_stage", recorded)
+    model = DecoderModel(toy_model_config)
+    cache = KVCache(toy_model_config, ARENA)
+    for run_pass in (lambda: model.prefill(chunks[:3], cache),
+                     lambda: model.rebuild_blocks(cache, chunks[3:])):
+        count, names = threading.active_count(), {t.name for t in threading.enumerate()}
+        handed = parallel_blocks[0]
+        ran_on.clear()
+        run_pass()
+        assert parallel_blocks[0] > handed
+        assert any(name.startswith("apce-attend") for name in ran_on)
+        assert threading.active_count() == count
+        assert {t.name for t in threading.enumerate()} == names
+        assert not any(t.name.startswith("apce-attend") for t in threading.enumerate())
 
 
 @pytest.mark.parametrize("cfg", [KV_1, D_HEAD_8, KV_ALL, D_HEAD_32])
@@ -823,7 +857,6 @@ def test_ufunc_buffer_size_does_not_leak_from_any_thread(parallel_blocks, monkey
     assert parallel_blocks[0] > 0
     assert after_stage.pop(caller) == {DEFAULT_BUFSIZE}
     assert after_stage and all(sizes == set(default) for sizes in after_stage.values())
-    assert model_module._helper_pool().submit(np.getbufsize).result(timeout=10) == default[0]
 
 
 def test_each_block_runs_once_per_stage_with_more_threads_than_cores(monkeypatch):
@@ -838,8 +871,7 @@ def test_each_block_runs_once_per_stage_with_more_threads_than_cores(monkeypatch
     want_cache = KVCache(cfg, ARENA)
     want = serial_model(cfg).prefill(parts, want_cache)
     monkeypatch.setattr(model_module, "_PARALLEL_MIN_SCORES", 0)
-    monkeypatch.setattr(model_module, "_cores", lambda: 8)
-    monkeypatch.setattr(model_module, "_pool", None)  # a fresh pool of 7 helpers
+    monkeypatch.setattr(model_module, "_cores", lambda: 8)  # 7 helpers per pass
     events = []
     block_stage = DecoderModel._block_stage
 
@@ -874,8 +906,6 @@ def test_each_block_runs_once_per_stage_with_more_threads_than_cores(monkeypatch
                 break
     finally:
         sys.setswitchinterval(interval)
-        if model_module._pool is not None:
-            model_module._pool.shutdown()
     assert len(threads) > 1
 
 
@@ -889,7 +919,6 @@ def test_only_the_block_that_seeds_generation_runs_the_last_layer(monkeypatch, t
     parts = make_chunks(48, 4, vocab=64)
     monkeypatch.setattr(model_module, "_PARALLEL_MIN_SCORES", 0)
     monkeypatch.setattr(model_module, "_cores", lambda: threads)
-    monkeypatch.setattr(model_module, "_pool", None)  # a fresh pool, shut down below
     caller = threading.get_ident()
     calls = []
     block_stage = DecoderModel._block_stage
@@ -917,8 +946,6 @@ def test_only_the_block_that_seeds_generation_runs_the_last_layer(monkeypatch, t
     model.rebuild_blocks(cache, [parts[i] for i in (1, 5, 10, 11)])
     assert per_layer() == [4, 4, 4, 0]
     assert len({thread for *_, thread in calls}) == threads
-    if model_module._pool is not None:
-        model_module._pool.shutdown()
 
 
 @pytest.mark.parametrize("failing", ["caller", "helper"])
@@ -952,14 +979,14 @@ def test_a_failing_block_raises_after_every_thread_is_done(monkeypatch, failing)
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_runs_a_threaded_prefill(parallel_blocks, monkeypatch, chunks, toy_model_config):
-    """The helper pool's threads do not survive a fork; the child must make
-    its own rather than wait on helpers that never start."""
+    """A child forked after a threaded prefill starts its own helpers
+    rather than wait on ones that do not exist there."""
     monkeypatch.setattr(model_module, "_PARALLEL_MIN_SCORES", 0)
     model = DecoderModel(toy_model_config)
     want = model.prefill(chunks, KVCache(toy_model_config, ARENA)).last_logits
-    assert parallel_blocks[0] > 0 and model_module._pool is not None
+    assert parallel_blocks[0] > 0
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads alive
+        warnings.simplefilter("ignore", DeprecationWarning)  # OpenBLAS's own threads make Python 3.12 warn
         pid = os.fork()
     if pid == 0:  # the child never returns into the test runner
         code = 1

@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -46,3 +48,72 @@ def test_ratio_quartiles_are_taken_over_the_per_pair_ratios():
     assert pairs.ratio_quartiles([2.0], [3.0]) == (1.5, 1.5, 1.5)
     assert pairs.ratio_quartiles([0.0, 2.0], [1.0, 1.0]) == (0.5, 0.5, 0.5)  # a zero parent is skipped
     assert pairs.ratio_quartiles([0.0], [1.0]) is None
+
+
+SPEC = {"end_to_end": [{"name": "session_s", "better": "lower", "bound": 0.25},
+                       {"name": "ok_frac", "better": "higher", "bound": 0.01}]}
+SESSION = {"parent": [1.0, 1.2, 1.1, 0.9], "change": [0.9, 1.0, 1.2, 0.8]}
+
+
+def fixed_run(checkout, workload, seed, seconds, busy):
+    """Stands in for a perfbench run: values by side and seed, no process."""
+    side = checkout.name
+    values = {"session_s": SESSION[side][seed - 1], "ok_frac": 1.0, "failed": int(side == "change" and seed == 4)}
+    return values, ({"ticks": seed, "percent": 0.5 * seed} if side == "parent" else None), {"nproc": 2}
+
+
+def test_summary_of_fixed_pairs():
+    pairs_ = [{"seed": s, "parent": {"session_s": p, "ok_frac": 1.0, "failed": 0},
+               "change": {"session_s": c, "ok_frac": 1.0, "failed": s == 4}}
+              for s, p, c in zip(range(1, 5), SESSION["parent"], SESSION["change"])]
+    summary = pairs.summarize(pairs_, SPEC)
+    session = summary["metrics"]["session_s"]
+    assert session["wins"] == 3
+    assert session["parent"] == dict(zip(("q1", "median", "q3"), pairs.quartiles(SESSION["parent"])))
+    assert session["change"]["median"] == pytest.approx(0.95)
+    assert session["ratio"] == dict(zip(("q1", "median", "q3"),
+                                        pairs.ratio_quartiles(SESSION["parent"], SESSION["change"])))
+    assert not session["claim_holds"]  # 3 of 4 pairs is fewer than 9 in 10
+    assert session["verdict"] == pairs.regression_verdict(SESSION["parent"], SESSION["change"], 0.25, LOWER)
+    assert (session["better"], session["bound"]) == ("lower", 0.25)
+    ok = summary["metrics"]["ok_frac"]
+    assert (ok["wins"], ok["ratio"]["median"], ok["verdict"]) == (0, 1.0, "within bound")
+    assert summary["failed"] == {"parent": 0, "change": 1}
+
+
+def test_json_holds_everything_printed(monkeypatch, tmp_path, capsys):
+    for side in pairs.SIDES:
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(SPEC))
+    monkeypatch.setattr(pairs, "run_once", fixed_run)
+    out = tmp_path / "bench.json"
+    assert pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w",
+                       "--seeds", "1-4", "--seconds", "2", "--json", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert (report["workload"], report["seeds"], report["seconds"], report["busy"]) == ("w", [1, 2, 3, 4], 2, False)
+    for side in pairs.SIDES:
+        assert report["checkouts"][side] == {"head": None, "env": {"nproc": 2}}
+    assert [p["first"] for p in report["pairs"]] == ["parent", "change"] * 2
+    assert [p["parent"]["session_s"] for p in report["pairs"]] == SESSION["parent"]
+    assert [p["change"]["session_s"] for p in report["pairs"]] == SESSION["change"]
+    assert [p["steal"] for p in report["pairs"]] == [
+        {"parent": {"ticks": s, "percent": 0.5 * s}, "change": None} for s in range(1, 5)]
+    assert {k: report[k] for k in ("metrics", "failed")} == pairs.summarize(report["pairs"], SPEC)
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[:4] == [pairs.pair_line(n, p, ["session_s", "ok_frac"]) for n, p in enumerate(report["pairs"])]
+    assert printed[5:] == pairs.summary_lines(report)
+    assert "change better in 3 of 4" in printed[6] and "steal parent 2 ticks (1.0%), change n/a" in printed[1]
+
+
+def test_git_head_only_for_a_git_checkout(tmp_path):
+    assert pairs.git_head(tmp_path) is None
+    # not the HEAD of a repository that holds the directory
+    assert pairs.git_head(Path(__file__).resolve().parent) is None
+    repo = tmp_path / "checkout"
+    repo.mkdir()
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    subprocess.run([*git, "init", "-q"], cwd=repo, check=True)
+    subprocess.run([*git, "commit", "-q", "--allow-empty", "-m", "one"], cwd=repo, check=True)
+    sha = subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo, check=True, capture_output=True, text=True)
+    assert pairs.git_head(repo) == sha.stdout.strip()
+    assert len(pairs.git_head(repo)) == 40

@@ -26,7 +26,12 @@ verdict, with the metric's ``bound`` from the same file: "worse" when the
 change's median is worse than the parent's by more than bound x the
 parent's median; else "unresolved" when the parent's own interquartile
 range is wider than that, unless every run of the change beats every run
-of the parent; else "within bound". Standard library only.
+of the parent; else "within bound".
+
+``--json PATH`` also writes all of that to PATH: the workload, seeds and
+run length, each checkout's ``git rev-parse HEAD`` (null where it is not a
+git checkout) and ``perfbench`` environment line, every pair's metrics and
+steal, and the per-metric summary. Standard library only.
 """
 
 from __future__ import annotations
@@ -50,6 +55,17 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+def git_head(checkout: Path) -> str | None:
+    """The commit ``checkout`` has checked out, or None if it is no git checkout."""
+    if not (checkout / ".git").exists():  # not the HEAD of a repository around it
+        return None
+    try:
+        done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True)
+    except OSError:
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
 def cpu_ticks() -> tuple[int, int] | None:
     """(steal, total) ticks of all CPUs so far, or None off Linux."""
     try:
@@ -60,8 +76,11 @@ def cpu_ticks() -> tuple[int, int] | None:
     return fields[7], sum(fields[:8])  # user .. steal; guest time is inside user
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float, busy: bool) -> tuple[dict, str]:
-    """One benchmark run: its metric values and the steal seen during it."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, busy: bool
+             ) -> tuple[dict, dict | None, dict]:
+    """One benchmark run: its metric values (and failed sessions), the steal
+    seen during it as {"ticks", "percent"} (None off Linux), and the
+    environment that ``perfbench/run.py`` printed."""
     spinner = subprocess.Popen([sys.executable, "-c", "while True: pass"]) if busy else None
     before = cpu_ticks()
     try:
@@ -75,14 +94,14 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, busy: boo
             spinner.wait()
     if done.returncode != 0:
         sys.exit(f"{checkout}: perfbench/run.py exited {done.returncode}\n{done.stderr}")
-    result = json.loads(done.stdout.strip().splitlines()[-1])
+    info, result = (json.loads(line) for line in done.stdout.strip().splitlines()[-2:])
     values = {name: m["value"] for name, m in result["metrics"].items()}
     values["failed"] = result["failed"]
-    steal = "n/a"
+    steal = None
     if before and after:
         ticks, total = after[0] - before[0], after[1] - before[1]
-        steal = f"{ticks} ticks ({100 * ticks / max(total, 1):.1f}%)"
-    return values, steal
+        steal = {"ticks": ticks, "percent": round(100 * ticks / max(total, 1), 1)}
+    return values, steal, info.get("env", {})
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -120,6 +139,57 @@ def regression_verdict(parent: list[float], change: list[float], bound: float, s
     return "within bound"
 
 
+def summarize(pairs: list[dict], spec: dict) -> dict:
+    """Per end-to-end metric of ``spec`` (a ``BENCHMARK.json``), over
+    ``pairs`` (each {"parent": values, "change": values, ...}): each side's
+    quartiles, the ratio quartiles, wins, the claim result and the verdict;
+    and each side's failed sessions."""
+    metrics = {}
+    for m in spec["end_to_end"]:
+        name, sign = m["name"], 1 if m["better"] == "lower" else -1
+        sides = {side: [pair[side][name] for pair in pairs] for side in SIDES}
+        q = {side: quartiles(sides[side]) for side in SIDES}
+        wins = sum(sign * (c - p) < 0 for p, c in zip(sides["parent"], sides["change"]))
+        ratio = ratio_quartiles(sides["parent"], sides["change"])
+        metrics[name] = {
+            "better": m["better"], "bound": m["bound"],
+            **{side: dict(zip(("q1", "median", "q3"), q[side])) for side in SIDES},
+            "ratio": dict(zip(("q1", "median", "q3"), ratio)) if ratio else None,
+            "wins": wins,
+            "claim_holds": claim_holds(wins, len(pairs), q["parent"], q["change"][1], sign),
+            "verdict": regression_verdict(sides["parent"], sides["change"], m["bound"], sign),
+        }
+    failed = {side: sum(pair[side]["failed"] for pair in pairs) for side in SIDES}
+    return {"metrics": metrics, "failed": failed}
+
+
+def steal_text(steal: dict | None) -> str:
+    return f"{steal['ticks']} ticks ({steal['percent']:.1f}%)" if steal else "n/a"
+
+
+def pair_line(n: int, pair: dict, names: list[str]) -> str:
+    shown = "  ".join(f"{name} {pair['parent'][name]:.4g}/{pair['change'][name]:.4g}" for name in names)
+    return (f"pair {n + 1} seed {pair['seed']} ({pair['first']} first)  parent/change  {shown}  "
+            f"steal parent {steal_text(pair['steal']['parent'])}, change {steal_text(pair['steal']['change'])}")
+
+
+def summary_lines(report: dict) -> list[str]:
+    """The closing summary that ``main`` prints for a ``--json`` report."""
+    pairs = len(report["pairs"])
+    lines = [f"{report['workload']}: {pairs} pairs of {report['seconds']:g} s runs"
+             f"{' with a CPU-bound process alongside' if report['busy'] else ''}"]
+    for name, m in report["metrics"].items():
+        summary = "  ".join(f"{side} {m[side]['median']:.4g} [{m[side]['q1']:.4g}-{m[side]['q3']:.4g}]"
+                            for side in SIDES)
+        ratio = m["ratio"]
+        ratio_text = f"{ratio['median']:.4g} [{ratio['q1']:.4g}-{ratio['q3']:.4g}]" if ratio else "n/a"
+        lines.append(f"  {name:12} median [IQR]  {summary}  change/parent {ratio_text}  "
+                     f"change better in {m['wins']} of {pairs}, claim {'holds' if m['claim_holds'] else 'fails'}, "
+                     f"{m['verdict']} (bound {m['bound']:g})")
+    lines.append(f"  failed sessions  parent {report['failed']['parent']}  change {report['failed']['change']}")
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -128,42 +198,33 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", required=True, type=parse_seeds, help="e.g. 401-410 or 3,7,9")
     parser.add_argument("--seconds", type=float, default=15)
     parser.add_argument("--busy", action="store_true", help="run a CPU-bound process alongside")
+    parser.add_argument("--json", type=Path, metavar="PATH", help="also write everything printed to PATH")
     args = parser.parse_args(argv)
 
     checkouts = {"parent": args.parent, "change": args.change}
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    bound = {m["name"]: m["bound"] for m in spec["end_to_end"]}
-    runs: dict[str, list[dict]] = {side: [] for side in SIDES}
+    names = [m["name"] for m in spec["end_to_end"]]
+    env: dict[str, dict] = {}
+    pairs = []
     for n, seed in enumerate(args.seeds):
         order = SIDES if n % 2 == 0 else SIDES[::-1]
-        steal = {}
+        pair: dict = {"seed": seed, "first": order[0], "steal": {}}
         for side in order:
-            values, steal[side] = run_once(checkouts[side], args.workload, seed, args.seconds, args.busy)
-            runs[side].append(values)
-        shown = "  ".join(f"{name} {runs['parent'][-1][name]:.4g}/{runs['change'][-1][name]:.4g}"
-                          for name in better)
-        print(f"pair {n + 1} seed {seed} ({order[0]} first)  parent/change  {shown}  "
-              f"steal parent {steal['parent']}, change {steal['change']}", flush=True)
+            pair[side], pair["steal"][side], env[side] = run_once(checkouts[side], args.workload, seed,
+                                                                  args.seconds, args.busy)
+        pairs.append(pair)
+        print(pair_line(n, pair, names), flush=True)
 
-    pairs = len(args.seeds)
-    print(f"\n{args.workload}: {pairs} pairs of {args.seconds:g} s runs"
-          f"{' with a CPU-bound process alongside' if args.busy else ''}")
-    for name, direction in better.items():
-        sides = {side: [r[name] for r in runs[side]] for side in SIDES}
-        sign = 1 if direction == "lower" else -1
-        wins = sum(sign * (c - p) < 0 for p, c in zip(sides["parent"], sides["change"]))
-        q = {side: quartiles(sides[side]) for side in SIDES}
-        summary = "  ".join(f"{side} {q[side][1]:.4g} [{q[side][0]:.4g}-{q[side][2]:.4g}]" for side in SIDES)
-        ratio = ratio_quartiles(sides["parent"], sides["change"])
-        ratio_text = f"{ratio[1]:.4g} [{ratio[0]:.4g}-{ratio[2]:.4g}]" if ratio else "n/a"
-        claim = claim_holds(wins, pairs, q["parent"], q["change"][1], sign)
-        verdict = regression_verdict(sides["parent"], sides["change"], bound[name], sign)
-        print(f"  {name:12} median [IQR]  {summary}  change/parent {ratio_text}  "
-              f"change better in {wins} of {pairs}, claim {'holds' if claim else 'fails'}, "
-              f"{verdict} (bound {bound[name]:g})")
-    failed = {side: sum(r["failed"] for r in runs[side]) for side in SIDES}
-    print(f"  failed sessions  parent {failed['parent']}  change {failed['change']}")
+    report = {
+        "workload": args.workload, "seeds": args.seeds, "seconds": args.seconds, "busy": args.busy,
+        "checkouts": {side: {"head": git_head(checkouts[side]), "env": env[side]} for side in SIDES},
+        "pairs": pairs,
+        **summarize(pairs, spec),
+    }
+    print()
+    print("\n".join(summary_lines(report)))
+    if args.json:
+        args.json.write_text(json.dumps(report, indent=2, allow_nan=False) + "\n", encoding="utf-8")
     return 0
 
 
