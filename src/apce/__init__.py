@@ -19,15 +19,7 @@ from .memmodel import (
 )
 from .metrics import RougeLScore, rouge_l_f1
 from .model import DecoderModel, KVCache, ModelConfig
-from .reprior import (
-    EnhancedQueryState,
-    ReplacementPlan,
-    ReplacementStats,
-    apply_plan,
-    reprioritization_due,
-    reprioritize,
-    update_enhanced_query,
-)
+from .reprior import ReplacementPlan, ReplacementStats, apply_plan, reprioritize, update_enhanced_query
 from .sched import GenerationTrace, Session, simulate_generation
 from .select import ChunkScore, cosine, select_top_k
 from .textpipe import Chunk, Record, chunk, tokenize

@@ -5,7 +5,8 @@ row. ``sweep`` runs every record at each value of one axis and writes
 aggregate CSV and JSON; ``--axis reprioritization_interval`` is the interval
 ablation. ``memtable`` prints the analytical memory table.
 
-Exit codes are stable: 0 all runs completed, 2 bad configuration or
+Exit codes are stable: 0 all runs completed (also when the reader of
+standard output has closed it), 2 bad configuration or
 arguments (an output path of the wrong kind among them), 3 missing input
 (a file or record that is not there, or an input path that is a
 directory), 4 internal error (a broken invariant of the engine, or any
@@ -22,6 +23,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -31,7 +33,7 @@ from . import memmodel
 from .config import RunConfig, apply_overrides, load_config_file, with_one_selection_rule
 from .embed import HashingEmbedder
 from .metrics import embedding_cosine_proxy, mean_std, rouge_l_f1
-from .sched import simulate_generation, trace_events_json
+from .sched import simulate_generation
 from .textpipe import Record, load_jsonl_records, load_text_file, tokenize
 
 log = logging.getLogger("apce")
@@ -154,7 +156,7 @@ def run_record(record: Record, config: RunConfig) -> dict:
         "trace": {
             "ttft": trace.ttft,
             "total_time": trace.total_time,
-            "events": trace_events_json(trace),
+            "events": [e._asdict() for e in trace.events],
         },
         "tokens": trace.tokens,
         "counters": trace.counters,
@@ -222,15 +224,16 @@ AGGREGATED = ("ttft", "total_time", "rouge_f1", "taken", "available")
 
 
 def _aggregate(rows: list[dict]) -> dict:
-    """Mean and stddev per numeric column across runs of one sweep value."""
+    """Mean and stddev per numeric column across runs of one sweep value;
+    ValueError if one overflows (each run's times are finite, their sum need not be)."""
     out: dict[str, float | None] = {}
     for column in AGGREGATED:
         values = [r[column] for r in rows if r[column] is not None]
-        if values:
-            mean, std = mean_std(values)
-            out[f"{column}_mean"], out[f"{column}_std"] = mean, std
-        else:
-            out[f"{column}_mean"] = out[f"{column}_std"] = None
+        out[f"{column}_mean"], out[f"{column}_std"] = mean_std(values) if values else (None, None)
+    overflowed = [name for name, value in out.items() if value is not None and not math.isfinite(value)]
+    if overflowed:
+        raise ValueError(f"sweep column {overflowed[0]} overflowed: load.per_chunk_latency, load.decode_latency "
+                         "and load.compute_seconds_per_element are too large for this sweep")
     return out
 
 
@@ -392,7 +395,14 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on bad arguments, which matches our bad-config code
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed standard output fails here, not at the interpreter's exit
+        return code
+    except BrokenPipeError:  # the reader of standard output has gone: nothing is left to tell it
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # so the exit flush of what is still buffered stays quiet
+        os.close(devnull)
+        return EXIT_OK
     except (MissingInput, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT

@@ -41,11 +41,13 @@ def rouge_l_f1(candidate: Sequence, reference: Sequence) -> RougeLScore:
 
 
 def mean_std(values: Sequence[float]) -> tuple[float, float]:
-    """Population mean and standard deviation."""
+    """Population mean and standard deviation; inf, without a warning, where
+    either overflows float64."""
     if not values:
         raise ValueError("need at least one value")
     arr = np.asarray(values, dtype=np.float64)
-    return float(arr.mean()), float(arr.std())
+    with np.errstate(over="ignore"):
+        return float(arr.mean()), float(arr.std())
 
 
 def embedding_cosine_proxy(

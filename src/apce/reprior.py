@@ -1,12 +1,14 @@
 """Chunk buffer maintenance during decoding.
 
 The buffer is the KV cache's resident set: the arena's chunk -> slot index
-is its only record. At every reprioritization boundary the enhanced query
-embedding is refreshed (a normalized blend of the instruction tail and the
-most recent generated tokens), all candidate chunks are re-scored, and the
-resident set is planned into the fresh top-k: lowest scorers leave, better
-chunks come in, and any retained chunk whose causal context changed gets
-marked for K/V rebuild. Applying a plan evicts and rebuilds through the
+is its only record. The query is the instruction tail's embedding, computed
+once per session (``tail_embedding``) and never written. At every
+reprioritization boundary ``update_enhanced_query`` blends it with the
+embedding of the recent generated tokens it is given, a pure function of
+its arguments; all candidate chunks are re-scored against the blend, and
+the resident set is planned into the fresh top-k: lowest scorers leave,
+better chunks come in, and any retained chunk whose causal context changed
+gets marked for K/V rebuild. Applying a plan evicts and rebuilds through the
 cache, which updates the resident set.
 
 Staleness rule: under causal masking the values of a block's K/V depend
@@ -81,60 +83,25 @@ class ReplacementStats:
     events: list[ReplacementEvent] = field(default_factory=list)
 
 
-@dataclass
-class EnhancedQueryState:
-    """Query representation that evolves as decoding progresses.
-
-    ``current`` holds the active unit-norm embedding. It starts as the
-    embedding of the instruction tail and, once tokens have been generated,
-    becomes the normalized blend
-    alpha * embed(tail) + (1 - alpha) * embed(recent tokens),
-    or the tail embedding again when that blend is the zero vector.
-    Callers refresh it only at reprioritization boundaries.
-    """
-
-    instruction_text: str
-    provider: HashingEmbedder
-    vocab_size: int
-    instruction_tail_chars: int
-    recent_token_window: int
-    blend_alpha: float
-    current: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not self.instruction_text:
-            raise ValueError("instruction_text must be non-empty")
-        if not 0.0 <= self.blend_alpha <= 1.0:
-            raise ValueError("blend_alpha must lie in [0, 1]")
-        if self.instruction_tail_chars < 1 or self.recent_token_window < 1:
-            raise ValueError("instruction_tail_chars and recent_token_window must be >= 1")
-        tail = self.instruction_text[-self.instruction_tail_chars:]
-        ids = tokenize(tail, vocab_size=self.vocab_size)
-        if not ids or not (embedding := self.provider.embed_tokens(ids)).any():
-            raise ValueError(f"query tail {tail!r}, the last query.tail_chars = {self.instruction_tail_chars} "
-                             "characters of the query, holds no token or embeds to the zero vector")
-        self.current = self._tail_embedding = embedding
+def tail_embedding(query: str, tail_chars: int, vocab_size: int, provider: HashingEmbedder) -> np.ndarray:
+    """The embedding of the instruction tail, the last ``tail_chars``
+    characters of the query; ValueError when the tail holds no token or
+    embeds to the zero vector."""
+    tail = query[-tail_chars:]
+    ids = tokenize(tail, vocab_size=vocab_size)
+    if not ids or not (embedding := provider.embed_tokens(ids)).any():
+        raise ValueError(f"query tail {tail!r}, the last query.tail_chars = {tail_chars} "
+                         "characters of the query, holds no token or embeds to the zero vector")
+    return embedding
 
 
-def update_enhanced_query(state: EnhancedQueryState, generated_tokens: Sequence[int]) -> np.ndarray:
-    """Refresh the blended query embedding from recently generated tokens."""
-    if len(generated_tokens) == 0:
-        state.current = state._tail_embedding
-        return state.current
-    recent = list(generated_tokens[-state.recent_token_window:])
-    recent_embedding = state.provider.embed_tokens(recent)
-    alpha = state.blend_alpha
-    blended = alpha * state._tail_embedding + (1.0 - alpha) * recent_embedding
+def update_enhanced_query(tail: np.ndarray, recent_tokens: Sequence[int], provider: HashingEmbedder,
+                          alpha: float) -> np.ndarray:
+    """The query at a boundary: normalize(alpha * tail + (1 - alpha) *
+    embed(recent_tokens)), or ``tail`` when that blend is the zero vector."""
+    blended = alpha * tail + (1.0 - alpha) * provider.embed_tokens(recent_tokens)
     # a blend that cancels to zero has no direction: keep the instruction tail
-    state.current = normalize(blended) if blended.any() else state._tail_embedding
-    return state.current
-
-
-def reprioritization_due(generation_step: int, interval: int) -> bool:
-    """True on steps that land on a reprioritization boundary."""
-    if interval < 1:
-        raise ValueError("interval must be >= 1")
-    return generation_step > 0 and generation_step % interval == 0
+    return normalize(blended) if blended.any() else tail
 
 
 def reprioritize(

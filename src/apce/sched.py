@@ -1,14 +1,17 @@
 """Generation sessions on a simulated clock.
 
 A ``Session`` ties the whole pipeline together and owns its state: it
-tokenizes and chunks the document, embeds chunks once, selects the top-k
-and prefills the model, then decodes greedily (``step``) and reprioritizes
-(``boundary``). Its cache is the only record of the resident set, and it is
-the one place that decides which chunks a plan rebuilds. ``simulate_generation``
-is the token loop that drives a session. Time is virtual; a ``LoadModel``
-prescribes how long chunk loading, decoding, and attention compute take in
-simulated seconds. Wall-clock numbers are recorded for profiling only and
-never decide anything.
+tokenizes and chunks the document, embeds chunks and the query tail once,
+selects the top-k and prefills the model, then decodes greedily (``step``)
+and reprioritizes (``boundary``, against the tail blended with the last
+``query.recent_tokens`` tokens). Its query state is the read-only tail
+embedding plus its tokens. Its cache is the only record of the resident
+set, and it is the one place that decides which chunks a plan rebuilds.
+``simulate_generation`` is the token loop that drives a session, with a
+boundary at every step that is a multiple of the interval. Time is virtual;
+a ``LoadModel`` prescribes how long chunk loading, decoding, and attention
+compute take in simulated seconds. Wall-clock numbers are recorded for
+profiling only and never decide anything.
 
 Dense mode waits for every chunk and attends to all of them. In selective
 mode decoding can start once ``async_start_chunks`` have arrived; chunks
@@ -28,14 +31,7 @@ import numpy as np
 from .config import LoadModel, RunConfig
 from .embed import EmbeddingStore, HashingEmbedder, load_external_embeddings
 from .model import DecoderModel, KVCache
-from .reprior import (
-    EnhancedQueryState,
-    ReplacementStats,
-    apply_plan,
-    reprioritization_due,
-    reprioritize,
-    update_enhanced_query,
-)
+from .reprior import ReplacementStats, apply_plan, reprioritize, tail_embedding, update_enhanced_query
 from .select import score_chunks, select_top_k
 from .textpipe import chunk as chunk_tokens
 from .textpipe import tokenize
@@ -81,6 +77,7 @@ class Session:
             raise ValueError(f"mode must be 'dense' or 'apce', got {mode!r}")
         self.mode, self.load = mode, load
         self.recompute_enabled = config.recompute
+        self.recent_tokens, self.alpha = config.recent_tokens, config.alpha
 
         ids = tokenize(doc_text, vocab_size=config.vocab_size)
         if not ids:
@@ -94,7 +91,8 @@ class Session:
         self.chunks = chunks = chunk_tokens(ids, config.chunk_size)
         n = len(chunks)
 
-        provider = HashingEmbedder(config.embedding_dim)  # a vectors file holds chunks only, not query text
+        # a vectors file holds chunks only, not query text
+        self.provider = provider = HashingEmbedder(config.embedding_dim)
         if config.embedding_provider == "file":
             fragments = load_external_embeddings(config.embedding_file, expected_dim=config.embedding_dim)
             missing = [c.chunk_index for c in chunks if c.chunk_index not in fragments]
@@ -104,14 +102,7 @@ class Session:
         else:
             self.store = EmbeddingStore.from_chunks(chunks, provider)
 
-        self.query_state = EnhancedQueryState(
-            instruction_text=query_text,
-            provider=provider,
-            vocab_size=config.vocab_size,
-            instruction_tail_chars=config.tail_chars,
-            recent_token_window=config.recent_tokens,
-            blend_alpha=config.alpha,
-        )
+        self.tail = tail_embedding(query_text, config.tail_chars, config.vocab_size, provider)
 
         self.events = [TraceEvent(self._arrival(i), "chunk_loaded", {"chunk": i}) for i in range(n)]
         if mode == "dense":
@@ -125,7 +116,7 @@ class Session:
             self.k_effective = config.effective_k(n)
 
         self.now = self._arrival(start_count - 1)
-        self.initial_scores = score_chunks(self.store, self.query_state.current, self._arrived())
+        self.initial_scores = score_chunks(self.store, self.tail, self._arrived())
         self.initial = select_top_k(self.initial_scores, self.k_effective)
 
         self.model = DecoderModel(config.model_config())
@@ -161,7 +152,7 @@ class Session:
         """Re-score the arrived chunks against the refreshed query, and
         carry out the plan that makes the resident set their top-k."""
         step, pool = len(self.tokens), self._arrived()
-        query = update_enhanced_query(self.query_state, self.tokens)
+        query = update_enhanced_query(self.tail, self.tokens[-self.recent_tokens:], self.provider, self.alpha)
         plan = reprioritize(self.cache.resident_indices(), self.k_effective, self.store, query, self.chunks,
                             candidate_indices=pool)
         self.events.append(TraceEvent(self.now, "reprioritization",
@@ -222,10 +213,6 @@ def simulate_generation(
     for step in range(1, config.max_new_tokens + 1):
         if step > 1:
             session.step()
-        if reprioritizing and reprioritization_due(step, config.interval):
+        if reprioritizing and step % config.interval == 0:
             session.boundary()
     return session.trace(time.perf_counter() - wall_start)
-
-
-def trace_events_json(trace: GenerationTrace) -> list[dict]:
-    return [{"time": e.time, "kind": e.kind, "data": e.data} for e in trace.events]

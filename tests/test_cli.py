@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -207,6 +208,24 @@ def test_a_virtual_clock_that_overflows_is_refused(corpus, tmp_path, capsys, com
                    "--max-new-tokens", "4", "--out-dir", str(tmp_path / "o")) == 2
     err = capsys.readouterr().err
     assert "virtual clock overflowed" in err
+    for key in ("load.per_chunk_latency", "load.decode_latency", "load.compute_seconds_per_element"):
+        assert key in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_sweep_aggregate_that_overflows_is_refused(corpus, tmp_path, capsys):
+    """Each run's total_time is finite, but the sum of two is not: the sweep
+    exits 2 naming the column and the load.* keys, with no numpy warning, and
+    writes neither sweep file."""
+    corpus_path, conf = corpus
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("sweep", "--axis", "n_chunks", "--values", "1", "--input", str(corpus_path),
+                       "--config", str(conf), "--decode-latency", "4e307", "--max-new-tokens", "4",
+                       "--out-dir", str(tmp_path / "o")) == 2
+    assert not caught
+    err = capsys.readouterr().err
+    assert err.startswith("error: sweep column total_time_mean overflowed: ")
     for key in ("load.per_chunk_latency", "load.decode_latency", "load.compute_seconds_per_element"):
         assert key in err
     assert not (tmp_path / "o").exists()
@@ -481,11 +500,15 @@ def test_zero_norm_chunk_document_runs(tmp_path):
     assert report["selection"]["scores"][1] == [1, 0.0]
 
 
+def package_env():
+    """The environment of a subprocess that imports this checkout's apce."""
+    src = Path(apce.cli.__file__).resolve().parents[1]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+
 def test_run_needs_no_jsonschema(corpus, tmp_path):
     corpus_path, conf = corpus
-    src = Path(apce.cli.__file__).resolve().parents[1]
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    env = package_env()
     blocked = ("import sys; sys.modules['jsonschema'] = None; "
                "from apce.cli import main; sys.exit(main(sys.argv[1:]))")
     out = tmp_path / "out"
@@ -496,13 +519,31 @@ def test_run_needs_no_jsonschema(corpus, tmp_path):
     read_report(out / "r1-apce-s0.json")
 
 
-@pytest.mark.parametrize("query", ["Summarize the document." + " " * 120, "z6 z54"],
-                         ids=["blank-tail", "cancelling-tail"])
+@pytest.mark.parametrize("query", ["Summarize the document." + " " * 120, "z6 z54", ""],
+                         ids=["blank-tail", "cancelling-tail", "empty"])
 def test_unusable_query_tail_exits_2_naming_the_tail_and_its_key(tmp_path, capsys, query):
-    """A tail with no token, and one whose signed hashes cancel (under the
-    default vocabulary and embedding width), give one message."""
+    """A tail with no token, one whose signed hashes cancel (under the
+    default vocabulary and embedding width) and an empty query give one message."""
     doc = tmp_path / "doc.txt"
     doc.write_text("some plain document " * 20)
     assert run_cli("run", "--input", str(doc), "--query", query, "--out-dir", str(tmp_path / "o")) == 2
     assert capsys.readouterr().err == (f"error: query tail {query[-100:]!r}, the last query.tail_chars = 100 "
                                        "characters of the query, holds no token or embeds to the zero vector\n")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_a_closed_standard_output_exits_0_quietly(unbuffered):
+    """The reader of standard output closed it before the table was written:
+    exit 0 with nothing on standard error, whether the write fails at once
+    (PYTHONUNBUFFERED) or at the flush."""
+    env = {key: value for key, value in package_env().items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run([sys.executable, "-m", "apce.cli", "memtable"], stdout=write,
+                                stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stderr) == (0, "")

@@ -1,27 +1,27 @@
 import numpy as np
 import pytest
 
-from apce.config import RunConfig
+import apce.sched as sched
+from apce.config import LoadModel, RunConfig
 from apce.embed import EmbeddingStore, HashingEmbedder
 from apce.reprior import (
-    EnhancedQueryState,
     ReplacementStats,
     apply_plan,
-    reprioritization_due,
     reprioritize,
+    tail_embedding,
     update_enhanced_query,
 )
 from apce.select import score_chunks
 from apce.textpipe import chunk, tokenize
 
 
-def query_state(instruction, provider, **fields):
-    """An EnhancedQueryState with RunConfig's defaults for the fields not given."""
-    defaults = RunConfig()
-    return EnhancedQueryState(**{
-        "instruction_text": instruction, "provider": provider, "vocab_size": defaults.vocab_size,
-        "instruction_tail_chars": defaults.tail_chars, "recent_token_window": defaults.recent_tokens,
-        "blend_alpha": defaults.alpha, **fields})
+TOY = RunConfig(chunk_size=10, vocab_size=512, n_layers=1, n_heads=2, d_model=32, d_head=16, d_kv_total=32,
+                embedding_dim=48, max_new_tokens=9, interval=3, recent_tokens=4)
+DOC = " ".join(f"a{i % 17}b{i % 7} c{i % 5}" for i in range(30))
+
+
+def tail_of(instruction, provider):
+    return tail_embedding(instruction, RunConfig.tail_chars, RunConfig.vocab_size, provider)
 
 
 class FakeHandle:
@@ -66,26 +66,28 @@ def make_chunks(n, m=10):
 def test_no_generated_tokens_returns_tail_embedding_exactly():
     provider = HashingEmbedder(64)
     instruction = "please summarize the second act of the play in a short paragraph"
-    state = query_state(instruction, provider)
     want = provider.embed_tokens(tokenize(instruction[-100:]))
-    assert np.array_equal(state.current, want)
-    assert np.array_equal(update_enhanced_query(state, []), want)
+    assert np.array_equal(tail_of(instruction, provider), want)
+    # a session keeps it as one read-only array
+    session = sched.Session(DOC, instruction, "apce", LoadModel(), TOY)
+    want = HashingEmbedder(TOY.embedding_dim).embed_tokens(tokenize(instruction[-100:], vocab_size=TOY.vocab_size))
+    assert np.array_equal(session.tail, want)
+    assert not session.tail.flags.writeable
 
 
 def test_alpha_one_ignores_generated_tokens():
     provider = HashingEmbedder(64)
-    state = query_state("describe the garden", provider, blend_alpha=1.0)
-    base = state.current.copy()
-    update_enhanced_query(state, [5, 6, 7, 8])
-    assert np.allclose(state.current, base, atol=1e-12)
+    tail = tail_of("describe the garden", provider)
+    base = tail.copy()
+    assert np.allclose(update_enhanced_query(tail, [5, 6, 7, 8], provider, 1.0), base, atol=1e-12)
+    assert np.array_equal(tail, base)
 
 
 def test_blend_matches_direct_formula():
     provider = HashingEmbedder(96)
     instruction = "x" * 40 + " find the relevant passage about rivers"
     generated = [(i * 13) % 500 for i in range(80)]
-    state = query_state(instruction, provider, blend_alpha=0.5, recent_token_window=50)
-    got = update_enhanced_query(state, generated)
+    got = update_enhanced_query(tail_of(instruction, provider), generated[-50:], provider, 0.5)
     # independent recomputation of normalize(0.5 a + 0.5 b)
     a = provider.embed_tokens(tokenize(instruction[-100:]))
     b = provider.embed_tokens(generated[-50:])
@@ -95,46 +97,22 @@ def test_blend_matches_direct_formula():
     assert abs(np.linalg.norm(got) - 1.0) < 1e-9
 
 
-def test_window_only_uses_recent_tokens():
-    provider = HashingEmbedder(64)
-    state = query_state("query text", provider, recent_token_window=4)
-    a = update_enhanced_query(state, [1, 2, 3, 4]).copy()
-    b = update_enhanced_query(state, [99, 98, 1, 2, 3, 4])
-    assert np.array_equal(a, b)
+def test_window_only_uses_recent_tokens(monkeypatch):
+    """A boundary blends the tail with the last query.recent_tokens tokens only."""
+    seen = []
+
+    def recording(tail, recent_tokens, provider, alpha):
+        seen.append(list(recent_tokens))
+        return update_enhanced_query(tail, recent_tokens, provider, alpha)
+
+    monkeypatch.setattr(sched, "update_enhanced_query", recording)
+    trace = sched.simulate_generation(DOC, "summarize the a-passages", "apce", LoadModel(), TOY)
+    assert seen == [trace.tokens[:3], trace.tokens[2:6], trace.tokens[5:9]]
 
 
 def test_empty_instruction_rejected():
-    with pytest.raises(ValueError):
-        query_state("", HashingEmbedder(8))
-
-
-@pytest.mark.parametrize("field", ["instruction_tail_chars", "recent_token_window"])
-def test_zero_tail_or_window_rejected(field):
-    # tokens[-0:] would silently mean the whole query or every generated token
-    with pytest.raises(ValueError, match=field):
-        query_state("query text", HashingEmbedder(64), **{field: 0})
-
-
-# --- boundary schedule ---
-
-def test_reprioritization_due_examples():
-    assert reprioritization_due(50, 50)
-    assert not reprioritization_due(49, 50)
-    assert not reprioritization_due(0, 50)
-    with pytest.raises(ValueError):
-        reprioritization_due(10, 0)
-
-
-def test_interval_one_fires_every_step():
-    fired = sum(reprioritization_due(step, 1) for step in range(1, 199))
-    assert fired == 198
-
-
-def test_events_fired_equals_floor_tokens_over_interval():
-    for interval in (1, 5, 10, 25, 50, 100, 200):
-        tokens = 198
-        fired = sum(reprioritization_due(s, interval) for s in range(1, tokens + 1))
-        assert fired == tokens // interval
+    with pytest.raises(ValueError, match="holds no token or embeds to the zero vector"):
+        tail_of("", HashingEmbedder(8))
 
 
 # --- reprioritize ---
@@ -288,7 +266,8 @@ class FixedProvider:
     (0.0, None),  # the recent tokens alone count, and they embed to zero
 ])
 def test_zero_blend_falls_back_to_tail(alpha, recent):
-    state = query_state("find it", FixedProvider(recent), blend_alpha=alpha)
-    got = update_enhanced_query(state, [7, 7])
+    provider = FixedProvider(recent)
+    tail = tail_of("find it", provider)
+    got = update_enhanced_query(tail, [7, 7], provider, alpha)
     assert np.array_equal(got, np.eye(4)[0])
-    assert got is state.current
+    assert got is tail

@@ -6,15 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import apce.sched as sched
+from apce.cli import run_record
 from apce.config import RunConfig
 from apce.model import KVCache, _init_params
-from apce.reprior import reprioritization_due
-from apce.sched import (
-    LoadModel,
-    Session,
-    simulate_generation,
-    trace_events_json,
-)
+from apce.sched import LoadModel, Session, simulate_generation
+from apce.textpipe import Record
 
 TOY = RunConfig(
     chunk_size=10,
@@ -165,10 +161,13 @@ def test_counters_present_in_trace():
 
 
 def test_trace_exports():
-    load = LoadModel(per_chunk_load_latency=0.1, async_start_chunks=4)
-    trace = run("apce", load)
-    events = trace_events_json(trace)
+    """A report lists each trace event as {time, kind, data}, in trace order."""
+    config = dataclasses.replace(TOY, per_chunk_load_latency=0.1, async_start_chunks=4)
+    report = run_record(Record(id="r", text=DOC, query=QUERY, reference=None), config)
+    events = report["trace"]["events"]
     assert all(set(e) == {"time", "kind", "data"} for e in events)
+    trace = run("apce", config.load_model(), config)
+    assert events == [{"time": e.time, "kind": e.kind, "data": e.data} for e in trace.events]
 
 
 def test_file_embedding_provider(tmp_path):
@@ -207,7 +206,7 @@ def test_bad_mode_rejected():
 
 @pytest.mark.parametrize("setting", [
     {"recent_tokens": 0}, {"tail_chars": 0}, {"max_chunks": 0, "fraction": None}, {"fraction": 2.0},
-    {"embedding_provider": "bogus"}, {"max_new_tokens": 0},
+    {"embedding_provider": "bogus"}, {"max_new_tokens": 0}, {"interval": 0},
 ], ids=lambda setting: ",".join(f"{k}={v}" for k, v in setting.items()))
 def test_a_config_that_validate_refuses_does_not_run(setting):
     config = dataclasses.replace(TOY, **setting)
@@ -302,7 +301,7 @@ def run_session(load, config):
     for step in range(1, config.max_new_tokens + 1):
         if step > 1:
             session.step()
-        if config.reprioritization_enabled and reprioritization_due(step, config.interval):
+        if config.reprioritization_enabled and step % config.interval == 0:
             session.boundary()
     return session
 

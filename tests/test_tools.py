@@ -5,9 +5,14 @@ from pathlib import Path
 
 import pytest
 
-_spec = importlib.util.spec_from_file_location("pairs", Path(__file__).resolve().parents[1] / "tools" / "pairs.py")
-pairs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(pairs)
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, Path(__file__).resolve().parents[1] / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+pairs, trajectory = load_tool("pairs"), load_tool("trajectory")
 
 LOWER, HIGHER = 1, -1
 
@@ -117,3 +122,27 @@ def test_git_head_only_for_a_git_checkout(tmp_path):
     sha = subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo, check=True, capture_output=True, text=True)
     assert pairs.git_head(repo) == sha.stdout.strip()
     assert len(pairs.git_head(repo)) == 40
+
+
+def bench_file(directory, pr, workload, ratios):
+    """A BENCH_<pr>_<workload>.json holding only what the trajectory reads."""
+    metrics = {name: {"ratio": None if r is None else {"q1": r, "median": r, "q3": r}} for name, r in ratios.items()}
+    (directory / f"BENCH_{pr}_{workload}.json").write_text(json.dumps({"workload": workload, "metrics": metrics}))
+
+
+def test_trajectory_chains_median_ratios_in_pr_order(tmp_path, capsys):
+    bench_file(tmp_path, 18, "w", {"session_s": 1.5, "ok_frac": None})
+    bench_file(tmp_path, 7, "w", {"session_s": 0.5, "ok_frac": 1.0})  # 7 before 18, not as text
+    (tmp_path / "BENCHMARK.json").write_text("{}")
+    found = trajectory.load(tmp_path)
+    assert list(found) == ["w"] and [pr for pr, _ in found["w"]] == [7, 18]
+    assert trajectory.trajectory(found["w"]) == {
+        "session_s": [(7, 0.5, 0.5), (18, 1.5, 0.75)],
+        "ok_frac": [(7, 1.0, 1.0), (18, None, 1.0)],  # no ratio: the product stands
+    }
+    assert trajectory.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "w",
+        "  session_s    PR 7 0.5 -> 0.5  PR 18 1.5 -> 0.75",
+        "  ok_frac      PR 7 1 -> 1  PR 18 n/a -> 1",
+    ]
