@@ -12,7 +12,8 @@ arguments (an output path of the wrong kind among them), 3 missing input
 directory), 4 internal error (a broken invariant of the engine, or any
 other unexpected exception; APCE_LOG=DEBUG logs its traceback). Set
 APCE_LOG to control log verbosity. Each flag of ``run`` and ``sweep`` sets
-the config key that ``--help`` shows for it.
+the config key that ``--help`` shows for it. ``main`` first sets numpy's
+OpenBLAS to one thread unless the environment sets a thread count.
 Reports are schema-versioned JSON; everything in them except the
 "timestamps" field is a pure function of (config, corpus, seed).
 """
@@ -20,6 +21,7 @@ Reports are schema-versioned JSON; everything in them except the
 from __future__ import annotations
 
 import argparse
+import ctypes
 import csv
 import json
 import logging
@@ -28,6 +30,8 @@ import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy
 
 from . import memmodel
 from .config import RunConfig, apply_overrides, load_config_file, with_one_selection_rule
@@ -385,9 +389,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _pin_blas_threads() -> None:
+    """Run numpy's bundled OpenBLAS on one thread, as the model's threaded
+    passes assume, unless the environment sets a thread count. Skipped,
+    and logged at DEBUG, where that library or its call is missing."""
+    if any(var in os.environ for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+        return
+    try:
+        lib = sorted((Path(numpy.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"))[0]
+        set_threads = ctypes.CDLL(str(lib)).scipy_openblas_set_num_threads64_
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
+    except (IndexError, OSError, AttributeError) as exc:
+        log.debug("BLAS threads left as they are: %r", exc)
+
+
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=os.environ.get("APCE_LOG", "WARNING").upper(),
                         format="%(levelname)s %(name)s: %(message)s")
+    _pin_blas_threads()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

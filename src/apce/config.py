@@ -11,6 +11,7 @@ flags override file values, which override defaults.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable
@@ -28,9 +29,9 @@ class LoadModel:
     compute_seconds_per_element: float = 0.0
 
     def __post_init__(self) -> None:
-        for latency in (self.per_chunk_load_latency, self.decode_latency, self.compute_seconds_per_element):
-            if not 0.0 <= latency < math.inf:
-                raise ValueError("latencies must be finite and >= 0")
+        for name in ("per_chunk_load_latency", "decode_latency", "compute_seconds_per_element"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"latencies must be finite and >= 0, {name} is {getattr(self, name)}")
         if self.async_start_chunks < 1:
             raise ValueError("async_start_chunks must be >= 1")
 
@@ -81,29 +82,37 @@ class RunConfig:
     def validate(self) -> None:
         if self.mode not in ("dense", "apce"):
             raise ValueError(f"mode must be 'dense' or 'apce', got {self.mode!r}")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ValueError("seed must be >= 0")
         if self.max_chunks is not None and self.fraction is not None:
-            raise ValueError("set at most one of max_chunks and fraction")
+            raise ValueError("set at most one of select.max_chunks and select.fraction")
         if self.max_chunks is not None and self.max_chunks < 1:
-            raise ValueError("max_chunks must be >= 1")
+            raise ValueError("select.max_chunks must be >= 1")
         if self.fraction is not None and not 0.0 < self.fraction <= 1.0:
-            raise ValueError("fraction must lie in (0, 1]")
+            raise ValueError("select.fraction must lie in (0, 1]")
         if self.chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
+            raise ValueError("chunk.size must be >= 1")
         if self.interval < 1:
-            raise ValueError("interval must be >= 1")
+            raise ValueError("reprioritization.interval must be >= 1")
         if self.max_new_tokens < 1:
-            raise ValueError("max_new_tokens must be >= 1")
+            raise ValueError("generation.max_new_tokens must be >= 1")
         # tokens[-0:] is every token, so a window below 1 would silently mean "all"
         if self.tail_chars < 1 or self.recent_tokens < 1:
             raise ValueError("query.tail_chars and query.recent_tokens must be >= 1")
         if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
+            raise ValueError("query.alpha must lie in [0, 1]")
+        if self.embedding_dim < 1:
+            raise ValueError("embedding.dim must be >= 1")
         if self.embedding_provider not in ("hash", "file"):
             raise ValueError("embedding.provider must be 'hash' or 'file'")
         if self.embedding_provider == "file" and not self.embedding_file:
             raise ValueError("embedding.provider 'file' needs embedding.file")
-        self.model_config()  # dimension checks
-        self.load_model()  # latency and async_start_chunks checks
+        for cls in (ModelConfig, LoadModel):  # dimension, latency and async_start_chunks checks
+            try:
+                self._copy_into(cls)
+            except ValueError as exc:  # its message names fields: name their keys instead
+                keys = {f.name: _KEY_OF[_RENAMED.get(f.name, f.name)] for f in fields(cls)}
+                raise ValueError(re.sub(r"\w+", lambda word: keys.get(word[0], word[0]), str(exc))) from exc
 
     def effective_k(self, n_chunks: int) -> int:
         """Buffer capacity for a document with n_chunks chunks.
@@ -160,6 +169,7 @@ _PARSERS: dict[str, Callable[[str], Any]] = {
 KEY_SPECS: dict[str, tuple[str, Callable[[str], Any]]] = {
     f.metadata["key"]: (f.name, _PARSERS[f.type]) for f in fields(RunConfig)
 }
+_KEY_OF = {attr: key for key, (attr, _) in KEY_SPECS.items()}
 
 
 def with_one_selection_rule(raw: dict[str, str]) -> dict[str, str]:

@@ -1,8 +1,9 @@
 """A small deterministic decoder-only transformer with a chunk-keyed KV cache.
 
 The network is conventional (pre-norm blocks, rotary attention with grouped
-KV heads, SiLU MLP, greedy decoding) but these implementation choices are
-load-bearing for the rest of the engine:
+KV heads, SiLU MLP, greedy decoding; the RMS norms have no gains, which
+would all be one) but these implementation choices are load-bearing for the
+rest of the engine:
 
 - Positions are document-absolute. A chunk keeps its original token offsets
   even when it is loaded out of order, and generated tokens sit after the
@@ -17,42 +18,46 @@ load-bearing for the rest of the engine:
   defines an element) are read off the query rows and the width of the
   views attended in each layer that writes K/V, so a prefill measures
   exactly (resident tokens)^2, like a conventional full-matrix
-  implementation, and operand shapes stay identical between an
-  initial prefill and a later rebuild of the same resident set. With
-  identical shapes and identical unmasked inputs, float32 results are
-  reproduced bit for bit, which is what the rebuild-equals-fresh-prefill
-  checks rely on.
+  implementation, and operand shapes stay identical between an initial
+  prefill and a later rebuild of the same resident set. With identical
+  shapes and identical unmasked inputs, float32 results are reproduced bit
+  for bit, which is what the rebuild-equals-fresh-prefill checks rely on.
 
-- Document order makes a chunk block's mask positional: the keys before
-  its slot are all past, those inside it form a strictly upper triangle
-  (the block's own tokens x tokens mask), and all keys after it are
-  future. The softmax therefore scales, masks, exponentiates and divides
-  only the live prefix (a strided view, run with a small ufunc buffer; see
-  ``_LIVE_BUFSIZE``) and writes the exact 0.0 into the future tail. The
-  q·kᵀ product, the row sums and the product with V stay full width,
-  because narrowing them can change the BLAS path or the summation order
-  and with it the last bits; so the counters, which count that full-width
-  work, are unchanged, and the results equal a full-mask kernel's.
+- Prefill, rebuild and decode share one forward path over blocks: a block
+  is a chunk, or a decode step's one token at the slot after the generated
+  ones. Document order makes a block's mask positional: the keys before its
+  slot are past, those inside it form a strictly upper triangle (empty for
+  one token), and those after it are future. The softmax therefore scales,
+  masks, exponentiates and divides only the live prefix (a strided view,
+  run with a small ufunc buffer; see ``_LIVE_BUFSIZE``) and writes the exact
+  0.0 into the future tail. The q·kᵀ product, the row sums and the product
+  with V stay full width, because narrowing them can change the BLAS path
+  or the summation order and with it the last bits; so the counters, which
+  count that full-width work, are unchanged, and the results equal a
+  full-mask kernel's. Each op of the one kernel covers every head at once
+  when the workspace holds all their scores (a decode step's does), else
+  one head: numpy's batched matmul makes the same product per head, so
+  both give a per-head loop's bits.
 
-- Prefill and rebuild share one forward path. Both reserve their chunks'
-  slots, settle the arena, and run the chunks layer-major: a first stage
-  writes every block's layer-0 K/V, and stage l runs each block's attention
-  over layer l and its MLP, then writes its layer l+1 K/V. The last layer
-  writes no K/V, so only the block that seeds generation runs it: a rebuild
-  stops every block once its last-layer K/V are written, and a prefill then
-  runs its last block, whole, through the last layer, whose final row gives
-  the logits that seed greedy decoding. A stage's blocks depend only on K/V
-  that the stage before finished, so they run on up to one thread per core
-  (the calling thread and helpers started for the pass, each taking the
-  next block), which meet once per stage. Each block makes the same calls
-  on the same shapes as in a serial loop that runs one block at a time
-  through the same layers, so results are that loop's bit for bit; the keys
-  after a block may hold final K/V where that loop sees placeholders, but
-  they are finite and masked. Each thread keeps one workspace for a block's
-  scores and MLP intermediates: (largest block's tokens) x max(resident
-  tokens, 2 x d_ff) float32 elements. A pass of one block, or whose scores
-  for one layer and head (pass tokens x resident tokens) stay under
-  ``_PARALLEL_MIN_SCORES``, runs on the calling thread, as decode steps do.
+- A pass runs its blocks layer-major: a first stage writes every block's
+  layer-0 K/V, and stage l runs each block's attention over layer l and its
+  MLP, then writes its layer l+1 K/V from normed states that stage l+1's
+  queries reuse. The last layer writes no K/V, so only the block that seeds
+  the next token runs it: a rebuild stops every block once its last-layer
+  K/V are written, and a prefill or a decode step then runs its last
+  block, whole, through the last layer, whose final row gives the logits.
+  A stage's blocks depend only on K/V that the stage before finished, so
+  they run on up to one thread per core (the calling thread and helpers
+  started for the pass, each taking the next block), which meet once per
+  stage. Each block makes the same calls on the same shapes as in a serial
+  loop that runs one block at a time through the same layers, so results
+  are that loop's bit for bit; the keys after a block may hold final K/V
+  where that loop sees placeholders, but they are finite and masked. Each
+  thread keeps one workspace for a block's scores and MLP intermediates:
+  (largest block's tokens) x max(width, 2 x d_ff) float32 elements, and at
+  least every head's scores of one token. A pass of one block, such as a
+  decode step, or whose scores for one layer and head (pass tokens x
+  width) stay under ``_PARALLEL_MIN_SCORES``, runs on the calling thread.
   A pass joins its helpers before it returns, so none outlives it. The
   speedup assumes a single-threaded BLAS.
 
@@ -131,6 +136,8 @@ class ModelConfig:
             raise ValueError("rope_theta must be positive and finite")
         if self.d_model != self.n_heads * self.d_head:
             raise ValueError("d_model must equal n_heads * d_head")
+        if self.d_head % 2:
+            raise ValueError("d_head must be even: rotary embedding turns pairs of dimensions")
         if self.d_kv_total % self.d_head != 0:
             raise ValueError("d_kv_total must be a multiple of d_head")
         if self.n_heads % self.n_kv_heads != 0:
@@ -288,14 +295,19 @@ class StepOutput(NamedTuple):
 
 @dataclass
 class _Block:
-    """A chunk block in a pass, and the hidden states its stages hand on."""
+    """A chunk, or a decode step's one token, run through a pass's stages, and the states they hand on."""
 
-    chunk: Chunk
-    slot: int
+    token_ids: np.ndarray  # int64
+    slot: int  # the arena slot of the first token
+    width: int  # the arena prefix attended
     triangle: np.ndarray  # the future keys within the block
     cos: np.ndarray
     sin: np.ndarray
     hidden: np.ndarray | None = None
+    normed: np.ndarray | None = None  # hidden's norm: the next layer's input
+
+
+_ONE_TOKEN = np.zeros((1, 1), dtype=bool)  # a decode step's triangle: no future key
 
 
 class DecoderModel:
@@ -338,20 +350,15 @@ class DecoderModel:
         for c in ordered:
             cache.reserve(c)
         cache.settle()
-        elements, hidden = self._forward_blocks(cache, ordered, finish_last=True)
-        last_logits = _rms_norm(hidden[-1:], self.params["final_norm"])[0] @ self.params["head"]
+        elements, hidden = self._forward_blocks(cache, self._chunk_blocks(cache, ordered), finish_last=True)
+        last_logits = _rms_norm(hidden[-1:])[0] @ self.params["head"]
         cache.counters["prefill_elements"] += elements
         return PrefillResult(last_logits, elements)
 
     def decode_step(self, cache: KVCache, last_token: int, position: int) -> StepOutput:
-        """One greedy decode step at a document-absolute position.
-
-        Attends over every resident chunk block plus all generated-token K/V
-        (including this token's own, written first). No mask is needed:
-        everything resident lies at or before the query position.
-        """
-        cfg = self.config
-        if position >= cfg.max_position:
+        """One greedy decode step at a document-absolute position: a one-token
+        block that attends every resident chunk block and generated token."""
+        if position >= self.config.max_position:
             raise ValueError("position overflow")
         if cache.resident_tokens == 0 and cache.gen_len == 0:
             raise ValueError("decode_step needs a non-empty cache")
@@ -362,25 +369,13 @@ class DecoderModel:
         if width > cache.capacity:
             raise RuntimeError(f"decode step needs {width} arena slots, the cache has {cache.capacity}")
         cache.settle()
-        cos, sin = self._rope_tables(np.asarray([position], dtype=np.int64))
-        hidden = self.params["embedding"][np.asarray([last_token], dtype=np.int64)].copy()
-        work = np.empty(2 * cfg.d_ff, dtype=np.float32)
-        for layer in range(cfg.n_layers):
-            x = _rms_norm(hidden, self.params[f"layers.{layer}.attn_norm"])
-            q = self._project(x, layer, "wq", cos, sin)
-            keys, values = cache.keys[layer], cache.values[layer]
-            keys[:, width - 1:width] = self._project(x, layer, "wk", cos, sin)
-            values[:, width - 1:width] = self._project(x, layer, "wv")
-            k_all = keys[:, :width]
-            attn = self._attend_step(q, k_all, values[:, :width])
-            hidden = hidden + attn @ self.params[f"layers.{layer}.wo"]
-            hidden = hidden + self._mlp(hidden, layer, work)
+        block = _Block(np.asarray([last_token], dtype=np.int64), width - 1, width, _ONE_TOKEN,
+                       *self._rope_tables(np.asarray([position], dtype=np.int64)))
+        elements, hidden = self._forward_blocks(cache, [block], finish_last=True)
         cache.gen_positions.append(position)
 
-        final = _rms_norm(hidden, self.params["final_norm"])
-        logits = (final @ self.params["head"])[0]
+        logits = (_rms_norm(hidden) @ self.params["head"])[0]
         token = int(np.argmax(logits))
-        elements = k_all.shape[1]
         cache.counters["decode_elements"] += elements
         return StepOutput(logits, token, elements)
 
@@ -398,41 +393,50 @@ class DecoderModel:
             if not cache.has(c.chunk_index):
                 cache.reserve(c)
         cache.settle()
-        elements, _ = self._forward_blocks(cache, ordered, finish_last=False)
+        elements, _ = self._forward_blocks(cache, self._chunk_blocks(cache, ordered), finish_last=False)
         cache.counters["rebuild_elements"] += elements
         return elements
 
     # --- internals ---
 
-    def _forward_blocks(self, cache: KVCache, ordered: Sequence[Chunk], finish_last: bool
-                        ) -> tuple[int, np.ndarray | None]:
-        """Run settled resident chunks, in document order, through the stages
-        that write K/V (see the module docstring). With ``finish_last``, the
-        last block alone then runs the last layer, on this thread. Returns the
-        score elements computed per layer and head (pass tokens x resident
-        tokens), and the last block's final-layer hidden states (before the
-        final norm) if it was finished, else None."""
-        width = cache.chunk_tokens
-        scores = sum(c.size for c in ordered) * width  # per layer and head
-        threads = min(_cores(), len(ordered)) if scores >= _PARALLEL_MIN_SCORES else 1
-        # One workspace per thread for all its blocks, all made here: a helper's
-        # own buffers land in (and grow) its malloc arena, and buffers made
-        # per block had malloc hand memory back and fault it in again.
-        size = max(c.size for c in ordered) * max(width, 2 * self.config.d_ff)
-        workspaces = [np.empty(size, dtype=np.float32) for _ in range(threads)]
+    def _chunk_blocks(self, cache: KVCache, ordered: Sequence[Chunk]) -> list[_Block]:
+        """The blocks of settled resident chunks in document order, over the chunk prefix."""
         triangles: dict[int, np.ndarray] = {}  # chunk positions are contiguous
         blocks = []
         for c in ordered:
             if c.size not in triangles:
                 triangles[c.size] = np.triu(np.ones((c.size, c.size), dtype=bool), 1)
             pos = np.arange(c.doc_token_offset, c.doc_token_offset + c.size, dtype=np.int64)
-            blocks.append(_Block(c, cache.slot(c.chunk_index), triangles[c.size], *self._rope_tables(pos)))
-        last_layer = self.config.n_layers - 1
-        # A helper thread starts at its first task, so a one-thread pass starts
-        # none; leaving the block joins those started.
-        with futures.ThreadPoolExecutor(max(threads - 1, 1), thread_name_prefix="apce-attend") as pool:
+            blocks.append(_Block(np.asarray(c.token_ids, dtype=np.int64), cache.slot(c.chunk_index),
+                                 cache.chunk_tokens, triangles[c.size], *self._rope_tables(pos)))
+        return blocks
+
+    def _forward_blocks(self, cache: KVCache, blocks: Sequence[_Block], finish_last: bool
+                        ) -> tuple[int, np.ndarray | None]:
+        """Run blocks of one width, in slot order, through the stages that
+        write K/V (see the module docstring); with ``finish_last`` the last
+        block alone then runs the last layer, on this thread. Returns the
+        score elements per layer and head (block tokens x width, summed) and
+        that last block's final hidden states (before the final norm), or None."""
+        cfg = self.config
+        width = blocks[0].width
+        tokens = [len(b.token_ids) for b in blocks]
+        scores = sum(tokens) * width  # per layer and head
+        threads = min(_cores(), len(blocks)) if scores >= _PARALLEL_MIN_SCORES else 1
+        # One workspace per thread for all its blocks, all made here: a helper's
+        # own buffers land in (and grow) its malloc arena, and buffers made
+        # per block had malloc hand memory back and fault it in again.
+        size = max(max(tokens) * max(width, 2 * cfg.d_ff), cfg.n_heads * width)
+        workspaces = [np.empty(size, dtype=np.float32) for _ in range(threads)]
+        last_layer = cfg.n_layers - 1
+        if threads == 1:  # a decode step among them: a pool's hand-offs cost a step about 4%
             for layer in range(-1, last_layer):
-                _run_stage(functools.partial(self._block_stage, cache, layer), blocks, workspaces, pool)
+                for block in blocks:
+                    self._block_stage(cache, layer, block, workspaces[0])
+        else:  # leaving the block joins the helpers
+            with futures.ThreadPoolExecutor(threads - 1, thread_name_prefix="apce-attend") as pool:
+                for layer in range(-1, last_layer):
+                    _run_stage(functools.partial(self._block_stage, cache, layer), blocks, workspaces, pool)
         if not finish_last:
             return scores, None
         # The whole block, not its last row: a one-row product takes another
@@ -442,23 +446,21 @@ class DecoderModel:
 
     def _block_stage(self, cache: KVCache, layer: int, block: _Block, work: np.ndarray) -> None:
         """A block's attention over ``layer`` and its MLP (stage -1 embeds its
-        tokens instead), then the writing of its ``layer + 1`` K/V."""
+        tokens instead), then the writing of its ``layer + 1`` K/V from the
+        normed hidden states, which the next stage's queries reuse."""
         if layer < 0:
-            hidden = self.params["embedding"][np.asarray(block.chunk.token_ids, dtype=np.int64)]
+            block.hidden = self.params["embedding"][block.token_ids]
         else:
-            width = cache.chunk_tokens
-            x = _rms_norm(block.hidden, self.params[f"layers.{layer}.attn_norm"])
-            q = self._project(x, layer, "wq", block.cos, block.sin)
-            attn = self._attend_block(q, cache.keys[layer][:, :width], cache.values[layer][:, :width],
-                                      block.slot, block.triangle, work)
+            q = self._project(block.normed, layer, "wq", block.cos, block.sin)
+            keys, values = cache.keys[layer][:, :block.width], cache.values[layer][:, :block.width]
+            attn = self._attend_block(q, keys, values, block.slot, block.triangle, work)
             hidden = block.hidden + attn @ self.params[f"layers.{layer}.wo"]
-            hidden = hidden + self._mlp(hidden, layer, work)
+            block.hidden = hidden + self._mlp(hidden, layer, work)
         if layer + 1 < self.config.n_layers:
-            x = _rms_norm(hidden, self.params[f"layers.{layer + 1}.attn_norm"])
-            span = slice(block.slot, block.slot + block.chunk.size)
-            cache.keys[layer + 1][:, span] = self._project(x, layer + 1, "wk", block.cos, block.sin)
-            cache.values[layer + 1][:, span] = self._project(x, layer + 1, "wv")
-        block.hidden = hidden
+            block.normed = _rms_norm(block.hidden)
+            span = slice(block.slot, block.slot + len(block.token_ids))
+            cache.keys[layer + 1][:, span] = self._project(block.normed, layer + 1, "wk", block.cos, block.sin)
+            cache.values[layer + 1][:, span] = self._project(block.normed, layer + 1, "wv")
 
     def _project(self, x: np.ndarray, layer: int, name: str, cos: np.ndarray | None = None,
                  sin: np.ndarray | None = None) -> np.ndarray:
@@ -468,71 +470,52 @@ class DecoderModel:
         out = _split_heads(x @ weight, weight.shape[1] // self.config.d_head, self.config.d_head)
         return out if cos is None else _apply_rope(out, cos, sin)
 
-    def _attend_step(self, q: np.ndarray, k_all: np.ndarray, v_all: np.ndarray) -> np.ndarray:
-        """Decode attention: q (H, 1, dh) over every key of k_all/v_all (Hk, tk, dh).
-
-        Each op runs once over all heads. numpy's batched matmul still makes
-        one single-row product per head, so the bits are those of a per-head
-        loop. The work per head (about 20 µs) is too small to hand to
-        another thread.
-        """
-        cfg = self.config
-        hk, dh = cfg.n_kv_heads, cfg.d_head
-        scores = np.matmul(q.reshape(hk, cfg.n_heads // hk, 1, dh), k_all.transpose(0, 2, 1)[:, None])
-        scores *= self._inv_sqrt_dh
-        scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
-        np.exp(scores, out=scores)
-        scores /= np.add.reduce(scores, axis=-1, keepdims=True)
-        return np.matmul(scores, v_all[:, None]).reshape(1, cfg.n_heads * dh)
-
     def _attend_block(self, q: np.ndarray, k_all: np.ndarray, v_all: np.ndarray, slot: int,
                       triangle: np.ndarray, work: np.ndarray) -> np.ndarray:
-        """Chunk-block attention: q (H, tq, dh); k_all/v_all (Hk, tk, dh).
-
-        The block's queries sit at arena slots [slot, slot + tq) of a
-        document-ordered arena, so keys before ``slot`` are all past,
-        ``triangle`` (tq, tq) marks the future keys within the block, and
-        every key from slot + tq on is future. Each head's scores go in turn
-        into the first tq x tk elements of ``work`` (flat float32).
-
-        Scaling, masking and the softmax's max, exp and divide run on the
-        live prefix [0, slot + tq) only; the future tail is set to the 0.0
-        that exp(-inf - max) would give. The q·kᵀ product, the row sums and
-        the product with V stay full width: a narrower matmul can take
-        another BLAS path and a shorter sum another pairwise order, so
-        either would change the last bits. The result is therefore the
-        full-mask softmax bit for bit, whatever finite K/V the future keys
-        hold, and the score work done per block is still tq x tk.
+        """Block attention (see the module docstring): q (H, tq, dh) at arena
+        slots [slot, slot + tq), over k_all/v_all (Hk, width, dh). ``triangle``
+        (tq, tq) marks the future keys within the block, and the keys from
+        slot + tq on are all future. Scores go into ``work`` (flat float32):
+        every head's at once if it holds them all, else one head's at a time.
         """
         cfg = self.config
-        group = cfg.n_heads // cfg.n_kv_heads
+        hk, dh, group = cfg.n_kv_heads, cfg.d_head, cfg.n_heads // cfg.n_kv_heads
         tq, width = q.shape[1], k_all.shape[1]
-        out = np.empty((tq, cfg.n_heads * cfg.d_head), dtype=np.float32)
-        scores = work[:tq * width].reshape(tq, width)
-        live = scores[:, :slot + tq]
-        diagonal, tail = scores[:, slot:slot + tq], scores[:, slot + tq:]
-        bufsize = np.setbufsize(_LIVE_BUFSIZE)  # this thread's; returns the old size
+        out = np.empty((cfg.n_heads, tq, dh), dtype=np.float32)
+        if work.size >= cfg.n_heads * tq * width:
+            scores = work[:cfg.n_heads * tq * width].reshape(hk, group, tq, width)
+            products = [(q.reshape(hk, group, tq, dh), k_all.transpose(0, 2, 1)[:, None], v_all[:, None],
+                         out.reshape(hk, group, tq, dh))]
+        else:
+            scores = work[:tq * width].reshape(tq, width)
+            products = [(q[h], k_all[h // group].T, v_all[h // group], out[h]) for h in range(cfg.n_heads)]
+        live = scores[..., :slot + tq]
+        diagonal, tail = scores[..., slot:slot + tq], scores[..., slot + tq:]
+        # this thread's; a one-token block's views are whole rows, which run faster
+        # without it, and it has no future key within itself
+        bufsize = np.setbufsize(_LIVE_BUFSIZE) if tq > 1 else None
         try:
-            for h in range(cfg.n_heads):
-                kv = h // group
-                np.matmul(q[h], k_all[kv].T, out=scores)
+            for q_h, k_t, v, attended in products:
+                np.matmul(q_h, k_t, out=scores)
                 live *= self._inv_sqrt_dh
-                np.copyto(diagonal, _NEG_INF, where=triangle)
+                if tq > 1:
+                    np.copyto(diagonal, _NEG_INF, where=triangle)
                 tail[...] = 0.0
-                live -= np.maximum.reduce(live, axis=1, keepdims=True)
+                live -= np.maximum.reduce(live, axis=-1, keepdims=True)
                 np.exp(live, out=live)
-                live /= np.add.reduce(scores, axis=1, keepdims=True)
-                out[:, h * cfg.d_head:(h + 1) * cfg.d_head] = scores @ v_all[kv]
+                live /= np.add.reduce(scores, axis=-1, keepdims=True)
+                np.matmul(scores, v, out=attended)
         finally:
-            np.setbufsize(bufsize)
-        return out
+            if bufsize is not None:
+                np.setbufsize(bufsize)
+        return out.transpose(1, 0, 2).reshape(tq, cfg.n_heads * dh)
 
     def _mlp(self, hidden: np.ndarray, layer: int, work: np.ndarray) -> np.ndarray:
         """SiLU MLP. Its two (rows, d_ff) intermediates are written into
         ``work``, a flat float32 array of at least 2 x rows x d_ff elements."""
         d_ff = self.config.d_ff
         size = hidden.shape[0] * d_ff
-        x = _rms_norm(hidden, self.params[f"layers.{layer}.mlp_norm"])
+        x = _rms_norm(hidden)
         inner = np.matmul(x, self.params[f"layers.{layer}.w1"], out=work[:size].reshape(-1, d_ff))
         gate = np.negative(inner, out=work[size:2 * size].reshape(-1, d_ff))
         np.exp(gate, out=gate)
@@ -589,26 +572,24 @@ def _init_params(cfg: ModelConfig) -> Mapping[str, np.ndarray]:
 
     params: dict[str, np.ndarray] = {"embedding": draw(cfg.vocab_size, cfg.d_model)}
     for layer in range(cfg.n_layers):
-        params[f"layers.{layer}.attn_norm"] = np.ones(cfg.d_model, dtype=np.float32)
         params[f"layers.{layer}.wq"] = draw(cfg.d_model, cfg.n_heads * cfg.d_head)
         params[f"layers.{layer}.wk"] = draw(cfg.d_model, cfg.d_kv_total)
         params[f"layers.{layer}.wv"] = draw(cfg.d_model, cfg.d_kv_total)
         params[f"layers.{layer}.wo"] = draw(cfg.n_heads * cfg.d_head, cfg.d_model)
-        params[f"layers.{layer}.mlp_norm"] = np.ones(cfg.d_model, dtype=np.float32)
         params[f"layers.{layer}.w1"] = draw(cfg.d_model, cfg.d_ff)
         params[f"layers.{layer}.w2"] = draw(cfg.d_ff, cfg.d_model)
-    params["final_norm"] = np.ones(cfg.d_model, dtype=np.float32)
     params["head"] = draw(cfg.d_model, cfg.vocab_size)
     for arr in params.values():
         arr.setflags(write=False)
     return MappingProxyType(params)
 
 
-def _rms_norm(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
+def _rms_norm(x: np.ndarray) -> np.ndarray:
+    """RMS norm without a gain: the gains would all be one, and x * 1.0 == x."""
     # np.mean's own float32 arithmetic, without its Python-level wrappers
     ms = np.add.reduce(np.square(x), axis=-1, keepdims=True)
     np.true_divide(ms, np.intp(x.shape[-1]), out=ms, casting="unsafe")
-    return x / np.sqrt(ms + _NORM_EPS) * weight
+    return x / np.sqrt(ms + _NORM_EPS)
 
 
 def _split_heads(x: np.ndarray, n_heads: int, d_head: int) -> np.ndarray:

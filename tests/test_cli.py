@@ -1,16 +1,24 @@
+import contextlib
 import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import apce.cli
 from apce.cli import main
+from apce.config import KEY_SPECS
+from apce.embed import HashingEmbedder
 from apce.model import DecoderModel
 from apce.textpipe import tokenize
 
@@ -253,6 +261,13 @@ def test_bad_config_exit_code(corpus, tmp_path, capsys):
             ("load.decode_latency = inf", latencies), ("load.per_chunk_latency = nan", latencies),
             ("model.rope_theta = 0", "rope_theta"), ("model.rope_theta = -5", "rope_theta"),
             ("model.rope_theta = inf", "rope_theta"),
+            # each refusal names the key, a model or load setting's too
+            ("seed = -1", "seed must be >= 0"), ("embedding.dim = 0", "embedding.dim must be >= 1"),
+            ("chunk.size = 0", "chunk.size must be >= 1"), ("model.n_layers = 0", "model.n_layers must be positive"),
+            ("load.decode_latency = inf", "load.decode_latency is inf"),
+            ("load.async_start_chunks = 0", "load.async_start_chunks must be >= 1"),
+            ("model.n_heads = 1\nmodel.d_model = 3\nmodel.d_head = 3\nmodel.d_kv_total = 3",
+             "model.d_head must be even"),
             ("chunk.size = 10\nchunk.size = 20", "line 2: key 'chunk.size' repeats line 1")):
         bad.write_text(line + "\n")
         assert run_cli("run", "--input", str(corpus_path), "--config", str(bad),
@@ -547,3 +562,154 @@ def test_a_closed_standard_output_exits_0_quietly(unbuffered):
     finally:
         os.close(write)
     assert (result.returncode, result.stderr) == (0, "")
+
+
+BLAS_THREADS = """
+import ctypes, sys
+from pathlib import Path
+import numpy
+from apce.cli import main
+
+libs = sorted((Path(numpy.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"))
+threads = getattr(ctypes.CDLL(str(libs[0])), "scipy_openblas_get_num_threads64_", None) if libs else None
+if threads is None:
+    print("missing")
+    sys.exit(0)
+threads.argtypes, threads.restype = [], ctypes.c_int
+before = threads()
+code = main(sys.argv[1:])
+print(before, threads(), code)
+"""
+
+
+@pytest.mark.parametrize("count", [None, "2"], ids=["unset", "OPENBLAS_NUM_THREADS=2"])
+def test_apce_runs_blas_on_one_thread_unless_the_environment_sets_a_count(corpus, tmp_path, count):
+    """After ``apce run``, numpy's OpenBLAS reports one thread; a count the
+    environment sets is kept."""
+    corpus_path, conf = corpus
+    env = {key: value for key, value in package_env().items()
+           if key not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    if count:
+        env["OPENBLAS_NUM_THREADS"] = count
+    result = subprocess.run([sys.executable, "-c", BLAS_THREADS, "run", "--input", str(corpus_path),
+                             "--config", str(conf), "--max-new-tokens", "2", "--out-dir", str(tmp_path / "out")],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    last = result.stdout.splitlines()[-1]
+    if last == "missing":
+        pytest.skip("numpy's OpenBLAS or its thread call is missing")
+    before, after, code = (int(x) for x in last.split())
+    assert code == 0
+    if count:
+        assert after == before  # the environment's count, capped by OpenBLAS at the cores it sees
+        if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2:
+            assert after == 2
+    else:
+        assert after == 1
+
+
+def config_value(value):
+    """``value`` as config-file text."""
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return str(value).lower()
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@st.composite
+def cli_inputs(draw):
+    """Random Unicode records, and a config file that sets every key of
+    ``KEY_SPECS`` inside ``validate``'s domain (a tiny model, at most 4 new
+    tokens), or one key just outside it. Returns (records, config lines,
+    the key outside its domain or None)."""
+    kv_heads, group, d_head = draw(st.integers(1, 2)), draw(st.integers(1, 2)), 2 * draw(st.integers(1, 4))
+    rule = draw(st.sampled_from(["max_chunks", "fraction", "neither"]))
+    finite = dict(allow_nan=False, allow_infinity=False)
+    inside = {
+        "mode": st.sampled_from(["dense", "apce"]), "seed": st.integers(0, 2 ** 64),
+        "chunk.size": st.integers(1, 12),
+        "select.max_chunks": st.integers(1, 8) if rule == "max_chunks" else st.none(),
+        "select.fraction": st.floats(0, 1, exclude_min=True) if rule == "fraction" else st.none(),
+        "reprioritization.enabled": st.booleans(), "reprioritization.interval": st.integers(1, 4),
+        "reprioritization.recompute": st.booleans(),
+        "query.tail_chars": st.integers(1, 120), "query.recent_tokens": st.integers(1, 60),
+        "query.alpha": st.floats(0, 1), "embedding.dim": st.integers(1, 64),
+        "embedding.provider": st.just("hash"), "embedding.file": st.none() | st.just("unread.jsonl"),
+        "tokenizer.vocab_size": st.integers(1, 512), "generation.max_new_tokens": st.integers(1, 4),
+        # latencies up to a million seconds: larger ones may overflow the virtual clock, which exits 2
+        "load.per_chunk_latency": st.floats(0, 1e6), "load.async_start_chunks": st.integers(1, 8),
+        "load.decode_latency": st.floats(0, 1e6), "load.compute_seconds_per_element": st.floats(0, 1e3),
+        "model.n_layers": st.integers(1, 2), "model.n_heads": st.just(kv_heads * group),
+        "model.d_model": st.just(kv_heads * group * d_head), "model.d_head": st.just(d_head),
+        "model.d_kv_total": st.just(kv_heads * d_head),
+        "model.rope_theta": st.floats(0, exclude_min=True, **finite),
+        "model.max_position": st.integers(512, 65536),  # above any document drawn below
+    }
+    assert inside.keys() == KEY_SPECS.keys()
+    values = {key: config_value(draw(inside[key])) for key in KEY_SPECS}
+    below_zero, above_one = repr(math.nextafter(0.0, -1.0)), repr(math.nextafter(1.0, 2.0))
+    outside = {
+        "mode": "sparse", "seed": "-1", "chunk.size": "0", "select.max_chunks": "0",
+        "select.fraction": st.sampled_from(["0.0", above_one]), "reprioritization.enabled": "maybe",
+        "reprioritization.interval": "0", "reprioritization.recompute": "maybe",
+        "query.tail_chars": "0", "query.recent_tokens": "0", "query.alpha": st.sampled_from([below_zero, above_one]),
+        "embedding.dim": "0", "embedding.provider": "bert", "embedding.file": "none",
+        "tokenizer.vocab_size": "0", "generation.max_new_tokens": "0",
+        "load.per_chunk_latency": st.sampled_from([below_zero, "inf", "nan"]), "load.async_start_chunks": "0",
+        "load.decode_latency": st.sampled_from([below_zero, "inf", "nan"]),
+        "load.compute_seconds_per_element": st.sampled_from([below_zero, "inf", "nan"]),
+        "model.n_layers": "0", "model.n_heads": "0", "model.d_model": str(kv_heads * group * d_head + d_head),
+        "model.d_head": str(d_head + 1), "model.d_kv_total": str(kv_heads * d_head + 1),
+        "model.rope_theta": st.sampled_from(["0.0", "inf", "nan"]), "model.max_position": "0",
+    }
+    assert outside.keys() == KEY_SPECS.keys()
+    broken = draw(st.none() | st.sampled_from(sorted(KEY_SPECS)))
+    if broken is not None:
+        value = outside[broken]
+        values[broken] = value if isinstance(value, str) else draw(value)
+        if broken == "embedding.file":  # no file is outside the domain of the file provider only
+            values["embedding.provider"] = "file"
+    texts = st.text(max_size=100)
+    records = [{"id": f"r{i}", "text": draw(texts) + " word", "query": draw(texts),
+                "reference": draw(st.none() | texts)} for i in range(draw(st.integers(1, 2)))]
+    return records, [f"{key} = {value}" for key, value in values.items()], broken
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(cli_inputs())
+def test_generated_configs_and_records_exit_as_the_readme_says(inputs):
+    """A config inside ``validate``'s domain runs to a report that passes the
+    schema and the count laws, unless the query tail is unusable (exit 2,
+    naming it); one key outside its domain exits 2, naming the key. Nothing
+    exits 4."""
+    records, lines, broken = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "corpus.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        (tmp / "run.conf").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", "--input", str(tmp / "corpus.jsonl"), "--config", str(tmp / "run.conf"),
+                         "--out-dir", str(tmp / "out")])
+        reports = [json.loads(path.read_text(encoding="utf-8")) for path in tmp.glob("out/*.json")]
+    err = err.getvalue()
+    if broken is not None:
+        assert (code, reports) == (2, []), (broken, err)
+        assert broken in err, broken
+        return
+    config = dict(line.split(" = ", 1) for line in lines)
+    tail = records[0]["query"][-int(config["query.tail_chars"]):]
+    tokens = tokenize(tail, int(config["tokenizer.vocab_size"]))
+    if not tokens or not HashingEmbedder(int(config["embedding.dim"])).embed_tokens(tokens).any():
+        assert (code, reports) == (2, []), err
+        assert err.startswith(f"error: query tail {tail!r}, the last query.tail_chars"), err
+        return
+    assert (code, len(reports)) == (0, 1), err
+    report = reports[0]
+    jsonschema.validate(report, REPORT_SCHEMA)
+    assert len(report["tokens"]) == int(config["generation.max_new_tokens"])
+    size, doc_tokens = int(config["chunk.size"]), report["document"]["tokens"]
+    resident = sum(min(size, doc_tokens - i * size) for i in report["selection"]["initial"])
+    assert report["counters"]["prefill_elements"] == resident * resident
+    assert report["replacement_stats"]["taken"] <= report["replacement_stats"]["available"]

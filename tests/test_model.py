@@ -78,9 +78,9 @@ def test_prefill_deterministic_and_equal_to_itself(model, chunks, toy_model_conf
     assert elements == r1.score_elements
     assert c3.counters["rebuild_elements"] == c1.counters["prefill_elements"]
     # once more, over the rebuilt cache, finishing the last block
-    elements, hidden = model._forward_blocks(c3, chunks, finish_last=True)
+    elements, hidden = model._forward_blocks(c3, model._chunk_blocks(c3, chunks), finish_last=True)
     assert elements == r1.score_elements and hidden.shape == (chunks[-1].size, toy_model_config.d_model)
-    final = _rms_norm(hidden, model.params["final_norm"])
+    final = _rms_norm(hidden)
     assert np.array_equal(final[-1] @ model.params["head"], r1.last_logits)
     assert caches_equal(c1, c3, toy_model_config.n_layers)
 
@@ -354,7 +354,7 @@ def test_rebuild_bits_depend_on_the_arena_width():
 
 def project_qkv(model, hidden, layer, cos, sin):
     """q, k and v of ``hidden`` at ``layer``, through the model's projections."""
-    x = _rms_norm(hidden, model.params[f"layers.{layer}.attn_norm"])
+    x = _rms_norm(hidden)
     return (model._project(x, layer, "wq", cos, sin), model._project(x, layer, "wk", cos, sin),
             model._project(x, layer, "wv"))
 
@@ -362,7 +362,7 @@ def project_qkv(model, hidden, layer, cos, sin):
 def mlp(model, hidden, layer):
     """The SiLU MLP with fresh intermediates: the reference for the model's,
     which writes them into a workspace."""
-    x = _rms_norm(hidden, model.params[f"layers.{layer}.mlp_norm"])
+    x = _rms_norm(hidden)
     inner = x @ model.params[f"layers.{layer}.w1"]
     inner = inner / (np.float32(1.0) + np.exp(-inner))
     return inner @ model.params[f"layers.{layer}.w2"]
@@ -379,10 +379,10 @@ def concat_decode(model, blocks, gen_kv, last_token, position):
         parts = blocks[layer] + gen_kv[layer]
         k_all = np.concatenate([pk for pk, _ in parts], axis=1)
         v_all = np.concatenate([pv for _, pv in parts], axis=1)
-        attn = model._attend_step(q, k_all, v_all)
+        attn = serial_attend(model, q, k_all, v_all, None)
         hidden = hidden + attn @ model.params[f"layers.{layer}.wo"]
         hidden = hidden + mlp(model, hidden, layer)
-    return (_rms_norm(hidden, model.params["final_norm"]) @ model.params["head"])[0]
+    return (_rms_norm(hidden) @ model.params["head"])[0]
 
 
 def block_copies(cache, chunks, layers):
@@ -455,15 +455,19 @@ def test_settle_lays_the_arena_out_in_place_like_a_fresh_copy():
 
 
 def test_decode_logits_match_concatenating_oracle(model, chunks, toy_model_config):
+    """300 steps: each step's logits equal the oracle's, and the step adds its
+    key width (resident, generated and its own token) to ``decode_elements``."""
     layers = toy_model_config.n_layers
     cache = KVCache(toy_model_config, ARENA)
     token = int(np.argmax(model.prefill([chunks[0], chunks[2], chunks[3]], cache).last_logits))
     blocks = block_copies(cache, chunks, layers)
     gen_kv = [[] for _ in range(layers)]
-    for step in range(6):
+    for step in range(300):
+        before = cache.counters["decode_elements"]
         want = concat_decode(model, blocks, gen_kv, token, 96 + step)
         out = model.decode_step(cache, token, 96 + step)
         assert np.array_equal(out.logits, want), step
+        assert out.score_elements == cache.counters["decode_elements"] - before == 36 + step + 1, step
         token = out.token
 
 
@@ -543,45 +547,53 @@ def full_mask_attend(model, q, k_all, v_all, future):
     return out
 
 
-def block_major_forward(model, cache, ordered, finish_last, attend):
+def block_major_forward(model, cache, blocks, finish_last, attend):
     """``_forward_blocks`` as a serial loop that runs each block through every
     layer before the next block starts, so the blocks after it hold
     placeholder or stale K/V, with the reference MLP. A block stops once its
     last-layer K/V are written, except the last block under ``finish_last``.
-    ``attend(q, k_all, v_all, slot, pos)`` is the block attention; ``pos``
-    holds the block's document positions."""
-    width = cache.chunk_tokens
+    ``attend(q, k_all, v_all, block)`` is the block attention."""
     last_layer = model.config.n_layers - 1
-    for c in ordered:
-        slot = cache.slot(c.chunk_index)
-        hidden = model.params["embedding"][np.asarray(c.token_ids, dtype=np.int64)].copy()
-        pos = np.arange(c.doc_token_offset, c.doc_token_offset + c.size, dtype=np.int64)
-        cos, sin = model._rope_tables(pos)
+    for block in blocks:
+        span = slice(block.slot, block.slot + len(block.token_ids))
+        hidden = model.params["embedding"][block.token_ids]
         for layer in range(last_layer + 1):
-            q, k, v = project_qkv(model, hidden, layer, cos, sin)
+            q, k, v = project_qkv(model, hidden, layer, block.cos, block.sin)
             keys, values = cache.keys[layer], cache.values[layer]
-            keys[:, slot:slot + c.size] = k
-            values[:, slot:slot + c.size] = v
-            if layer == last_layer and not (finish_last and c is ordered[-1]):
+            keys[:, span] = k
+            values[:, span] = v
+            if layer == last_layer and not (finish_last and block is blocks[-1]):
                 break
-            attn = attend(q, keys[:, :width], values[:, :width], slot, pos)
+            attn = attend(q, keys[:, :block.width], values[:, :block.width], block)
             hidden = hidden + attn @ model.params[f"layers.{layer}.wo"]
             hidden = hidden + mlp(model, hidden, layer)
-    return sum(c.size * width for c in ordered), hidden if finish_last else None
+    return sum(len(b.token_ids) * b.width for b in blocks), hidden if finish_last else None
 
 
 def full_mask_model(cfg, parts):
-    """A model whose passes are block-major and mask each block with the
-    document position of every arena slot; ``parts`` holds every chunk."""
+    """A model whose passes and decode steps are block-major and mask each
+    block with the document position of every arena slot: the resident
+    chunks', the generated tokens', then the decode step's own. ``parts``
+    holds every chunk."""
     oracle = DecoderModel(cfg)
+    step = []  # the position of the decode step under way
 
-    def forward(cache, ordered, finish_last):
-        positions = np.concatenate([np.arange(parts[i].doc_token_offset,
-                                              parts[i].doc_token_offset + parts[i].size)
-                                    for i in cache.resident_indices()])
-        return block_major_forward(oracle, cache, ordered, finish_last, lambda q, k_all, v_all, slot, pos: (
-            full_mask_attend(oracle, q, k_all, v_all, positions[None, :] > pos[:, None])))
+    def decode_step(cache, last_token, position):
+        step[:] = [position]
+        return DecoderModel.decode_step(oracle, cache, last_token, position)
 
+    def forward(cache, blocks, finish_last):
+        chunks = [range(parts[i].doc_token_offset, parts[i].doc_token_offset + parts[i].size)
+                  for i in cache.resident_indices()]
+        positions = np.asarray([p for span in chunks for p in span] + cache.gen_positions + step)
+
+        def attend(q, k_all, v_all, block):
+            pos = positions[block.slot:block.slot + len(block.token_ids)]
+            return full_mask_attend(oracle, q, k_all, v_all, positions[None, :block.width] > pos[:, None])
+
+        return block_major_forward(oracle, cache, blocks, finish_last, attend)
+
+    oracle.decode_step = decode_step
     oracle._forward_blocks = forward
     return oracle
 
@@ -696,17 +708,16 @@ def serial_attend(self, q, k_all, v_all, causal):
 
 
 def serial_model(cfg):
-    """A model whose passes run block-major on the calling thread and whose
-    attention, decode included, runs one head at a time."""
+    """A model whose passes and decode steps run block-major on the calling
+    thread, with attention run one head at a time."""
     oracle = DecoderModel(cfg)
 
-    def attend(q, k_all, v_all, slot, pos):
-        steps = np.arange(len(pos))
-        return serial_attend(oracle, q, k_all, v_all, (slot, steps[None, :] > steps[:, None]))
+    def attend(q, k_all, v_all, block):
+        steps = np.arange(len(block.token_ids))
+        return serial_attend(oracle, q, k_all, v_all, (block.slot, steps[None, :] > steps[:, None]))
 
-    oracle._attend_step = lambda q, k_all, v_all: serial_attend(oracle, q, k_all, v_all, None)
-    oracle._forward_blocks = lambda cache, ordered, finish_last: block_major_forward(
-        oracle, cache, ordered, finish_last, attend)
+    oracle._forward_blocks = lambda cache, blocks, finish_last: block_major_forward(
+        oracle, cache, blocks, finish_last, attend)
     return oracle
 
 
@@ -830,6 +841,31 @@ def test_batched_decode_matches_the_per_head_oracle(cfg):
         logits.append(steps)
     for n, (got, want) in enumerate(zip(*logits)):
         assert np.array_equal(got, want), n
+
+
+@pytest.mark.parametrize("cfg", [KV_1, D_HEAD_8, KV_ALL], ids=["1kv", "2kv", "4kv"])
+@pytest.mark.parametrize("tq,width,slot", [
+    (1, 1, 0), (1, 2, 1), (1, 41, 40), (1, 300, 299),  # decode steps
+    (5, 5, 0), (12, 48, 0), (12, 48, 24), (12, 48, 36), (33, 100, 40), (33, 100, 67),
+])
+def test_all_heads_and_one_head_kernel_forms_give_a_per_head_loops_bits(cfg, tq, width, slot):
+    """A workspace that holds every head's scores makes one product per op
+    for all heads, a smaller one a product per head; both give the serial
+    kernel's bits, whatever finite K/V the future keys hold."""
+    rng = np.random.default_rng(tq * width + slot)
+    model = DecoderModel(cfg)
+    q = rng.standard_normal((cfg.n_heads, tq, cfg.d_head), dtype=np.float32)
+    arena = rng.standard_normal((2, cfg.n_kv_heads, width + 7, cfg.d_head), dtype=np.float32)
+    k_all, v_all = arena[0][:, :width], arena[1][:, :width]  # prefix views, as of an arena
+    triangle = np.triu(np.ones((tq, tq), dtype=bool), 1)
+    scores = cfg.n_heads * tq * width
+    all_heads = model._attend_block(q, k_all, v_all, slot, triangle, np.empty(scores, dtype=np.float32))
+    one_head = model._attend_block(q, k_all, v_all, slot, triangle, np.empty(scores - 1, dtype=np.float32))
+    want = serial_attend(model, q, k_all, v_all, (slot, triangle))
+    assert np.array_equal(all_heads, want)
+    assert np.array_equal(one_head, want)
+    if tq == 1:
+        assert np.array_equal(serial_attend(model, q, k_all, v_all, None), want)
 
 
 def test_ufunc_buffer_size_does_not_leak_from_any_thread(parallel_blocks, monkeypatch, chunks,

@@ -137,12 +137,30 @@ def test_trajectory_chains_median_ratios_in_pr_order(tmp_path, capsys):
     found = trajectory.load(tmp_path)
     assert list(found) == ["w"] and [pr for pr, _ in found["w"]] == [7, 18]
     assert trajectory.trajectory(found["w"]) == {
-        "session_s": [(7, 0.5, 0.5), (18, 1.5, 0.75)],
-        "ok_frac": [(7, 1.0, 1.0), (18, None, 1.0)],  # no ratio: the product stands
+        "session_s": [(7, 0.5, 0.5, 0.5, 0.5), (18, 1.5, 0.75, 0.75, 0.75)],
+        "ok_frac": [(7, 1.0, 1.0, 1.0, 1.0), (18, None, 1.0, 1.0, 1.0)],  # no ratio: the product stands
     }
     assert trajectory.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "w",
-        "  session_s    PR 7 0.5 -> 0.5  PR 18 1.5 -> 0.75",
-        "  ok_frac      PR 7 1 -> 1  PR 18 n/a -> 1",
+        "  session_s    PR 7 0.5 -> 0.5 [0.5, 0.5]  PR 18 1.5 -> 0.75 [0.75, 0.75]",
+        "  ok_frac      PR 7 1 -> 1 [1, 1]  PR 18 n/a -> 1 [1, 1]",
+    ]
+
+
+def test_trajectory_interval_chains_the_ratio_quartiles(tmp_path, capsys):
+    """Beside each running product, the running products of the per-PR ratio
+    q1s and q3s; a PR without a ratio leaves all three as they were."""
+    for pr, quartiles in ((3, (0.8, 1.0, 1.25)), (5, (0.5, 0.75, 1.5))):
+        metrics = {"session_s": {"ratio": dict(zip(("q1", "median", "q3"), quartiles))},
+                   "ok_frac": {"ratio": None if pr == 5 else dict(zip(("q1", "median", "q3"), quartiles))}}
+        (tmp_path / f"BENCH_{pr}_w.json").write_text(json.dumps({"workload": "w", "metrics": metrics}))
+    steps = trajectory.trajectory(trajectory.load(tmp_path)["w"])
+    assert steps["session_s"] == [(3, 1.0, 1.0, 0.8, 1.25), (5, 0.75, 0.75, pytest.approx(0.4), 1.875)]
+    assert steps["ok_frac"] == [(3, 1.0, 1.0, 0.8, 1.25), (5, None, 1.0, 0.8, 1.25)]
+    assert trajectory.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "w",
+        "  session_s    PR 3 1 -> 1 [0.8, 1.25]  PR 5 0.75 -> 0.75 [0.4, 1.875]",
+        "  ok_frac      PR 3 1 -> 1 [0.8, 1.25]  PR 5 n/a -> 1 [0.8, 1.25]",
     ]

@@ -7,12 +7,15 @@ Usage:
 DIR (default: the root of this checkout) holds the ``BENCH_<PR>_<workload>.json``
 files that ``tools/pairs.py --json`` wrote, one per workload for each PR
 that measured itself against its parent. For each workload it prints one
-line per end-to-end metric, with ``PR <n> <ratio> -> <product>`` for each PR
-in PR order: that PR's median per-pair ratio change/parent and the running
-product of those medians. The product is how far the metric has moved since
-the first file, measured within pairs, so that the host's drift between PRs
-cancels. A PR whose ratio is missing (every parent value was zero) prints
-"n/a" and leaves the product as it was. Standard library only.
+line per end-to-end metric, with ``PR <n> <ratio> -> <product> [<low>, <high>]``
+for each PR in PR order: that PR's median per-pair ratio change/parent, the
+running product of those medians, and an interval whose ends are the running
+products of the PRs' ratio first and third quartiles. The product is how far
+the metric has moved since the first file, measured within pairs, so that the
+host's drift between PRs cancels; the interval shows how much of that the
+spread within each PR's pairs could account for. A PR whose ratio is missing
+(every parent value was zero) prints "n/a" and leaves all three values as
+they were. Standard library only.
 """
 
 from __future__ import annotations
@@ -36,16 +39,21 @@ def load(directory: Path) -> dict[str, list[tuple[int, dict]]]:
     return {workload: sorted(reports, key=lambda item: item[0]) for workload, reports in sorted(found.items())}
 
 
-def trajectory(reports: list[tuple[int, dict]]) -> dict[str, list[tuple[int, float | None, float]]]:
-    """Metric -> [(PR, median ratio or None, running product)] over one
-    workload's reports."""
-    out: dict[str, list[tuple[int, float | None, float]]] = {}
+Step = tuple[int, float | None, float, float, float]  # PR, median ratio, products of medians, q1s, q3s
+
+
+def trajectory(reports: list[tuple[int, dict]]) -> dict[str, list[Step]]:
+    """Metric -> [(PR, median ratio or None, running product of the medians,
+    running products of the q1s and of the q3s)] over one workload's reports."""
+    out: dict[str, list[Step]] = {}
     for pr, report in reports:
         for name, metric in report["metrics"].items():
             steps = out.setdefault(name, [])
-            product = steps[-1][2] if steps else 1.0
-            ratio = metric["ratio"]["median"] if metric["ratio"] else None
-            steps.append((pr, ratio, product * ratio if ratio is not None else product))
+            product, low, high = steps[-1][2:] if steps else (1.0, 1.0, 1.0)
+            ratio = metric["ratio"]
+            if ratio is not None:
+                product, low, high = product * ratio["median"], low * ratio["q1"], high * ratio["q3"]
+            steps.append((pr, None if ratio is None else ratio["median"], product, low, high))
     return out
 
 
@@ -54,8 +62,8 @@ def lines(found: dict[str, list[tuple[int, dict]]]) -> list[str]:
     for workload, reports in found.items():
         out.append(workload)
         for name, steps in trajectory(reports).items():
-            shown = "  ".join(f"PR {pr} {'n/a' if ratio is None else f'{ratio:.4g}'} -> {product:.4g}"
-                              for pr, ratio, product in steps)
+            shown = "  ".join(f"PR {pr} {'n/a' if ratio is None else f'{ratio:.4g}'} -> {product:.4g} "
+                              f"[{low:.4g}, {high:.4g}]" for pr, ratio, product, low, high in steps)
             out.append(f"  {name:12} {shown}")
     return out
 
