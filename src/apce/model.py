@@ -34,32 +34,32 @@ rest of the engine:
   with V stay full width, because narrowing them can change the BLAS path
   or the summation order and with it the last bits; so the counters, which
   count that full-width work, are unchanged, and the results equal a
-  full-mask kernel's. Each op of the one kernel covers every head at once
-  when the workspace holds all their scores (a decode step's does), else
-  one head: numpy's batched matmul makes the same product per head, so
-  both give a per-head loop's bits.
+  full-mask kernel's. Each op of the kernel covers every head at once when
+  the workspace holds all their scores (a decode step's does), else one
+  head; both give a per-head loop's bits.
 
-- A pass runs its blocks layer-major: a first stage writes every block's
-  layer-0 K/V, and stage l runs each block's attention over layer l and its
-  MLP, then writes its layer l+1 K/V from normed states that stage l+1's
-  queries reuse. The last layer writes no K/V, so only the block that seeds
-  the next token runs it: a rebuild stops every block once its last-layer
-  K/V are written, and a prefill or a decode step then runs its last
-  block, whole, through the last layer, whose final row gives the logits.
-  A stage's blocks depend only on K/V that the stage before finished, so
-  they run on up to one thread per core (the calling thread and helpers
-  started for the pass, each taking the next block), which meet once per
-  stage. Each block makes the same calls on the same shapes as in a serial
-  loop that runs one block at a time through the same layers, so results
-  are that loop's bit for bit; the keys after a block may hold final K/V
-  where that loop sees placeholders, but they are finite and masked. Each
-  thread keeps one workspace for a block's scores and MLP intermediates:
-  (largest block's tokens) x max(width, 2 x d_ff) float32 elements, and at
-  least every head's scores of one token. A pass of one block, such as a
-  decode step, or whose scores for one layer and head (pass tokens x
-  width) stay under ``_PARALLEL_MIN_SCORES``, runs on the calling thread.
-  A pass joins its helpers before it returns, so none outlives it. The
-  speedup assumes a single-threaded BLAS.
+- A pass runs its blocks block-major: a block's stage -1 makes its rope
+  tables and embeds it, its stage l runs its attention over layer l and
+  its MLP, and each writes its layer l+1 K/V from normed states that its
+  next stage's queries reuse. The last layer writes no K/V, so a rebuild
+  stops each block there, and a prefill or a decode step runs its last
+  block, whole, through the last layer on the calling thread after every
+  other stage; its final row gives the logits. As stage l reads the
+  layer-l K/V of the blocks before it, it waits only until every earlier
+  block has finished stage l - 1, and a pass pipelines its blocks over up
+  to one thread per core (the calling thread and helpers it starts and
+  joins), each taking the next block in slot order. Results are the plain
+  block-major loop's bit for bit, as each block makes that loop's calls on
+  the same shapes; the keys after a block may hold placeholders, stale K/V
+  or K/V another thread just wrote, all finite and masked. A block's
+  states are dropped once it is done, so a pass holds its arena, one
+  workspace per thread for a block's scores and MLP intermediates, and the
+  blocks in flight: one per thread, and a prefill's last block until its
+  last layer. A pass of one block, such as a decode step, or whose scores
+  for one layer and head (pass tokens x width) stay under
+  ``_PARALLEL_MIN_SCORES``, runs on the calling thread with no lock. A
+  failing block raises once every thread is done. The speedup assumes a
+  single-threaded BLAS.
 
 - The arena is allocated once, at the most tokens its session will hold,
   and changes layout only when residency does. Eviction and admission edit
@@ -81,9 +81,9 @@ Everything runs in float32 with a fixed reduction order.
 
 from __future__ import annotations
 
-import collections
 import functools
 import os
+import threading
 from concurrent import futures
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -295,14 +295,14 @@ class StepOutput(NamedTuple):
 
 @dataclass
 class _Block:
-    """A chunk, or a decode step's one token, run through a pass's stages, and the states they hand on."""
+    """A chunk or a decode step's token, and the states its stages hand on."""
 
     token_ids: np.ndarray  # int64
+    position: int  # the document position of the first token
     slot: int  # the arena slot of the first token
     width: int  # the arena prefix attended
     triangle: np.ndarray  # the future keys within the block
-    cos: np.ndarray
-    sin: np.ndarray
+    rope: tuple[np.ndarray, np.ndarray] | None = None  # cos and sin of its positions
     hidden: np.ndarray | None = None
     normed: np.ndarray | None = None  # hidden's norm: the next layer's input
 
@@ -369,8 +369,7 @@ class DecoderModel:
         if width > cache.capacity:
             raise RuntimeError(f"decode step needs {width} arena slots, the cache has {cache.capacity}")
         cache.settle()
-        block = _Block(np.asarray([last_token], dtype=np.int64), width - 1, width, _ONE_TOKEN,
-                       *self._rope_tables(np.asarray([position], dtype=np.int64)))
+        block = _Block(np.asarray([last_token], dtype=np.int64), position, width - 1, width, _ONE_TOKEN)
         elements, hidden = self._forward_blocks(cache, [block], finish_last=True)
         cache.gen_positions.append(position)
 
@@ -401,23 +400,15 @@ class DecoderModel:
 
     def _chunk_blocks(self, cache: KVCache, ordered: Sequence[Chunk]) -> list[_Block]:
         """The blocks of settled resident chunks in document order, over the chunk prefix."""
-        triangles: dict[int, np.ndarray] = {}  # chunk positions are contiguous
-        blocks = []
-        for c in ordered:
-            if c.size not in triangles:
-                triangles[c.size] = np.triu(np.ones((c.size, c.size), dtype=bool), 1)
-            pos = np.arange(c.doc_token_offset, c.doc_token_offset + c.size, dtype=np.int64)
-            blocks.append(_Block(np.asarray(c.token_ids, dtype=np.int64), cache.slot(c.chunk_index),
-                                 cache.chunk_tokens, triangles[c.size], *self._rope_tables(pos)))
-        return blocks
+        triangles = {size: np.triu(np.ones((size, size), dtype=bool), 1) for size in {c.size for c in ordered}}
+        return [_Block(np.asarray(c.token_ids, dtype=np.int64), c.doc_token_offset, cache.slot(c.chunk_index),
+                       cache.chunk_tokens, triangles[c.size]) for c in ordered]
 
     def _forward_blocks(self, cache: KVCache, blocks: Sequence[_Block], finish_last: bool
                         ) -> tuple[int, np.ndarray | None]:
-        """Run blocks of one width, in slot order, through the stages that
-        write K/V (see the module docstring); with ``finish_last`` the last
-        block alone then runs the last layer, on this thread. Returns the
-        score elements per layer and head (block tokens x width, summed) and
-        that last block's final hidden states (before the final norm), or None."""
+        """Run blocks of one width through their stages (see the module docstring).
+        Returns the score elements per layer and head (block tokens x width,
+        summed) and, with ``finish_last``, the last block's final hidden states."""
         cfg = self.config
         width = blocks[0].width
         tokens = [len(b.token_ids) for b in blocks]
@@ -428,30 +419,34 @@ class DecoderModel:
         # per block had malloc hand memory back and fault it in again.
         size = max(max(tokens) * max(width, 2 * cfg.d_ff), cfg.n_heads * width)
         workspaces = [np.empty(size, dtype=np.float32) for _ in range(threads)]
-        last_layer = cfg.n_layers - 1
-        if threads == 1:  # a decode step among them: a pool's hand-offs cost a step about 4%
-            for layer in range(-1, last_layer):
-                for block in blocks:
-                    self._block_stage(cache, layer, block, workspaces[0])
-        else:  # leaving the block joins the helpers
-            with futures.ThreadPoolExecutor(threads - 1, thread_name_prefix="apce-attend") as pool:
-                for layer in range(-1, last_layer):
-                    _run_stage(functools.partial(self._block_stage, cache, layer), blocks, workspaces, pool)
-        if not finish_last:
+        stage = functools.partial(self._block_stage, cache)
+        stages = range(-1, cfg.n_layers - 1)
+        kept = blocks[-1] if finish_last else None  # held for the last layer
+        if threads == 1:  # a decode step among them: a hand-off cost a step 68-126 µs
+            for block in blocks:
+                for layer in stages:
+                    stage(layer, block, workspaces[0])
+                if block is not kept:
+                    block.rope = block.hidden = block.normed = None
+        else:
+            _pipeline(stage, blocks, stages, workspaces, kept)
+        if kept is None:
             return scores, None
         # The whole block, not its last row: a one-row product takes another
         # BLAS path and would change the bits.
-        self._block_stage(cache, last_layer, blocks[-1], workspaces[0])
-        return scores, blocks[-1].hidden
+        stage(cfg.n_layers - 1, kept, workspaces[0])
+        kept.rope = kept.normed = None
+        return scores, kept.hidden
 
     def _block_stage(self, cache: KVCache, layer: int, block: _Block, work: np.ndarray) -> None:
-        """A block's attention over ``layer`` and its MLP (stage -1 embeds its
-        tokens instead), then the writing of its ``layer + 1`` K/V from the
-        normed hidden states, which the next stage's queries reuse."""
+        """A block's attention over ``layer`` and its MLP (stage -1 makes its rope
+        tables and embeds its tokens instead), then the writing of its ``layer + 1``
+        K/V from the normed hidden states, which its next stage's queries reuse."""
         if layer < 0:
+            block.rope = self._rope_tables(np.arange(block.position, block.position + len(block.token_ids)))
             block.hidden = self.params["embedding"][block.token_ids]
         else:
-            q = self._project(block.normed, layer, "wq", block.cos, block.sin)
+            q = self._project(block.normed, layer, "wq", *block.rope)
             keys, values = cache.keys[layer][:, :block.width], cache.values[layer][:, :block.width]
             attn = self._attend_block(q, keys, values, block.slot, block.triangle, work)
             hidden = block.hidden + attn @ self.params[f"layers.{layer}.wo"]
@@ -459,7 +454,7 @@ class DecoderModel:
         if layer + 1 < self.config.n_layers:
             block.normed = _rms_norm(block.hidden)
             span = slice(block.slot, block.slot + len(block.token_ids))
-            cache.keys[layer + 1][:, span] = self._project(block.normed, layer + 1, "wk", block.cos, block.sin)
+            cache.keys[layer + 1][:, span] = self._project(block.normed, layer + 1, "wk", *block.rope)
             cache.values[layer + 1][:, span] = self._project(block.normed, layer + 1, "wv")
 
     def _project(self, x: np.ndarray, layer: int, name: str, cos: np.ndarray | None = None,
@@ -536,27 +531,43 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _run_stage(step: Callable[[_Block, np.ndarray], None], blocks: Sequence[_Block],
-               workspaces: Sequence[np.ndarray], pool: futures.Executor) -> None:
-    """Call ``step(block, workspace)`` once per block on one thread per
-    workspace: this one and, for each workspace after the first, a helper of
-    ``pool``, each taking the next block until none is left. Returns, or
-    raises a block's exception, only once every thread is done."""
-    pending = collections.deque(blocks)
+def _pipeline(stage: Callable[[int, _Block, np.ndarray], None], blocks: Sequence[_Block],
+              stages: range, workspaces: Sequence[np.ndarray], kept: _Block | None) -> None:
+    """Run each block through ``stages`` on one thread per workspace (this one
+    and helpers it starts) as the module docstring says; blocks but ``kept``
+    drop their states once done. No stage after a failed one starts."""
+    done = [stages.start - 1] * len(blocks)  # the last stage each block has finished
+    order = iter(enumerate(blocks))
+    last = stages[-1]  # the last stage a block may start: a failure lowers it
+    turn = threading.Condition()
 
-    def drain(work: np.ndarray) -> None:
-        while True:
+    def run(work: np.ndarray) -> None:
+        nonlocal last
+        layer = stages.start
+        with turn:  # released while a stage runs
             try:
-                block = pending.popleft()
-            except IndexError:
-                return
-            step(block, work)
+                for b, block in order:
+                    for layer in stages:
+                        turn.wait_for(lambda: layer > last or min(done[:b], default=layer) >= layer - 1)
+                        if layer > last:
+                            return
+                        turn.release()
+                        try:
+                            stage(layer, block, work)
+                        finally:
+                            turn.acquire()
+                        done[b] = layer
+                        turn.notify_all()
+                    if block is not kept:
+                        block.rope = block.hidden = block.normed = None
+            except BaseException:
+                last = min(last, layer)
+                turn.notify_all()
+                raise
 
-    helpers = [pool.submit(drain, work) for work in workspaces[1:]]
-    try:
-        drain(workspaces[0])
-    finally:
-        futures.wait(helpers)
+    with futures.ThreadPoolExecutor(len(workspaces) - 1, thread_name_prefix="apce-attend") as pool:
+        helpers = [pool.submit(run, work) for work in workspaces[1:]]
+        run(workspaces[0])  # leaving the block joins the helpers, also when this raises
     for helper in helpers:
         helper.result()
 

@@ -556,9 +556,10 @@ def block_major_forward(model, cache, blocks, finish_last, attend):
     last_layer = model.config.n_layers - 1
     for block in blocks:
         span = slice(block.slot, block.slot + len(block.token_ids))
+        cos, sin = model._rope_tables(np.arange(block.position, block.position + len(block.token_ids)))
         hidden = model.params["embedding"][block.token_ids]
         for layer in range(last_layer + 1):
-            q, k, v = project_qkv(model, hidden, layer, block.cos, block.sin)
+            q, k, v = project_qkv(model, hidden, layer, cos, sin)
             keys, values = cache.keys[layer], cache.values[layer]
             keys[:, span] = k
             values[:, span] = v
@@ -669,8 +670,8 @@ D_HEAD_8 = ModelConfig(n_layers=2, n_heads=4, d_model=32, d_head=8, d_kv_total=1
 def test_block_attention_matches_the_full_mask_kernel(cfg, chunk_size):
     """Masking only the block's diagonal triangle and zeroing the future tail
     gives the full-mask kernel's bits: logits, used K/V, counters.
-    The kernel's passes are layer-major, so the keys after a block hold final
-    K/V, where the oracle's block-major passes leave placeholders."""
+    The oracle's passes run one block through every layer before the next
+    starts, so the keys after a block hold placeholders or stale K/V."""
     parts = make_chunks(max(40, 6 * chunk_size + chunk_size // 2), chunk_size)
     got, want = arena_session(DecoderModel(cfg), parts), arena_session(full_mask_model(cfg, parts), parts)
     assert np.getbufsize() == DEFAULT_BUFSIZE  # the kernel's ufunc buffer size does not leak
@@ -722,24 +723,23 @@ def serial_model(cfg):
 
 
 def count_handed_stages(monkeypatch):
-    """Count the stages that hand blocks to helpers. Returns that count as a
-    list of one."""
+    """Count the passes that start helpers to run blocks' stages. Returns
+    that count as a list of one."""
     handed = [0]
-    run_stage = model_module._run_stage
+    pipeline = model_module._pipeline
 
-    def counted(step, blocks, workspaces, *rest):
+    def counted(stage, blocks, stages, workspaces, kept):
         handed[0] += len(workspaces) > 1
-        run_stage(step, blocks, workspaces, *rest)
+        pipeline(stage, blocks, stages, workspaces, kept)
 
-    monkeypatch.setattr(model_module, "_run_stage", counted)
+    monkeypatch.setattr(model_module, "_pipeline", counted)
     return handed
 
 
 @pytest.fixture
 def parallel_blocks(monkeypatch):
     """Give every pass that passes the gate one thread per block, counting
-    the stages that handed blocks to helpers. Returns that count as a list
-    of one."""
+    the passes that started helpers. Returns that count as a list of one."""
     monkeypatch.setattr(model_module, "_cores", lambda: 8)
     return count_handed_stages(monkeypatch)
 
@@ -760,7 +760,7 @@ KV_ALL = ModelConfig(n_layers=2, n_heads=4, d_model=32, d_head=8, d_kv_total=32,
 ])
 def test_threaded_block_attention_matches_the_serial_kernel(parallel_blocks, monkeypatch,
                                                             cfg, chunk_size, min_scores):
-    """Blocks spread over threads, one layer at a time, give the block-major
+    """Blocks pipelined over threads give the block-major
     serial kernel's logits, used K/V and counters bit for bit,
     with 1, 2 and 4 KV heads."""
     if min_scores is not None:
@@ -897,10 +897,10 @@ def test_ufunc_buffer_size_does_not_leak_from_any_thread(parallel_blocks, monkey
 
 def test_each_block_runs_once_per_stage_with_more_threads_than_cores(monkeypatch):
     """Eight threads on two cores with a 1 µs switch interval: every stage
-    that writes K/V runs each of the pass's 12 blocks exactly once, the last
-    layer runs the last block alone, no block starts a stage before every
-    block has finished the one before, and the result is the serial
-    kernel's."""
+    that writes K/V runs each of the pass's 12 blocks exactly once, no block
+    starts layer l before every earlier block has finished layer l - 1, the
+    last layer runs the last block alone, last and on the calling thread,
+    and the result is the serial kernel's."""
     cfg = ModelConfig(n_layers=3, n_heads=2, d_model=16, d_head=8, d_kv_total=8,
                       vocab_size=64, init_seed=3)
     parts = make_chunks(48, 4, vocab=64)
@@ -918,9 +918,11 @@ def test_each_block_runs_once_per_stage_with_more_threads_than_cores(monkeypatch
 
     monkeypatch.setattr(DecoderModel, "_block_stage", recorded)
     model = DecoderModel(cfg)
+    caller = threading.get_ident()
+    last = cfg.n_layers - 1
     slots = [4 * i for i in range(12)]
-    expected = [(layer, slot) for layer in range(-1, cfg.n_layers - 1) for slot in slots]
-    expected.append((cfg.n_layers - 1, slots[-1]))
+    expected = [(layer, slot) for layer in range(-1, last) for slot in slots]
+    expected.append((last, slots[-1]))
     threads = set()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -935,8 +937,11 @@ def test_each_block_runs_once_per_stage_with_more_threads_than_cores(monkeypatch
             for kind in ("start", "end"):
                 ran = [(layer, slot) for k, layer, slot, _ in events if k == kind]
                 assert sorted(ran) == expected, n
-            layers = [layer for _, layer, _, _ in events]
-            assert layers == sorted(layers), n  # each stage ends before the next starts
+            ended = {(layer, slot): i for i, (kind, layer, slot, _) in enumerate(events) if kind == "end"}
+            for i, (kind, layer, slot, _) in enumerate(events):
+                if kind == "start" and layer >= 0:  # every key it attends is written before it starts
+                    assert all(ended[layer - 1, earlier] < i for earlier in slots if earlier < slot), n
+            assert events[-2:] == [("start", last, slots[-1], caller), ("end", last, slots[-1], caller)], n
             threads |= {thread for *_, thread in events}
             if time.monotonic() > deadline:
                 break
@@ -982,6 +987,56 @@ def test_only_the_block_that_seeds_generation_runs_the_last_layer(monkeypatch, t
     model.rebuild_blocks(cache, [parts[i] for i in (1, 5, 10, 11)])
     assert per_layer() == [4, 4, 4, 0]
     assert len({thread for *_, thread in calls}) == threads
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_pass_holds_the_states_of_the_blocks_in_flight_only(monkeypatch, threads):
+    """At every stage of a prefill and of a rebuild of 12 blocks, at most one
+    block per thread holds rope tables, hidden or normed states, besides a
+    prefill's last block, which holds them until its last layer. Once the
+    pass returns, no block holds any, apart from the prefill's last hidden."""
+    cfg = ModelConfig(n_layers=3, n_heads=2, d_model=16, d_head=8, d_kv_total=8,
+                      vocab_size=64, init_seed=3)
+    parts = make_chunks(48, 4, vocab=64)
+    monkeypatch.setattr(model_module, "_PARALLEL_MIN_SCORES", 0)
+    monkeypatch.setattr(model_module, "_cores", lambda: threads)
+    passes, held, ran_on = [], [], set()
+    forward_blocks, block_stage = DecoderModel._forward_blocks, DecoderModel._block_stage
+
+    def states(block):
+        return block.rope, block.hidden, block.normed
+
+    def holding():
+        return sum(any(state is not None for state in states(block)) for block in passes[-1])
+
+    def forward(self, cache, blocks, finish_last):
+        passes.append(blocks)
+        return forward_blocks(self, cache, blocks, finish_last)
+
+    def recorded(self, *args):
+        ran_on.add(threading.get_ident())
+        held.append(holding())
+        block_stage(self, *args)
+        held.append(holding())
+        time.sleep(0.001)  # so every thread takes blocks
+
+    monkeypatch.setattr(DecoderModel, "_forward_blocks", forward)
+    monkeypatch.setattr(DecoderModel, "_block_stage", recorded)
+    model = DecoderModel(cfg)
+    cache = KVCache(cfg, ARENA)
+    model.prefill(parts, cache)
+    assert len(passes[-1]) == 12 and len(held) == 2 * (12 * cfg.n_layers + 1)
+    assert max(held) <= threads + 1
+    left = [state for block in passes[-1] for state in states(block)]
+    del left[-2]  # the last block's hidden, which the prefill may hand on
+    assert all(state is None for state in left)
+
+    held.clear()
+    model.rebuild_blocks(cache, parts)
+    assert len(passes[-1]) == 12 and len(held) == 2 * 12 * cfg.n_layers
+    assert max(held) <= threads
+    assert all(state is None for block in passes[-1] for state in states(block))
+    assert len(ran_on) == threads
 
 
 @pytest.mark.parametrize("failing", ["caller", "helper"])

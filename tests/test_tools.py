@@ -1,6 +1,8 @@
 import importlib.util
 import json
+import os
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -164,3 +166,20 @@ def test_trajectory_interval_chains_the_ratio_quartiles(tmp_path, capsys):
         "  session_s    PR 3 1 -> 1 [0.8, 1.25]  PR 5 0.75 -> 0.75 [0.4, 1.875]",
         "  ok_frac      PR 3 1 -> 1 [0.8, 1.25]  PR 5 n/a -> 1 [0.8, 1.25]",
     ]
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_trajectory_exits_0_quietly_when_its_reader_closed_standard_output(tmp_path, unbuffered):
+    """Whether the write fails at once (PYTHONUNBUFFERED) or at the flush."""
+    bench_file(tmp_path, 7, "w", {"session_s": 0.5})
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run([sys.executable, str(Path(trajectory.__file__)), str(tmp_path)], stdout=write,
+                                stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stderr) == (0, "")

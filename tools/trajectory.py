@@ -15,13 +15,15 @@ the metric has moved since the first file, measured within pairs, so that the
 host's drift between PRs cancels; the interval shows how much of that the
 spread within each PR's pairs could account for. A PR whose ratio is missing
 (every parent value was zero) prints "n/a" and leaves all three values as
-they were. Standard library only.
+they were. A reader that closes standard output early ends it quietly,
+with exit status 0. Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -72,7 +74,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("directory", type=Path, nargs="?", default=Path(__file__).resolve().parents[1])
     args = parser.parse_args(argv)
-    print("\n".join(lines(load(args.directory))))
+    try:
+        print("\n".join(lines(load(args.directory))))
+        sys.stdout.flush()  # a closed standard output fails here, not at the interpreter's exit
+    except BrokenPipeError:  # the reader of standard output has gone: nothing is left to tell it
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # so the exit flush of what is still buffered stays quiet
+        os.close(devnull)
     return 0
 
 
