@@ -389,19 +389,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _openblas() -> ctypes.CDLL | None:
+    """numpy's bundled OpenBLAS (``numpy.libs/libscipy_openblas*``), whose
+    ``scipy_openblas_*64_`` calls set and report its threads and kernel; None
+    where numpy brings no such library."""
+    try:
+        lib = sorted((Path(numpy.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"))[0]
+        return ctypes.CDLL(str(lib))
+    except (IndexError, OSError) as exc:
+        log.debug("numpy's OpenBLAS not found: %r", exc)
+        return None
+
+
 def _pin_blas_threads() -> None:
     """Run numpy's bundled OpenBLAS on one thread, as the model's threaded
     passes assume, unless the environment sets a thread count. Skipped,
     and logged at DEBUG, where that library or its call is missing."""
     if any(var in os.environ for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
         return
-    try:
-        lib = sorted((Path(numpy.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"))[0]
-        set_threads = ctypes.CDLL(str(lib)).scipy_openblas_set_num_threads64_
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        set_threads(1)
-    except (IndexError, OSError, AttributeError) as exc:
-        log.debug("BLAS threads left as they are: %r", exc)
+    set_threads = getattr(_openblas(), "scipy_openblas_set_num_threads64_", None)
+    if set_threads is None:
+        log.debug("BLAS threads left as they are: no OpenBLAS thread call")
+        return
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    set_threads(1)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -34,9 +34,17 @@ rest of the engine:
   with V stay full width, because narrowing them can change the BLAS path
   or the summation order and with it the last bits; so the counters, which
   count that full-width work, are unchanged, and the results equal a
-  full-mask kernel's. Each op of the kernel covers every head at once when
-  the workspace holds all their scores (a decode step's does), else one
-  head; both give a per-head loop's bits.
+  full-mask kernel's. A block's query rows run in tiles (``_row_tiles``),
+  each making those calls on its own rows over the same K/V views, so a
+  thread's workspace holds one tile's scores, not the block's. A row's
+  masking, softmax and sums read that row alone, and with one BLAS thread
+  its products do not depend on the rows beside it either, as long as the
+  cuts fall on multiples of ``_TILE_ROWS`` and every tile's product reaches
+  ``_TILE_MIN_PRODUCT``; so tiles give the whole block's bits. (With more
+  BLAS threads they can differ in the last bits, as thread counts do.)
+  Each op of the kernel covers every head at once when the workspace holds
+  all their scores for a tile (a decode step's does), else one head; both
+  give a per-head loop's bits.
 
 - A pass runs its blocks block-major: a block's stage -1 makes its rope
   tables and embeds it, its stage l runs its attention over layer l and
@@ -53,12 +61,12 @@ rest of the engine:
   the same shapes; the keys after a block may hold placeholders, stale K/V
   or K/V another thread just wrote, all finite and masked. A block's
   states are dropped once it is done, so a pass holds its arena, one
-  workspace per thread for a block's scores and MLP intermediates, and the
-  blocks in flight: one per thread, and a prefill's last block until its
-  last layer. A pass of one block, such as a decode step, or whose scores
-  for one layer and head (pass tokens x width) stay under
-  ``_PARALLEL_MIN_SCORES``, runs on the calling thread with no lock. A
-  failing block raises once every thread is done. The speedup assumes a
+  workspace per thread for a tile's scores and a block's MLP
+  intermediates, and the blocks in flight: one per thread, and a prefill's
+  last block until its last layer. A pass of one block, such as a decode
+  step, or whose scores for one layer and head (pass tokens x width) stay
+  under ``_PARALLEL_MIN_SCORES``, runs on the calling thread with no lock.
+  A failing block raises once every thread is done. The speedup assumes a
   single-threaded BLAS.
 
 - The arena is allocated once, at the most tokens its session will hold,
@@ -82,6 +90,7 @@ Everything runs in float32 with a fixed reduction order.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import threading
 from concurrent import futures
@@ -112,6 +121,27 @@ _LIVE_BUFSIZE = 256
 # (200-token); with a CPU-bound process on the other core, 1.09-1.12 at the
 # first two and 0.88-0.99 at the rest.
 _PARALLEL_MIN_SCORES = 1_000_000
+# A block's attention runs in row tiles of this many query rows, the last one
+# taking the rest (see ``_row_tiles``), so that a thread's workspace holds a
+# tile's scores, not the block's. The cuts fall on multiples of it, and so of
+# 48: OpenBLAS's Haswell kernel (which Zen runs too) gives a row's products
+# other bits by its place in a group of 12 rows, and Prescott's by its place
+# in a pair. Equal tiles of about 128 rows changed bits under those two in
+# 2,598 and 1,040 of 3,074 checks (one BLAS thread, d_head 8-128, 256-1,024
+# rows, widths up to 8,192), and none under SkylakeX; tiles cut at multiples
+# of 96 or 144 rows changed none of 3,242 and 3,278 such checks under each of
+# SkylakeX, Haswell, Sandybridge, Nehalem and Prescott. Attention of 512 x
+# 3,000 and 800 x 8,294 blocks took 1.08 and 1.09 times as long in 96-row
+# tiles as whole, and 0.96 and 1.05 in 144-row ones (median CPU-time ratio,
+# alternating in one process): q·kᵀ packs a head's keys once per tile.
+_TILE_ROWS = 144
+# A block splits only while its smallest tile's q·kᵀ product (tile rows x
+# width x d_head) reaches this. Below 10^6, OpenBLAS's SkylakeX kernel takes
+# another path for small products: with no floor, tiles cut at multiples of
+# 144 rows changed bits under it in 23 of 120 checks (d_head 8 and 16,
+# 216-512 rows, widths 383-1,500, smallest tile products 291,080-960,000),
+# and in none under Haswell or Prescott.
+_TILE_MIN_PRODUCT = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -302,12 +332,14 @@ class _Block:
     slot: int  # the arena slot of the first token
     width: int  # the arena prefix attended
     triangle: np.ndarray  # the future keys within the block
+    tiles: Sequence[tuple[int, int]]  # the [lo, hi) rows of its attention tiles (``_row_tiles``)
     rope: tuple[np.ndarray, np.ndarray] | None = None  # cos and sin of its positions
     hidden: np.ndarray | None = None
     normed: np.ndarray | None = None  # hidden's norm: the next layer's input
 
 
 _ONE_TOKEN = np.zeros((1, 1), dtype=bool)  # a decode step's triangle: no future key
+_ONE_TILE = ((0, 1),)  # and its one row tile
 
 
 class DecoderModel:
@@ -369,7 +401,7 @@ class DecoderModel:
         if width > cache.capacity:
             raise RuntimeError(f"decode step needs {width} arena slots, the cache has {cache.capacity}")
         cache.settle()
-        block = _Block(np.asarray([last_token], dtype=np.int64), position, width - 1, width, _ONE_TOKEN)
+        block = _Block(np.asarray([last_token], dtype=np.int64), position, width - 1, width, _ONE_TOKEN, _ONE_TILE)
         elements, hidden = self._forward_blocks(cache, [block], finish_last=True)
         cache.gen_positions.append(position)
 
@@ -400,25 +432,36 @@ class DecoderModel:
 
     def _chunk_blocks(self, cache: KVCache, ordered: Sequence[Chunk]) -> list[_Block]:
         """The blocks of settled resident chunks in document order, over the chunk prefix."""
-        triangles = {size: np.triu(np.ones((size, size), dtype=bool), 1) for size in {c.size for c in ordered}}
+        sizes = {c.size for c in ordered}
+        triangles = {size: np.triu(np.ones((size, size), dtype=bool), 1) for size in sizes}
+        tiles = {size: _row_tiles(size, cache.chunk_tokens, self.config.d_head) for size in sizes}
         return [_Block(np.asarray(c.token_ids, dtype=np.int64), c.doc_token_offset, cache.slot(c.chunk_index),
-                       cache.chunk_tokens, triangles[c.size]) for c in ordered]
+                       cache.chunk_tokens, triangles[c.size], tiles[c.size]) for c in ordered]
 
     def _forward_blocks(self, cache: KVCache, blocks: Sequence[_Block], finish_last: bool
                         ) -> tuple[int, np.ndarray | None]:
         """Run blocks of one width through their stages (see the module docstring).
-        Returns the score elements per layer and head (block tokens x width,
-        summed) and, with ``finish_last``, the last block's final hidden states."""
+        Each thread's workspace holds the largest of: its largest row tile's
+        scores for one head (tile rows x width), a block's two MLP
+        intermediates (block tokens x 2 x d_ff) and a decode step's scores for
+        every head (heads x width). Returns the score elements per layer and
+        head (block tokens x width, summed) and, with ``finish_last``, the last
+        block's final hidden states."""
         cfg = self.config
         width = blocks[0].width
         tokens = [len(b.token_ids) for b in blocks]
         scores = sum(tokens) * width  # per layer and head
         threads = min(_cores(), len(blocks)) if scores >= _PARALLEL_MIN_SCORES else 1
-        # One workspace per thread for all its blocks, all made here: a helper's
-        # own buffers land in (and grow) its malloc arena, and buffers made
-        # per block had malloc hand memory back and fault it in again.
-        size = max(max(tokens) * max(width, 2 * cfg.d_ff), cfg.n_heads * width)
-        workspaces = [np.empty(size, dtype=np.float32) for _ in range(threads)]
+        # One workspace per thread for all its blocks, all made here in one
+        # allocation: a helper's own buffers land in (and grow) its malloc
+        # arena, buffers made per block had malloc hand memory back and fault
+        # it in again, and so did one buffer per thread, as glibc raises its
+        # trim threshold to twice the largest mapped block it frees (faults per
+        # session, one per thread -> one in all: prefill-dense 3,064 -> 1,606,
+        # decode-long 2,008 -> 3, apce-reprior 3,522 -> 1,821).
+        tile = max(hi - lo for block in blocks for lo, hi in block.tiles)
+        size = max(tile * width, max(tokens) * 2 * cfg.d_ff, cfg.n_heads * width)
+        workspaces = list(np.empty((threads, size), dtype=np.float32))
         stage = functools.partial(self._block_stage, cache)
         stages = range(-1, cfg.n_layers - 1)
         kept = blocks[-1] if finish_last else None  # held for the last layer
@@ -448,7 +491,7 @@ class DecoderModel:
         else:
             q = self._project(block.normed, layer, "wq", *block.rope)
             keys, values = cache.keys[layer][:, :block.width], cache.values[layer][:, :block.width]
-            attn = self._attend_block(q, keys, values, block.slot, block.triangle, work)
+            attn = self._attend_block(q, keys, values, block.slot, block.triangle, block.tiles, work)
             hidden = block.hidden + attn @ self.params[f"layers.{layer}.wo"]
             block.hidden = hidden + self._mlp(hidden, layer, work)
         if layer + 1 < self.config.n_layers:
@@ -466,40 +509,44 @@ class DecoderModel:
         return out if cos is None else _apply_rope(out, cos, sin)
 
     def _attend_block(self, q: np.ndarray, k_all: np.ndarray, v_all: np.ndarray, slot: int,
-                      triangle: np.ndarray, work: np.ndarray) -> np.ndarray:
+                      triangle: np.ndarray, tiles: Sequence[tuple[int, int]], work: np.ndarray) -> np.ndarray:
         """Block attention (see the module docstring): q (H, tq, dh) at arena
         slots [slot, slot + tq), over k_all/v_all (Hk, width, dh). ``triangle``
         (tq, tq) marks the future keys within the block, and the keys from
-        slot + tq on are all future. Scores go into ``work`` (flat float32):
-        every head's at once if it holds them all, else one head's at a time.
+        slot + tq on are all future. The rows run one of ``tiles`` (the block's
+        ``_row_tiles``) at a time, and a tile's scores go into ``work`` (flat
+        float32): every head's at once if it holds them all for the largest
+        tile, else one head's at a time.
         """
         cfg = self.config
         hk, dh, group = cfg.n_kv_heads, cfg.d_head, cfg.n_heads // cfg.n_kv_heads
         tq, width = q.shape[1], k_all.shape[1]
         out = np.empty((cfg.n_heads, tq, dh), dtype=np.float32)
-        if work.size >= cfg.n_heads * tq * width:
-            scores = work[:cfg.n_heads * tq * width].reshape(hk, group, tq, width)
-            products = [(q.reshape(hk, group, tq, dh), k_all.transpose(0, 2, 1)[:, None], v_all[:, None],
-                         out.reshape(hk, group, tq, dh))]
+        if work.size >= cfg.n_heads * max(hi - lo for lo, hi in tiles) * width:
+            lead = (hk, group)  # every head in one product per op
+            heads = [(q.reshape(hk, group, tq, dh), k_all.transpose(0, 2, 1)[:, None], v_all[:, None],
+                      out.reshape(hk, group, tq, dh))]
         else:
-            scores = work[:tq * width].reshape(tq, width)
-            products = [(q[h], k_all[h // group].T, v_all[h // group], out[h]) for h in range(cfg.n_heads)]
-        live = scores[..., :slot + tq]
-        diagonal, tail = scores[..., slot:slot + tq], scores[..., slot + tq:]
+            lead = ()
+            heads = [(q[h], k_all[h // group].T, v_all[h // group], out[h]) for h in range(cfg.n_heads)]
         # this thread's; a one-token block's views are whole rows, which run faster
         # without it, and it has no future key within itself
         bufsize = np.setbufsize(_LIVE_BUFSIZE) if tq > 1 else None
         try:
-            for q_h, k_t, v, attended in products:
-                np.matmul(q_h, k_t, out=scores)
-                live *= self._inv_sqrt_dh
-                if tq > 1:
-                    np.copyto(diagonal, _NEG_INF, where=triangle)
-                tail[...] = 0.0
-                live -= np.maximum.reduce(live, axis=-1, keepdims=True)
-                np.exp(live, out=live)
-                live /= np.add.reduce(scores, axis=-1, keepdims=True)
-                np.matmul(scores, v, out=attended)
+            for lo, hi in tiles:
+                scores = work[:math.prod(lead) * (hi - lo) * width].reshape(*lead, hi - lo, width)
+                live = scores[..., :slot + tq]
+                diagonal, tail = scores[..., slot:slot + tq], scores[..., slot + tq:]
+                for q_h, k_t, v, attended in heads:
+                    np.matmul(q_h[..., lo:hi, :], k_t, out=scores)
+                    live *= self._inv_sqrt_dh
+                    if tq > 1:
+                        np.copyto(diagonal, _NEG_INF, where=triangle[lo:hi])
+                    tail[...] = 0.0
+                    live -= np.maximum.reduce(live, axis=-1, keepdims=True)
+                    np.exp(live, out=live)
+                    live /= np.add.reduce(scores, axis=-1, keepdims=True)
+                    np.matmul(scores, v, out=attended[..., lo:hi, :])
         finally:
             if bufsize is not None:
                 np.setbufsize(bufsize)
@@ -529,6 +576,19 @@ def _cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def _row_tiles(rows: int, width: int, d_head: int) -> list[tuple[int, int]]:
+    """The [lo, hi) query rows of each tile a block of ``rows`` over ``width``
+    keys runs its attention in: rows / ``_TILE_ROWS`` tiles, rounded, of
+    ``_TILE_ROWS`` rows each but the last, which takes the rest (from half
+    to one and a half tiles); fewer while the smallest tile's q·kᵀ product
+    (tile rows x width x d_head) is under ``_TILE_MIN_PRODUCT``; at least one."""
+    n = max((2 * rows + _TILE_ROWS) // (2 * _TILE_ROWS), 1)
+    while n > 1 and min(_TILE_ROWS, rows - (n - 1) * _TILE_ROWS) * width * d_head < _TILE_MIN_PRODUCT:
+        n -= 1
+    bounds = [*range(0, n * _TILE_ROWS, _TILE_ROWS), rows]
+    return list(zip(bounds, bounds[1:]))
 
 
 def _pipeline(stage: Callable[[int, _Block, np.ndarray], None], blocks: Sequence[_Block],

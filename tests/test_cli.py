@@ -566,12 +566,9 @@ def test_a_closed_standard_output_exits_0_quietly(unbuffered):
 
 BLAS_THREADS = """
 import ctypes, sys
-from pathlib import Path
-import numpy
-from apce.cli import main
+from apce.cli import _openblas, main
 
-libs = sorted((Path(numpy.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"))
-threads = getattr(ctypes.CDLL(str(libs[0])), "scipy_openblas_get_num_threads64_", None) if libs else None
+threads = getattr(_openblas(), "scipy_openblas_get_num_threads64_", None)
 if threads is None:
     print("missing")
     sys.exit(0)

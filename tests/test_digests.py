@@ -58,11 +58,9 @@ def test_item_zero_of_every_workload_matches_its_recorded_digest(tmp_path):
 
 CORENAME = """
 import ctypes
-from pathlib import Path
-import numpy
+from apce.cli import _openblas
 
-lib = sorted((Path(numpy.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"))[0]
-corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+corename = _openblas().scipy_openblas_get_corename64_
 corename.argtypes, corename.restype = [], ctypes.c_char_p
 print(corename().decode())
 """

@@ -1,14 +1,18 @@
 import collections
+import ctypes
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import apce.cli
 import apce.model as model_module
 from apce.model import (
     DecoderModel,
@@ -18,6 +22,7 @@ from apce.model import (
     _rms_norm,
 )
 from apce.textpipe import Chunk, chunk
+from test_digests import _corename, _openblas_picks_its_kernel_at_run_time
 
 # numpy's default ufunc buffer size (8192 elements), read before any test runs:
 # the kernel's own buffer size must not leak into any test after it.
@@ -843,29 +848,106 @@ def test_batched_decode_matches_the_per_head_oracle(cfg):
         assert np.array_equal(got, want), n
 
 
-@pytest.mark.parametrize("cfg", [KV_1, D_HEAD_8, KV_ALL], ids=["1kv", "2kv", "4kv"])
-@pytest.mark.parametrize("tq,width,slot", [
-    (1, 1, 0), (1, 2, 1), (1, 41, 40), (1, 300, 299),  # decode steps
-    (5, 5, 0), (12, 48, 0), (12, 48, 24), (12, 48, 36), (33, 100, 40), (33, 100, 67),
-])
-def test_all_heads_and_one_head_kernel_forms_give_a_per_head_loops_bits(cfg, tq, width, slot):
-    """A workspace that holds every head's scores makes one product per op
-    for all heads, a smaller one a product per head; both give the serial
-    kernel's bits, whatever finite K/V the future keys hold."""
+def tile_counts(tq, width, d_head):
+    """The tiles of a block, by the rule ``_row_tiles`` documents: tq /
+    _TILE_ROWS of them, rounded half up, fewer while the smallest tile (the
+    last, if it has fewer than _TILE_ROWS rows) falls under the floor.
+    Returns (tiles, the rows of the smallest, the rows of the largest)."""
+    rows, floor = model_module._TILE_ROWS, model_module._TILE_MIN_PRODUCT
+    n = max(int(tq / rows + 0.5), 1)
+    while n > 1 and min(rows, tq - (n - 1) * rows) * width * d_head < floor:
+        n -= 1
+    last = tq - (n - 1) * rows
+    return n, min(rows, last) if n > 1 else tq, max(rows, last) if n > 1 else tq
+
+
+def kernel_shapes():
+    """(cfg, query rows, width, slot) of the kernel form test: small blocks and
+    decode steps with 1, 2 and 4 KV heads, then blocks of 256-800 rows at
+    d_head 8 and 32 whose widths sit just below, at and just above the one
+    where their smallest tile's product reaches the floor, at the start,
+    middle and end of the width."""
+    for tq, width, slot in [(1, 1, 0), (1, 2, 1), (1, 41, 40), (1, 300, 299),  # decode steps
+                            (5, 5, 0), (12, 48, 0), (12, 48, 24), (12, 48, 36), (33, 100, 40), (33, 100, 67)]:
+        for cfg, name in [(KV_1, "1kv"), (D_HEAD_8, "2kv"), (KV_ALL, "4kv")]:
+            yield pytest.param(cfg, tq, width, slot, id=f"{tq}-{width}-{slot}-{name}")
+    for cfg in (D_HEAD_8, D_HEAD_32):
+        for tq in (256, 257, 383, 512, 800):
+            _, smallest, _ = tile_counts(tq, 1 << 40, cfg.d_head)
+            floor = -(-model_module._TILE_MIN_PRODUCT // (smallest * cfg.d_head))
+            assert tile_counts(tq, floor, cfg.d_head)[0] > 1
+            for width in (floor - 1, floor, floor + 1):
+                for slot in (0, (width - tq) // 2, width - tq):
+                    yield pytest.param(cfg, tq, width, slot, id=f"{tq}-{width}-{slot}-dh{cfg.d_head}")
+
+
+@pytest.fixture
+def one_blas_thread():
+    """numpy's OpenBLAS on one thread through the test, as ``apce`` and the
+    benchmark run it, where that library is found. With more, OpenBLAS
+    divides a product's rows among its threads at points that depend on the
+    row count, and under the Haswell kernel a row's bits depend on its place
+    in a group of 12 rows, so a row tile's bits can differ from its block's,
+    as they can between thread counts."""
+    blas = apce.cli._openblas()
+    get_threads = getattr(blas, "scipy_openblas_get_num_threads64_", None)
+    set_threads = getattr(blas, "scipy_openblas_set_num_threads64_", None)
+    if get_threads is None or set_threads is None:  # another BLAS: left as it is
+        yield
+        return
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    threads = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(threads)
+
+
+@pytest.mark.parametrize("cfg,tq,width,slot", kernel_shapes())
+def test_all_heads_and_one_head_kernel_forms_give_a_per_head_loops_bits(one_blas_thread, cfg, tq, width, slot):
+    """A block runs in row tiles. A workspace that holds every head's scores
+    of its largest tile makes one product per op for all heads, a smaller
+    one, down to that tile's scores for one head, a product per head; each
+    gives the serial kernel's bits, whatever finite K/V the future keys hold."""
     rng = np.random.default_rng(tq * width + slot)
     model = DecoderModel(cfg)
     q = rng.standard_normal((cfg.n_heads, tq, cfg.d_head), dtype=np.float32)
     arena = rng.standard_normal((2, cfg.n_kv_heads, width + 7, cfg.d_head), dtype=np.float32)
     k_all, v_all = arena[0][:, :width], arena[1][:, :width]  # prefix views, as of an arena
     triangle = np.triu(np.ones((tq, tq), dtype=bool), 1)
-    scores = cfg.n_heads * tq * width
-    all_heads = model._attend_block(q, k_all, v_all, slot, triangle, np.empty(scores, dtype=np.float32))
-    one_head = model._attend_block(q, k_all, v_all, slot, triangle, np.empty(scores - 1, dtype=np.float32))
+    tiles = model_module._row_tiles(tq, width, cfg.d_head)
+    sizes = [hi - lo for lo, hi in tiles]
+    assert tiles[0][0] == 0 and tiles[-1][1] == tq and all(a[1] == b[0] for a, b in zip(tiles, tiles[1:]))
+    assert (len(tiles), min(sizes), max(sizes)) == tile_counts(tq, width, cfg.d_head)
+    scores = max(sizes) * width
     want = serial_attend(model, q, k_all, v_all, (slot, triangle))
-    assert np.array_equal(all_heads, want)
-    assert np.array_equal(one_head, want)
-    if tq == 1:
+    for size in (cfg.n_heads * scores, cfg.n_heads * scores - 1, scores):
+        got = model._attend_block(q, k_all, v_all, slot, triangle, tiles, np.empty(size, dtype=np.float32))
+        assert np.array_equal(got, want), size
+    if tq == 1:  # a decode step's one tile, which its block carries
+        assert tuple(tiles) == model_module._ONE_TILE
         assert np.array_equal(serial_attend(model, q, k_all, v_all, None), want)
+
+
+@pytest.mark.skipif(not _openblas_picks_its_kernel_at_run_time(),
+                    reason="needs numpy's OpenBLAS built with DYNAMIC_ARCH")
+@pytest.mark.skipif("OPENBLAS_CORETYPE" in os.environ, reason="the suite already runs under a chosen kernel")
+@pytest.mark.parametrize("coretype", ["Prescott", "Haswell"])
+def test_kernel_forms_keep_their_bits_under_another_openblas_kernel(coretype):
+    """Row tiles keep their block's bits only where a row's products do not
+    depend on the rows beside it, which is up to the BLAS kernel: the kernel
+    form test holds under Prescott's, whose rows go in pairs, and Haswell's
+    (also Zen's), whose rows go in groups of 12."""
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype}
+    kernel = _corename(env)  # Prescott's reports itself as Katmai
+    assert kernel != _corename(dict(os.environ)) or kernel == coretype, "OPENBLAS_CORETYPE had no effect"
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{Path(__file__).resolve()}::test_all_heads_and_one_head_kernel_forms_give_a_per_head_loops_bits"],
+        cwd=Path(__file__).resolve().parent.parent, env=env, capture_output=True, text=True, timeout=600)
+    assert result.returncode == 0, result.stdout + result.stderr
 
 
 def test_ufunc_buffer_size_does_not_leak_from_any_thread(parallel_blocks, monkeypatch, chunks,
@@ -1037,6 +1119,33 @@ def test_a_pass_holds_the_states_of_the_blocks_in_flight_only(monkeypatch, threa
     assert max(held) <= threads
     assert all(state is None for block in passes[-1] for state in states(block))
     assert len(ran_on) == threads
+
+
+def test_a_threads_workspace_holds_one_row_tile_of_scores(one_blas_thread, monkeypatch):
+    """A 2-thread prefill of four 512-token chunks at width 2,048 gives each
+    thread a workspace no larger than the largest of: its largest row tile's
+    scores for one head, the MLP's two intermediates, and every head's
+    scores of one row; not a chunk's 512 x 2,048 scores. It gives the
+    serial kernel's bits."""
+    cfg, rows, width = D_HEAD_32, 512, 2048
+    parts = make_chunks(width, rows)
+    want = serial_model(cfg).prefill(parts, KVCache(cfg, width)).last_logits
+    monkeypatch.setattr(model_module, "_cores", lambda: 2)
+    sizes = {}
+    block_stage = DecoderModel._block_stage
+
+    def recorded(self, cache, layer, block, work):
+        sizes.setdefault(threading.get_ident(), set()).add(work.size)
+        time.sleep(0.002)  # so both threads take blocks
+        block_stage(self, cache, layer, block, work)
+
+    monkeypatch.setattr(DecoderModel, "_block_stage", recorded)
+    got = DecoderModel(cfg).prefill(parts, KVCache(cfg, width)).last_logits
+    bound = max(tile_counts(rows, width, cfg.d_head)[2] * width, rows * 2 * cfg.d_ff, cfg.n_heads * width)
+    assert len(sizes) == 2
+    assert all(size <= bound for thread in sizes.values() for size in thread), (sizes, bound)
+    assert bound < rows * width
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("failing", ["caller", "helper"])

@@ -15,6 +15,7 @@ def load_tool(name):
 
 
 pairs, trajectory = load_tool("pairs"), load_tool("trajectory")
+paperscale = load_tool("paperscale")
 
 LOWER, HIGHER = 1, -1
 
@@ -183,3 +184,26 @@ def test_trajectory_exits_0_quietly_when_its_reader_closed_standard_output(tmp_p
     finally:
         os.close(write)
     assert (result.returncode, result.stderr) == (0, "")
+
+
+def test_paperscale_runs_a_tiny_row_dense_and_apce(tmp_path, capsys, monkeypatch):
+    """One 100-token row in chunks of 32: each mode runs in its own process,
+    and the counters follow the resident tokens."""
+    monkeypatch.setattr(paperscale, "PAPER_ROWS", [(100, 2)])
+    monkeypatch.setattr(paperscale, "CHUNK_SIZE", 32)
+    monkeypatch.setattr(paperscale, "NEW_TOKENS", 3)
+    out = tmp_path / "scale.json"
+    assert paperscale.main(["--json", str(out)]) == 0
+    dense, apce = json.loads(out.read_text())
+    assert [(r["mode"], r["k_effective"], r["doc_tokens"]) for r in (dense, apce)] == [("dense", 4, 100),
+                                                                                     ("apce", 2, 100)]
+    assert dense["counters"] == {"prefill_elements": 100 * 100, "rebuild_elements": 0,
+                                 "decode_elements": 101 + 102}
+    assert apce["counters"] == {"prefill_elements": 64 * 64, "rebuild_elements": 0, "decode_elements": 65 + 66}
+    for result in (dense, apce):
+        assert len(result["generated"]) == 3 and result["wall_s"] > 0 and result["peak_rss_mib"] > 0
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 3 and printed[0].split()[:3] == ["tokens", "mode", "k"]
+    assert printed[1].split()[:3] == ["100", "dense", "4"]
+    assert printed[2].split()[-3:] == [str(token) for token in apce["generated"]]
+    assert len(paperscale.inputs(100)[0].split()) == 100
