@@ -51,8 +51,12 @@ rest of the engine:
   its MLP, and each writes its layer l+1 K/V from normed states that its
   next stage's queries reuse. The last layer writes no K/V, so a rebuild
   stops each block there, and a prefill or a decode step runs its last
-  block, whole, through the last layer on the calling thread after every
-  other stage; its final row gives the logits. As stage l reads the
+  block through the last layer on the calling thread after every other
+  stage. Only its final row is read there, for the logits, so that layer's
+  attention runs the block's last row tile alone and the rows of its other
+  tiles carry zeros; the projections and the MLP keep the block's shapes,
+  as a one-row product takes another BLAS path, and the final row keeps
+  its bits by the tile guarantee above. As stage l reads the
   layer-l K/V of the blocks before it, it waits only until every earlier
   block has finished stage l - 1, and a pass pipelines its blocks over up
   to one thread per core (the calling thread and helpers it starts and
@@ -61,13 +65,15 @@ rest of the engine:
   the same shapes; the keys after a block may hold placeholders, stale K/V
   or K/V another thread just wrote, all finite and masked. A block's
   states are dropped once it is done, so a pass holds its arena, one
-  workspace per thread for a tile's scores and a block's MLP
-  intermediates, and the blocks in flight: one per thread, and a prefill's
-  last block until its last layer. A pass of one block, such as a decode
-  step, or whose scores for one layer and head (pass tokens x width) stay
-  under ``_PARALLEL_MIN_SCORES``, runs on the calling thread with no lock.
-  A failing block raises once every thread is done. The speedup assumes a
-  single-threaded BLAS.
+  workspace per thread for a tile's scores or a block's MLP inner product
+  with one tile of its gate, and the blocks in flight: one per thread, and
+  a prefill's last block until its last layer. A stage adds its residuals
+  into the block's hidden states in place, and attention writes each
+  head's tiles straight into its columns of the block's output. A pass of
+  one block, such as a decode step, or whose scores for one layer and head
+  (pass tokens x width) stay under ``_PARALLEL_MIN_SCORES``, runs on the
+  calling thread with no lock. A failing block raises once every thread is
+  done. The speedup assumes a single-threaded BLAS.
 
 - The arena is allocated once, at the most tokens its session will hold,
   and changes layout only when residency does. Eviction and admission edit
@@ -82,7 +88,8 @@ rest of the engine:
 
 - Weights are drawn once per process and config. They follow from the
   frozen ``ModelConfig`` alone, so every ``DecoderModel`` of one config
-  shares one read-only set of arrays behind a read-only mapping.
+  shares one read-only set of arrays behind a read-only mapping: views of
+  one allocation, filled by one draw and scaled in place.
 
 Everything runs in float32 with a fixed reduction order.
 """
@@ -203,8 +210,8 @@ class KVCache:
     element is one (query, key) pair of a layer that writes K/V (those
     layers and the heads share the same pattern): a pass adds its block
     tokens x the width attended, summed, and a decode step its key width.
-    The last layer of a prefill runs for its last block only and adds
-    nothing to the count.
+    The last layer of a prefill runs for its last block only (its last row
+    tile, for the attention) and adds nothing to the count.
     """
 
     def __init__(self, config: ModelConfig, capacity: int):
@@ -433,20 +440,21 @@ class DecoderModel:
     def _chunk_blocks(self, cache: KVCache, ordered: Sequence[Chunk]) -> list[_Block]:
         """The blocks of settled resident chunks in document order, over the chunk prefix."""
         sizes = {c.size for c in ordered}
-        triangles = {size: np.triu(np.ones((size, size), dtype=bool), 1) for size in sizes}
+        triangle = np.triu(np.ones((max(sizes),) * 2, dtype=bool), 1)  # a shorter chunk's is its top left
         tiles = {size: _row_tiles(size, cache.chunk_tokens, self.config.d_head) for size in sizes}
         return [_Block(np.asarray(c.token_ids, dtype=np.int64), c.doc_token_offset, cache.slot(c.chunk_index),
-                       cache.chunk_tokens, triangles[c.size], tiles[c.size]) for c in ordered]
+                       cache.chunk_tokens, triangle[:c.size, :c.size], tiles[c.size]) for c in ordered]
 
     def _forward_blocks(self, cache: KVCache, blocks: Sequence[_Block], finish_last: bool
                         ) -> tuple[int, np.ndarray | None]:
         """Run blocks of one width through their stages (see the module docstring).
-        Each thread's workspace holds the largest of: its largest row tile's
-        scores for one head (tile rows x width), a block's two MLP
-        intermediates (block tokens x 2 x d_ff) and a decode step's scores for
-        every head (heads x width). Returns the score elements per layer and
-        head (block tokens x width, summed) and, with ``finish_last``, the last
-        block's final hidden states."""
+        Each thread's workspace holds the largest of: the largest row tile's
+        scores for one head (tile rows x width), a block's MLP inner product
+        and one tile of its gate ((block tokens + tile rows) x d_ff) and a
+        decode step's scores for every head (heads x width). Returns the score
+        elements per layer and head (block tokens x width, summed) and, with
+        ``finish_last``, the last block's final hidden states, of which only
+        its last row tile's went through the last layer's attention."""
         cfg = self.config
         width = blocks[0].width
         tokens = [len(b.token_ids) for b in blocks]
@@ -460,7 +468,7 @@ class DecoderModel:
         # session, one per thread -> one in all: prefill-dense 3,064 -> 1,606,
         # decode-long 2,008 -> 3, apce-reprior 3,522 -> 1,821).
         tile = max(hi - lo for block in blocks for lo, hi in block.tiles)
-        size = max(tile * width, max(tokens) * 2 * cfg.d_ff, cfg.n_heads * width)
+        size = max(tile * width, (max(tokens) + tile) * cfg.d_ff, cfg.n_heads * width)
         workspaces = list(np.empty((threads, size), dtype=np.float32))
         stage = functools.partial(self._block_stage, cache)
         stages = range(-1, cfg.n_layers - 1)
@@ -475,8 +483,6 @@ class DecoderModel:
             _pipeline(stage, blocks, stages, workspaces, kept)
         if kept is None:
             return scores, None
-        # The whole block, not its last row: a one-row product takes another
-        # BLAS path and would change the bits.
         stage(cfg.n_layers - 1, kept, workspaces[0])
         kept.rope = kept.normed = None
         return scores, kept.hidden
@@ -484,17 +490,21 @@ class DecoderModel:
     def _block_stage(self, cache: KVCache, layer: int, block: _Block, work: np.ndarray) -> None:
         """A block's attention over ``layer`` and its MLP (stage -1 makes its rope
         tables and embeds its tokens instead), then the writing of its ``layer + 1``
-        K/V from the normed hidden states, which its next stage's queries reuse."""
+        K/V from the normed hidden states, which its next stage's queries reuse.
+        In the last layer, whose final row alone is read, the attention runs the
+        block's last row tile only and the rows before it carry zeros."""
+        last = self.config.n_layers - 1
         if layer < 0:
             block.rope = self._rope_tables(np.arange(block.position, block.position + len(block.token_ids)))
             block.hidden = self.params["embedding"][block.token_ids]
         else:
             q = self._project(block.normed, layer, "wq", *block.rope)
             keys, values = cache.keys[layer][:, :block.width], cache.values[layer][:, :block.width]
-            attn = self._attend_block(q, keys, values, block.slot, block.triangle, block.tiles, work)
-            hidden = block.hidden + attn @ self.params[f"layers.{layer}.wo"]
-            block.hidden = hidden + self._mlp(hidden, layer, work)
-        if layer + 1 < self.config.n_layers:
+            tiles = block.tiles[-1:] if layer == last else block.tiles
+            attn = self._attend_block(q, keys, values, block.slot, block.triangle, tiles, work)
+            block.hidden += attn @ self.params[f"layers.{layer}.wo"]
+            block.hidden += self._mlp(block.hidden, layer, block.tiles, work)
+        if layer < last:
             block.normed = _rms_norm(block.hidden)
             span = slice(block.slot, block.slot + len(block.token_ids))
             cache.keys[layer + 1][:, span] = self._project(block.normed, layer + 1, "wk", *block.rope)
@@ -514,21 +524,25 @@ class DecoderModel:
         slots [slot, slot + tq), over k_all/v_all (Hk, width, dh). ``triangle``
         (tq, tq) marks the future keys within the block, and the keys from
         slot + tq on are all future. The rows run one of ``tiles`` (the block's
-        ``_row_tiles``) at a time, and a tile's scores go into ``work`` (flat
-        float32): every head's at once if it holds them all for the largest
-        tile, else one head's at a time.
+        ``_row_tiles``, or the last of them) at a time, and a tile's scores go
+        into ``work`` (flat float32): every head's at once if it holds them all
+        for the largest tile, else one head's at a time. Returns (tq, heads x
+        dh), each head's rows written straight into its columns; the rows
+        before the first tile are zeros.
         """
         cfg = self.config
         hk, dh, group = cfg.n_kv_heads, cfg.d_head, cfg.n_heads // cfg.n_kv_heads
         tq, width = q.shape[1], k_all.shape[1]
-        out = np.empty((cfg.n_heads, tq, dh), dtype=np.float32)
+        out = np.empty((tq, cfg.n_heads * dh), dtype=np.float32)
+        out[:tiles[0][0]] = 0.0
+        by_head = out.reshape(tq, hk, group, dh).transpose(1, 2, 0, 3)  # (Hk, group, tq, dh) view
         if work.size >= cfg.n_heads * max(hi - lo for lo, hi in tiles) * width:
             lead = (hk, group)  # every head in one product per op
-            heads = [(q.reshape(hk, group, tq, dh), k_all.transpose(0, 2, 1)[:, None], v_all[:, None],
-                      out.reshape(hk, group, tq, dh))]
+            heads = [(q.reshape(hk, group, tq, dh), k_all.transpose(0, 2, 1)[:, None], v_all[:, None], by_head)]
         else:
             lead = ()
-            heads = [(q[h], k_all[h // group].T, v_all[h // group], out[h]) for h in range(cfg.n_heads)]
+            heads = [(q[h], k_all[h // group].T, v_all[h // group], by_head[divmod(h, group)])
+                     for h in range(cfg.n_heads)]
         # this thread's; a one-token block's views are whole rows, which run faster
         # without it, and it has no future key within itself
         bufsize = np.setbufsize(_LIVE_BUFSIZE) if tq > 1 else None
@@ -550,19 +564,24 @@ class DecoderModel:
         finally:
             if bufsize is not None:
                 np.setbufsize(bufsize)
-        return out.transpose(1, 0, 2).reshape(tq, cfg.n_heads * dh)
+        return out
 
-    def _mlp(self, hidden: np.ndarray, layer: int, work: np.ndarray) -> np.ndarray:
-        """SiLU MLP. Its two (rows, d_ff) intermediates are written into
-        ``work``, a flat float32 array of at least 2 x rows x d_ff elements."""
+    def _mlp(self, hidden: np.ndarray, layer: int, tiles: Sequence[tuple[int, int]],
+             work: np.ndarray) -> np.ndarray:
+        """SiLU MLP. Its (rows, d_ff) inner product is written into ``work``
+        (flat float32) and its gate after it, one of the row ``tiles`` at a
+        time, so ``work`` holds at least (rows + the largest tile's rows) x
+        d_ff elements. The gate's ops are elementwise: tiles give the whole
+        block's bits."""
         d_ff = self.config.d_ff
         size = hidden.shape[0] * d_ff
         x = _rms_norm(hidden)
         inner = np.matmul(x, self.params[f"layers.{layer}.w1"], out=work[:size].reshape(-1, d_ff))
-        gate = np.negative(inner, out=work[size:2 * size].reshape(-1, d_ff))
-        np.exp(gate, out=gate)
-        np.add(np.float32(1.0), gate, out=gate)
-        inner /= gate  # inner / (1 + exp(-inner))
+        for lo, hi in tiles:
+            gate = np.negative(inner[lo:hi], out=work[size:size + (hi - lo) * d_ff].reshape(-1, d_ff))
+            np.exp(gate, out=gate)
+            np.add(np.float32(1.0), gate, out=gate)
+            inner[lo:hi] /= gate  # inner / (1 + exp(-inner))
         return inner @ self.params[f"layers.{layer}.w2"]
 
     def _rope_tables(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -634,25 +653,27 @@ def _pipeline(stage: Callable[[int, _Block, np.ndarray], None], blocks: Sequence
 
 @functools.lru_cache(maxsize=1)
 def _init_params(cfg: ModelConfig) -> Mapping[str, np.ndarray]:
-    """The seeded weights of ``cfg``, read-only and shared by every caller."""
-    rng = np.random.default_rng(cfg.init_seed)
-    scale = np.float32(0.02)
+    """The seeded weights of ``cfg``, read-only and shared by every caller.
 
-    def draw(*shape: int) -> np.ndarray:
-        return rng.standard_normal(shape, dtype=np.float32) * scale
-
-    params: dict[str, np.ndarray] = {"embedding": draw(cfg.vocab_size, cfg.d_model)}
+    Each is a read-only view of one float32 allocation that a single draw
+    fills and a scaling in place finishes: the same stream and values as
+    drawing the arrays in turn, with no temporary of a table's size."""
+    shapes = {"embedding": (cfg.vocab_size, cfg.d_model)}
     for layer in range(cfg.n_layers):
-        params[f"layers.{layer}.wq"] = draw(cfg.d_model, cfg.n_heads * cfg.d_head)
-        params[f"layers.{layer}.wk"] = draw(cfg.d_model, cfg.d_kv_total)
-        params[f"layers.{layer}.wv"] = draw(cfg.d_model, cfg.d_kv_total)
-        params[f"layers.{layer}.wo"] = draw(cfg.n_heads * cfg.d_head, cfg.d_model)
-        params[f"layers.{layer}.w1"] = draw(cfg.d_model, cfg.d_ff)
-        params[f"layers.{layer}.w2"] = draw(cfg.d_ff, cfg.d_model)
-    params["head"] = draw(cfg.d_model, cfg.vocab_size)
-    for arr in params.values():
-        arr.setflags(write=False)
-    return MappingProxyType(params)
+        shapes[f"layers.{layer}.wq"] = (cfg.d_model, cfg.n_heads * cfg.d_head)
+        shapes[f"layers.{layer}.wk"] = (cfg.d_model, cfg.d_kv_total)
+        shapes[f"layers.{layer}.wv"] = (cfg.d_model, cfg.d_kv_total)
+        shapes[f"layers.{layer}.wo"] = (cfg.n_heads * cfg.d_head, cfg.d_model)
+        shapes[f"layers.{layer}.w1"] = (cfg.d_model, cfg.d_ff)
+        shapes[f"layers.{layer}.w2"] = (cfg.d_ff, cfg.d_model)
+    shapes["head"] = (cfg.d_model, cfg.vocab_size)
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    base = np.empty(sum(sizes), dtype=np.float32)
+    np.random.default_rng(cfg.init_seed).standard_normal(dtype=np.float32, out=base)
+    base *= np.float32(0.02)
+    base.setflags(write=False)
+    views = np.split(base, np.cumsum(sizes)[:-1])
+    return MappingProxyType({name: view.reshape(shape) for (name, shape), view in zip(shapes.items(), views)})
 
 
 def _rms_norm(x: np.ndarray) -> np.ndarray:

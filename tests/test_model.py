@@ -931,6 +931,26 @@ def test_all_heads_and_one_head_kernel_forms_give_a_per_head_loops_bits(one_blas
         assert np.array_equal(serial_attend(model, q, k_all, v_all, None), want)
 
 
+# d_ff 512, as the default model's, beside a small vocabulary
+D_FF_512 = ModelConfig(n_layers=2, n_heads=4, d_model=128, d_head=32, d_kv_total=64,
+                       vocab_size=512, init_seed=9)
+
+
+@pytest.mark.parametrize("rows", [1, 72, 256, 512, 800])
+def test_the_mlp_gate_in_row_tiles_gives_the_whole_blocks_bits(rows):
+    """The MLP works its SiLU gate out one row tile at a time, in a
+    workspace of (rows + the largest tile's rows) x d_ff; its output is the
+    reference's, whose intermediates are whole fresh arrays."""
+    cfg = D_FF_512
+    model = DecoderModel(cfg)
+    hidden = np.random.default_rng(rows).standard_normal((rows, cfg.d_model), dtype=np.float32)
+    tiles = model_module._row_tiles(rows, 8294, cfg.d_head)
+    assert len(tiles) == tile_counts(rows, 8294, cfg.d_head)[0]
+    work = np.empty((rows + max(hi - lo for lo, hi in tiles)) * cfg.d_ff, dtype=np.float32)
+    for layer in range(cfg.n_layers):
+        assert np.array_equal(model._mlp(hidden, layer, tiles, work), mlp(model, hidden, layer)), layer
+
+
 @pytest.mark.skipif(not _openblas_picks_its_kernel_at_run_time(),
                     reason="needs numpy's OpenBLAS built with DYNAMIC_ARCH")
 @pytest.mark.skipif("OPENBLAS_CORETYPE" in os.environ, reason="the suite already runs under a chosen kernel")
@@ -938,14 +958,16 @@ def test_all_heads_and_one_head_kernel_forms_give_a_per_head_loops_bits(one_blas
 def test_kernel_forms_keep_their_bits_under_another_openblas_kernel(coretype):
     """Row tiles keep their block's bits only where a row's products do not
     depend on the rows beside it, which is up to the BLAS kernel: the kernel
-    form test holds under Prescott's, whose rows go in pairs, and Haswell's
-    (also Zen's), whose rows go in groups of 12."""
+    form test and the last-layer test hold under Prescott's, whose rows go in
+    pairs, and Haswell's (also Zen's), whose rows go in groups of 12."""
     env = {**os.environ, "OPENBLAS_CORETYPE": coretype}
     kernel = _corename(env)  # Prescott's reports itself as Katmai
     assert kernel != _corename(dict(os.environ)) or kernel == coretype, "OPENBLAS_CORETYPE had no effect"
+    tests = ("test_all_heads_and_one_head_kernel_forms_give_a_per_head_loops_bits",
+             "test_a_prefills_last_layer_attends_its_last_row_tile_only")
     result = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         f"{Path(__file__).resolve()}::test_all_heads_and_one_head_kernel_forms_give_a_per_head_loops_bits"],
+         *(f"{Path(__file__).resolve()}::{test}" for test in tests)],
         cwd=Path(__file__).resolve().parent.parent, env=env, capture_output=True, text=True, timeout=600)
     assert result.returncode == 0, result.stdout + result.stderr
 
@@ -1124,10 +1146,11 @@ def test_a_pass_holds_the_states_of_the_blocks_in_flight_only(monkeypatch, threa
 def test_a_threads_workspace_holds_one_row_tile_of_scores(one_blas_thread, monkeypatch):
     """A 2-thread prefill of four 512-token chunks at width 2,048 gives each
     thread a workspace no larger than the largest of: its largest row tile's
-    scores for one head, the MLP's two intermediates, and every head's
-    scores of one row; not a chunk's 512 x 2,048 scores. It gives the
-    serial kernel's bits."""
-    cfg, rows, width = D_HEAD_32, 512, 2048
+    scores for one head, the MLP's inner product and one tile of its gate,
+    and every head's scores of one row; not a chunk's 512 x 2,048 scores,
+    nor the chunk's two 512 x d_ff MLP intermediates. It gives the serial
+    kernel's bits."""
+    cfg, rows, width = D_FF_512, 512, 2048
     parts = make_chunks(width, rows)
     want = serial_model(cfg).prefill(parts, KVCache(cfg, width)).last_logits
     monkeypatch.setattr(model_module, "_cores", lambda: 2)
@@ -1141,10 +1164,42 @@ def test_a_threads_workspace_holds_one_row_tile_of_scores(one_blas_thread, monke
 
     monkeypatch.setattr(DecoderModel, "_block_stage", recorded)
     got = DecoderModel(cfg).prefill(parts, KVCache(cfg, width)).last_logits
-    bound = max(tile_counts(rows, width, cfg.d_head)[2] * width, rows * 2 * cfg.d_ff, cfg.n_heads * width)
+    tile = tile_counts(rows, width, cfg.d_head)[2]
+    bound = max(tile * width, (rows + tile) * cfg.d_ff, cfg.n_heads * width)
     assert len(sizes) == 2
     assert all(size <= bound for thread in sizes.values() for size in thread), (sizes, bound)
-    assert bound < rows * width
+    assert bound < min(rows * width, rows * 2 * cfg.d_ff)
+    assert np.array_equal(got, want)
+
+
+def test_a_prefills_last_layer_attends_its_last_row_tile_only(one_blas_thread, monkeypatch):
+    """A prefill of the default model over six 512-token chunks (width
+    3,072) runs its last layer's attention on the last block's last row tile
+    alone, and every other attention on every tile. Its logits are those of
+    a prefill whose last layer runs every tile, and the serial kernel's."""
+    cfg, rows, width = ModelConfig(), 512, 3072
+    parts = make_chunks(width, rows)
+    tiles = model_module._row_tiles(rows, width, cfg.d_head)
+    assert len(tiles) > 1
+    model = DecoderModel(cfg)
+    want = serial_model(cfg).prefill(parts, KVCache(cfg, width)).last_logits
+    attend_block = DecoderModel._attend_block
+    calls = []
+
+    def recorded(self, q, k_all, v_all, slot, triangle, block_tiles, work):
+        calls.append(tuple(block_tiles))
+        return attend_block(self, q, k_all, v_all, slot, triangle, block_tiles, work)
+
+    def every_tile(self, q, k_all, v_all, slot, triangle, block_tiles, work):
+        block_tiles = model_module._row_tiles(q.shape[1], k_all.shape[1], cfg.d_head)
+        return attend_block(self, q, k_all, v_all, slot, triangle, block_tiles, work)
+
+    monkeypatch.setattr(DecoderModel, "_attend_block", recorded)
+    got = model.prefill(parts, KVCache(cfg, width)).last_logits
+    assert calls[-1] == tuple(tiles[-1:])
+    assert calls[:-1] == [tuple(tiles)] * (len(parts) * (cfg.n_layers - 1))
+    monkeypatch.setattr(DecoderModel, "_attend_block", every_tile)
+    assert np.array_equal(got, model.prefill(parts, KVCache(cfg, width)).last_logits)
     assert np.array_equal(got, want)
 
 
@@ -1232,6 +1287,42 @@ def test_weights_are_frozen(model):
         model.params["embedding"][0, 0] = 1.0
     with pytest.raises(TypeError):
         model.params["embedding"] = np.zeros(1, dtype=np.float32)
+
+
+def drawn_one_array_at_a_time(cfg):
+    """The weights as each array's own draw, scaled into a new array: the
+    reference for ``_init_params``' one draw into one allocation."""
+    rng = np.random.default_rng(cfg.init_seed)
+
+    def draw(*shape):
+        return rng.standard_normal(shape, dtype=np.float32) * np.float32(0.02)
+
+    params = {"embedding": draw(cfg.vocab_size, cfg.d_model)}
+    for layer in range(cfg.n_layers):
+        params[f"layers.{layer}.wq"] = draw(cfg.d_model, cfg.n_heads * cfg.d_head)
+        params[f"layers.{layer}.wk"] = draw(cfg.d_model, cfg.d_kv_total)
+        params[f"layers.{layer}.wv"] = draw(cfg.d_model, cfg.d_kv_total)
+        params[f"layers.{layer}.wo"] = draw(cfg.n_heads * cfg.d_head, cfg.d_model)
+        params[f"layers.{layer}.w1"] = draw(cfg.d_model, cfg.d_ff)
+        params[f"layers.{layer}.w2"] = draw(cfg.d_ff, cfg.d_model)
+    params["head"] = draw(cfg.d_model, cfg.vocab_size)
+    return params
+
+
+@pytest.mark.parametrize("default", [False, True], ids=["toy", "default"])
+def test_weights_are_one_draw_into_one_read_only_allocation(toy_model_config, default):
+    """Every weight is a read-only view of one float32 base that holds them
+    all, and equals its own per-array draw bit for bit."""
+    cfg = ModelConfig() if default else toy_model_config
+    params, want = _init_params.__wrapped__(cfg), drawn_one_array_at_a_time(cfg)
+    assert list(params) == list(want)
+    base = params["embedding"].base
+    assert base.ndim == 1 and base.dtype == np.float32 and not base.flags.writeable
+    assert base.size == sum(arr.size for arr in want.values())
+    for name, arr in params.items():
+        assert arr.base is base and not arr.flags.writeable, name
+        assert arr.shape == want[name].shape and arr.dtype == np.float32, name
+        assert np.array_equal(arr.view(np.uint32), want[name].view(np.uint32)), name
 
 
 def test_models_of_one_config_share_the_cached_weights(toy_model_config):
