@@ -38,7 +38,7 @@ from .config import RunConfig, apply_overrides, load_config_file, with_one_selec
 from .embed import HashingEmbedder
 from .metrics import embedding_cosine_proxy, mean_std, rouge_l_f1
 from .sched import simulate_generation
-from .textpipe import Record, load_jsonl_records, load_text_file, tokenize
+from .textpipe import Record, load_jsonl_records, tokenize
 
 log = logging.getLogger("apce")
 
@@ -116,8 +116,7 @@ def load_records(args: argparse.Namespace) -> list[Record]:
         return records
     if args.query is None:
         raise ValueError("plain-text input needs --query")
-    return [Record(id=path.stem, text=load_text_file(path), query=args.query,
-                   reference=None)]
+    return [Record(id=path.stem, text=path.read_text(encoding="utf-8"), query=args.query, reference=None)]
 
 
 def run_record(record: Record, config: RunConfig) -> dict:

@@ -46,34 +46,35 @@ rest of the engine:
   all their scores for a tile (a decode step's does), else one head; both
   give a per-head loop's bits.
 
-- A pass runs its blocks block-major: a block's stage -1 makes its rope
+- One driver, ``_pipeline``, runs the blocks of every pass (prefill,
+  rebuild and decode step) block-major: a block's stage -1 makes its rope
   tables and embeds it, its stage l runs its attention over layer l and
   its MLP, and each writes its layer l+1 K/V from normed states that its
-  next stage's queries reuse. The last layer writes no K/V, so a rebuild
-  stops each block there, and a prefill or a decode step runs its last
-  block through the last layer on the calling thread after every other
-  stage. Only its final row is read there, for the logits, so that layer's
-  attention runs the block's last row tile alone and the rows of its other
-  tiles carry zeros; the projections and the MLP keep the block's shapes,
-  as a one-row product takes another BLAS path, and the final row keeps
-  its bits by the tile guarantee above. As stage l reads the
-  layer-l K/V of the blocks before it, it waits only until every earlier
-  block has finished stage l - 1, and a pass pipelines its blocks over up
-  to one thread per core (the calling thread and helpers it starts and
-  joins), each taking the next block in slot order. Results are the plain
-  block-major loop's bit for bit, as each block makes that loop's calls on
-  the same shapes; the keys after a block may hold placeholders, stale K/V
-  or K/V another thread just wrote, all finite and masked. A block's
-  states are dropped once it is done, so a pass holds its arena, one
-  workspace per thread for a tile's scores or a block's MLP inner product
-  with one tile of its gate, and the blocks in flight: one per thread, and
-  a prefill's last block until its last layer. A stage adds its residuals
-  into the block's hidden states in place, and attention writes each
-  head's tiles straight into its columns of the block's output. A pass of
-  one block, such as a decode step, or whose scores for one layer and head
-  (pass tokens x width) stay under ``_PARALLEL_MIN_SCORES``, runs on the
-  calling thread with no lock. A failing block raises once every thread is
-  done. The speedup assumes a single-threaded BLAS.
+  next stage's queries reuse. The last layer writes no K/V and only the
+  final row of a pass's last block is read there, for the logits, so a
+  prefill or a decode step keeps that block for one more stage and a
+  rebuild stops every block before it. That layer's attention runs the
+  block's last row tile alone and the rows of its other tiles carry zeros;
+  the projections and the MLP keep the block's shapes, as a one-row
+  product takes another BLAS path, and the final row keeps its bits by
+  the tile guarantee above. As stage l reads the layer-l K/V of the blocks
+  before it, it waits only until every earlier block has finished stage
+  l - 1, and a pass pipelines its blocks over up to one thread per core
+  (the calling thread and helpers it starts and joins), each taking the
+  next block in slot order. Results are the plain block-major loop's bit
+  for bit, on any thread, as each block makes that loop's calls on the
+  same shapes; the keys after a block may hold placeholders, stale K/V or
+  K/V another thread just wrote, all finite and masked. A block's states
+  are dropped once it is done, bar the kept block's hidden states, so a
+  pass holds its arena, one workspace per thread for a tile's scores or a
+  block's MLP inner product with one tile of its gate, and the blocks in
+  flight, one per thread. A stage adds its residuals into the block's
+  hidden states in place, and attention writes each head's tiles straight
+  into its columns of the block's output. A pass of one block, such as a
+  decode step, or whose scores for one layer and head (pass tokens x
+  width) stay under ``_PARALLEL_MIN_SCORES``, runs on the calling thread
+  alone. A failing block raises once every thread is done. The speedup
+  assumes a single-threaded BLAS.
 
 - The arena is allocated once, at the most tokens its session will hold,
   and changes layout only when residency does. Eviction and admission edit
@@ -386,9 +387,6 @@ class DecoderModel:
         if any(c.doc_token_offset + c.size > cfg.max_position for c in ordered):
             raise ValueError("chunk positions overflow max_position")
 
-        for c in ordered:
-            cache.reserve(c)
-        cache.settle()
         elements, hidden = self._forward_blocks(cache, self._chunk_blocks(cache, ordered), finish_last=True)
         last_logits = _rms_norm(hidden[-1:])[0] @ self.params["head"]
         cache.counters["prefill_elements"] += elements
@@ -427,10 +425,6 @@ class DecoderModel:
         ordered = sorted({c.chunk_index: c for c in chunks}.values(), key=lambda c: c.doc_token_offset)
         if not ordered:
             return 0
-        for c in ordered:
-            if not cache.has(c.chunk_index):
-                cache.reserve(c)
-        cache.settle()
         elements, _ = self._forward_blocks(cache, self._chunk_blocks(cache, ordered), finish_last=False)
         cache.counters["rebuild_elements"] += elements
         return elements
@@ -438,7 +432,12 @@ class DecoderModel:
     # --- internals ---
 
     def _chunk_blocks(self, cache: KVCache, ordered: Sequence[Chunk]) -> list[_Block]:
-        """The blocks of settled resident chunks in document order, over the chunk prefix."""
+        """Reserve the chunks that are not resident yet and settle the arena;
+        return the chunks' blocks in document order, over the chunk prefix."""
+        for c in ordered:
+            if not cache.has(c.chunk_index):
+                cache.reserve(c)
+        cache.settle()
         sizes = {c.size for c in ordered}
         triangle = np.triu(np.ones((max(sizes),) * 2, dtype=bool), 1)  # a shorter chunk's is its top left
         tiles = {size: _row_tiles(size, cache.chunk_tokens, self.config.d_head) for size in sizes}
@@ -447,14 +446,16 @@ class DecoderModel:
 
     def _forward_blocks(self, cache: KVCache, blocks: Sequence[_Block], finish_last: bool
                         ) -> tuple[int, np.ndarray | None]:
-        """Run blocks of one width through their stages (see the module docstring).
-        Each thread's workspace holds the largest of: the largest row tile's
-        scores for one head (tile rows x width), a block's MLP inner product
-        and one tile of its gate ((block tokens + tile rows) x d_ff) and a
-        decode step's scores for every head (heads x width). Returns the score
-        elements per layer and head (block tokens x width, summed) and, with
-        ``finish_last``, the last block's final hidden states, of which only
-        its last row tile's went through the last layer's attention."""
+        """Run blocks of one width through ``_pipeline`` (see the module
+        docstring), the last one also through the last layer with
+        ``finish_last``. Each thread's workspace holds the largest of: the
+        largest row tile's scores for one head (tile rows x width), a block's
+        MLP inner product and one tile of its gate ((block tokens + tile rows)
+        x d_ff) and a decode step's scores for every head (heads x width).
+        Returns the score elements per layer and head (block tokens x width,
+        summed) and, with ``finish_last``, the last block's final hidden
+        states, of which only its last row tile's went through the last
+        layer's attention."""
         cfg = self.config
         width = blocks[0].width
         tokens = [len(b.token_ids) for b in blocks]
@@ -470,22 +471,9 @@ class DecoderModel:
         tile = max(hi - lo for block in blocks for lo, hi in block.tiles)
         size = max(tile * width, (max(tokens) + tile) * cfg.d_ff, cfg.n_heads * width)
         workspaces = list(np.empty((threads, size), dtype=np.float32))
-        stage = functools.partial(self._block_stage, cache)
-        stages = range(-1, cfg.n_layers - 1)
-        kept = blocks[-1] if finish_last else None  # held for the last layer
-        if threads == 1:  # a decode step among them: a hand-off cost a step 68-126 µs
-            for block in blocks:
-                for layer in stages:
-                    stage(layer, block, workspaces[0])
-                if block is not kept:
-                    block.rope = block.hidden = block.normed = None
-        else:
-            _pipeline(stage, blocks, stages, workspaces, kept)
-        if kept is None:
-            return scores, None
-        stage(cfg.n_layers - 1, kept, workspaces[0])
-        kept.rope = kept.normed = None
-        return scores, kept.hidden
+        kept = blocks[-1] if finish_last else None  # runs the last layer too
+        _pipeline(functools.partial(self._block_stage, cache), blocks, cfg.n_layers, workspaces, kept)
+        return scores, None if kept is None else kept.hidden
 
     def _block_stage(self, cache: KVCache, layer: int, block: _Block, work: np.ndarray) -> None:
         """A block's attention over ``layer`` and its MLP (stage -1 makes its rope
@@ -611,22 +599,23 @@ def _row_tiles(rows: int, width: int, d_head: int) -> list[tuple[int, int]]:
 
 
 def _pipeline(stage: Callable[[int, _Block, np.ndarray], None], blocks: Sequence[_Block],
-              stages: range, workspaces: Sequence[np.ndarray], kept: _Block | None) -> None:
-    """Run each block through ``stages`` on one thread per workspace (this one
-    and helpers it starts) as the module docstring says; blocks but ``kept``
-    drop their states once done. No stage after a failed one starts."""
-    done = [stages.start - 1] * len(blocks)  # the last stage each block has finished
+              layers: int, workspaces: Sequence[np.ndarray], kept: _Block | None) -> None:
+    """Run each block through stages -1 to ``layers - 2``, and ``kept`` on
+    through ``layers - 1``, on one thread per workspace (this one and helpers
+    it starts) as the module docstring says. A block drops its states once
+    done, but ``kept`` keeps its hidden ones. No stage after a failed one starts."""
+    done = [-2] * len(blocks)  # the last stage each block has finished
     order = iter(enumerate(blocks))
-    last = stages[-1]  # the last stage a block may start: a failure lowers it
+    last = layers - 1  # the last stage a block may start: a failure lowers it
     turn = threading.Condition()
 
     def run(work: np.ndarray) -> None:
         nonlocal last
-        layer = stages.start
+        layer = -1
         with turn:  # released while a stage runs
             try:
                 for b, block in order:
-                    for layer in stages:
+                    for layer in range(-1, layers - (block is not kept)):
                         turn.wait_for(lambda: layer > last or min(done[:b], default=layer) >= layer - 1)
                         if layer > last:
                             return
@@ -637,13 +626,16 @@ def _pipeline(stage: Callable[[int, _Block, np.ndarray], None], blocks: Sequence
                             turn.acquire()
                         done[b] = layer
                         turn.notify_all()
+                    block.rope = block.normed = None
                     if block is not kept:
-                        block.rope = block.hidden = block.normed = None
+                        block.hidden = None
             except BaseException:
                 last = min(last, layer)
                 turn.notify_all()
                 raise
 
+    if len(workspaces) == 1:  # a decode step among them: a helper would cost each step 68-126 µs
+        return run(workspaces[0])
     with futures.ThreadPoolExecutor(len(workspaces) - 1, thread_name_prefix="apce-attend") as pool:
         helpers = [pool.submit(run, work) for work in workspaces[1:]]
         run(workspaces[0])  # leaving the block joins the helpers, also when this raises

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -63,18 +63,16 @@ class GenerationTrace:
 class Session:
     """One generation session, its state on plain attributes.
 
+    Its mode and latencies are the config's (``mode`` and ``load.*``).
     Construction does everything before the first decode step, up to token
     1, which the prefill's logits give. ``step`` decodes one greedy token,
     ``boundary`` does one reprioritization, and ``trace`` reports. The
     session is the handle ``apply_plan`` evicts and rebuilds through.
     """
 
-    def __init__(self, doc_text: str, query_text: str, mode: str, load: LoadModel,
-                 config: RunConfig):
+    def __init__(self, doc_text: str, query_text: str, config: RunConfig):
         config.validate()
-        # mode is its own argument: config.mode is not read here
-        if mode not in ("dense", "apce"):
-            raise ValueError(f"mode must be 'dense' or 'apce', got {mode!r}")
+        mode, load = config.mode, config.load_model()
         self.mode, self.load = mode, load
         self.recompute_enabled = config.recompute
         self.recent_tokens, self.alpha = config.recent_tokens, config.alpha
@@ -207,7 +205,8 @@ def simulate_generation(
     seeded, decoding is greedy, and the clock is virtual.
     """
     wall_start = time.perf_counter()
-    session = Session(doc_text, query_text, mode, load, config)
+    config = replace(config, mode=mode, **asdict(load))
+    session = Session(doc_text, query_text, config)
     reprioritizing = mode == "apce" and config.reprioritization_enabled
     # one reprioritization opportunity per emitted token; the prefill emitted the first
     for step in range(1, config.max_new_tokens + 1):

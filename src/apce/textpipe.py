@@ -120,8 +120,3 @@ def load_jsonl_records(path: str | Path) -> list[Record]:
                 )
             )
     return records
-
-
-def load_text_file(path: str | Path) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()

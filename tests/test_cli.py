@@ -11,12 +11,13 @@ import warnings
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import apce.cli
-from apce.cli import main
+from apce.cli import SWEEP_AXES, main
 from apce.config import KEY_SPECS
 from apce.embed import HashingEmbedder
 from apce.model import DecoderModel
@@ -614,14 +615,28 @@ def config_value(value):
     return repr(value) if isinstance(value, float) else str(value)
 
 
+HUGE = sys.float_info.max / 2  # a latency that the virtual clock can add only once
+LATENCIES = ("load.per_chunk_latency", "load.decode_latency", "load.compute_seconds_per_element")
+VECTORS = "vectors.jsonl"  # the generated vectors file, in the example's directory
+
+
 @st.composite
 def cli_inputs(draw):
-    """Random Unicode records, and a config file that sets every key of
-    ``KEY_SPECS`` inside ``validate``'s domain (a tiny model, at most 4 new
-    tokens), or one key just outside it. Returns (records, config lines,
-    the key outside its domain or None)."""
+    """Random Unicode records, a config file and a command. The config sets
+    every key of ``KEY_SPECS`` inside ``validate``'s domain (a tiny model, at
+    most 4 new tokens, latencies of at most a million seconds, hashed
+    embeddings or the generated ``VECTORS`` file), or one key just outside
+    it; in half of the examples one latency is ``HUGE`` instead, which two
+    chunk arrivals, two decode steps or two score elements overflow. The
+    command is ``run`` on a JSONL corpus or on plain text with ``--query``,
+    or ``sweep`` of a random axis over one or two values from 0 (outside
+    every axis's domain) to 6. Returns (records, config lines, the key
+    outside its domain or None, plain text or not, the sweep's axis and
+    values or None)."""
     kv_heads, group, d_head = draw(st.integers(1, 2)), draw(st.integers(1, 2)), 2 * draw(st.integers(1, 4))
     rule = draw(st.sampled_from(["max_chunks", "fraction", "neither"]))
+    provider = draw(st.sampled_from(["hash", "file"]))
+    huge = draw(st.sampled_from([None] * len(LATENCIES) + list(LATENCIES)))
     finite = dict(allow_nan=False, allow_infinity=False)
     inside = {
         "mode": st.sampled_from(["dense", "apce"]), "seed": st.integers(0, 2 ** 64),
@@ -632,9 +647,9 @@ def cli_inputs(draw):
         "reprioritization.recompute": st.booleans(),
         "query.tail_chars": st.integers(1, 120), "query.recent_tokens": st.integers(1, 60),
         "query.alpha": st.floats(0, 1), "embedding.dim": st.integers(1, 64),
-        "embedding.provider": st.just("hash"), "embedding.file": st.none() | st.just("unread.jsonl"),
+        "embedding.provider": st.just(provider),
+        "embedding.file": st.just(VECTORS) if provider == "file" else st.none() | st.just("unread.jsonl"),
         "tokenizer.vocab_size": st.integers(1, 512), "generation.max_new_tokens": st.integers(1, 4),
-        # latencies up to a million seconds: larger ones may overflow the virtual clock, which exits 2
         "load.per_chunk_latency": st.floats(0, 1e6), "load.async_start_chunks": st.integers(1, 8),
         "load.decode_latency": st.floats(0, 1e6), "load.compute_seconds_per_element": st.floats(0, 1e3),
         "model.n_layers": st.integers(1, 2), "model.n_heads": st.just(kv_heads * group),
@@ -644,7 +659,7 @@ def cli_inputs(draw):
         "model.max_position": st.integers(512, 65536),  # above any document drawn below
     }
     assert inside.keys() == KEY_SPECS.keys()
-    values = {key: config_value(draw(inside[key])) for key in KEY_SPECS}
+    values = {key: config_value(HUGE if key == huge else draw(inside[key])) for key in KEY_SPECS}
     below_zero, above_one = repr(math.nextafter(0.0, -1.0)), repr(math.nextafter(1.0, 2.0))
     outside = {
         "mode": "sparse", "seed": "-1", "chunk.size": "0", "select.max_chunks": "0",
@@ -661,7 +676,7 @@ def cli_inputs(draw):
         "model.rope_theta": st.sampled_from(["0.0", "inf", "nan"]), "model.max_position": "0",
     }
     assert outside.keys() == KEY_SPECS.keys()
-    broken = draw(st.none() | st.sampled_from(sorted(KEY_SPECS)))
+    broken = draw(st.none() | st.sampled_from(sorted(KEY_SPECS))) if draw(st.booleans()) else None
     if broken is not None:
         value = outside[broken]
         values[broken] = value if isinstance(value, str) else draw(value)
@@ -670,40 +685,103 @@ def cli_inputs(draw):
     texts = st.text(max_size=100)
     records = [{"id": f"r{i}", "text": draw(texts) + " word", "query": draw(texts),
                 "reference": draw(st.none() | texts)} for i in range(draw(st.integers(1, 2)))]
-    return records, [f"{key} = {value}" for key, value in values.items()], broken
+    plain = draw(st.booleans())
+    if plain:  # one document, its query given by --query
+        records = records[:1]
+    sweep = None
+    if draw(st.booleans()):
+        sweep = draw(st.sampled_from(sorted(SWEEP_AXES))), draw(st.lists(st.integers(0, 6), min_size=1, max_size=2))
+    return records, [f"{key} = {value}" for key, value in values.items()], broken, plain, sweep
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+def unusable_tail(query, config):
+    """The query tail ``config`` makes of ``query`` if it holds no token or
+    embeds to zero (exit 2), else None."""
+    tail = query[-int(config["query.tail_chars"]):]
+    tokens = tokenize(tail, int(config["tokenizer.vocab_size"]))
+    usable = tokens and HashingEmbedder(int(config["embedding.dim"])).embed_tokens(tokens).any()
+    return None if usable else tail
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(cli_inputs())
 def test_generated_configs_and_records_exit_as_the_readme_says(inputs):
     """A config inside ``validate``'s domain runs to a report that passes the
-    schema and the count laws, unless the query tail is unusable (exit 2,
-    naming it); one key outside its domain exits 2, naming the key. Nothing
-    exits 4."""
-    records, lines, broken = inputs
+    schema and the count laws, or a sweep to its CSV and JSON, unless a
+    query tail is unusable (exit 2, naming it) or a sweep value is outside
+    its key's domain (exit 2, naming the key), whichever comes first, or the
+    virtual clock overflows (exit 2, naming the load.* keys). One key outside
+    its domain exits 2, naming the key. Nothing exits 4, and nothing is
+    written on exit 2."""
+    records, lines, broken, plain, sweep = inputs
+    config = dict(line.split(" = ", 1) for line in lines)
+    event("sweep" if sweep else "run")
+    event("plain text" if plain else "JSONL")
+    event(f"embedding.provider = {config['embedding.provider']}")
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        (tmp / "corpus.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        if plain:
+            source = tmp / "doc.txt"
+            source.write_text(records[0]["text"], encoding="utf-8")
+            records[0]["text"] = source.read_text(encoding="utf-8")  # newlines as the program reads them
+            argv = ["--input", str(source), f"--query={records[0]['query']}"]
+        else:
+            source = tmp / "corpus.jsonl"
+            source.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+            argv = ["--input", str(source)]
+        if config["embedding.file"] == VECTORS:
+            lines = [f"embedding.file = {tmp / VECTORS}" if line.startswith("embedding.file") else line
+                     for line in lines]
+            rows = max(len(tokenize(r["text"])) for r in records)  # at least one per chunk at any size
+            vectors = np.random.default_rng(len(lines)).standard_normal((rows, int(config["embedding.dim"])))
+            (tmp / VECTORS).write_text("".join(json.dumps({"chunk_index": i, "vector": v.tolist()}) + "\n"
+                                               for i, v in enumerate(vectors)), encoding="utf-8")
         (tmp / "run.conf").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        command = ["run"]
+        if sweep is not None:
+            command = ["sweep", f"--axis={sweep[0]}", f"--values={','.join(map(str, sweep[1]))}"]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["run", "--input", str(tmp / "corpus.jsonl"), "--config", str(tmp / "run.conf"),
-                         "--out-dir", str(tmp / "out")])
-        reports = [json.loads(path.read_text(encoding="utf-8")) for path in tmp.glob("out/*.json")]
+            code = main([*command, *argv, "--config", str(tmp / "run.conf"), "--out-dir", str(tmp / "out")])
+        written = {path.name: path.read_text(encoding="utf-8") for path in tmp.glob("out/*")}
     err = err.getvalue()
     if broken is not None:
-        assert (code, reports) == (2, []), (broken, err)
+        event("a key outside its domain")
+        assert (code, written) == (2, {}), (broken, err)
         assert broken in err, broken
         return
-    config = dict(line.split(" = ", 1) for line in lines)
-    tail = records[0]["query"][-int(config["query.tail_chars"]):]
-    tokens = tokenize(tail, int(config["tokenizer.vocab_size"]))
-    if not tokens or not HashingEmbedder(int(config["embedding.dim"])).embed_tokens(tokens).any():
-        assert (code, reports) == (2, []), err
-        assert err.startswith(f"error: query tail {tail!r}, the last query.tail_chars"), err
+    if code == 2 and err.startswith(("error: the virtual clock overflowed", "error: sweep column ")):
+        event("the virtual clock overflowed")
+        assert HUGE in {float(config[key]) for key in LATENCIES}, err
+        assert written == {}, err
+        assert all(key in err for key in LATENCIES), err
         return
-    assert (code, len(reports)) == (0, 1), err
-    report = reports[0]
+    axis, values = sweep or (None, [None])
+    for value in values:  # the runs in the order they are made, each over every record a sweep reads
+        if value == 0:
+            event("a sweep value outside its key's domain")
+            assert (code, written) == (2, {}), err
+            assert err.startswith(f"error: {SWEEP_AXES[axis]} must be >= 1"), err
+            return
+        for record in records if sweep else records[:1]:
+            tail = unusable_tail(record["query"], config)
+            if tail is not None:
+                event("an unusable query tail")
+                assert (code, written) == (2, {}), err
+                assert err.startswith(f"error: query tail {tail!r}, the last query.tail_chars"), err
+                return
+    assert code == 0, err
+    event("exit 0")
+    if sweep:
+        assert sorted(written) == [f"sweep_{axis}.csv", f"sweep_{axis}.json"]
+        summary = json.loads(written[f"sweep_{axis}.json"])
+        assert [row["value"] for row in summary["aggregates"]] == values
+        assert all(row["runs"] == len(records) for row in summary["aggregates"])
+        assert len(summary["per_run"]) == len(values) * len(records)
+        return
+    report_file, = (name for name in written if name.endswith(".json"))
+    assert sorted(written) == [report_file, "runs.csv"]
+    report = json.loads(written[report_file])
     jsonschema.validate(report, REPORT_SCHEMA)
     assert len(report["tokens"]) == int(config["generation.max_new_tokens"])
     size, doc_tokens = int(config["chunk.size"]), report["document"]["tokens"]

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 import warnings
 from pathlib import Path
 
@@ -733,9 +734,9 @@ def count_handed_stages(monkeypatch):
     handed = [0]
     pipeline = model_module._pipeline
 
-    def counted(stage, blocks, stages, workspaces, kept):
+    def counted(stage, blocks, layers, workspaces, kept):
         handed[0] += len(workspaces) > 1
-        pipeline(stage, blocks, stages, workspaces, kept)
+        pipeline(stage, blocks, layers, workspaces, kept)
 
     monkeypatch.setattr(model_module, "_pipeline", counted)
     return handed
@@ -1003,8 +1004,8 @@ def test_each_block_runs_once_per_stage_with_more_threads_than_cores(monkeypatch
     """Eight threads on two cores with a 1 µs switch interval: every stage
     that writes K/V runs each of the pass's 12 blocks exactly once, no block
     starts layer l before every earlier block has finished layer l - 1, the
-    last layer runs the last block alone, last and on the calling thread,
-    and the result is the serial kernel's."""
+    last layer runs the last block alone and last, and the result is the
+    serial kernel's."""
     cfg = ModelConfig(n_layers=3, n_heads=2, d_model=16, d_head=8, d_kv_total=8,
                       vocab_size=64, init_seed=3)
     parts = make_chunks(48, 4, vocab=64)
@@ -1022,7 +1023,6 @@ def test_each_block_runs_once_per_stage_with_more_threads_than_cores(monkeypatch
 
     monkeypatch.setattr(DecoderModel, "_block_stage", recorded)
     model = DecoderModel(cfg)
-    caller = threading.get_ident()
     last = cfg.n_layers - 1
     slots = [4 * i for i in range(12)]
     expected = [(layer, slot) for layer in range(-1, last) for slot in slots]
@@ -1045,7 +1045,7 @@ def test_each_block_runs_once_per_stage_with_more_threads_than_cores(monkeypatch
             for i, (kind, layer, slot, _) in enumerate(events):
                 if kind == "start" and layer >= 0:  # every key it attends is written before it starts
                     assert all(ended[layer - 1, earlier] < i for earlier in slots if earlier < slot), n
-            assert events[-2:] == [("start", last, slots[-1], caller), ("end", last, slots[-1], caller)], n
+            assert [event[:3] for event in events[-2:]] == [("start", last, slots[-1]), ("end", last, slots[-1])], n
             threads |= {thread for *_, thread in events}
             if time.monotonic() > deadline:
                 break
@@ -1058,13 +1058,12 @@ def test_each_block_runs_once_per_stage_with_more_threads_than_cores(monkeypatch
 def test_only_the_block_that_seeds_generation_runs_the_last_layer(monkeypatch, threads):
     """Each stage that writes K/V runs every block of a pass once. The last
     layer writes no K/V: a rebuild sends no block through it, and a prefill
-    sends its last block alone, on the calling thread."""
+    sends its last block alone."""
     cfg = ModelConfig(n_layers=3, n_heads=2, d_model=16, d_head=8, d_kv_total=8,
                       vocab_size=64, init_seed=3)
     parts = make_chunks(48, 4, vocab=64)
     monkeypatch.setattr(model_module, "_PARALLEL_MIN_SCORES", 0)
     monkeypatch.setattr(model_module, "_cores", lambda: threads)
-    caller = threading.get_ident()
     calls = []
     block_stage = DecoderModel._block_stage
 
@@ -1084,7 +1083,7 @@ def test_only_the_block_that_seeds_generation_runs_the_last_layer(monkeypatch, t
     cache = KVCache(cfg, ARENA)
     model.prefill(parts[:10], cache)
     assert per_layer() == [10, 10, 10, 1]
-    assert [(slot, thread) for layer, slot, thread in calls if layer == last] == [(36, caller)]
+    assert [slot for layer, slot, _ in calls if layer == last] == [36]
     assert len({thread for *_, thread in calls}) == threads
 
     calls.clear()
@@ -1134,8 +1133,10 @@ def test_a_pass_holds_the_states_of_the_blocks_in_flight_only(monkeypatch, threa
     left = [state for block in passes[-1] for state in states(block)]
     del left[-2]  # the last block's hidden, which the prefill may hand on
     assert all(state is None for state in left)
+    assert len(ran_on) == threads
 
     held.clear()
+    ran_on.clear()  # a new helper need not reuse the last one's thread id
     model.rebuild_blocks(cache, parts)
     assert len(passes[-1]) == 12 and len(held) == 2 * 12 * cfg.n_layers
     assert max(held) <= threads
@@ -1203,33 +1204,88 @@ def test_a_prefills_last_layer_attends_its_last_row_tile_only(one_blas_thread, m
     assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("failing", ["caller", "helper"])
-def test_a_failing_block_raises_after_every_thread_is_done(monkeypatch, failing):
-    """Whichever thread a block fails on, the pass raises only once the
-    other thread has finished its block, and nothing runs on after it."""
+@pytest.mark.parametrize("failing,layer,want", [
+    ("caller", -1, [(False, -1)]),
+    ("helper", -1, [(True, -1)]),
+    ("helper", D_HEAD_8.n_layers - 1, [(False, -1), (False, 0), (True, -1), (True, 0)]),  # the kept block's last layer
+], ids=["caller", "helper", "last layer on a helper"])
+def test_a_failing_block_raises_after_every_thread_is_done(monkeypatch, failing, layer, want):
+    """Whichever thread a block's stage fails on, the pass raises only once
+    the other thread has finished its stage, and nothing runs on after it.
+    The caller takes the first of the two blocks, so the kept one, whose
+    last layer waits for every stage of the caller's, runs on the helper."""
     monkeypatch.setattr(model_module, "_PARALLEL_MIN_SCORES", 0)
     monkeypatch.setattr(model_module, "_cores", lambda: 2)
     caller = threading.get_ident()
-    failed = threading.Event()
+    caller_in, started = threading.Event(), threading.Event()
     finished = []
     block_stage = DecoderModel._block_stage
 
-    def one_fails(self, *args):
-        if (threading.get_ident() == caller) == (failing == "caller"):
-            failed.set()
-            raise ArithmeticError(f"block failed on the {failing}")
-        failed.wait(timeout=10)  # so each thread takes one of the two blocks
-        time.sleep(0.2)
-        block_stage(self, *args)
-        finished.append(threading.get_ident())
+    class CallerFirst(threading.Condition):
+        """Lets the helper into the pass after the caller."""
 
+        def __enter__(self):
+            if threading.get_ident() != caller:
+                caller_in.wait(timeout=10)
+            entered = super().__enter__()
+            caller_in.set()
+            return entered
+
+    def one_fails(self, cache, stage, block, work):
+        if (threading.get_ident() == caller) == (failing == "caller"):
+            started.set()
+            if stage == layer:
+                raise ArithmeticError(f"stage {stage} failed on the {failing}")
+        else:
+            started.wait(timeout=10)  # so each thread takes one of the two blocks
+            time.sleep(0.2)
+        block_stage(self, cache, stage, block, work)
+        finished.append((threading.get_ident() == caller, stage))
+
+    monkeypatch.setattr(model_module, "threading", types.SimpleNamespace(Condition=CallerFirst))
     monkeypatch.setattr(DecoderModel, "_block_stage", one_fails)
-    with pytest.raises(ArithmeticError, match=failing):
+    with pytest.raises(ArithmeticError, match=f"stage {layer} failed on the {failing}"):
         DecoderModel(D_HEAD_8).prefill(make_chunks(24, 12), KVCache(D_HEAD_8, ARENA))
-    assert len(finished) == 1
-    assert (finished[0] == caller) == (failing == "helper")
+    assert sorted(finished) == want
     time.sleep(0.1)
-    assert len(finished) == 1
+    assert len(finished) == len(want)
+
+
+def test_a_decode_step_is_a_one_workspace_pipeline_that_starts_no_thread(monkeypatch, chunks,
+                                                                         toy_model_config):
+    """Even with the gate open and eight cores, a decode step hands its one
+    block to ``_pipeline`` with one workspace; every stage runs on the
+    calling thread and no thread is started."""
+    monkeypatch.setattr(model_module, "_PARALLEL_MIN_SCORES", 0)
+    monkeypatch.setattr(model_module, "_cores", lambda: 8)
+    model = DecoderModel(toy_model_config)
+    cache = KVCache(toy_model_config, ARENA)
+    token = int(np.argmax(model.prefill(chunks, cache).last_logits))
+    pipeline, block_stage, start = model_module._pipeline, DecoderModel._block_stage, threading.Thread.start
+    passes, stages, started = [], [], []
+
+    def recorded_pipeline(stage, blocks, layers, workspaces, kept):
+        passes.append((len(blocks), len(workspaces), kept is blocks[-1]))
+        pipeline(stage, blocks, layers, workspaces, kept)
+
+    def recorded_stage(self, cache, layer, block, work):
+        stages.append((layer, threading.get_ident()))
+        block_stage(self, cache, layer, block, work)
+
+    def recorded_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(model_module, "_pipeline", recorded_pipeline)
+    monkeypatch.setattr(DecoderModel, "_block_stage", recorded_stage)
+    monkeypatch.setattr(threading.Thread, "start", recorded_start)
+    position = chunks[-1].doc_token_offset + chunks[-1].size
+    for step in range(3):
+        token = model.decode_step(cache, token, position + step).token
+    assert passes == [(1, 1, True)] * 3
+    caller = threading.get_ident()
+    assert stages == [(layer, caller) for layer in range(-1, toy_model_config.n_layers)] * 3
+    assert started == []
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

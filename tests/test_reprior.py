@@ -69,7 +69,7 @@ def test_no_generated_tokens_returns_tail_embedding_exactly():
     want = provider.embed_tokens(tokenize(instruction[-100:]))
     assert np.array_equal(tail_of(instruction, provider), want)
     # a session keeps it as one read-only array
-    session = sched.Session(DOC, instruction, "apce", LoadModel(), TOY)
+    session = sched.Session(DOC, instruction, TOY)
     want = HashingEmbedder(TOY.embedding_dim).embed_tokens(tokenize(instruction[-100:], vocab_size=TOY.vocab_size))
     assert np.array_equal(session.tail, want)
     assert not session.tail.flags.writeable

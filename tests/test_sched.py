@@ -200,8 +200,18 @@ def test_file_embedding_provider(tmp_path):
 
 
 def test_bad_mode_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="mode must be 'dense' or 'apce', got 'hybrid'"):
         run("hybrid", LoadModel())
+
+
+def test_a_session_takes_its_mode_and_latencies_from_its_config():
+    config = dataclasses.replace(TOY, mode="dense", per_chunk_load_latency=0.25, async_start_chunks=3,
+                                 decode_latency=0.5, compute_seconds_per_element=2.0 ** -20)
+    session = Session(DOC, QUERY, config)
+    assert session.mode == "dense" and session.k_effective == 10
+    assert session.load == LoadModel(per_chunk_load_latency=0.25, async_start_chunks=3, decode_latency=0.5,
+                                     compute_seconds_per_element=2.0 ** -20)
+    assert session.ttft == 10 * 0.25 + 100 ** 2 * 2.0 ** -20
 
 
 @pytest.mark.parametrize("setting", [
@@ -297,7 +307,7 @@ def test_replayed_residency_obeys_the_buffer_laws(k, interval, async_start, late
 
 def run_session(load, config):
     """Drive a session through simulate_generation's loop, and keep it."""
-    session = Session(DOC, QUERY, "apce", load, config)
+    session = Session(DOC, QUERY, dataclasses.replace(config, mode="apce", **dataclasses.asdict(load)))
     for step in range(1, config.max_new_tokens + 1):
         if step > 1:
             session.step()
@@ -363,7 +373,7 @@ def test_a_session_allocates_its_arena_once_at_its_bound(monkeypatch):
     assert all(a is b for a, b in zip([*cache.keys, *cache.values], arrays, strict=True))
     assert cache.capacity == 4 * config.chunk_size + config.max_new_tokens - 1
 
-    dense = Session(DOC, QUERY, "dense", load, config)
+    dense = Session(DOC, QUERY, dataclasses.replace(config, mode="dense", **dataclasses.asdict(load)))
     assert dense.cache.capacity == dense.doc_tokens + config.max_new_tokens - 1
 
 
@@ -388,7 +398,7 @@ def test_dense_equivalence_under_slow_arrival():
 
 def test_session_with_recompute_off_rebuilds_only_the_admitted_chunk():
     config = dataclasses.replace(TOY, fraction=None, max_chunks=3, recompute=False)
-    session = Session(DOC, QUERY, "apce", LoadModel(async_start_chunks=10), config)
+    session = Session(DOC, QUERY, dataclasses.replace(config, async_start_chunks=10))
     cache, last = session.cache, config.n_layers - 1
     resident = cache.resident_indices()
     admit = min(set(range(10)) - set(resident))
