@@ -27,6 +27,7 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -34,7 +35,7 @@ from pathlib import Path
 import numpy
 
 from . import memmodel
-from .config import RunConfig, apply_overrides, load_config_file, with_one_selection_rule
+from .config import CHOICES, RunConfig, apply_overrides, load_config_file, with_one_selection_rule
 from .embed import HashingEmbedder
 from .metrics import embedding_cosine_proxy, mean_std, rouge_l_f1
 from .sched import simulate_generation
@@ -56,18 +57,18 @@ class MissingInput(Exception):
 
 # (flag, config key it sets, argparse options): the run and sweep overrides
 RUN_FLAGS: tuple[tuple[str, str, dict], ...] = (
-    ("--seed", "seed", {"type": int}),
-    ("--mode", "mode", {"choices": ["dense", "apce"]}),
-    ("--chunk-size", "chunk.size", {"type": int}),
-    ("--max-chunks", "select.max_chunks", {"type": int}),
-    ("--fraction", "select.fraction", {"type": float}),
-    ("--interval", "reprioritization.interval", {"type": int}),
-    ("--no-recompute", "reprioritization.recompute", {"action": "store_const", "const": False}),
-    ("--no-reprioritization", "reprioritization.enabled", {"action": "store_const", "const": False}),
-    ("--async-start", "load.async_start_chunks", {"type": int}),
-    ("--max-new-tokens", "generation.max_new_tokens", {"type": int}),
-    ("--load-latency", "load.per_chunk_latency", {"type": float, "help": "simulated seconds per chunk load"}),
-    ("--decode-latency", "load.decode_latency", {"type": float, "help": "simulated seconds per decode step"}),
+    ("--seed", "seed", {}),
+    ("--mode", "mode", {}),
+    ("--chunk-size", "chunk.size", {}),
+    ("--max-chunks", "select.max_chunks", {}),
+    ("--fraction", "select.fraction", {}),
+    ("--interval", "reprioritization.interval", {}),
+    ("--no-recompute", "reprioritization.recompute", {"action": "store_const", "const": "false"}),
+    ("--no-reprioritization", "reprioritization.enabled", {"action": "store_const", "const": "false"}),
+    ("--async-start", "load.async_start_chunks", {}),
+    ("--max-new-tokens", "generation.max_new_tokens", {}),
+    ("--load-latency", "load.per_chunk_latency", {"help": "simulated seconds per chunk load"}),
+    ("--decode-latency", "load.decode_latency", {"help": "simulated seconds per decode step"}),
 )
 
 
@@ -75,7 +76,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig()
     if args.config:
         config = apply_overrides(config, load_config_file(_input_file(args.config, "config file")))
-    flags = {key: str(getattr(args, key)) for _, key, _ in RUN_FLAGS if getattr(args, key) is not None}
+    flags = {key: getattr(args, key) for _, key, _ in RUN_FLAGS if getattr(args, key) is not None}
     config = apply_overrides(config, with_one_selection_rule(flags))
     config.validate()
     if config.embedding_provider == "file":
@@ -200,14 +201,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = build_run_config(args)
     out_dir = _check_output(Path(args.out_dir), "--out-dir", directory=True)
     records = load_records(args)
+    record = records[0]
     if args.record_id is not None:
-        matched = [r for r in records if r.id == args.record_id]
-        if not matched:
+        record = next((r for r in records if r.id == args.record_id), None)
+        if record is None:
             raise MissingInput(f"record {args.record_id!r} not found in {args.input}")
-        records = matched[:1]
-    else:
-        records = records[:1]
-    report = run_record(records[0], config)
+    report = run_record(record, config)
     path = write_report(report, out_dir)
     append_csv_row(report, out_dir)
     log.info("wrote %s", path)
@@ -246,8 +245,7 @@ def run_sweep(axis: str, values: list[int], base: RunConfig, records: list[Recor
     per_run: list[dict] = []
     aggregates: list[dict] = []
     for value in values:
-        config = apply_overrides(base, with_one_selection_rule({key: str(value)}))
-        config.validate()
+        config = apply_overrides(base, with_one_selection_rule({key: str(value)}))  # each session validates it
         rows = []
         for record in records:
             report = run_record(record, config)
@@ -276,12 +274,8 @@ def run_sweep(axis: str, values: list[int], base: RunConfig, records: list[Recor
         for row in aggregates:
             writer.writerow({c: row.get(c) for c in columns})
     json_path = out_dir / f"{name}.json"
-    json_path.write_text(json.dumps({
-        "axis": axis,
-        "values": values,
-        "aggregates": aggregates,
-        "per_run": per_run,
-    }, sort_keys=True, indent=2, allow_nan=False) + "\n", encoding="utf-8")
+    summary = {"axis": axis, "values": values, "aggregates": aggregates, "per_run": per_run}
+    json_path.write_text(json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n", encoding="utf-8")
     return csv_path, json_path
 
 
@@ -305,18 +299,33 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# the MemConfig field or memory_report argument that a memtable flag sets -> the flag
+_MEMTABLE_FLAGS = {"d_q": "--d-q", "d_kv": "--d-kv", "bytes_per_element": "--bytes-per-element",
+                   "layer_count": "--layers"}
+
+
+def _naming_flags(exc: ValueError) -> str:
+    """The message of a memmodel refusal, the setting it starts with named by its flag."""
+    return re.sub(r"^\w+", lambda word: _MEMTABLE_FLAGS.get(word[0], word[0]), str(exc))
+
+
 def _parse_memtable_row(raw: str, widths: dict[str, int]) -> tuple[str, memmodel.MemConfig]:
     parts = raw.split(",")
     if len(parts) not in (3, 4):
         raise ValueError(f"--row expects 'L,k,m[,label]', got {raw!r}")
-    seq_len, k, m = (int(p) for p in parts[:3])
+    try:
+        seq_len, k, m = (int(p) for p in parts[:3])
+        config = memmodel.MemConfig(seq_len=seq_len, n_chunks_selected=k, chunk_size=m, **widths)
+    except ValueError as exc:
+        raise ValueError(f"--row {raw!r}: {_naming_flags(exc)}") from exc
     label = parts[3] if len(parts) == 4 else f"L{seq_len}"
-    if not label:
-        raise ValueError(f"--row {raw!r} has an empty label")
-    return label, memmodel.MemConfig(seq_len=seq_len, n_chunks_selected=k, chunk_size=m, **widths)
+    if not label or not label.isprintable():  # a line of the table holds it
+        raise ValueError(f"--row {raw!r} needs a printable non-empty label")
+    return label, config
 
 
 def cmd_memtable(args: argparse.Namespace) -> int:
+    out = _check_output(Path(args.out), "--out", directory=False) if args.out else None
     widths = {name: getattr(args, name) for name in ("d_q", "d_kv", "bytes_per_element")
               if getattr(args, name) is not None}
     if widths and not args.row:
@@ -327,18 +336,22 @@ def cmd_memtable(args: argparse.Namespace) -> int:
         if label in configs:
             raise ValueError(f"--row label {label!r} is given twice")
         configs[label] = cfg
-    rows = memmodel.memory_report(configs=configs or None, layer_count=args.layers)
-    if args.format == "text":
-        output = memmodel.report_text(rows, flag_inconsistent=args.flag_inconsistent)
-    elif args.format == "csv":
-        output = memmodel.report_csv(rows)
-    else:
-        output = json.dumps(memmodel.report_json(rows, args.layers), sort_keys=True, indent=2)
-    if args.out:
-        path = _check_output(Path(args.out), "--out", directory=False)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(output + ("\n" if not output.endswith("\n") else ""), encoding="utf-8")
-        print(path)
+    try:
+        rows = memmodel.memory_report(configs=configs or None, layer_count=args.layers)
+        if args.format == "text":
+            output = memmodel.report_text(rows, flag_inconsistent=args.flag_inconsistent)
+        elif args.format == "csv":
+            output = memmodel.report_csv(rows)
+        else:
+            output = json.dumps(memmodel.report_json(rows, args.layers), sort_keys=True, indent=2)
+    except ValueError as exc:
+        raise ValueError(_naming_flags(exc)) from exc
+    except OverflowError as exc:  # a byte count past the float range that MB cells are in
+        raise ValueError(f"--row and --layers give a byte count too large for the table ({exc})") from exc
+    if out:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(output + ("\n" if not output.endswith("\n") else ""), encoding="utf-8")
+        print(out)
     else:
         print(output)
     return EXIT_OK
@@ -349,11 +362,11 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", required=True, help="JSONL corpus or plain-text file")
     parser.add_argument("--query", help="instruction text (required for plain-text input)")
     parser.add_argument("--out-dir", default="out", help="report directory")
-    for flag, key, options in RUN_FLAGS:
+    for flag, key, options in RUN_FLAGS:  # each value is parsed and checked as its key's
         if "const" in options:  # a switch: say what it sets
-            options = {"help": f"sets {key} = {str(options['const']).lower()}", **options}
-        elif "choices" not in options:
-            options = {"metavar": key, **options}
+            options = {"help": f"sets {key} = {options['const']}", **options}
+        else:
+            options = {"metavar": "{" + ",".join(CHOICES[key]) + "}" if key in CHOICES else key, **options}
         parser.add_argument(flag, dest=key, **options)
 
 

@@ -3,9 +3,10 @@ the simulated latencies a session runs under (``LoadModel``).
 
 The config format is a flat key-value file (``key = value`` per line, ``#``
 comments). Keys are namespaced per subsystem. Each ``RunConfig`` field
-declares its key and default (``_setting``); ``KEY_SPECS`` is derived from
-the fields, and each key's parser from its field's annotation. Command-line
-flags override file values, which override defaults.
+declares its key, its default and any bound or fixed set of values
+(``_setting``); ``KEY_SPECS`` is derived from the fields, and each key's
+parser from its field's annotation. Command-line flags override file values,
+which override defaults.
 """
 
 from __future__ import annotations
@@ -40,9 +41,10 @@ class LoadModel:
 _RENAMED = {"init_seed": "seed"}
 
 
-def _setting(key: str, default: Any) -> Any:
-    """A ``RunConfig`` field whose config-file and report key is ``key``."""
-    return field(default=default, metadata={"key": key})
+def _setting(key: str, default: Any, least: int | None = None, choices: tuple[str, ...] = ()) -> Any:
+    """A ``RunConfig`` field whose config-file and report key is ``key``; ``validate``
+    refuses a value below ``least`` or outside ``choices`` (None is always inside)."""
+    return field(default=default, metadata={"key": key, "least": least, "choices": choices})
 
 
 @dataclass
@@ -50,22 +52,23 @@ class RunConfig:
     """Every setting of a run, each under its config key. The model and load
     fields take their defaults from ``ModelConfig`` and ``LoadModel``."""
 
-    mode: str = _setting("mode", "apce")
-    seed: int = _setting("seed", 0)
-    chunk_size: int = _setting("chunk.size", 800)
-    max_chunks: int | None = _setting("select.max_chunks", None)
+    mode: str = _setting("mode", "apce", choices=("dense", "apce"))
+    seed: int = _setting("seed", 0, least=0)  # numpy's generators take no negative seed
+    chunk_size: int = _setting("chunk.size", 800, least=1)
+    max_chunks: int | None = _setting("select.max_chunks", None, least=1)
     fraction: float | None = _setting("select.fraction", None)
     reprioritization_enabled: bool = _setting("reprioritization.enabled", True)
-    interval: int = _setting("reprioritization.interval", 50)
+    interval: int = _setting("reprioritization.interval", 50, least=1)
     recompute: bool = _setting("reprioritization.recompute", True)
-    tail_chars: int = _setting("query.tail_chars", 100)
-    recent_tokens: int = _setting("query.recent_tokens", 50)
+    # tokens[-0:] is every token, so a window below 1 would silently mean "all"
+    tail_chars: int = _setting("query.tail_chars", 100, least=1)
+    recent_tokens: int = _setting("query.recent_tokens", 50, least=1)
     alpha: float = _setting("query.alpha", 0.5)
-    embedding_dim: int = _setting("embedding.dim", 384)
-    embedding_provider: str = _setting("embedding.provider", "hash")
+    embedding_dim: int = _setting("embedding.dim", 384, least=1)
+    embedding_provider: str = _setting("embedding.provider", "hash", choices=("hash", "file"))
     embedding_file: str | None = _setting("embedding.file", None)
     vocab_size: int = _setting("tokenizer.vocab_size", ModelConfig.vocab_size)
-    max_new_tokens: int = _setting("generation.max_new_tokens", 64)
+    max_new_tokens: int = _setting("generation.max_new_tokens", 64, least=1)
     per_chunk_load_latency: float = _setting("load.per_chunk_latency", LoadModel.per_chunk_load_latency)
     async_start_chunks: int = _setting("load.async_start_chunks", LoadModel.async_start_chunks)
     decode_latency: float = _setting("load.decode_latency", LoadModel.decode_latency)
@@ -80,31 +83,19 @@ class RunConfig:
     max_position: int = _setting("model.max_position", ModelConfig.max_position)
 
     def validate(self) -> None:
-        if self.mode not in ("dense", "apce"):
-            raise ValueError(f"mode must be 'dense' or 'apce', got {self.mode!r}")
-        if self.seed < 0:  # numpy's generators take no negative seed
-            raise ValueError("seed must be >= 0")
+        for f in fields(self):
+            key, least, choices = f.metadata["key"], f.metadata["least"], f.metadata["choices"]
+            value = getattr(self, f.name)
+            if choices and value not in choices:
+                raise ValueError(f"{key} must be {' or '.join(map(repr, choices))}, got {value!r}")
+            if least is not None and value is not None and value < least:
+                raise ValueError(f"{key} must be >= {least}")
         if self.max_chunks is not None and self.fraction is not None:
             raise ValueError("set at most one of select.max_chunks and select.fraction")
-        if self.max_chunks is not None and self.max_chunks < 1:
-            raise ValueError("select.max_chunks must be >= 1")
         if self.fraction is not None and not 0.0 < self.fraction <= 1.0:
             raise ValueError("select.fraction must lie in (0, 1]")
-        if self.chunk_size < 1:
-            raise ValueError("chunk.size must be >= 1")
-        if self.interval < 1:
-            raise ValueError("reprioritization.interval must be >= 1")
-        if self.max_new_tokens < 1:
-            raise ValueError("generation.max_new_tokens must be >= 1")
-        # tokens[-0:] is every token, so a window below 1 would silently mean "all"
-        if self.tail_chars < 1 or self.recent_tokens < 1:
-            raise ValueError("query.tail_chars and query.recent_tokens must be >= 1")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("query.alpha must lie in [0, 1]")
-        if self.embedding_dim < 1:
-            raise ValueError("embedding.dim must be >= 1")
-        if self.embedding_provider not in ("hash", "file"):
-            raise ValueError("embedding.provider must be 'hash' or 'file'")
         if self.embedding_provider == "file" and not self.embedding_file:
             raise ValueError("embedding.provider 'file' needs embedding.file")
         for cls in (ModelConfig, LoadModel):  # dimension, latency and async_start_chunks checks
@@ -170,6 +161,8 @@ KEY_SPECS: dict[str, tuple[str, Callable[[str], Any]]] = {
     f.metadata["key"]: (f.name, _PARSERS[f.type]) for f in fields(RunConfig)
 }
 _KEY_OF = {attr: key for key, (attr, _) in KEY_SPECS.items()}
+# config key -> the values it may take, for each key with a fixed set
+CHOICES = {f.metadata["key"]: f.metadata["choices"] for f in fields(RunConfig) if f.metadata["choices"]}
 
 
 def with_one_selection_rule(raw: dict[str, str]) -> dict[str, str]:

@@ -17,14 +17,13 @@ query tail, and a query tail itself may not embed to it.
 
 from __future__ import annotations
 
-import json
 import zlib
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .textpipe import Chunk
+from .textpipe import Chunk, json_objects
 
 
 def _hash_coordinate(token_id: int, dim: int) -> int:
@@ -103,40 +102,28 @@ def load_external_embeddings(path: str | Path, expected_dim: int) -> dict[int, n
     naming the path and the line.
     """
     out: dict[int, np.ndarray] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {lineno}: invalid JSON ({exc})") from exc
-            if not isinstance(obj, dict):
-                raise ValueError(f"{path}: line {lineno}: a line must be a JSON object")
-            if "chunk_index" not in obj or "vector" not in obj:
-                raise ValueError(f"{path}: line {lineno}: needs 'chunk_index' and 'vector'")
-            idx = obj["chunk_index"]
-            if not isinstance(idx, int) or isinstance(idx, bool):
-                raise ValueError(f"{path}: line {lineno}: chunk_index must be an integer, got {idx!r}")
-            if idx in out:
-                raise ValueError(f"{path}: line {lineno}: duplicate chunk_index {idx}")
-            vector = obj["vector"]
-            if not isinstance(vector, list) or not all(
-                    isinstance(x, (int, float)) and not isinstance(x, bool) for x in vector):
-                raise ValueError(f"{path}: line {lineno}: vector must be a list of numbers")
-            try:
-                vec = np.asarray(vector, dtype=np.float64)
-            except OverflowError as exc:  # an integer past the float range
-                raise ValueError(f"{path}: line {lineno}: non-finite entry in vector") from exc
-            if vec.shape[0] != expected_dim:
-                raise ValueError(
-                    f"{path}: line {lineno}: dimension mismatch (expected {expected_dim}, got {vec.shape[0]})"
-                )
-            if not np.all(np.isfinite(vec)):
-                raise ValueError(f"{path}: line {lineno}: non-finite entry in vector")
-            if not vec.any():
-                raise ValueError(f"{path}: line {lineno}: zero vector cannot be normalized")
-            out[idx] = normalize(vec)
+    for lineno, obj in json_objects(path, "a line"):
+        if "chunk_index" not in obj or "vector" not in obj:
+            raise ValueError(f"{path}: line {lineno}: needs 'chunk_index' and 'vector'")
+        idx = obj["chunk_index"]
+        if not isinstance(idx, int) or isinstance(idx, bool):
+            raise ValueError(f"{path}: line {lineno}: chunk_index must be an integer, got {idx!r}")
+        if idx in out:
+            raise ValueError(f"{path}: line {lineno}: duplicate chunk_index {idx}")
+        vector = obj["vector"]
+        if not isinstance(vector, list) or not all(
+                isinstance(x, (int, float)) and not isinstance(x, bool) for x in vector):
+            raise ValueError(f"{path}: line {lineno}: vector must be a list of numbers")
+        try:
+            vec = np.asarray(vector, dtype=np.float64)
+        except OverflowError as exc:  # an integer past the float range
+            raise ValueError(f"{path}: line {lineno}: non-finite entry in vector") from exc
+        if vec.shape[0] != expected_dim:
+            raise ValueError(f"{path}: line {lineno}: dimension mismatch (expected {expected_dim}, "
+                             f"got {vec.shape[0]})")
+        if not np.all(np.isfinite(vec)):
+            raise ValueError(f"{path}: line {lineno}: non-finite entry in vector")
+        if not vec.any():
+            raise ValueError(f"{path}: line {lineno}: zero vector cannot be normalized")
+        out[idx] = normalize(vec)
     return out
-

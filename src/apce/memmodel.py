@@ -24,6 +24,8 @@ matched.
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
 
 MIB = float(2**20)
@@ -156,9 +158,16 @@ def memory_report(configs: dict[str, MemConfig] | None = None, layer_count: int 
 
 
 def savings(dense: MemoryRow, selected: MemoryRow) -> dict[str, float]:
-    """Per-column savings of the selected row vs the dense row, from the
-    rounded MB cells, as a fraction."""
-    return {c: round(1.0 - selected.mb(c) / dense.mb(c), 3) for c in COLUMNS}
+    """Per-column savings of the selected row vs the dense row, as a
+    fraction: from the rounded MB cells, or from the byte counts where the
+    dense cell rounds to 0.00."""
+    out = {}
+    for c in COLUMNS:
+        part, whole = selected.mb(c), dense.mb(c)
+        if not whole:
+            part, whole = (getattr(row, c.removesuffix("_mb") + "_bytes") for row in (selected, dense))
+        out[c] = round(1.0 - part / whole, 3)
+    return out
 
 
 def flagged_cells(rows: list[MemoryRow]) -> list[tuple[MemoryRow, str]]:
@@ -190,11 +199,13 @@ def report_text(rows: list[MemoryRow], flag_inconsistent: bool = False) -> str:
 
 
 def report_csv(rows: list[MemoryRow]) -> str:
-    lines = ["group,method,l_effective," + ",".join(COLUMNS)]
-    for row in rows:
-        cells = ",".join(f"{row.mb(c):.2f}" for c in COLUMNS)
-        lines.append(f"{row.label},{row.method},{row.l_effective},{cells}")
-    return "\n".join(lines) + "\n"
+    """CSV rendering; a label that holds a quote is quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["group", "method", "l_effective", *COLUMNS])
+    writer.writerows([row.label, row.method, row.l_effective, *(f"{row.mb(c):.2f}" for c in COLUMNS)]
+                     for row in rows)
+    return out.getvalue()
 
 
 def report_json(rows: list[MemoryRow], layer_count: int) -> dict:

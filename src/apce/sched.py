@@ -45,7 +45,6 @@ class TraceEvent(NamedTuple):
 
 @dataclass
 class GenerationTrace:
-    mode: str
     events: list[TraceEvent]
     ttft: float
     total_time: float
@@ -72,8 +71,7 @@ class Session:
 
     def __init__(self, doc_text: str, query_text: str, config: RunConfig):
         config.validate()
-        mode, load = config.mode, config.load_model()
-        self.mode, self.load = mode, load
+        self.load = load = config.load_model()
         self.recompute_enabled = config.recompute
         self.recent_tokens, self.alpha = config.recent_tokens, config.alpha
 
@@ -103,7 +101,7 @@ class Session:
         self.tail = tail_embedding(query_text, config.tail_chars, config.vocab_size, provider)
 
         self.events = [TraceEvent(self._arrival(i), "chunk_loaded", {"chunk": i}) for i in range(n)]
-        if mode == "dense":
+        if config.mode == "dense":
             start_count = self.k_effective = n
         else:
             start_count = load.async_start_chunks
@@ -176,7 +174,6 @@ class Session:
             raise ValueError("the virtual clock overflowed: load.per_chunk_latency, load.decode_latency "
                              "and load.compute_seconds_per_element are too large for this session")
         return GenerationTrace(
-            mode=self.mode,
             events=events,
             ttft=self.ttft,
             total_time=events[-1].time,

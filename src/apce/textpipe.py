@@ -19,16 +19,12 @@ import re
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 DEFAULT_VOCAB_SIZE = 32768
 
 # Words (runs of word characters) or single non-space punctuation marks.
 _PIECE_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
-
-
-def piece_to_id(piece: str, vocab_size: int = DEFAULT_VOCAB_SIZE) -> int:
-    """Map one surface piece to a stable token id in [0, vocab_size)."""
-    return zlib.crc32(piece.encode("utf-8")) % vocab_size
 
 
 def tokenize(text: str, vocab_size: int = DEFAULT_VOCAB_SIZE) -> tuple[int, ...]:
@@ -37,7 +33,7 @@ def tokenize(text: str, vocab_size: int = DEFAULT_VOCAB_SIZE) -> tuple[int, ...]
         raise TypeError("tokenize expects a str")
     if vocab_size < 1:
         raise ValueError("vocab_size must be >= 1")
-    return tuple(piece_to_id(p, vocab_size) for p in _PIECE_RE.findall(text))
+    return tuple(zlib.crc32(p.encode("utf-8")) % vocab_size for p in _PIECE_RE.findall(text))
 
 
 @dataclass(frozen=True)
@@ -75,16 +71,10 @@ class Record:
     reference: str | None = None
 
 
-def load_jsonl_records(path: str | Path) -> list[Record]:
-    """Read evaluation records from a JSON-lines file.
-
-    Each line must be an object with "id", "text", and "query"; "reference"
-    is optional (null means none). "text", "query" and a "reference" must be
-    strings. An id names the record's report file, so it may not be empty,
-    "." or "..", nor hold "/", "\\" or NUL, and no two records may share one.
-    """
-    records: list[Record] = []
-    first_line: dict[str, int] = {}  # record id -> the line that holds it
+def json_objects(path: str | Path, what: str) -> Iterator[tuple[int, dict]]:
+    """(line number, object) for each non-blank line of the JSON-lines file
+    at ``path``. A line that is not JSON, or not a JSON object (``what``
+    names it in the message), raises ValueError naming the path and the line."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -95,28 +85,36 @@ def load_jsonl_records(path: str | Path) -> list[Record]:
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: line {lineno}: invalid JSON ({exc})") from exc
             if not isinstance(obj, dict):
-                raise ValueError(f"{path}: line {lineno}: a record must be a JSON object")
-            missing = [key for key in ("id", "text", "query") if key not in obj]
-            if missing:
-                raise ValueError(f"{path}: line {lineno}: missing fields {missing}")
-            not_text = [key for key in ("text", "query") if not isinstance(obj[key], str)]
-            if not isinstance(obj.get("reference", ""), (str, type(None))):
-                not_text.append("reference")
-            if not_text:
-                raise ValueError(f"{path}: line {lineno}: fields {not_text} must be strings")
-            record_id = str(obj["id"])
-            if record_id in ("", ".", "..") or any(c in record_id for c in "/\\\0"):
-                raise ValueError(f"{path}: line {lineno}: record id {record_id!r} is not a file name")
-            if record_id in first_line:
-                raise ValueError(f"{path}: line {lineno}: record id {record_id!r} "
-                                 f"repeats line {first_line[record_id]}")
-            first_line[record_id] = lineno
-            records.append(
-                Record(
-                    id=record_id,
-                    text=obj["text"],
-                    query=obj["query"],
-                    reference=obj.get("reference"),
-                )
-            )
+                raise ValueError(f"{path}: line {lineno}: {what} must be a JSON object")
+            yield lineno, obj
+
+
+def load_jsonl_records(path: str | Path) -> list[Record]:
+    """Read evaluation records from a JSON-lines file.
+
+    Each line must be an object with "id", "text", and "query"; "reference"
+    is optional (null means none). "id", "text", "query" and a "reference"
+    must be strings. An id names the record's report file, so it may not be
+    empty, "." or "..", nor hold "/", "\\" or NUL, and no two records may
+    share one.
+    """
+    records: list[Record] = []
+    first_line: dict[str, int] = {}  # record id -> the line that holds it
+    for lineno, obj in json_objects(path, "a record"):
+        missing = [key for key in ("id", "text", "query") if key not in obj]
+        if missing:
+            raise ValueError(f"{path}: line {lineno}: missing fields {missing}")
+        not_text = [key for key in ("id", "text", "query") if not isinstance(obj[key], str)]
+        if not isinstance(obj.get("reference", ""), (str, type(None))):
+            not_text.append("reference")
+        if not_text:
+            raise ValueError(f"{path}: line {lineno}: fields {not_text} must be strings")
+        record_id = obj["id"]
+        if record_id in ("", ".", "..") or any(c in record_id for c in "/\\\0"):
+            raise ValueError(f"{path}: line {lineno}: record id {record_id!r} is not a file name")
+        if record_id in first_line:
+            raise ValueError(f"{path}: line {lineno}: record id {record_id!r} "
+                             f"repeats line {first_line[record_id]}")
+        first_line[record_id] = lineno
+        records.append(Record(id=record_id, text=obj["text"], query=obj["query"], reference=obj.get("reference")))
     return records

@@ -22,12 +22,3 @@ def toy_model_config():
         init_seed=1234,
     )
 
-
-def synthetic_doc(n_words: int, stride_a: int = 17, stride_b: int = 7) -> str:
-    """Deterministic filler text with enough variety to avoid hash collisions."""
-    return " ".join(f"w{i % stride_a}x{i % stride_b} y{i % 5}" for i in range(n_words))
-
-
-@pytest.fixture
-def make_doc():
-    return synthetic_doc

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import apce.cli
 from apce.cli import SWEEP_AXES, main
-from apce.config import KEY_SPECS
+from apce.config import KEY_SPECS, RunConfig
 from apce.embed import HashingEmbedder
 from apce.model import DecoderModel
 from apce.textpipe import tokenize
@@ -249,15 +250,16 @@ def test_missing_record_exit_code(corpus, tmp_path):
 def test_bad_config_exit_code(corpus, tmp_path, capsys):
     corpus_path, conf = corpus
     bad = tmp_path / "bad.conf"
-    windows = "query.tail_chars and query.recent_tokens must be >= 1"
     latencies = "latencies must be finite and >= 0"
     # a window below 1 would slice as tokens[-0:] (every token) or drop a head;
     # a NaN or infinite latency, or a rope_theta <= 0 or not finite, would
     # poison the virtual clock or the rope tables
     for line, complaint in (
             ("reprioritization.interval = never", "bad value"),
-            ("query.recent_tokens = 0", windows), ("query.recent_tokens = -3", windows),
-            ("query.tail_chars = 0", windows), ("query.tail_chars = -3", windows),
+            ("query.recent_tokens = 0", "query.recent_tokens must be >= 1"),
+            ("query.recent_tokens = -3", "query.recent_tokens must be >= 1"),
+            ("query.tail_chars = 0", "query.tail_chars must be >= 1"),
+            ("query.tail_chars = -3", "query.tail_chars must be >= 1"),
             ("load.compute_seconds_per_element = nan", latencies),
             ("load.decode_latency = inf", latencies), ("load.per_chunk_latency = nan", latencies),
             ("model.rope_theta = 0", "rope_theta"), ("model.rope_theta = -5", "rope_theta"),
@@ -292,6 +294,53 @@ def test_bad_config_exit_code(corpus, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+# each key with a declared bound or set of values: a value just outside it, and the run flag that sets it
+OUTSIDE = {
+    "mode": ("sparse", "--mode"), "seed": ("-1", "--seed"), "chunk.size": ("0", "--chunk-size"),
+    "select.max_chunks": ("0", "--max-chunks"), "reprioritization.interval": ("0", "--interval"),
+    "generation.max_new_tokens": ("0", "--max-new-tokens"), "query.tail_chars": ("0", None),
+    "query.recent_tokens": ("0", None), "embedding.dim": ("0", None), "embedding.provider": ("bert", None),
+}
+
+
+def test_every_declared_domain_is_checked_by_file_and_by_flag(corpus, tmp_path, capsys):
+    declared = {f.metadata["key"] for f in dataclasses.fields(RunConfig)
+                if f.metadata["least"] is not None or f.metadata["choices"]}
+    assert declared == OUTSIDE.keys()
+    corpus_path, _ = corpus
+    conf = tmp_path / "one.conf"
+    for key, (value, flag) in OUTSIDE.items():
+        conf.write_text(f"{key} = {value}\n")
+        attempts = [("--config", str(conf))] + ([(flag, value)] if flag else [])
+        for extra in attempts:
+            assert run_cli("run", "--input", str(corpus_path), f"{extra[0]}={extra[1]}",
+                           "--out-dir", str(tmp_path / "o")) == 2, (key, extra)
+            assert capsys.readouterr().err.startswith(f"error: {key} must be "), (key, extra)
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_flag_value_is_parsed_by_its_key(corpus, tmp_path, capsys):
+    corpus_path, conf = corpus
+    assert run_cli("run", "--input", str(corpus_path), "--config", str(conf), "--seed", "x",
+                   "--out-dir", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err.startswith("error: bad value for 'seed': 'x' (")
+    # "none" clears a selection rule by flag as it does in a file
+    base = "".join(line + "\n" for line in TOY_CONF.splitlines() if not line.startswith("select."))
+    by_file, by_flag = tmp_path / "by_file.conf", tmp_path / "by_flag.conf"
+    by_file.write_text(base + "select.max_chunks = none\n")
+    by_flag.write_text(base)
+    reports = []
+    for conf, flags in ((by_file, ()), (by_flag, ("--max-chunks", "none")), (by_flag, ("--fraction", "none"))):
+        out = tmp_path / conf.stem / "-".join(flags)
+        assert run_cli("run", "--input", str(corpus_path), "--config", str(conf), *flags,
+                       "--out-dir", str(out)) == 0
+        report = read_report(next(out.glob("*.json")))
+        report.pop("timestamps")
+        reports.append(report)
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0]["selection"]["k_effective"] == 7  # the default fraction 0.7 of 10 chunks
+
+
 def test_out_dir_may_be_the_working_directory(corpus, tmp_path, monkeypatch):
     """"." has no parent to check, and is a directory: run and sweep write there."""
     corpus_path, conf = corpus
@@ -319,6 +368,9 @@ def test_record_id_must_be_a_file_name(tmp_path, capsys, record_id):
     ('{"id": "a", "text": 5, "query": "q"}', "fields ['text'] must be strings"),
     ('{"id": "a", "text": "t", "query": ["q"]}', "fields ['query'] must be strings"),
     ('{"id": "a", "text": "t", "query": "q", "reference": 3}', "fields ['reference'] must be strings"),
+    ('{"id": null, "text": "t", "query": "q"}', "fields ['id'] must be strings"),
+    ('{"id": 7, "text": "t", "query": "q"}', "fields ['id'] must be strings"),
+    ('{"id": {"a": 1}, "text": "t", "query": "q"}', "fields ['id'] must be strings"),
     ("5", "a record must be a JSON object"),
     ('["a", "t", "q"]', "a record must be a JSON object"),
 ])
@@ -788,3 +840,191 @@ def test_generated_configs_and_records_exit_as_the_readme_says(inputs):
     resident = sum(min(size, doc_tokens - i * size) for i in report["selection"]["initial"])
     assert report["counters"]["prefill_elements"] == resident * resident
     assert report["replacement_stats"]["taken"] <= report["replacement_stats"]["available"]
+
+
+# each way to break a line of VECTORS: the line, given the vectors' dimension, and the complaint it
+# draws. It follows the line that holds chunk 0, and names chunk -1, which no document has, or chunk 0 again.
+BROKEN_VECTOR_LINES = {
+    "invalid JSON": (lambda dim: '{"chunk_index": -1, "vector": [', "invalid JSON ("),
+    "not an object": (lambda dim: json.dumps([-1, [1.0] * dim]), "a line must be a JSON object"),
+    "no vector": (lambda dim: json.dumps({"chunk_index": -1}), "needs 'chunk_index' and 'vector'"),
+    "index not an integer": (lambda dim: json.dumps({"chunk_index": "-1", "vector": [1.0] * dim}),
+                             "chunk_index must be an integer"),
+    "index repeated": (lambda dim: json.dumps({"chunk_index": 0, "vector": [1.0] * dim}), "duplicate chunk_index 0"),
+    "not numbers": (lambda dim: json.dumps({"chunk_index": -1, "vector": [True] * dim}),
+                    "vector must be a list of numbers"),
+    "past the float range": (lambda dim: json.dumps({"chunk_index": -1, "vector": [10 ** 400] + [1.0] * (dim - 1)}),
+                             "non-finite entry in vector"),
+    "a wrong dimension": (lambda dim: json.dumps({"chunk_index": -1, "vector": [1.0] * (dim + 1)}),
+                          "dimension mismatch"),
+    "not finite": (lambda dim: json.dumps({"chunk_index": -1, "vector": [float("nan")] * dim}),
+                   "non-finite entry in vector"),
+    "zero": (lambda dim: json.dumps({"chunk_index": -1, "vector": [0] * dim}), "zero vector cannot be normalized"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(BROKEN_VECTOR_LINES))
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(dim=st.integers(1, 8), before=st.integers(1, 4), after=st.integers(0, 4), blanks=st.integers(0, 2),
+       sweep=st.booleans())
+def test_each_broken_vectors_line_exits_2_naming_the_path_and_the_line(fault, dim, before, after, blanks, sweep):
+    """Sound lines for chunks 0 to before + after - 1, after ``blanks``
+    blank lines, with one broken line after the first ``before`` of them:
+    ``run`` or ``sweep`` exits 2 at its first session, naming the file and
+    the broken line's number, and writes nothing."""
+    line, complaint = BROKEN_VECTOR_LINES[fault]
+    sound = [json.dumps({"chunk_index": i, "vector": [1.0] * dim}) for i in range(before + after)]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        vectors, corpus, conf = tmp / VECTORS, tmp / "corpus.jsonl", tmp / "run.conf"
+        vectors.write_text("\n" * blanks + "".join(f"{text}\n" for text in (*sound[:before], line(dim),
+                                                                           *sound[before:])))
+        corpus.write_text(json.dumps({"id": "r", "text": "one two three", "query": "q"}) + "\n")
+        conf.write_text(f"embedding.provider = file\nembedding.file = {vectors}\nembedding.dim = {dim}\n")
+        command = ["sweep", "--axis=chunk_size", "--values=1,2"] if sweep else ["run"]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([*command, "--input", str(corpus), "--config", str(conf), "--out-dir", str(tmp / "out")])
+        assert (code, (tmp / "out").exists()) == (2, False), err.getvalue()
+    assert err.getvalue().startswith(f"error: {vectors}: line {blanks + before + 1}: {complaint}"), err.getvalue()
+
+
+HUGE_ROW, HUGE_LAYERS = 10 ** 200, 10 ** 400  # an L whose L^2, and a layer count whose every cell, no float holds
+PRESET_GROUPS = ["8k", "20k", "30k"]
+
+
+@st.composite
+def memtable_inputs(draw):
+    """Random ``memtable`` options: zero to three sound ``--row`` groups
+    (sizes from 1 up, k * m <= L, a printable Unicode label or the default
+    one), each width flag or not, ``--layers`` or not,
+    ``--flag-inconsistent`` or not, and ``--out`` to a new file or none. In
+    most examples one of them is then broken: a row's size below 1,
+    k * m above L, a label that is empty, not printable or given twice, a
+    comma too many or random text for a row; width flags without rows, a
+    width or ``--layers`` below 1; ``HUGE_ROW`` or ``HUGE_LAYERS``; or
+    ``--out`` to a directory that is there."""
+    label = st.text(st.characters(exclude_categories=("C", "Z"), exclude_characters=",", include_characters=" "),
+                    min_size=1, max_size=4)
+
+    def row(seq_len=None, k=None, m=None, name=None):
+        k, m = k if k is not None else draw(st.integers(1, 30)), m if m is not None else draw(st.integers(1, 800))
+        seq_len = seq_len if seq_len is not None else k * m + draw(st.integers(0, 10 ** 5))
+        name = name if name is not None else draw(st.none() | label)
+        return f"{seq_len},{k},{m}" + ("" if name is None else f",{name}")
+
+    options = {
+        "rows": [row() for _ in range(draw(st.integers(0, 3)))],
+        "widths": {flag: draw(st.integers(1, 4096)) for flag in ("--d-q", "--d-kv", "--bytes-per-element")
+                   if draw(st.booleans())},
+        "layers": draw(st.none() | st.integers(1, 100)),
+        "flag_inconsistent": draw(st.booleans()),
+        "out": draw(st.sampled_from([None, "file"])),
+    }
+    if not options["rows"]:
+        options["widths"] = {}
+    broken_rows = {
+        "size below 1": lambda: [row(**{draw(st.sampled_from(["seq_len", "k", "m"])): draw(st.integers(-1, 0))})],
+        "k * m above L": lambda: [row(seq_len=draw(st.integers(1, 10 ** 4)), k=10 ** 4, m=2)],
+        "empty label": lambda: [row(name="")],
+        "label not printable": lambda: [row(name=draw(st.sampled_from(["a\nb", "\t", "\x00", "\u2028", "\xa0"])))],
+        "label given twice": lambda: [row(name="same"), row(name="same")],
+        "a comma too many": lambda: [row(name="a,b")],
+        "random text": lambda: [draw(st.text(st.sampled_from("0123456789,-x _"), max_size=10))],
+        "HUGE_ROW": lambda: [row(seq_len=HUGE_ROW)],
+    }
+    fault = draw(st.sampled_from([None, *broken_rows, "widths without rows", "width below 1", "layers below 1",
+                                  "HUGE_LAYERS", "--out a directory"]))
+    if fault in broken_rows:
+        at = draw(st.integers(0, len(options["rows"])))
+        options["rows"][at:at] = broken_rows[fault]()
+    elif fault == "widths without rows":
+        options["rows"], options["widths"] = [], {"--d-q": draw(st.integers(1, 4096))}
+    elif fault == "width below 1":
+        options["widths"][draw(st.sampled_from(["--d-q", "--d-kv", "--bytes-per-element"]))] = draw(st.integers(-1, 0))
+    elif fault == "layers below 1":
+        options["layers"] = draw(st.integers(-1, 0))
+    elif fault == "HUGE_LAYERS":
+        options["layers"] = HUGE_LAYERS
+    elif fault == "--out a directory":
+        options["out"] = "directory"
+    return options
+
+
+def memtable_outcome(options):
+    """The groups ``memtable`` prints for ``options``, in order, and the
+    flags at fault: exit 2 names one of them, and without any it exits 0."""
+    groups, faults, overflows = [], set(), options["layers"] == HUGE_LAYERS
+    for raw in options["rows"]:
+        parts = raw.split(",")
+        try:
+            seq_len, k, m = (int(part) for part in parts[:3])
+        except ValueError:
+            faults.add("--row")
+            continue
+        label = parts[3] if len(parts) == 4 else f"L{seq_len}"
+        if len(parts) > 4 or min(seq_len, k, m) < 1 or k * m > seq_len or not label or not label.isprintable() \
+                or label in groups:
+            faults.add("--row")
+            continue
+        groups.append(label)
+        overflows |= seq_len == HUGE_ROW
+    faults |= {flag for flag, width in options["widths"].items() if width < 1 or not options["rows"]}
+    if options["layers"] is not None and options["layers"] < 1:
+        faults.add("--layers")
+    if options["out"] == "directory":
+        faults.add("--out")
+    if overflows:
+        faults |= {"--row", "--layers"}
+    return groups or PRESET_GROUPS, faults
+
+
+@pytest.mark.parametrize("format_", [None, "text", "csv", "json"])
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(options=memtable_inputs())
+def test_generated_memtable_options_exit_as_the_readme_says(format_, options):
+    """Options that ``memtable_outcome`` finds no fault in exit 0 with a
+    dense and a selected row for each group, in the format given or the
+    default text, on standard output or in the ``--out`` file; else exit 2,
+    naming a flag at fault, and nothing is written. Nothing exits 4."""
+    options["format"] = format_
+    groups, faults = memtable_outcome(options)
+    argv = ["memtable", *(f"--row={raw}" for raw in options["rows"]),
+            *(f"{flag}={width}" for flag, width in options["widths"].items())]
+    argv += [f"--layers={options['layers']}"] * (options["layers"] is not None)
+    argv += [f"--format={options['format']}"] * (options["format"] is not None)
+    argv += ["--flag-inconsistent"] * options["flag_inconsistent"]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = {None: None, "file": Path(tmp) / "new" / "table.out", "directory": Path(tmp)}[options["out"]]
+        argv += [f"--out={out}"] * (out is not None)
+        stdout, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+            code = main(argv)
+        written = out.read_text(encoding="utf-8") if options["out"] == "file" and out.exists() else None
+    err = err.getvalue()
+    if faults:
+        event(f"exit 2 at {' or '.join(sorted(faults))}")
+        assert (code, written) == (2, None), err
+        assert any(flag in err for flag in faults), (faults, err)
+        return
+    event(f"exit 0, {options['format'] or 'text'}")
+    assert code == 0, err
+    if out is not None:
+        assert stdout.getvalue() == f"{out}\n"
+        output = written
+    else:
+        output = stdout.getvalue()
+    pairs = [(group, method) for group in groups for method in ("dense", "selected")]
+    if options["format"] == "json":
+        payload = json.loads(output)
+        assert [(row["group"], row["method"]) for row in payload["rows"]] == pairs
+        assert payload["layer_count"] == (options["layers"] or 1)
+    elif options["format"] == "csv":
+        assert [(row["group"], row["method"]) for row in csv.DictReader(io.StringIO(output))] == pairs
+    else:
+        lines = output.split("\n")
+        assert len(lines) >= 3 + len(pairs) + len(groups)
+        assert all(line.startswith(f"{group:<8}{method:<10}") for line, (group, method) in zip(lines[2:], pairs))
+        assert lines[2 + len(pairs)] == ""
+        savings = lines[3 + len(pairs):]
+        assert all(line.startswith(f"{group}: savings vs dense ") for line, group in zip(savings, groups))

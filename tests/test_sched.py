@@ -208,7 +208,7 @@ def test_a_session_takes_its_mode_and_latencies_from_its_config():
     config = dataclasses.replace(TOY, mode="dense", per_chunk_load_latency=0.25, async_start_chunks=3,
                                  decode_latency=0.5, compute_seconds_per_element=2.0 ** -20)
     session = Session(DOC, QUERY, config)
-    assert session.mode == "dense" and session.k_effective == 10
+    assert session.k_effective == 10  # dense: every chunk, where apce at fraction 0.5 keeps 5
     assert session.load == LoadModel(per_chunk_load_latency=0.25, async_start_chunks=3, decode_latency=0.5,
                                      compute_seconds_per_element=2.0 ** -20)
     assert session.ttft == 10 * 0.25 + 100 ** 2 * 2.0 ** -20
@@ -236,7 +236,7 @@ def test_mode_and_load_come_from_the_arguments_not_the_config():
     load = LoadModel(per_chunk_load_latency=0.25, async_start_chunks=3, decode_latency=0.5,
                      compute_seconds_per_element=per_element)
     trace = run("dense", load, config)
-    assert trace.mode == "dense" and trace.k_effective == trace.n_chunks == 10
+    assert trace.k_effective == trace.n_chunks == 10  # dense: the config's apce would keep 5
     assert trace.counters["prefill_elements"] == 100 ** 2
     ttft = 10 * 0.25 + 100 ** 2 * per_element
     assert trace.ttft == pytest.approx(ttft, rel=1e-12)

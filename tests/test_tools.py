@@ -113,6 +113,14 @@ def test_json_holds_everything_printed(monkeypatch, tmp_path, capsys):
     assert "change better in 3 of 4" in printed[6] and "steal parent 2 ticks (1.0%), change n/a" in printed[1]
 
 
+def test_a_seed_range_that_ends_below_its_start_is_refused(tmp_path, capsys):
+    assert pairs.parse_seeds("401-403,510,7-7") == [401, 402, 403, 510, 7]
+    with pytest.raises(SystemExit) as exit_:
+        pairs.main([str(tmp_path), str(tmp_path), "--workload", "w", "--seeds", "10-5"])
+    assert exit_.value.code == 2
+    assert "argument --seeds: seed range '10-5' ends below its start" in capsys.readouterr().err
+
+
 def test_git_head_only_for_a_git_checkout(tmp_path):
     assert pairs.git_head(tmp_path) is None
     # not the HEAD of a repository that holds the directory

@@ -47,11 +47,15 @@ SIDES = ("parent", "change")
 
 
 def parse_seeds(text: str) -> list[int]:
-    """'401-405,510' -> [401, 402, 403, 404, 405, 510]."""
+    """'401-405,510' -> [401, 402, 403, 404, 405, 510]. A range that ends
+    below its start holds no seed, and is refused."""
     seeds = []
     for part in text.split(","):
         low, _, high = part.partition("-")
-        seeds.extend(range(int(low), int(high or low) + 1))
+        low, high = int(low), int(high or low)
+        if high < low:
+            raise argparse.ArgumentTypeError(f"seed range {part!r} ends below its start")
+        seeds.extend(range(low, high + 1))
     return seeds
 
 
