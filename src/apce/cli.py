@@ -3,7 +3,7 @@
 ``run`` executes one session on one record and writes its report and a CSV
 row. ``sweep`` runs every record at each value of one axis and writes
 aggregate CSV and JSON; ``--axis reprioritization_interval`` is the interval
-ablation. ``memtable`` prints the analytical memory table.
+ablation, whose runs share each record's steps before their first boundary. ``memtable`` prints the analytical memory table.
 
 Exit codes are stable: 0 all runs completed (also when the reader of
 standard output has closed it), 2 bad configuration or
@@ -38,7 +38,7 @@ from . import memmodel
 from .config import CHOICES, RunConfig, apply_overrides, load_config_file, with_one_selection_rule
 from .embed import HashingEmbedder
 from .metrics import embedding_cosine_proxy, mean_std, rouge_l_f1
-from .sched import simulate_generation
+from .sched import Session, simulate_generation
 from .textpipe import Record, load_jsonl_records, tokenize
 
 log = logging.getLogger("apce")
@@ -120,13 +120,14 @@ def load_records(args: argparse.Namespace) -> list[Record]:
     return [Record(id=path.stem, text=path.read_text(encoding="utf-8"), query=args.query, reference=None)]
 
 
-def run_record(record: Record, config: RunConfig) -> dict:
-    """Execute one session and assemble its report.
+def run_record(record: Record, config: RunConfig, start: Session | None = None) -> dict:
+    """Execute one session, or continue a fork of ``start`` (see
+    ``simulate_generation``), and assemble its report.
 
     Its ``timestamps`` hold the session's wall time; ``write_report`` adds
     the time of writing.
     """
-    trace = simulate_generation(record.text, record.query, config.mode, config.load_model(), config)
+    trace = simulate_generation(record.text, record.query, config.mode, config.load_model(), config, start)
 
     metrics: dict[str, object] = {}
     if record.reference:
@@ -239,16 +240,39 @@ def _aggregate(rows: list[dict]) -> dict:
     return out
 
 
+def _shared_prefix(prefixes: dict[int, Session], item: int, record: Record, config: RunConfig) -> Session | None:
+    """The record's session that never reprioritizes, made at the first
+    call and advanced by decode steps to the run's first boundary, or to
+    its last step if that comes first; None once it is past that step."""
+    session = prefixes.get(item)
+    if session is None:
+        session = prefixes[item] = Session(record.text, record.query, config)
+    stop = min(config.interval, config.max_new_tokens)
+    if len(session.tokens) > stop:
+        return None
+    while len(session.tokens) < stop:
+        session.step()
+    return session
+
+
 def run_sweep(axis: str, values: list[int], base: RunConfig, records: list[Record],
               out_dir: Path, name: str) -> tuple[Path, Path]:
+    """Run every record at each value in turn and write the sweep's CSV
+    and JSON. On the interval axis a run's session equals one that never
+    reprioritizes up to its first boundary, so each record's such session
+    is kept (one per record while the sweep runs) and runs continue forks
+    of it; a value below the step it has reached runs a fresh session."""
     key = SWEEP_AXES[axis]
     per_run: list[dict] = []
     aggregates: list[dict] = []
+    forking = axis == "reprioritization_interval"
+    prefixes: dict[int, Session] = {}  # record -> its kept session
     for value in values:
         config = apply_overrides(base, with_one_selection_rule({key: str(value)}))  # each session validates it
         rows = []
-        for record in records:
-            report = run_record(record, config)
+        for item, record in enumerate(records):
+            start = _shared_prefix(prefixes, item, record, config) if forking else None
+            report = run_record(record, config, start)
             rouge = report["metrics"]["rouge_l_token_ids"]
             row = {
                 "axis": axis,

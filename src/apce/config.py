@@ -141,8 +141,12 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _names_none(raw: str) -> bool:
+    return raw.strip().lower() in ("", "none")
+
+
 def _optional(parse: Callable[[str], Any]) -> Callable[[str], Any]:
-    return lambda raw: None if raw.strip().lower() in ("", "none") else parse(raw)
+    return lambda raw: None if _names_none(raw) else parse(raw)
 
 
 # a field's annotation -> the parser of its config values
@@ -165,12 +169,16 @@ _KEY_OF = {attr: key for key, (attr, _) in KEY_SPECS.items()}
 CHOICES = {f.metadata["key"]: f.metadata["choices"] for f in fields(RunConfig) if f.metadata["choices"]}
 
 
+_SELECTION_RULES = ("select.max_chunks", "select.fraction")
+
+
 def with_one_selection_rule(raw: dict[str, str]) -> dict[str, str]:
     """``raw`` plus a reset of the selection rule it does not set, so an
     explicit select.max_chunks replaces a fraction the config had set, and
-    the other way round. Setting both is left for ``validate`` to refuse."""
-    if raw.keys() & {"select.max_chunks", "select.fraction"}:
-        return {"select.max_chunks": "none", "select.fraction": "none", **raw}
+    the other way round. A rule given as none sets nothing, and resets
+    nothing else. Setting both is left for ``validate`` to refuse."""
+    if any(not _names_none(raw[key]) for key in _SELECTION_RULES if key in raw):
+        return {**dict.fromkeys(_SELECTION_RULES, "none"), **raw}
     return raw
 
 

@@ -307,6 +307,22 @@ class KVCache:
         self.chunk_tokens = slot
         self._unsettled = False
 
+    def fork(self) -> KVCache:
+        """An independent copy of the same capacity, settled first. Only the
+        laid-out prefix (chunk tokens, then generated ones) of each arena is
+        copied, as nothing reads past it; the index, ``gen_positions`` and
+        ``counters`` are copied too, so the copy shares no writable array."""
+        self.settle()
+        copy = KVCache(self.config, self.capacity)
+        used = self.chunk_tokens + self.gen_len
+        for mine, theirs in zip((*self.keys, *self.values), (*copy.keys, *copy.values)):
+            theirs[:, :used] = mine[:, :used]
+        copy._index = dict(self._index)
+        copy.chunk_tokens = self.chunk_tokens
+        copy.gen_positions = list(self.gen_positions)
+        copy.counters = dict(self.counters)
+        return copy
+
     # --- generated tokens ---
 
     @property
@@ -362,6 +378,7 @@ class DecoderModel:
         self.params = _init_params(config)
         half = config.d_head // 2
         self._inv_freq = config.rope_theta ** (-np.arange(0, half, dtype=np.float64) * 2.0 / config.d_head)
+        self._inv_freq.setflags(write=False)  # a session's forks share the model
         self._inv_sqrt_dh = np.float32(1.0 / np.sqrt(config.d_head))
 
     # --- public operations ---

@@ -21,6 +21,7 @@ reprioritization boundary.
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from dataclasses import asdict, dataclass, replace
@@ -65,8 +66,9 @@ class Session:
     Its mode and latencies are the config's (``mode`` and ``load.*``).
     Construction does everything before the first decode step, up to token
     1, which the prefill's logits give. ``step`` decodes one greedy token,
-    ``boundary`` does one reprioritization, and ``trace`` reports. The
-    session is the handle ``apply_plan`` evicts and rebuilds through.
+    ``boundary`` does one reprioritization, ``fork`` copies the session,
+    and ``trace`` reports. The session is the handle ``apply_plan`` evicts
+    and rebuilds through.
     """
 
     def __init__(self, doc_text: str, query_text: str, config: RunConfig):
@@ -155,6 +157,18 @@ class Session:
                                       {"step": step, "pool_size": len(pool), **plan.as_dict()}))
         apply_plan(step, plan, self, self.stats)
 
+    def fork(self) -> Session:
+        """An independent copy: its own cache (``KVCache.fork``), tokens,
+        events, replacement counts and clock. The model, the chunks, the
+        embedding store, the tail embedding, the provider and the load model
+        are read-only, and the copy shares them."""
+        twin = copy.copy(self)
+        twin.cache = self.cache.fork()
+        twin.tokens = list(self.tokens)
+        twin.events = list(self.events)
+        twin.stats = replace(self.stats, events=list(self.stats.events))
+        return twin
+
     def evict(self, indices: Iterable[int]) -> None:
         for idx in indices:
             self.cache.evict(idx)
@@ -195,19 +209,35 @@ def simulate_generation(
     mode: str,
     load: LoadModel,
     config: RunConfig,
+    start: Session | None = None,
 ) -> GenerationTrace:
     """Run one generation session and return its event trace.
 
     Deterministic given (document, query, mode, load, config): the model is
     seeded, decoding is greedy, and the clock is virtual.
+
+    With ``start``, the run continues a fork of that session, which stays
+    as it is, instead of building one from the document and query: the
+    loop resumes at the step of its last token, whose boundary has not run
+    yet. That equals a fresh run when ``start`` was built from the same
+    document, query and config and did what the fresh run would have done
+    up to that step, as a session that never reprioritized does up to the
+    run's first boundary (``cli.run_sweep`` forks such sessions). A forked
+    run's ``wall_seconds`` covers the continuation only; sweeps write no
+    wall time, and ``apce run`` never forks.
     """
     wall_start = time.perf_counter()
     config = replace(config, mode=mode, **asdict(load))
-    session = Session(doc_text, query_text, config)
+    if start is None:
+        session = Session(doc_text, query_text, config)
+    else:
+        config.validate()  # as a new session would
+        session = start.fork()
     reprioritizing = mode == "apce" and config.reprioritization_enabled
     # one reprioritization opportunity per emitted token; the prefill emitted the first
-    for step in range(1, config.max_new_tokens + 1):
-        if step > 1:
+    first = len(session.tokens)
+    for step in range(first, config.max_new_tokens + 1):
+        if step > first:
             session.step()
         if reprioritizing and step % config.interval == 0:
             session.boundary()

@@ -22,6 +22,7 @@ from apce.cli import SWEEP_AXES, main
 from apce.config import KEY_SPECS, RunConfig
 from apce.embed import HashingEmbedder
 from apce.model import DecoderModel
+from apce.sched import Session
 from apce.textpipe import tokenize
 
 from report_schema import REPORT_SCHEMA
@@ -43,19 +44,25 @@ load.decode_latency = 0.01
 """
 
 
-@pytest.fixture
-def corpus(tmp_path):
-    rows = [
-        {"id": "r1", "text": " ".join(f"a{i%17}b{i%7} c{i%5}" for i in range(50)),
-         "query": "summarize the a-passages", "reference": "a1b2 c3 a4b5"},
-        {"id": "r2", "text": " ".join(f"d{i%11} e{i%13}" for i in range(60)),
-         "query": "what about the d-sections", "reference": "d things e things"},
-    ]
-    path = tmp_path / "corpus.jsonl"
+ROWS = [
+    {"id": "r1", "text": " ".join(f"a{i%17}b{i%7} c{i%5}" for i in range(50)),
+     "query": "summarize the a-passages", "reference": "a1b2 c3 a4b5"},
+    {"id": "r2", "text": " ".join(f"d{i%11} e{i%13}" for i in range(60)),
+     "query": "what about the d-sections", "reference": "d things e things"},
+]
+
+
+def write_corpus(directory, rows=ROWS):
+    path = directory / "corpus.jsonl"
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-    conf = tmp_path / "toy.conf"
+    conf = directory / "toy.conf"
     conf.write_text(TOY_CONF)
     return path, conf
+
+
+@pytest.fixture
+def corpus(tmp_path):
+    return write_corpus(tmp_path)
 
 
 def run_cli(*argv):
@@ -488,6 +495,89 @@ def test_single_value_sweep_matches_run(corpus, tmp_path):
         rows = list(csv.DictReader(fh))
     assert [r["value"] for r in rows] == ["5"]
     assert "taken_mean" in rows[0] and "available_mean" in rows[0]
+
+
+def sweep_outputs(directory, values, *flags, fresh=False):
+    """An interval sweep's exit code, standard error, written files (name ->
+    bytes) and completed sessions; with ``fresh``, every run builds its own
+    session, as before interval sweeps shared each record's prefix."""
+    corpus_path, conf = directory / "corpus.jsonl", directory / "toy.conf"
+    out = directory / ("fresh" if fresh else "shared")
+    completed = []
+    original = apce.cli.simulate_generation
+
+    def kept(*args):
+        completed.append(original(*args))
+        return completed[-1]
+
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        mp.setattr(apce.cli, "simulate_generation", kept)
+        if fresh:
+            mp.setattr(apce.cli, "_shared_prefix", lambda *args: None)
+        code = run_cli("sweep", "--input", str(corpus_path), "--config", str(conf), "--out-dir", str(out),
+                       "--axis", "reprioritization_interval", f"--values={','.join(map(str, values))}", *flags)
+    written = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else None
+    return code, err.getvalue(), written, [(t.tokens, t.counters, t.total_time) for t in completed]
+
+
+def forked_runs(values, max_new_tokens, records):
+    """The runs that continue a fork: each record's shared session goes
+    forward only, so a value whose first boundary (or last step) lies
+    before the step it has reached runs a fresh session."""
+    reached, forked = 1, 0
+    for value in values:
+        stop = min(value, max_new_tokens)
+        if stop >= reached:
+            reached, forked = stop, forked + 1
+    return forked * records
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(values=st.lists(st.integers(1, 14), min_size=1, max_size=5), max_new_tokens=st.integers(1, 10),
+       mode=st.sampled_from(["apce", "dense"]), reprioritizing=st.booleans())
+def test_an_interval_sweep_writes_the_bytes_of_fresh_sessions(values, max_new_tokens, mode, reprioritizing):
+    """Unsorted values, repeated ones, ones past --max-new-tokens, dense
+    mode and --no-reprioritization: the sweep's CSV and JSON are those of
+    a sweep whose every run builds its own session."""
+    event("ascending" if values == sorted(values) else "not ascending")
+    flags = ["--max-new-tokens", str(max_new_tokens), "--mode", mode,
+             *([] if reprioritizing else ["--no-reprioritization"])]
+    forks = []
+    fork = Session.fork
+
+    def counted(self):
+        forks.append(self)
+        return fork(self)
+
+    with tempfile.TemporaryDirectory() as scratch, pytest.MonkeyPatch.context() as mp:
+        directory = Path(scratch)
+        write_corpus(directory)
+        mp.setattr(Session, "fork", counted)
+        shared = sweep_outputs(directory, values, *flags)
+        assert len(forks) == forked_runs(values, max_new_tokens, len(ROWS))
+        fresh = sweep_outputs(directory, values, *flags, fresh=True)
+    assert shared[0] == 0, shared[1]
+    assert sorted(shared[2]) == ["sweep_reprioritization_interval.csv", "sweep_reprioritization_interval.json"]
+    assert shared == fresh
+
+
+@pytest.mark.parametrize("values,rows,failed_after,message", [
+    ([4, 2, 8], [ROWS[0], {**ROWS[1], "id": "blank", "query": "Summarize." + " " * 120}, ROWS[1]], 1,
+     f"error: query tail {' ' * 100!r}, the last query.tail_chars = 100 characters of the query, "
+     "holds no token or embeds to the zero vector\n"),
+    ([4, 8, 0, 2], ROWS, 4, "error: reprioritization.interval must be >= 1\n"),
+], ids=["blank-query-tail", "interval-0"])
+def test_an_interval_sweep_fails_at_the_run_a_fresh_session_fails_at(tmp_path, values, rows, failed_after, message):
+    """A record whose query tail holds no token, or a value outside the
+    interval's domain: the same run fails as when every run builds its own
+    session, with exit 2 and the same message, and no file is written."""
+    write_corpus(tmp_path, rows)
+    shared = sweep_outputs(tmp_path, values)
+    assert shared == sweep_outputs(tmp_path, values, fresh=True)
+    code, err, written, completed = shared
+    assert (code, err, written, len(completed)) == (2, message, None, failed_after)
 
 
 def test_memtable_text(capsys):

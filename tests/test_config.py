@@ -1,7 +1,8 @@
 import pytest
 
 from apce.cli import RUN_FLAGS, build_parser, build_run_config
-from apce.config import KEY_SPECS, LoadModel, RunConfig, apply_overrides, load_config_file, parse_config_text
+from apce.config import (KEY_SPECS, LoadModel, RunConfig, apply_overrides, load_config_file, parse_config_text,
+                         with_one_selection_rule)
 from apce.model import ModelConfig
 from apce.textpipe import DEFAULT_VOCAB_SIZE
 
@@ -191,3 +192,18 @@ def test_a_selection_flag_replaces_the_rule_the_file_set(tmp_path, file_rule, fl
                                       flag, *FLAGS[flag][1]])
     config = build_run_config(args)
     assert (config.max_chunks, config.fraction) == rule
+
+
+@pytest.mark.parametrize("file_rule,flag,rule,k", [("select.fraction = 0.5", "--max-chunks", (None, 0.5), 5),
+                                                   ("select.max_chunks = 2", "--fraction", (2, None), 2)])
+def test_a_selection_flag_of_none_keeps_the_rule_the_file_set(tmp_path, file_rule, flag, rule, k):
+    """none sets no rule, so it resets none: k stays the file's (of 10 chunks)."""
+    path = tmp_path / "run.conf"
+    path.write_text(file_rule + "\n")
+    args = build_parser().parse_args(["run", "--input", "corpus.jsonl", "--config", str(path), flag, "none"])
+    config = build_run_config(args)
+    assert (config.max_chunks, config.fraction) == rule
+    assert config.effective_k(10) == k
+    # an n_chunks sweep value sets a rule, and so still replaces the file's
+    swept = apply_overrides(config, with_one_selection_rule({"select.max_chunks": "3"}))
+    assert (swept.max_chunks, swept.fraction) == (3, None)

@@ -1,4 +1,5 @@
 import dataclasses
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -305,15 +306,21 @@ def test_replayed_residency_obeys_the_buffer_laws(k, interval, async_start, late
 
 # --- Session ---
 
-def run_session(load, config):
-    """Drive a session through simulate_generation's loop, and keep it."""
-    session = Session(DOC, QUERY, dataclasses.replace(config, mode="apce", **dataclasses.asdict(load)))
-    for step in range(1, config.max_new_tokens + 1):
-        if step > 1:
+def finish(session, config):
+    """Drive a session through simulate_generation's loop to its last
+    token, from the step of its last token, whose boundary has not run yet."""
+    first = len(session.tokens)
+    for step in range(first, config.max_new_tokens + 1):
+        if step > first:
             session.step()
         if config.reprioritization_enabled and step % config.interval == 0:
             session.boundary()
     return session
+
+
+def run_session(load, config):
+    """Drive a new session as simulate_generation does, and keep it."""
+    return finish(Session(DOC, QUERY, dataclasses.replace(config, mode="apce", **dataclasses.asdict(load))), config)
 
 
 def test_a_session_ends_with_a_fresh_prefill_of_its_resident_set():
@@ -436,3 +443,96 @@ def test_the_clock_charges_exactly_what_the_counters_count():
         assert trace.total_time == sum(trace.counters.values()) * price, draw
         rebuilt += trace.counters["rebuild_elements"] > 0
     assert rebuilt >= 5
+
+
+# --- fork ---
+
+def assert_same_session(got, want):
+    """The same trace, tokens, resident set and arena bits."""
+    assert got.trace(0.0) == want.trace(0.0)
+    a, b = got.cache, want.cache
+    assert (a.resident_indices(), a.chunk_tokens, a.gen_positions) == \
+           (b.resident_indices(), b.chunk_tokens, b.gen_positions)
+    used = a.chunk_tokens + a.gen_len
+    for x, y in zip((*a.keys, *a.values), (*b.keys, *b.values), strict=True):
+        assert np.array_equal(x[:, :used].view(np.uint32), y[:, :used].view(np.uint32))
+
+
+@given(
+    k=st.integers(min_value=1, max_value=10),
+    interval=st.integers(min_value=1, max_value=5),
+    async_start=st.integers(min_value=1, max_value=12),
+    latency=st.sampled_from([0.0, 0.01, 0.05, 0.3]),
+    recompute=st.booleans(),
+    max_new_tokens=st.integers(min_value=1, max_value=20),
+    seed=st.integers(min_value=0, max_value=3),
+)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+def test_a_fork_at_every_boundary_runs_on_as_a_session_never_forked(k, interval, async_start, latency,
+                                                                    recompute, max_new_tokens, seed):
+    """Forked before each boundary, a fork run to the end at once, a fork
+    run to the end after the original, and the original itself each end as
+    a session that was never forked, and so does simulate_generation
+    continuing a fork, which leaves the session it forks as it was."""
+    config = dataclasses.replace(TOY, fraction=None, max_chunks=k, interval=interval, recompute=recompute,
+                                 max_new_tokens=max_new_tokens, seed=seed)
+    load = LoadModel(per_chunk_load_latency=latency, async_start_chunks=async_start, decode_latency=0.01,
+                     compute_seconds_per_element=1e-7)
+    want = run_session(load, config)
+    trace = dataclasses.replace(want.trace(0.0), wall_seconds=None)
+
+    session = Session(DOC, QUERY, dataclasses.replace(config, mode="apce", **dataclasses.asdict(load)))
+    later = []
+    for step in range(1, max_new_tokens + 1):
+        if step > 1:
+            session.step()
+        if step % interval == 0:
+            assert_same_session(finish(session.fork(), config), want)
+            later.append(session.fork())
+            tokens = list(session.tokens)
+            continued = simulate_generation(DOC, QUERY, "apce", load, config, session)
+            assert dataclasses.replace(continued, wall_seconds=None) == trace
+            assert session.tokens == tokens
+            session.boundary()
+    assert_same_session(session, want)
+    for fork in later:
+        assert_same_session(finish(fork, config), want)
+
+
+def arrays(root):
+    """Every numpy array reachable from ``root`` through attributes,
+    mappings, lists and tuples."""
+    found, seen, todo = [], set(), [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (str, bytes, int, float, type)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        elif isinstance(obj, Mapping):
+            todo += [*obj.keys(), *obj.values()]
+        elif isinstance(obj, (list, tuple, set)):
+            todo += obj
+        elif hasattr(obj, "__dict__"):
+            todo += vars(obj).values()
+    return found
+
+
+def test_a_fork_shares_no_writable_array_or_container_with_its_original():
+    config = dataclasses.replace(TOY, fraction=None, max_chunks=4, interval=2, max_new_tokens=12)
+    load = LoadModel(per_chunk_load_latency=0.05, async_start_chunks=2, decode_latency=0.01)
+    session = run_session(load, config)
+    assert session.stats.taken >= 2
+    twin = session.fork()
+
+    ours, theirs = arrays(session), arrays(twin)
+    writable = [a for a in theirs if a.flags.writeable]
+    assert len(writable) == 2 * config.n_layers  # the arenas; the rest is read-only and shared
+    assert all(not np.shares_memory(a, b) for a in writable for b in ours)
+    assert twin.model is session.model and twin.store is session.store and twin.tail is session.tail
+    for mutable in (lambda s: s.tokens, lambda s: s.events, lambda s: s.stats, lambda s: s.stats.events,
+                    lambda s: s.cache, lambda s: s.cache._index, lambda s: s.cache.gen_positions,
+                    lambda s: s.cache.counters):
+        assert mutable(twin) is not mutable(session)
+    assert twin.cache.capacity == session.cache.capacity

@@ -19,7 +19,8 @@ records of a corpus-sweep corpus plus one apce-reprior document as record
   the tool writes;
 - ``apce sweep`` over the whole corpus on each axis: ``n_chunks`` (over a
   base ``--fraction``, so the flag's reset is exercised), ``chunk_size`` and
-  ``reprioritization_interval``;
+  ``reprioritization_interval``, the last also over values that are not
+  ascending, repeat one and go past ``--max-new-tokens``;
 - ``apce memtable`` as plain text, with ``--flag-inconsistent``, as CSV, as
   JSON, as JSON for 28 layers, for one custom ``--row`` with its own widths,
   and for two custom ``--row`` groups with ``--flag-inconsistent``, keeping
@@ -69,6 +70,10 @@ SWEEPS = {
     "n_chunks": ["--axis", "n_chunks", "--values", "2,4,6", "--fraction", "0.5", *SHORT],
     "chunk_size": ["--axis", "chunk_size", "--values", "80,100,160", *SHORT],
     "reprioritization_interval": ["--axis", "reprioritization_interval", "--values", "2,4,8", *SHORT],
+    # not ascending, 4 repeated and 20 past --max-new-tokens: forks of each
+    # record's shared session beside fresh sessions
+    "reprioritization_interval-unsorted": ["--axis", "reprioritization_interval", "--values", "8,4,20,2,4",
+                                           *SHORT],
 }
 MEMTABLES = {
     "text": [],
