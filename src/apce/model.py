@@ -89,8 +89,13 @@ rest of the engine:
 
 - Weights are drawn once per process and config. They follow from the
   frozen ``ModelConfig`` alone, so every ``DecoderModel`` of one config
-  shares one read-only set of arrays behind a read-only mapping: views of
-  one allocation, filled by one draw and scaled in place.
+  shares one read-only set of arrays behind a read-only mapping: the layers
+  and the head are views of one allocation, filled by one draw and scaled
+  in place. The embedding table is kept nowhere, as a pass only gathers
+  rows from it: the draw records the generator's state before each group
+  of its rows, and ``DecoderModel.embed`` makes a token's row from its
+  group on first use and keeps it, with the other rows this process has
+  used. A process holds the rows its tokens touch, not the table.
 
 Everything runs in float32 with a fixed reduction order.
 """
@@ -98,6 +103,7 @@ Everything runs in float32 with a fixed reduction order.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import threading
@@ -150,6 +156,16 @@ _TILE_ROWS = 144
 # 216-512 rows, widths 383-1,500, smallest tile products 291,080-960,000),
 # and in none under Haswell or Prescott.
 _TILE_MIN_PRODUCT = 1 << 22
+# Every weight is a standard normal draw times this.
+_INIT_SCALE = np.float32(0.02)
+# The embedding table's part of the seeded stream is drawn, and a row of it
+# made again on first use, in groups of this many rows (see ``_UsedRows``).
+# Smaller groups redraw less per row made but record more states in the
+# draw. Default model, seed-11 benchmark inputs, one run each (2-core Xeon,
+# numpy 2.4): making a workload's rows (1,016-1,620 of them) took 27-55 ms
+# at 4 rows, 32-58 at 8, 39-55 at 16 and 54-82 at 32; the draw took 205,
+# 177, 163 and 155 ms (median of 5), so 8 and 16 cost about the same.
+_EMBEDDING_GROUP_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -370,7 +386,8 @@ class DecoderModel:
     """Weights are fully determined by the config seed and are read-only.
 
     Models of one config share the same weight arrays: they are drawn once
-    per process (the most recent config is kept) and never copied.
+    per process (the most recent config is kept) and never copied. The
+    embedding rows are not among them: ``embed`` makes them on first use.
     """
 
     def __init__(self, config: ModelConfig):
@@ -446,6 +463,24 @@ class DecoderModel:
         cache.counters["rebuild_elements"] += elements
         return elements
 
+    def embed(self, token_ids: np.ndarray) -> np.ndarray:
+        """The embedding rows of ``token_ids`` (an int array) in a new array,
+        equal bit for bit to the rows of the table drawn whole. A row is made
+        on its token's first use in this process (``_UsedRows.make``)."""
+        global _used_rows
+        used = _used_rows
+        if used is None or used.config != self.config:
+            with _ROWS_LOCK:
+                if _used_rows is None or _used_rows.config != self.config:
+                    _used_rows = _UsedRows(self.config, self.params["embedding.checkpoints"])
+                used = _used_rows
+        where = used.where[token_ids]
+        if (where < 0).any():
+            with _ROWS_LOCK:
+                used.make(token_ids)
+            where = used.where[token_ids]
+        return used.rows[where]
+
     # --- internals ---
 
     def _chunk_blocks(self, cache: KVCache, ordered: Sequence[Chunk]) -> list[_Block]:
@@ -501,7 +536,7 @@ class DecoderModel:
         last = self.config.n_layers - 1
         if layer < 0:
             block.rope = self._rope_tables(np.arange(block.position, block.position + len(block.token_ids)))
-            block.hidden = self.params["embedding"][block.token_ids]
+            block.hidden = self.embed(block.token_ids)
         else:
             q = self._project(block.normed, layer, "wq", *block.rope)
             keys, values = cache.keys[layer][:, :block.width], cache.values[layer][:, :block.width]
@@ -664,10 +699,15 @@ def _pipeline(stage: Callable[[int, _Block, np.ndarray], None], blocks: Sequence
 def _init_params(cfg: ModelConfig) -> Mapping[str, np.ndarray]:
     """The seeded weights of ``cfg``, read-only and shared by every caller.
 
-    Each is a read-only view of one float32 allocation that a single draw
-    fills and a scaling in place finishes: the same stream and values as
-    drawing the arrays in turn, with no temporary of a table's size."""
-    shapes = {"embedding": (cfg.vocab_size, cfg.d_model)}
+    One stream draws them all, the embedding table first, with the same
+    values as drawing each array in turn. The table's part is drawn a group
+    of ``_EMBEDDING_GROUP_ROWS`` rows at a time into a buffer and
+    dropped: ``"embedding.checkpoints"`` holds the bit generator's state
+    before each group, from which ``DecoderModel.embed`` makes a row when a
+    token first needs it. The layers and the head are read-only views of
+    one float32 allocation that the rest of the stream fills and a scaling
+    in place finishes, with no temporary of their size."""
+    shapes = {}
     for layer in range(cfg.n_layers):
         shapes[f"layers.{layer}.wq"] = (cfg.d_model, cfg.n_heads * cfg.d_head)
         shapes[f"layers.{layer}.wk"] = (cfg.d_model, cfg.d_kv_total)
@@ -676,13 +716,93 @@ def _init_params(cfg: ModelConfig) -> Mapping[str, np.ndarray]:
         shapes[f"layers.{layer}.w1"] = (cfg.d_model, cfg.d_ff)
         shapes[f"layers.{layer}.w2"] = (cfg.d_ff, cfg.d_model)
     shapes["head"] = (cfg.d_model, cfg.vocab_size)
+    rng = np.random.default_rng(cfg.init_seed)
+    buffer = np.empty((_EMBEDDING_GROUP_ROWS, cfg.d_model), dtype=np.float32)
+    firsts = range(0, cfg.vocab_size, _EMBEDDING_GROUP_ROWS)
+    checkpoints = np.empty((len(firsts), 6), dtype=np.uint64)
+    for group, first in enumerate(firsts):
+        checkpoints[group] = _checkpoint(rng.bit_generator)
+        rows = min(_EMBEDDING_GROUP_ROWS, cfg.vocab_size - first)  # the last group takes what is left
+        rng.standard_normal(dtype=np.float32, out=buffer[:rows])
+    checkpoints.setflags(write=False)
     sizes = [math.prod(shape) for shape in shapes.values()]
     base = np.empty(sum(sizes), dtype=np.float32)
-    np.random.default_rng(cfg.init_seed).standard_normal(dtype=np.float32, out=base)
-    base *= np.float32(0.02)
+    rng.standard_normal(dtype=np.float32, out=base)
+    base *= _INIT_SCALE
     base.setflags(write=False)
     views = np.split(base, np.cumsum(sizes)[:-1])
-    return MappingProxyType({name: view.reshape(shape) for (name, shape), view in zip(shapes.items(), views)})
+    params = {"embedding.checkpoints": checkpoints}
+    params.update((name, view.reshape(shape)) for (name, shape), view in zip(shapes.items(), views))
+    return MappingProxyType(params)
+
+
+_WORD = (1 << 64) - 1
+
+
+def _checkpoint(bit_generator: np.random.PCG64) -> tuple[int, ...]:
+    """A PCG64 state as six 64-bit words: the state and the increment, high
+    word first, then the buffered 32-bit half and whether it is held."""
+    state = bit_generator.state
+    pcg = state["state"]
+    return (pcg["state"] >> 64, pcg["state"] & _WORD, pcg["inc"] >> 64, pcg["inc"] & _WORD,
+            state["has_uint32"], state["uinteger"])
+
+
+def _restore(bit_generator: np.random.PCG64, words: np.ndarray) -> None:
+    """Put ``bit_generator`` back into the state ``_checkpoint`` recorded."""
+    state_hi, state_lo, inc_hi, inc_lo, has_uint32, uinteger = words.tolist()
+    bit_generator.state = {"bit_generator": "PCG64",
+                           "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
+                           "has_uint32": has_uint32, "uinteger": uinteger}
+
+
+class _UsedRows:
+    """The embedding rows of one config that this process has made, packed in
+    the order they were made, and each token's place among them. Rows are
+    only ever added, and a token's place is set after its row is written, so
+    a reader that finds every place set needs no lock; ``make`` runs under
+    ``_ROWS_LOCK``."""
+
+    def __init__(self, cfg: ModelConfig, checkpoints: np.ndarray):
+        self.config = cfg
+        self.checkpoints = checkpoints
+        self.where = np.full(cfg.vocab_size, -1, dtype=np.intp)  # a token's row in ``rows``; -1: none yet
+        self.rows = np.empty((0, cfg.d_model), dtype=np.float32)  # capacity; the first ``count`` are made
+        self.count = 0
+        self._rng = np.random.Generator(np.random.PCG64())
+
+    def make(self, token_ids: np.ndarray) -> None:
+        """Make the rows of ``token_ids`` that are not made yet: each group
+        that holds one is redrawn from its checkpoint up to the last of them,
+        and only the rows asked for are kept. Full, the rows move into twice
+        the capacity."""
+        cfg = self.config
+        new = sorted(set(token_ids[self.where[token_ids] < 0].tolist()))
+        if not new:
+            return
+        rows = self.rows
+        if self.count + len(new) > len(rows):
+            rows = np.empty((min(max(self.count + len(new), 2 * len(rows)), cfg.vocab_size), cfg.d_model),
+                            dtype=np.float32)
+            rows[:self.count] = self.rows[:self.count]
+        buffer = np.empty((_EMBEDDING_GROUP_ROWS, cfg.d_model), dtype=np.float32)
+        at = self.count
+        for group, members in itertools.groupby(new, lambda token: token // _EMBEDDING_GROUP_ROWS):
+            offsets = [token - group * _EMBEDDING_GROUP_ROWS for token in members]
+            _restore(self._rng.bit_generator, self.checkpoints[group])
+            drawn = buffer[:offsets[-1] + 1]
+            self._rng.standard_normal(dtype=np.float32, out=drawn)
+            np.multiply(drawn[offsets], _INIT_SCALE, out=rows[at:at + len(offsets)])
+            at += len(offsets)
+        self.rows = rows
+        self.where[new] = np.arange(self.count, at)
+        self.count = at
+
+
+# The rows of the config whose rows were asked for last (process state, like
+# ``_init_params``' cache), and the lock that making rows takes.
+_used_rows: _UsedRows | None = None
+_ROWS_LOCK = threading.Lock()
 
 
 def _rms_norm(x: np.ndarray) -> np.ndarray:

@@ -378,7 +378,7 @@ def concat_decode(model, blocks, gen_kv, last_token, position):
     """decode_step as a per-chunk cache computes it: every layer concatenates
     the resident chunk blocks and each generated token's K/V. ``blocks[layer]``
     lists (keys, values) in document order; ``gen_kv[layer]`` gains this token's."""
-    hidden = model.params["embedding"][[last_token]].copy()
+    hidden = model.embed(np.asarray([last_token]))
     for layer in range(model.config.n_layers):
         q, k, v = project_qkv(model, hidden, layer, *model._rope_tables(np.asarray([position])))
         gen_kv[layer].append((k, v))
@@ -563,7 +563,7 @@ def block_major_forward(model, cache, blocks, finish_last, attend):
     for block in blocks:
         span = slice(block.slot, block.slot + len(block.token_ids))
         cos, sin = model._rope_tables(np.arange(block.position, block.position + len(block.token_ids)))
-        hidden = model.params["embedding"][block.token_ids]
+        hidden = model.embed(block.token_ids)
         for layer in range(last_layer + 1):
             q, k, v = project_qkv(model, hidden, layer, cos, sin)
             keys, values = cache.keys[layer], cache.values[layer]
@@ -1332,22 +1332,26 @@ def test_same_seed_same_weights_different_seed_differs():
     cfg = ModelConfig(n_layers=1, n_heads=2, d_model=16, d_head=8, d_kv_total=8,
                       vocab_size=64, init_seed=5)
     a, b = DecoderModel(cfg), DecoderModel(cfg)
-    assert np.array_equal(a.params["embedding"], b.params["embedding"])
+    every = np.arange(cfg.vocab_size)
+    assert np.array_equal(a.embed(every), b.embed(every))
     c = DecoderModel(ModelConfig(n_layers=1, n_heads=2, d_model=16, d_head=8,
                                  d_kv_total=8, vocab_size=64, init_seed=6))
-    assert not np.array_equal(a.params["embedding"], c.params["embedding"])
+    assert not np.array_equal(a.embed(every), c.embed(every))
 
 
 def test_weights_are_frozen(model):
     with pytest.raises(ValueError):
-        model.params["embedding"][0, 0] = 1.0
+        model.params["head"][0, 0] = 1.0
+    with pytest.raises(ValueError):
+        model.params["embedding.checkpoints"][0, 0] = 1
     with pytest.raises(TypeError):
-        model.params["embedding"] = np.zeros(1, dtype=np.float32)
+        model.params["head"] = np.zeros(1, dtype=np.float32)
 
 
 def drawn_one_array_at_a_time(cfg):
     """The weights as each array's own draw, scaled into a new array: the
-    reference for ``_init_params``' one draw into one allocation."""
+    reference for ``_init_params``' one draw into one allocation and for the
+    embedding rows that ``DecoderModel.embed`` makes."""
     rng = np.random.default_rng(cfg.init_seed)
 
     def draw(*shape):
@@ -1365,20 +1369,157 @@ def drawn_one_array_at_a_time(cfg):
     return params
 
 
-@pytest.mark.parametrize("default", [False, True], ids=["toy", "default"])
-def test_weights_are_one_draw_into_one_read_only_allocation(toy_model_config, default):
-    """Every weight is a read-only view of one float32 base that holds them
-    all, and equals its own per-array draw bit for bit."""
-    cfg = ModelConfig() if default else toy_model_config
+GROUP = model_module._EMBEDDING_GROUP_ROWS
+
+
+def small_vocab(vocab_size):
+    return ModelConfig(n_layers=1, n_heads=2, d_model=16, d_head=8, d_kv_total=8,
+                       vocab_size=vocab_size, init_seed=3)
+
+
+# the toy and default configs, and vocabularies whose last group of
+# embedding rows is not full
+WEIGHT_CONFIGS = ["toy", "default", small_vocab(5 * GROUP + 3), small_vocab(GROUP - 3)]
+WEIGHT_CONFIG_IDS = ["toy", "default", "last-group-part-full", "vocab-under-a-group"]
+
+
+@pytest.mark.parametrize("cfg", WEIGHT_CONFIGS, ids=WEIGHT_CONFIG_IDS)
+def test_weights_are_one_draw_into_one_read_only_allocation(toy_model_config, cfg):
+    """The layers and the head are read-only views of one float32 base that
+    holds them all, each equal to its own per-array draw bit for bit; beside
+    them are the read-only embedding checkpoints, one per group of rows."""
+    cfg = {"toy": toy_model_config, "default": ModelConfig()}.get(cfg, cfg)
     params, want = _init_params.__wrapped__(cfg), drawn_one_array_at_a_time(cfg)
-    assert list(params) == list(want)
-    base = params["embedding"].base
+    weights = [name for name in want if name != "embedding"]
+    assert list(params) == ["embedding.checkpoints", *weights]
+    base = params["head"].base
     assert base.ndim == 1 and base.dtype == np.float32 and not base.flags.writeable
-    assert base.size == sum(arr.size for arr in want.values())
-    for name, arr in params.items():
+    assert base.size == sum(want[name].size for name in weights)
+    for name in weights:
+        arr = params[name]
         assert arr.base is base and not arr.flags.writeable, name
         assert arr.shape == want[name].shape and arr.dtype == np.float32, name
         assert np.array_equal(arr.view(np.uint32), want[name].view(np.uint32)), name
+    checkpoints = params["embedding.checkpoints"]
+    groups = -(-cfg.vocab_size // GROUP)
+    assert checkpoints.shape == (groups, 6) and not checkpoints.flags.writeable
+
+
+@pytest.fixture
+def no_rows_made(monkeypatch):
+    """A process that has made no embedding row yet; its own rows come back after."""
+    monkeypatch.setattr(model_module, "_used_rows", None)
+
+
+@pytest.mark.parametrize("cfg", WEIGHT_CONFIGS, ids=WEIGHT_CONFIG_IDS)
+def test_embedding_rows_equal_the_reference_draw(no_rows_made, toy_model_config, cfg):
+    """Every row, asked for in a random order and in ragged batches with
+    repeats, equals the table drawn whole bit for bit, and only the rows asked
+    for are made."""
+    cfg = {"toy": toy_model_config, "default": ModelConfig()}.get(cfg, cfg)
+    want = drawn_one_array_at_a_time(cfg)["embedding"].view(np.uint32)
+    model = DecoderModel(cfg)
+    rng = np.random.default_rng(cfg.vocab_size)
+    ids = np.concatenate([rng.permutation(cfg.vocab_size), rng.integers(cfg.vocab_size, size=cfg.vocab_size)])
+    cuts = np.sort(rng.choice(np.arange(1, len(ids)), size=len(ids) // 6, replace=False))
+    asked = set()
+    for batch in np.split(ids, cuts):  # 1 to dozens of ids, some asked for before
+        assert np.array_equal(model.embed(batch).view(np.uint32), want[batch])
+        asked.update(batch.tolist())
+        assert model_module._used_rows.count == len(asked)
+    assert asked == set(range(cfg.vocab_size))
+    assert np.array_equal(model.embed(np.arange(cfg.vocab_size)).view(np.uint32), want)
+
+
+def test_embedding_rows_asked_for_from_four_threads_at_once(no_rows_made, toy_model_config):
+    """Threads asking for the same fresh rows in different orders, switching
+    as often as the interpreter lets them, all get the reference rows, and
+    each row is made once."""
+    cfg = toy_model_config
+    want = drawn_one_array_at_a_time(cfg)["embedding"].view(np.uint32)
+    model = DecoderModel(cfg)
+    orders = [np.random.default_rng(seed).permutation(cfg.vocab_size) for seed in range(4)]
+    start, wrong = threading.Barrier(len(orders)), []
+
+    def ask(order):
+        start.wait(timeout=10)
+        for batch in np.array_split(order, 64):
+            if not np.array_equal(model.embed(batch).view(np.uint32), want[batch]):
+                wrong.append(batch)
+
+    threads = [threading.Thread(target=ask, args=(order,)) for order in orders]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not wrong
+    assert model_module._used_rows.count == cfg.vocab_size
+
+
+def test_embedding_rows_made_first_on_a_pipeline_helper(no_rows_made, parallel_blocks, monkeypatch,
+                                                        toy_model_config):
+    """A threaded prefill whose helpers make rows for the first time gives the
+    bits of a prefill whose rows were all made before it."""
+    monkeypatch.setattr(model_module, "_PARALLEL_MIN_SCORES", 0)
+    cfg = toy_model_config
+    parts = chunk(tuple(range(96)), 12)  # each block's tokens are new to the pass
+    made_on = set()
+    make, block_stage = model_module._UsedRows.make, DecoderModel._block_stage
+
+    def recorded_make(self, token_ids):
+        made_on.add(threading.current_thread().name)
+        make(self, token_ids)
+
+    def slowed(self, *args):
+        time.sleep(0.002)  # so the helpers take blocks
+        block_stage(self, *args)
+
+    monkeypatch.setattr(model_module._UsedRows, "make", recorded_make)
+    monkeypatch.setattr(DecoderModel, "_block_stage", slowed)
+    model = DecoderModel(cfg)
+    threaded = KVCache(cfg, ARENA)
+    got = model.prefill(parts, threaded).last_logits
+    assert parallel_blocks[0] > 0
+    assert any(name.startswith("apce-attend") for name in made_on)
+    monkeypatch.setattr(model_module, "_PARALLEL_MIN_SCORES", 10 ** 18)
+    serial = KVCache(cfg, ARENA)
+    assert np.array_equal(model.prefill(parts, serial).last_logits, got)
+    assert caches_equal(threaded, serial, cfg.n_layers)
+
+
+def test_the_default_model_does_not_hold_its_embedding_table():
+    """Building the default model in a fresh interpreter grows its peak
+    resident set by less than the layers and the head plus 4 MiB: the 16 MiB
+    embedding table is never resident. numpy.random's own first use is taken
+    before the count starts. The peak is Linux's VmHWM, as ``ru_maxrss`` keeps
+    the peak of the process that started the interpreter (this one) across
+    its exec."""
+    if not Path("/proc/self/status").is_file():
+        pytest.skip("VmHWM is read from Linux's /proc")
+    script = (
+        "import numpy as np\n"
+        "def peak():\n"
+        "    with open('/proc/self/status') as status:\n"
+        "        return next(int(line.split()[1]) * 1024 for line in status if line.startswith('VmHWM:'))\n"
+        "np.random.default_rng(0).standard_normal()\n"
+        "from apce.model import DecoderModel, ModelConfig\n"
+        "before = peak()\n"
+        "model = DecoderModel(ModelConfig())\n"
+        "print(peak() - before, model.params['head'].base.nbytes)\n"
+    )
+    src = Path(model_module.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    grown, weights = map(int, done.stdout.split())
+    assert weights == 18.75 * 2 ** 20
+    assert grown < weights + 4 * 2 ** 20, f"grew {grown / 2 ** 20:.2f} MiB"
 
 
 def test_models_of_one_config_share_the_cached_weights(toy_model_config):

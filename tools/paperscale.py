@@ -15,8 +15,10 @@ tokens): dense attends to every chunk, apce to the k chunks it selects.
 Every session runs in a fresh Python process that imports the package from
 this checkout's ``src`` and pins numpy's OpenBLAS to one thread as ``apce``
 does, unless the environment sets a thread count. The process draws the
-model's weights first, so the wall time is the session's alone, and its
-peak RSS covers the weights and the session. For each session it prints
+model's weights first, so the wall time is the session's, and its peak RSS
+covers the weights and the session. Embedding rows are made on first use,
+so the wall time includes redrawing the rows of the session's tokens: at
+most 4,000 distinct ids, the lexicon's words. For each session it prints
 the wall time, the peak RSS, the score-element counters and the first
 generated tokens; ``--json PATH`` also writes them to PATH. A 15 s
 benchmark run cannot hold one such session, so this is a tool, not a
